@@ -1,9 +1,19 @@
 """Filippov solutions and matrix-measure contraction certificates for
 multi-modal piecewise-smooth systems."""
 
+import time as _time
+
+_IMPORT_T0 = _time.perf_counter()  # CLI manifests time a run from here
+
 __version__ = "0.1.0"
 
-from .measure import Metric, sym_eig_max, is_positive_definite, matrix_measure
+from .measure import (
+    Metric,
+    is_positive_definite,
+    matrix_measure,
+    measure_many,
+    sym_eig_max,
+)
 from .model import (
     AnalysisBox,
     AffineField,
@@ -53,12 +63,17 @@ from .regularize import (
 from .certify import (
     CertificateError,
     CertificateReport,
+    Condition,
     ConditionResult,
+    ConditionTable,
     PairwiseReport,
     check_chain_certificate,
     check_cross_certificate,
     check_regularized_chain,
     check_regularized_cross,
+    condition_table,
     pairwise_contraction_test,
 )
 from .qsearch import SearchOptions, SearchResult, margin, search_certificate
+
+_IMPORT_S = _time.perf_counter() - _IMPORT_T0

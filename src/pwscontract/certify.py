@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -24,13 +25,16 @@ from .model import _manifold_grid  # shared manifold meshing
 
 __all__ = [
     "CertificateError",
+    "Condition",
     "ConditionResult",
+    "ConditionTable",
     "CertificateReport",
     "PairwiseReport",
     "check_chain_certificate",
     "check_cross_certificate",
     "check_regularized_chain",
     "check_regularized_cross",
+    "condition_table",
     "pairwise_contraction_test",
 ]
 
@@ -176,32 +180,112 @@ def _polytope_vertices_2d(eqs, ineqs, box: AnalysisBox, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# condition evaluation
+# the condition table
 
 
-def _mu_worst(metric: Metric, matfun: Callable, points) -> tuple:
-    worst = -math.inf
-    arg = None
-    for x in points:
-        v = metric.measure(matfun(x))
-        if v > worst:
-            worst, arg = v, np.asarray(x, dtype=float)
-    return worst, arg
+@dataclass(frozen=True)
+class Condition:
+    """One certificate condition. Its quantified matrices are the rows
+    ``rows`` of the table's stack, taken at ``points`` (None where the matrix
+    is constant over the domain). An equality quantifies no matrix: its worst
+    case is the metric-independent ``residual``, attained at ``points[0]``."""
+
+    cond_id: str
+    kind: str  # "flow" | "jump" | "equality"
+    domain: str
+    method: str
+    rows: slice
+    points: list
+    residual: float = 0.0
 
 
-def _flow_condition(system, metric, box, i, domain, strategy, inflate=None):
+class ConditionTable:
+    """Every condition of one certificate, built once per (system, box,
+    strategy or band width) by ``condition_table``, with all quantified
+    matrices stacked as (k, n, n) so that a metric is evaluated on the whole
+    table in one batch. ``report`` and the search margin of ``qsearch`` are
+    reductions of that evaluation."""
+
+    def __init__(self, dimension: int, strategy: str, notes: str = ""):
+        self.dimension = dimension
+        self.strategy = strategy
+        self.notes = notes
+        self.conditions: list = []
+        self._rows: list = []
+
+    def add(self, cond_id, kind, domain, method, mats, points, residual=0.0):
+        start = len(self._rows)
+        self._rows.extend(mats)
+        self.conditions.append(Condition(cond_id, kind, domain, method,
+                                         slice(start, len(self._rows)),
+                                         list(points), residual))
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        n = self.dimension
+        return np.array(self._rows, dtype=float).reshape(-1, n, n)
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        # first stack row of every condition that quantifies a matrix
+        return np.array([c.rows.start for c in self.conditions
+                         if c.rows.stop > c.rows.start], dtype=np.intp)
+
+    def worsts(self, mu: np.ndarray) -> list:
+        """Worst value of every condition, given the measures ``mu`` of the
+        stack; an empty domain gives -inf."""
+        peaks = iter(np.maximum.reduceat(mu, self._starts).tolist()
+                     if mu.size else ())
+        out = []
+        for cond in self.conditions:
+            if cond.kind == "equality":
+                out.append(cond.residual)
+            else:
+                out.append(next(peaks) if cond.rows.stop > cond.rows.start
+                           else -math.inf)
+        return out
+
+    def report(self, metric: Metric) -> CertificateReport:
+        mu = metric.measures(self.mats)
+        bounds = {"flow": -metric.c, "jump": TOL_ZERO, "equality": TOL_EQ}
+        results = []
+        for cond, worst in zip(self.conditions, self.worsts(mu)):
+            point = cond.points[0] if cond.kind == "equality" else (
+                cond.points[int(np.argmax(mu[cond.rows]))]
+                if cond.rows.stop > cond.rows.start else None)
+            bound = bounds[cond.kind]
+            results.append(ConditionResult(
+                cond.cond_id, cond.kind, cond.domain, worst, bound, bound - worst,
+                None if point is None else tuple(np.asarray(point, dtype=float)),
+                cond.method))
+        return CertificateReport(metric, results, self.strategy, metric.c,
+                                 notes=self.notes)
+
+
+def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
+                    strategy: str = "vertex",
+                    eps: Optional[float] = None) -> ConditionTable:
+    """The conditions of the limit certificate of ``system`` over ``box``, or
+    of its eps-regularized certificate when ``eps`` is given."""
+    box = box or system.box
+    if system.topology == "chain":
+        return _chain_table(system, box, strategy, eps)
+    if eps is None:
+        return _cross_table(system, box, strategy)
+    return _regularized_cross_table(system, box, strategy, eps)
+
+
+def _add_flow(table, system, box, i, domain, inflate=None):
     mode = system.modes[i - 1]
-    c = metric.c
     if mode.is_affine:
-        worst = metric.measure(mode.affine.A)
-        return ConditionResult(f"flow[{i}]", "flow", domain, worst, -c,
-                               -c - worst, None, "vertex (constant)")
-    if strategy == "vertex":
+        table.add(f"flow[{i}]", "flow", domain, "vertex (constant)",
+                  [mode.affine.A], [None])
+        return
+    if table.strategy == "vertex":
         raise CertificateError("vertex strategy requires affine data")
     pts = _region_mesh(system, box, i, inflate)
-    worst, arg = _mu_worst(metric, mode.jac, pts)
-    return ConditionResult(f"flow[{i}]", "flow", domain, worst, -c, -c - worst,
-                           None if arg is None else tuple(arg), f"grid({GRID_REGION})")
+    table.add(f"flow[{i}]", "flow", domain, f"grid({GRID_REGION})",
+              [mode.jac(x) for x in pts], pts)
 
 
 def _region_mesh(system, box, i, inflate):
@@ -223,9 +307,9 @@ def _region_mesh(system, box, i, inflate):
     return keep
 
 
-def _jump_condition(system, metric, box, cond_id, domain, matfun, points_vertex,
-                    strategy, manifold_idx=None, extra_filter=None):
-    if strategy == "vertex":
+def _add_jump(table, system, cond_id, domain, matfun, points_vertex,
+              manifold_idx, extra_filter=None):
+    if table.strategy == "vertex":
         if not system.is_affine:
             raise CertificateError("vertex strategy requires affine data")
         pts = points_vertex()
@@ -235,19 +319,57 @@ def _jump_condition(system, metric, box, cond_id, domain, matfun, points_vertex,
         if extra_filter is not None:
             pts = [p for p in pts if extra_filter(p)]
         method = f"grid({GRID_MANIFOLD})"
-    worst, arg = _mu_worst(metric, matfun, pts)
-    return ConditionResult(cond_id, "jump", domain, worst, TOL_ZERO,
-                           TOL_ZERO - worst,
-                           None if arg is None else tuple(arg), method)
+    table.add(cond_id, "jump", domain, method, [matfun(x) for x in pts], pts)
 
 
-def _require_metric(system: PwsSystem, metric: Metric):
+def _require(system: PwsSystem, metric: Metric, topology: str):
+    if system.topology != topology:
+        raise CertificateError("chain certificate needs a chain system"
+                               if topology == "chain" else
+                               "cross certificate needs a planar_cross system")
     if metric.dimension != system.dimension:
         raise CertificateError("metric dimension does not match the system")
 
 
 # ---------------------------------------------------------------------------
-# chain checkers
+# chain conditions
+
+
+def _chain_table(system, box, strategy, eps):
+    if eps is None:
+        table = ConditionTable(system.dimension, strategy)
+        inflate = None
+        region = "closure(S_{i}) in box"
+        band = "{label} in box"
+    else:
+        if eps <= 0:
+            raise CertificateError("eps must be positive")
+        if not _chain_bands_disjoint(system, eps, box):
+            raise CertificateError("bands intersect - chain regularization invalid")
+        table = ConditionTable(system.dimension, strategy,
+                               notes=f"band half-width eps={eps}")
+
+        def inflate(i, j):
+            return eps if j in (i - 2, i - 1) else 0.0
+
+        region = f"closure(S_{{i}}) + adjacent {eps}-bands in box"
+        band = f"closed {eps}-band of {{label}} in box"
+    for i in range(1, system.n_modes + 1):
+        _add_flow(table, system, box, i, region.format(i=i), inflate)
+    for k, man in enumerate(system.manifolds):
+        i, j = k + 1, k + 2
+
+        def matfun(x, i=i, j=j, man=man):
+            return np.outer(system.f(j, x) - system.f(i, x), man.grad(x))
+
+        def vertices(man=man):
+            if eps is None:
+                return _hyperplane_box_vertices(*man.affine, box)
+            return _slab_box_vertices(man.affine[0], man.affine[1], eps, box)
+
+        _add_jump(table, system, f"jump[{k + 1}]", band.format(label=man.label),
+                  matfun, vertices, k)
+    return table
 
 
 def check_chain_certificate(system: PwsSystem, metric: Metric,
@@ -256,27 +378,8 @@ def check_chain_certificate(system: PwsSystem, metric: Metric,
     """Limit conditions for a chain: contracting flow in every closed mode
     region and nonpositive measure of the field-jump rank-one matrix on every
     manifold inside the box."""
-    if system.topology != "chain":
-        raise CertificateError("chain certificate needs a chain system")
-    _require_metric(system, metric)
-    box = box or system.box
-    conds = [
-        _flow_condition(system, metric, box, i,
-                        f"closure(S_{i}) in box", strategy)
-        for i in range(1, system.n_modes + 1)
-    ]
-    for k, man in enumerate(system.manifolds):
-        i, j = k + 1, k + 2
-
-        def matfun(x, i=i, j=j, man=man):
-            return np.outer(system.f(j, x) - system.f(i, x), man.grad(x))
-
-        conds.append(_jump_condition(
-            system, metric, box, f"jump[{k + 1}]",
-            f"{man.label} in box", matfun,
-            lambda man=man: _hyperplane_box_vertices(*man.affine, box),
-            strategy, manifold_idx=k))
-    return CertificateReport(metric, conds, strategy, metric.c)
+    _require(system, metric, "chain")
+    return condition_table(system, box, strategy).report(metric)
 
 
 def check_regularized_chain(system: PwsSystem, metric: Metric, eps: float,
@@ -285,37 +388,8 @@ def check_regularized_chain(system: PwsSystem, metric: Metric, eps: float,
     """Band-inflated conditions for the regularized chain: flow conditions
     over each mode region united with the closures of its adjacent bands, and
     jump conditions over the closed bands."""
-    if system.topology != "chain":
-        raise CertificateError("chain certificate needs a chain system")
-    _require_metric(system, metric)
-    if eps <= 0:
-        raise CertificateError("eps must be positive")
-    box = box or system.box
-    if not _chain_bands_disjoint(system, eps, box):
-        raise CertificateError("bands intersect - chain regularization invalid")
-
-    def inflate(i, j):
-        return eps if j in (i - 2, i - 1) else 0.0
-
-    conds = [
-        _flow_condition(system, metric, box, i,
-                        f"closure(S_{i}) + adjacent {eps}-bands in box",
-                        strategy, inflate=inflate)
-        for i in range(1, system.n_modes + 1)
-    ]
-    for k, man in enumerate(system.manifolds):
-        i, j = k + 1, k + 2
-
-        def matfun(x, i=i, j=j, man=man):
-            return np.outer(system.f(j, x) - system.f(i, x), man.grad(x))
-
-        conds.append(_jump_condition(
-            system, metric, box, f"jump[{k + 1}]",
-            f"closed {eps}-band of {man.label} in box", matfun,
-            lambda man=man: _slab_box_vertices(man.affine[0], man.affine[1], eps, box),
-            strategy, manifold_idx=k))
-    return CertificateReport(metric, conds, strategy, metric.c,
-                             notes=f"band half-width eps={eps}")
+    _require(system, metric, "chain")
+    return condition_table(system, box, strategy, eps).report(metric)
 
 
 def _chain_bands_disjoint(system: PwsSystem, eps: float,
@@ -341,7 +415,7 @@ def _chain_bands_disjoint(system: PwsSystem, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# planar cross checkers
+# planar cross conditions
 
 
 def _cross_combo(system, signs):
@@ -362,55 +436,37 @@ _COMBO_FULL_2 = (-1, 1, 1, -1)  # f2 + f3 - f1 - f4
 _COMBO_DIAG = (-1, 1, -1, 1)  # f2 + f4 - f1 - f3
 
 
-def check_cross_certificate(system: PwsSystem, metric: Metric,
-                            box: Optional[AnalysisBox] = None,
-                            strategy: str = "vertex") -> CertificateReport:
-    """Limit conditions for a planar cross: contracting flow in the four
-    closed quadrant regions, jump conditions on each full manifold, the four
-    half-manifold diagonal conditions, and the field-sum equality at the
-    intersection point."""
-    if system.topology != "planar_cross":
-        raise CertificateError("cross certificate needs a planar_cross system")
-    _require_metric(system, metric)
-    box = box or system.box
+def _cross_setup(system):
+    """Intersection check and the field combinations (full1, full2, diag,
+    -diag) of the cross conditions."""
     chk = check_intersection_assumption(system)
     if not chk.ok:
         raise CertificateError(
             f"common-sector assumption fails at the intersection: {chk.detail}")
+    combos = [_cross_combo(system, signs) for signs in (
+        _COMBO_FULL_1, _COMBO_FULL_2, _COMBO_DIAG, tuple(-s for s in _COMBO_DIAG))]
+    return chk, combos
+
+
+def _cross_table(system, box, strategy):
+    chk, (full1, full2, diag, neg_diag) = _cross_setup(system)
     x_tilde = chk.x_tilde
     m1, m2 = system.manifolds
-    g1 = lambda x: m1.grad(x)
-    g2 = lambda x: m2.grad(x)
-
-    conds = [
-        _flow_condition(system, metric, box, i,
-                        f"closure(S_{i}) in box", strategy)
-        for i in (1, 2, 3, 4)
-    ]
-
-    full1 = _cross_combo(system, _COMBO_FULL_1)
-    full2 = _cross_combo(system, _COMBO_FULL_2)
-    diag = _cross_combo(system, _COMBO_DIAG)
-    neg_diag = _cross_combo(system, tuple(-s for s in _COMBO_DIAG))
-
-    conds.append(_jump_condition(
-        system, metric, box, "manifold[1]", f"{m1.label} in box",
-        lambda x: np.outer(full1(x), g1(x)),
-        lambda: _hyperplane_box_vertices(*m1.affine, box),
-        strategy, manifold_idx=0))
-    conds.append(_jump_condition(
-        system, metric, box, "manifold[2]", f"{m2.label} in box",
-        lambda x: np.outer(full2(x), g2(x)),
-        lambda: _hyperplane_box_vertices(*m2.affine, box),
-        strategy, manifold_idx=1))
-
+    table = ConditionTable(2, strategy,
+                           notes=f"certified crossing sector S_{chk.sector}")
+    for i in (1, 2, 3, 4):
+        _add_flow(table, system, box, i, f"closure(S_{i}) in box")
+    for idx, man, combo in ((0, m1, full1), (1, m2, full2)):
+        _add_jump(table, system, f"manifold[{idx + 1}]", f"{man.label} in box",
+                  lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
+                  lambda man=man: _hyperplane_box_vertices(*man.affine, box), idx)
     half_specs = [
-        ("half[1,+]", 0, m2, 1, diag, g1, f"{m1.label} with {m2.label}>0"),
-        ("half[1,-]", 0, m2, -1, neg_diag, g1, f"{m1.label} with {m2.label}<0"),
-        ("half[2,+]", 1, m1, 1, diag, g2, f"{m2.label} with {m1.label}>0"),
-        ("half[2,-]", 1, m1, -1, neg_diag, g2, f"{m2.label} with {m1.label}<0"),
+        ("half[1,+]", 0, m2, 1, diag, f"{m1.label} with {m2.label}>0"),
+        ("half[1,-]", 0, m2, -1, neg_diag, f"{m1.label} with {m2.label}<0"),
+        ("half[2,+]", 1, m1, 1, diag, f"{m2.label} with {m1.label}>0"),
+        ("half[2,-]", 1, m1, -1, neg_diag, f"{m2.label} with {m1.label}<0"),
     ]
-    for cond_id, man_idx, other, side, combo, grad, domain in half_specs:
+    for cond_id, man_idx, other, side, combo, domain in half_specs:
         man = system.manifolds[man_idx]
         oc, od = other.affine
 
@@ -418,19 +474,75 @@ def check_cross_certificate(system: PwsSystem, metric: Metric,
             return _polytope_vertices_2d(
                 [man.affine], [((-side) * oc, (-side) * od)], box)
 
-        conds.append(_jump_condition(
-            system, metric, box, cond_id, domain,
-            lambda x, combo=combo, grad=grad: np.outer(combo(x), grad(x)),
-            vertex_pts, strategy, manifold_idx=man_idx,
-            extra_filter=lambda p, oc=oc, od=od, side=side:
-                side * (float(np.dot(oc, p)) - od) >= -1e-12))
+        _add_jump(table, system, cond_id, domain,
+                  lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
+                  vertex_pts, man_idx,
+                  extra_filter=lambda p, oc=oc, od=od, side=side:
+                      side * (float(np.dot(oc, p)) - od) >= -1e-12)
+    table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde)}",
+              "point", [], [x_tilde],
+              residual=float(np.linalg.norm(diag(x_tilde))))
+    return table
 
-    residual = float(np.linalg.norm(diag(x_tilde)))
-    conds.append(ConditionResult(
-        "intersection-eq", "equality", f"x_tilde={tuple(x_tilde)}",
-        residual, TOL_EQ, TOL_EQ - residual, tuple(x_tilde), "point"))
-    return CertificateReport(metric, conds, strategy, metric.c,
-                             notes=f"certified crossing sector S_{chk.sector}")
+
+def _regularized_cross_table(system, box, strategy, eps):
+    if eps <= 0:
+        raise CertificateError("eps must be positive")
+    if strategy != "vertex" or not system.is_affine:
+        raise CertificateError(
+            "the regularized cross checker evaluates affine data by vertices")
+    _, (full1, full2, diag, neg_diag) = _cross_setup(system)
+    m1, m2 = system.manifolds
+    c1, d1 = m1.affine
+    c2, d2 = m2.affine
+    table = ConditionTable(2, "vertex", notes=f"band half-width eps={eps}")
+    for i in (1, 2, 3, 4):
+        table.add(f"flow[{i}]", "flow", f"{eps}-inflated quadrant of S_{i} in box",
+                  "vertex (constant)", [system.modes[i - 1].affine.A], [None])
+
+    def add_mu(cond_id, domain, combo, man, pts):
+        table.add(cond_id, "jump", domain, "vertex",
+                  [np.outer(combo(x), man.grad(x)) for x in pts], pts)
+
+    add_mu("band[1]", f"closed {eps}-band of {m1.label}", full1, m1,
+           _slab_box_vertices(c1, d1, eps, box))
+    add_mu("band[2]", f"closed {eps}-band of {m2.label}", full2, m2,
+           _slab_box_vertices(c2, d2, eps, box))
+
+    band1 = [(c1, d1 + eps), (-c1, -(d1 - eps))]  # |H1| <= eps
+    band2 = [(c2, d2 + eps), (-c2, -(d2 - eps))]  # |H2| <= eps
+    arm_specs = [
+        ("region[6]", band1 + [(-c2, -(d2 + eps))], diag, m1,  # H2 >= eps
+         f"{m1.label}-band arm with {m2.label}>= {eps}"),
+        ("region[4]", band1 + [(c2, d2 - eps)], neg_diag, m1,  # H2 <= -eps
+         f"{m1.label}-band arm with {m2.label}<= -{eps}"),
+        ("region[2]", band2 + [(-c1, -(d1 + eps))], diag, m2,  # H1 >= eps
+         f"{m2.label}-band arm with {m1.label}>= {eps}"),
+        ("region[8]", band2 + [(c1, d1 - eps)], neg_diag, m2,  # H1 <= -eps
+         f"{m2.label}-band arm with {m1.label}<= -{eps}"),
+    ]
+    for cond_id, ineqs, combo, man, domain in arm_specs:
+        add_mu(cond_id, domain, combo, man, _polytope_vertices_2d([], ineqs, box))
+
+    square = _polytope_vertices_2d([], band1 + band2, box)
+    norms = [float(np.linalg.norm(diag(p))) for p in square]
+    residual = max(norms, default=0.0)
+    table.add("square-eq", "equality",
+              f"closed central square, half-width {eps}", "vertex", [],
+              [square[norms.index(residual)] if square else None],
+              residual=residual)
+    return table
+
+
+def check_cross_certificate(system: PwsSystem, metric: Metric,
+                            box: Optional[AnalysisBox] = None,
+                            strategy: str = "vertex") -> CertificateReport:
+    """Limit conditions for a planar cross: contracting flow in the four
+    closed quadrant regions, jump conditions on each full manifold, the four
+    half-manifold diagonal conditions, and the field-sum equality at the
+    intersection point."""
+    _require(system, metric, "planar_cross")
+    return condition_table(system, box, strategy).report(metric)
 
 
 def check_regularized_cross(system: PwsSystem, metric: Metric, eps: float,
@@ -440,88 +552,8 @@ def check_regularized_cross(system: PwsSystem, metric: Metric, eps: float,
     the four inflated quadrants, jump conditions on the two closed bands, the
     diagonal conditions on the four band arms outside the central square, and
     the field-sum equality over the whole closed central square."""
-    if system.topology != "planar_cross":
-        raise CertificateError("cross certificate needs a planar_cross system")
-    _require_metric(system, metric)
-    if eps <= 0:
-        raise CertificateError("eps must be positive")
-    if strategy != "vertex" or not system.is_affine:
-        raise CertificateError(
-            "the regularized cross checker evaluates affine data by vertices")
-    box = box or system.box
-    chk = check_intersection_assumption(system)
-    if not chk.ok:
-        raise CertificateError(
-            f"common-sector assumption fails at the intersection: {chk.detail}")
-    m1, m2 = system.manifolds
-    c1, d1 = m1.affine
-    c2, d2 = m2.affine
-    c = metric.c
-
-    # flow domains of the inflated quadrants: sign pattern relaxed by eps
-    quad_ineqs = {
-        1: [(-c1, -(d1 - eps)), (c2, d2 + eps)],   # H1 >= -eps, H2 <= eps
-        2: [(-c1, -(d1 - eps)), (-c2, -(d2 - eps))],
-        3: [(c1, d1 + eps), (-c2, -(d2 - eps))],
-        4: [(c1, d1 + eps), (c2, d2 + eps)],
-    }
-    conds = []
-    for i in (1, 2, 3, 4):
-        worst = metric.measure(system.modes[i - 1].affine.A)
-        conds.append(ConditionResult(
-            f"flow[{i}]", "flow", f"{eps}-inflated quadrant of S_{i} in box",
-            worst, -c, -c - worst, None, "vertex (constant)"))
-
-    full1 = _cross_combo(system, _COMBO_FULL_1)
-    full2 = _cross_combo(system, _COMBO_FULL_2)
-    diag = _cross_combo(system, _COMBO_DIAG)
-    neg_diag = _cross_combo(system, tuple(-s for s in _COMBO_DIAG))
-    g1 = lambda x: m1.grad(x)
-    g2 = lambda x: m2.grad(x)
-
-    def add_mu(cond_id, domain, matfun, pts):
-        worst, arg = _mu_worst(metric, matfun, pts)
-        conds.append(ConditionResult(
-            cond_id, "jump", domain, worst, TOL_ZERO, TOL_ZERO - worst,
-            None if arg is None else tuple(arg), "vertex"))
-
-    add_mu("band[1]", f"closed {eps}-band of {m1.label}",
-           lambda x: np.outer(full1(x), g1(x)),
-           _slab_box_vertices(c1, d1, eps, box))
-    add_mu("band[2]", f"closed {eps}-band of {m2.label}",
-           lambda x: np.outer(full2(x), g2(x)),
-           _slab_box_vertices(c2, d2, eps, box))
-
-    band1 = [(c1, d1 + eps), (-c1, -(d1 - eps))]  # |H1| <= eps
-    band2 = [(c2, d2 + eps), (-c2, -(d2 - eps))]  # |H2| <= eps
-    arm_specs = [
-        ("region[6]", band1 + [(-c2, -(d2 + eps))],  # |H1|<=eps, H2 >= eps
-         lambda x: np.outer(diag(x), g1(x)),
-         f"{m1.label}-band arm with {m2.label}>= {eps}"),
-        ("region[4]", band1 + [(c2, d2 - eps)],  # |H1|<=eps, H2 <= -eps
-         lambda x: np.outer(neg_diag(x), g1(x)),
-         f"{m1.label}-band arm with {m2.label}<= -{eps}"),
-        ("region[2]", band2 + [(-c1, -(d1 + eps))],  # |H2|<=eps, H1 >= eps
-         lambda x: np.outer(diag(x), g2(x)),
-         f"{m2.label}-band arm with {m1.label}>= {eps}"),
-        ("region[8]", band2 + [(c1, d1 - eps)],  # |H2|<=eps, H1 <= -eps
-         lambda x: np.outer(neg_diag(x), g2(x)),
-         f"{m2.label}-band arm with {m1.label}<= -{eps}"),
-    ]
-    for cond_id, ineqs, matfun, domain in arm_specs:
-        add_mu(cond_id, domain, matfun, _polytope_vertices_2d([], ineqs, box))
-
-    square = _polytope_vertices_2d([], band1 + band2, box)
-    residual = max((float(np.linalg.norm(diag(p))) for p in square),
-                   default=0.0)
-    worst_pt = max(square, key=lambda p: float(np.linalg.norm(diag(p))),
-                   default=None)
-    conds.append(ConditionResult(
-        "square-eq", "equality", f"closed central square, half-width {eps}",
-        residual, TOL_EQ, TOL_EQ - residual,
-        None if worst_pt is None else tuple(worst_pt), "vertex"))
-    return CertificateReport(metric, conds, "vertex", metric.c,
-                             notes=f"band half-width eps={eps}")
+    _require(system, metric, "planar_cross")
+    return condition_table(system, box, strategy, eps).report(metric)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ two shipped example systems.
 
 Exit codes: 0 success/pass, 1 analytic fail, 2 escaping-region halt,
 64 usage error. All floating-point output uses 17 significant digits so that
-identical command lines produce identical files.
+identical command lines produce identical files. Each output gets a
+``*.manifest.json`` with the options, the package import time ``import_s`` and
+the wall time ``wall_time_s``, which a run from the shell counts from the
+start of the package import.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _IMPORT_S, _IMPORT_T0, __version__
 from .measure import Metric, matrix_measure
 from .model import ConfigError, PwsSystem, builtin_config_path, load_system_file
 from .filippov import (
@@ -67,6 +71,27 @@ _MU_TOL = 0.01
 _EQ_TOL = 1e-4
 
 
+def _bounded(cast, low, strict: bool, what: str):
+    """argparse type: a finite number at least ``low`` (above it if strict);
+    anything else is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}")
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_STEP = _bounded(float, 0.0, True, "step must be a finite positive number")
+_T_FINAL = _bounded(float, 0.0, False, "final time must be a finite number >= 0")
+_PAIRS = _bounded(int, 1, False, "pair count must be a positive integer")
+
+
 def _load_config(name_or_path: str) -> tuple:
     path = Path(name_or_path)
     if path.is_file():
@@ -112,15 +137,16 @@ def _parse_metric(system: PwsSystem, q_arg: str, c_value) -> Metric:
         raise UsageError(str(exc))
 
 
-def _write_manifest(out_path: Path, command: str, config: str, options: dict,
-                    outputs: list, wall_time: float) -> None:
+def _write_manifest(out_path: Path, args, command: str, config: str,
+                    options: dict, outputs: list) -> None:
     manifest = {
         "command": command,
         "config": config,
+        "import_s": args.import_s,
         "options": options,
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
-        "wall_time_s": wall_time,
+        "wall_time_s": time.perf_counter() - args.t0,
     }
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -139,7 +165,6 @@ def _check_certificate(system: PwsSystem, metric: Metric, strategy: str):
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
     system, config = _load_config(args.config)
     x0 = _parse_vector(args.x0, system.dimension)
     opts = SolverOptions(step=args.step)
@@ -151,16 +176,15 @@ def cmd_simulate(args) -> int:
         return EXIT_ESCAPING
     with open(out, "w", encoding="utf-8") as fh:
         write_trajectory_csv(traj, fh)
-    _write_manifest(out, "simulate", config,
+    _write_manifest(out, args, "simulate", config,
                     {"x0": list(x0), "t_final": args.t_final, "step": args.step},
-                    [out], time.perf_counter() - t0)
+                    [out])
     print(f"wrote {out} ({len(traj.times)} samples, "
           f"{sum(1 for s in traj.segments if s.kind == 'slide')} sliding segments)")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
     system, config = _load_config(args.config)
     metric = _parse_metric(system, args.Q, args.c)
     try:
@@ -170,9 +194,9 @@ def cmd_certify(args) -> int:
         return EXIT_FAIL
     out = Path(args.out)
     _write_json(out, report.to_dict())
-    _write_manifest(out, "certify", config,
+    _write_manifest(out, args, "certify", config,
                     {"Q": args.Q, "c": metric.c, "strategy": args.strategy},
-                    [out], time.perf_counter() - t0)
+                    [out])
     for cond in report.conditions:
         print(f"{cond.cond_id:<18} worst={cond.worst: .12g} "
               f"margin={cond.margin: .12g}")
@@ -182,7 +206,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    t0 = time.perf_counter()
     system, config = _load_config(args.config)
     x0 = _parse_vector(args.x0, system.dimension)
     try:
@@ -194,10 +217,10 @@ def cmd_regularize(args) -> int:
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         write_convergence_csv(table, fh)
-    _write_manifest(out, "regularize", config,
+    _write_manifest(out, args, "regularize", config,
                     {"x0": list(x0), "t_final": args.t_final, "eps": eps_list,
                      "step": args.step},
-                    [out], time.perf_counter() - t0)
+                    [out])
     for eps, gap, _ in table.rows:
         print(f"eps={eps:.6g}  sup_gap={gap:.6g}")
     print(f"fitted log-log slope: {table.fitted_slope:.4f}")
@@ -205,7 +228,6 @@ def cmd_regularize(args) -> int:
 
 
 def cmd_search_q(args) -> int:
-    t0 = time.perf_counter()
     system, config = _load_config(args.config)
     opts = SearchOptions(c_lo=args.c_lo, c_hi=args.c_hi, seed=args.seed,
                          restarts=args.restarts, max_iter=args.max_iter)
@@ -217,10 +239,10 @@ def cmd_search_q(args) -> int:
         doc["metric"] = {"Q": result.metric.Q.tolist(), "c": result.metric.c}
         doc["report"] = result.report.to_dict()
     _write_json(out, doc)
-    _write_manifest(out, "search-q", config,
+    _write_manifest(out, args, "search-q", config,
                     {"c_lo": args.c_lo, "c_hi": args.c_hi, "seed": args.seed,
                      "restarts": args.restarts, "max_iter": args.max_iter},
-                    [out], time.perf_counter() - t0)
+                    [out])
     if result.found:
         print(f"found certificate with c={result.metric.c:.6g}")
         return EXIT_OK
@@ -230,7 +252,6 @@ def cmd_search_q(args) -> int:
 
 
 def cmd_pairwise(args) -> int:
-    t0 = time.perf_counter()
     system, config = _load_config(args.config)
     metric = _parse_metric(system, args.Q, args.c)
     rng = np.random.default_rng(args.seed)
@@ -242,11 +263,11 @@ def cmd_pairwise(args) -> int:
                                        opts, tol_decay=args.tol_decay)
     out = Path(args.out)
     _write_json(out, report.to_dict())
-    _write_manifest(out, "pairwise", config,
+    _write_manifest(out, args, "pairwise", config,
                     {"Q": args.Q, "c": metric.c, "pairs": args.pairs,
                      "seed": args.seed, "t_final": args.t_final,
                      "tol_decay": args.tol_decay},
-                    [out], time.perf_counter() - t0)
+                    [out])
     n_pass = sum(1 for e in report.entries if e["passed"])
     print(f"{n_pass}/{len(report.entries)} pairs satisfy the decay bound "
           f"at rate c={metric.c:.17g}")
@@ -254,7 +275,6 @@ def cmd_pairwise(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
     example_id = args.example
     golden = _GOLDEN[example_id]
     system, config = _load_config(f"example{example_id}")
@@ -307,8 +327,8 @@ def cmd_reproduce(args) -> int:
     _write_json(out, {"example": example_id,
                       "verdict": "pass" if not diffs else "fail",
                       "checks": checks})
-    _write_manifest(out, "reproduce", config, {"example": example_id}, [out],
-                    time.perf_counter() - t0)
+    _write_manifest(out, args, "reproduce", config, {"example": example_id},
+                    [out])
     if diffs:
         print("golden mismatches:")
         for d in diffs:
@@ -328,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="config file path or builtin name (example1, example2)")
     p.add_argument("--x0", required=True, help="initial state, e.g. -3,-4")
-    p.add_argument("--t-final", type=float, required=True, dest="t_final")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t-final", type=_T_FINAL, required=True, dest="t_final")
+    p.add_argument("--step", type=_STEP, default=1e-3)
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -345,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regularize", help="band-width convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--t-final", type=float, required=True, dest="t_final")
+    p.add_argument("--t-final", type=_T_FINAL, required=True, dest="t_final")
     p.add_argument("--eps", default="1e-1,3e-2,1e-2,3e-3,1e-3",
                    help="strictly decreasing band half-widths")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_STEP, default=1e-3)
     p.add_argument("--out", default="convergence.csv")
     p.set_defaults(func=cmd_regularize)
 
@@ -366,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--Q", default="identity")
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=_PAIRS, default=10)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--t-final", type=float, default=10.0, dest="t_final")
+    p.add_argument("--t-final", type=_T_FINAL, default=10.0, dest="t_final")
     p.add_argument("--tol-decay", type=float, default=1e-2, dest="tol_decay")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_STEP, default=1e-3)
     p.add_argument("--out", default="pairwise.json")
     p.set_defaults(func=cmd_pairwise)
 
@@ -402,15 +422,22 @@ def _merge_vector_flags(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command. Called without ``argv``, as from the shell, the
+    manifest times the run from the package import stamp, import included;
+    called with an argument list from Python, from this call."""
     if argv is None:
+        t0, import_s = _IMPORT_T0, _IMPORT_S
         argv = sys.argv[1:]
+    else:
+        t0, import_s = time.perf_counter(), 0.0
+    parser = build_parser()
     argv = _merge_vector_flags(list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage problems; remap to 64
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    args.t0, args.import_s = t0, import_s
     try:
         return args.func(args)
     except (UsageError, ConfigError) as exc:

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Metric", "sym_eig_max", "is_positive_definite", "matrix_measure"]
+__all__ = ["Metric", "sym_eig_max", "is_positive_definite", "matrix_measure",
+           "measure_many"]
 
 _JACOBI_SWEEPS = 50
 _JACOBI_OFF_TOL = 1e-14
@@ -25,6 +27,8 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def _is_symmetric(S: np.ndarray) -> bool:
+    if bool((S == S.T).all()):
+        return True
     scale = max(float(np.linalg.norm(S)), 1.0)
     return float(np.linalg.norm(S - S.T)) <= _SYM_TOL * scale
 
@@ -85,15 +89,8 @@ def _jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:
     return np.diag(A).copy()
 
 
-def sym_eig_max(S) -> float:
-    """Largest eigenvalue of a symmetric matrix.
-
-    Uses the closed form for n <= 2 and cyclic Jacobi iteration above that.
-    Raises ValueError if S is not symmetric within 1e-12 relative tolerance.
-    """
-    S = _as_square(S, "S")
-    if not _is_symmetric(S):
-        raise ValueError("matrix is not symmetric within tolerance")
+def _eig_max(S: np.ndarray) -> float:
+    """Largest eigenvalue of a matrix known to be symmetric."""
     n = S.shape[0]
     if n == 1:
         return float(S[0, 0])
@@ -104,6 +101,18 @@ def sym_eig_max(S) -> float:
     return float(np.max(_jacobi_eigenvalues(S)))
 
 
+def sym_eig_max(S) -> float:
+    """Largest eigenvalue of a symmetric matrix.
+
+    Uses the closed form for n <= 2 and cyclic Jacobi iteration above that.
+    Raises ValueError if S is not symmetric within 1e-12 relative tolerance.
+    """
+    S = _as_square(S, "S")
+    if not _is_symmetric(S):
+        raise ValueError("matrix is not symmetric within tolerance")
+    return _eig_max(S)
+
+
 def is_positive_definite(Q) -> bool:
     """True iff Q is symmetric and all Cholesky pivots are positive."""
     Q = _as_square(Q, "Q")
@@ -112,32 +121,74 @@ def is_positive_definite(Q) -> bool:
     return _cholesky_lower(0.5 * (Q + Q.T)) is not None
 
 
-def matrix_measure(Q, A) -> float:
-    """Matrix measure mu_Q(A) = lambda_max((Q A Q^-1 + Q^-1 A^T Q) / 2).
+def _factor(Q) -> tuple:
+    """Validate a weight matrix once and return (Q_sym, Q^-1).
 
-    Q must be symmetric positive definite; Q^-1 is formed from the Cholesky
-    factor. With Q = I this reduces to lambda_max((A + A^T) / 2).
-    Raises ValueError for non-PD Q or condition estimate above 1e12.
-    """
+    Raises ValueError for non-finite entries, a non-symmetric or non-PD Q,
+    and a condition estimate above 1e12."""
     Q = _as_square(Q, "Q")
-    A = _as_square(A, "A")
-    if Q.shape != A.shape:
-        raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q must have finite entries")
     if not _is_symmetric(Q):
         raise ValueError("Q must be symmetric positive definite")
     Qs = 0.5 * (Q + Q.T)
     L = _cholesky_lower(Qs)
     if L is None:
         raise ValueError("Q must be symmetric positive definite")
-    lam_hi = sym_eig_max(Qs)
-    lam_lo = -sym_eig_max(-Qs)
+    lam_hi = _eig_max(Qs)
+    lam_lo = -_eig_max(-Qs)
     if lam_lo <= 0.0 or lam_hi / lam_lo > _COND_LIMIT:
         raise ValueError("Q is singular or too ill-conditioned (cond > 1e12)")
     Linv = _lower_inverse(L)
-    Qinv = Linv.T @ Linv
-    S = Qs @ A @ Qinv
-    S = 0.5 * (S + S.T)
-    return sym_eig_max(S)
+    return Qs, Linv.T @ Linv
+
+
+def _measures(factor: tuple, mats: np.ndarray) -> np.ndarray:
+    """mu_Q of every matrix of a (k, n, n) stack, for a validated factor.
+
+    The 2x2 closed form takes math.hypot per entry and larger matrices go
+    through the Jacobi kernel one by one, so each value equals the
+    one-matrix evaluation bit for bit."""
+    Qs, Qinv = factor
+    n = Qs.shape[0]
+    if mats.ndim != 3 or mats.shape[1:] != (n, n):
+        raise ValueError(f"shape mismatch: Q {Qs.shape} vs A {mats.shape[1:]}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        S = Qs @ mats @ Qinv
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+    if not np.all(np.isfinite(S)):
+        # a non-finite entry of A always reaches S: Q and Q^-1 have positive diagonals
+        raise ValueError("A must have finite entries (and Q A Q^-1 must not overflow)")
+    if n == 1:
+        return S[:, 0, 0].copy()
+    if n == 2:
+        a, c = S[:, 0, 0], S[:, 1, 1]
+        b = 0.5 * (S[:, 0, 1] + S[:, 1, 0])
+        half = (0.5 * (a - c)).tolist()
+        hyp = np.array([math.hypot(h, v) for h, v in zip(half, b.tolist())])
+        return 0.5 * (a + c) + hyp
+    return np.array([float(np.max(_jacobi_eigenvalues(s))) for s in S])
+
+
+def measure_many(Q, mats) -> np.ndarray:
+    """mu_Q of every matrix in a (k, n, n) stack: Q is validated and factored
+    once, and each value equals ``matrix_measure(Q, mats[j])`` exactly."""
+    return _measures(_factor(Q), np.asarray(mats, dtype=float))
+
+
+def matrix_measure(Q, A) -> float:
+    """Matrix measure mu_Q(A) = lambda_max((Q A Q^-1 + Q^-1 A^T Q) / 2).
+
+    Q must be symmetric positive definite; Q^-1 is formed from the Cholesky
+    factor. With Q = I this reduces to lambda_max((A + A^T) / 2).
+    Raises ValueError for non-finite entries, non-PD Q or a condition
+    estimate above 1e12.
+    """
+    Q = _as_square(Q, "Q")
+    A = _as_square(A, "A")
+    if Q.shape != A.shape:
+        raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
+    return float(measure_many(Q, A[None])[0])
 
 
 @dataclass(frozen=True)
@@ -152,6 +203,8 @@ class Metric:
         Q.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", float(self.c))
+        if not (np.all(np.isfinite(Q)) and math.isfinite(self.c)):
+            raise ValueError("metric Q and rate c must be finite")
         if not is_positive_definite(Q):
             raise ValueError("metric Q must be symmetric positive definite")
         if self.c < 0.0:
@@ -165,8 +218,18 @@ class Metric:
     def dimension(self) -> int:
         return int(self.Q.shape[0])
 
+    @cached_property
+    def factor(self) -> tuple:
+        """(Q_sym, Q^-1), validated on first use: an ill-conditioned Q fails
+        only when it is measured."""
+        return _factor(self.Q)
+
     def measure(self, A) -> float:
-        return matrix_measure(self.Q, A)
+        return float(self.measures(_as_square(A, "A")[None])[0])
+
+    def measures(self, mats) -> np.ndarray:
+        """mu_Q of every matrix in a (k, n, n) stack, with the cached factor."""
+        return _measures(self.factor, np.asarray(mats, dtype=float))
 
     def weighted_norm(self, v) -> float:
         """||Q v||_2, the distance weight used in the pairwise decay test."""

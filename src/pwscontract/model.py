@@ -56,6 +56,11 @@ class TopologyError(RuntimeError):
     """Raised when a state's sign pattern matches no region."""
 
 
+def _require_finite(a, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{name} must be finite")
+
+
 def _vec(v, n: Optional[int] = None, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:
@@ -79,6 +84,8 @@ class AffineField:
             raise ConfigError(f"mode matrix must be square, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ConfigError(f"mode offset b has shape {b.shape}, expected ({A.shape[0]},)")
+        _require_finite(A, "mode matrix")
+        _require_finite(b, "mode offset")
         A = A.copy()
         b = b.copy()
         A.flags.writeable = False
@@ -163,10 +170,12 @@ class Manifold:
     @classmethod
     def from_affine(cls, label: str, c, d: float) -> "Manifold":
         c = _vec(c, name=f"manifold {label} normal").copy()
+        _require_finite(c, f"manifold {label} normal")
         if not np.any(c):
             raise ConfigError(f"manifold {label} has zero normal vector")
         c.flags.writeable = False
         d = float(d)
+        _require_finite(d, f"manifold {label} offset")
         return cls(label, lambda x: float(np.dot(c, x)) - d, lambda x: c, affine=(c, d))
 
     @classmethod
@@ -209,6 +218,8 @@ class AnalysisBox:
     def __post_init__(self):
         lo = _vec(self.lower, name="box lower").copy()
         up = _vec(self.upper, n=lo.shape[0], name="box upper").copy()
+        _require_finite(lo, "box lower")
+        _require_finite(up, "box upper")
         if not np.all(lo < up):
             raise ConfigError("box lower bound must be strictly below upper bound")
         lo.flags.writeable = False
@@ -398,7 +409,10 @@ def load_system(text: str) -> PwsSystem:
         mdoc = doc["metric"]
         if not isinstance(mdoc, dict) or "Q" not in mdoc or "c" not in mdoc:
             raise ConfigError("metric must be an object with keys 'Q' and 'c'")
-        metric = Metric(np.asarray(mdoc["Q"], dtype=float), float(mdoc["c"]))
+        Q, c = np.asarray(mdoc["Q"], dtype=float), float(mdoc["c"])
+        _require_finite(Q, "metric Q")
+        _require_finite(c, "metric rate c")
+        metric = Metric(Q, c)
     return PwsSystem(n, topology, modes, manifolds, box, metric)
 
 

@@ -15,19 +15,16 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .measure import Metric, matrix_measure
-from .model import AnalysisBox, PwsSystem, check_intersection_assumption
+from .measure import Metric, measure_many
+from .model import AnalysisBox, PwsSystem
 from .certify import (
+    CertificateError,
     CertificateReport,
+    ConditionTable,
     check_chain_certificate,
     check_cross_certificate,
+    condition_table,
     PASS_TOL,
-    _COMBO_DIAG,
-    _COMBO_FULL_1,
-    _COMBO_FULL_2,
-    _cross_combo,
-    _hyperplane_box_vertices,
-    _polytope_vertices_2d,
 )
 
 __all__ = ["SearchOptions", "SearchResult", "margin", "search_certificate"]
@@ -63,60 +60,17 @@ def _check(system: PwsSystem, metric: Metric, box) -> CertificateReport:
     return check_cross_certificate(system, metric, box)
 
 
-class _ConditionProgram:
-    """Metric-independent precomputation of the vertex certificate conditions.
-
-    For affine data the quantified matrices at the domain vertices and the
-    intersection residual do not depend on (Q, c), so a search can reuse them
-    across every margin evaluation.
-    """
-
-    def __init__(self, system: PwsSystem, box: Optional[AnalysisBox]):
-        if not system.is_affine:
-            raise ValueError("metric search requires affine system data")
-        box = box or system.box
-        self.flow_mats = [m.affine.A for m in system.modes]
-        self.zero_groups: list = []  # list of lists of matrices, bound 0
-        self.residual = 0.0
-        if system.topology == "chain":
-            for k, man in enumerate(system.manifolds):
-                pts = _hyperplane_box_vertices(*man.affine, box)
-                mats = [np.outer(system.f(k + 2, x) - system.f(k + 1, x),
-                                 man.grad(x)) for x in pts]
-                self.zero_groups.append(mats)
-        else:
-            chk = check_intersection_assumption(system)
-            if not chk.ok:
-                raise ValueError(
-                    f"common-sector assumption fails: {chk.detail}")
-            m1, m2 = system.manifolds
-            full1 = _cross_combo(system, _COMBO_FULL_1)
-            full2 = _cross_combo(system, _COMBO_FULL_2)
-            diag = _cross_combo(system, _COMBO_DIAG)
-            neg = _cross_combo(system, tuple(-s for s in _COMBO_DIAG))
-            for man, combo in ((m1, full1), (m2, full2)):
-                pts = _hyperplane_box_vertices(*man.affine, box)
-                self.zero_groups.append(
-                    [np.outer(combo(x), man.grad(x)) for x in pts])
-            for man, other, side, combo in ((m1, m2, 1, diag), (m1, m2, -1, neg),
-                                            (m2, m1, 1, diag), (m2, m1, -1, neg)):
-                oc, od = other.affine
-                pts = _polytope_vertices_2d([man.affine],
-                                            [((-side) * oc, (-side) * od)], box)
-                self.zero_groups.append(
-                    [np.outer(combo(x), man.grad(x)) for x in pts])
-            self.residual = float(np.linalg.norm(diag(chk.x_tilde)))
-
-    def margin(self, Q: np.ndarray, c: float) -> float:
-        """Aggregate margin; see ``margin`` below for the convention."""
-        out = min(-c - matrix_measure(Q, A) for A in self.flow_mats)
-        for mats in self.zero_groups:
-            worst = max((matrix_measure(Q, M) for M in mats), default=-math.inf)
-            if worst > PASS_TOL + 1e-9:
-                out = min(out, -worst)
-        if self.residual > 1e-9 + PASS_TOL:
-            out = min(out, -self.residual)
-        return out
+def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
+    """Aggregate margin of a trial Q at rate c, from one batch evaluation of
+    the table; see ``margin`` below for the convention."""
+    out = math.inf
+    for cond, worst in zip(table.conditions,
+                           table.worsts(measure_many(Q, table.mats))):
+        if cond.kind == "flow":
+            out = min(out, -c - worst)
+        elif worst > PASS_TOL + 1e-9:
+            out = min(out, -worst)
+    return out
 
 
 def margin(system: PwsSystem, metric: Metric,
@@ -163,7 +117,7 @@ def _initial_params(n: int) -> np.ndarray:
     return np.array(theta)
 
 
-def _inner_search(program: _ConditionProgram, n, c, opts: SearchOptions, rng) -> tuple:
+def _inner_search(table: ConditionTable, n, c, opts: SearchOptions, rng) -> tuple:
     """Maximize the certificate margin over Q at fixed rate c.
 
     Returns (best margin, best Q) across seeded restarts; deterministic for a
@@ -174,7 +128,7 @@ def _inner_search(program: _ConditionProgram, n, c, opts: SearchOptions, rng) ->
         if Q is None:
             return -_PENALTY
         try:
-            return -program.margin(Q, c)
+            return -_search_margin(table, Q, c)
         except Exception:
             return -_PENALTY
 
@@ -211,14 +165,14 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
     trace = []
     best: Optional[tuple] = None  # (c, Q)
     try:
-        program = _ConditionProgram(system, box)
-    except ValueError:
+        table = condition_table(system, box)
+    except (ValueError, CertificateError):
         return SearchResult(False, None, None, [])
     n = system.dimension
 
     def feasible(c: float) -> bool:
         nonlocal best
-        m, Q = _inner_search(program, n, c, opts, rng)
+        m, Q = _inner_search(table, n, c, opts, rng)
         trace.append((c, m))
         if m >= -PASS_TOL and Q is not None:
             if best is None or c > best[0]:
@@ -246,7 +200,7 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
             hi = mid
     c_star, q_star = best
     metric = Metric(q_star, c_star)
-    report = _check(system, metric, box)
+    report = table.report(metric)
     if not report.passed:
         # soundness guard: never return a metric whose re-check fails
         return SearchResult(False, None, None, trace)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pwscontract.cli import main
+from pwscontract.model import builtin_config_path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv_rows(path):
@@ -195,3 +202,75 @@ class TestReproduce:
 
     def test_unknown_example_usage_error(self):
         assert main(["reproduce", "3"]) == 64
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairwise_needs_a_pair(self, tmp_path, pairs):
+        out = tmp_path / "pw.json"
+        rc = main(["pairwise", "--config", "example2", "--c", "1.87",
+                   "--pairs", pairs, "--out", str(out)])
+        assert rc == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["0", "-0.001", "nan"])
+    def test_step_must_be_positive(self, tmp_path, step):
+        for argv in (["simulate", "--x0", "-3,-4", "--t-final", "1"],
+                     ["regularize", "--x0", "-3,-4", "--t-final", "1"],
+                     ["pairwise", "--c", "0.5", "--pairs", "1", "--t-final", "1"]):
+            rc = main([*argv, "--config", "example1", "--step", step,
+                       "--out", str(tmp_path / "o")])
+            assert rc == 64, argv
+
+    @pytest.mark.parametrize("t_final", ["inf", "nan", "-1"])
+    def test_final_time_must_be_finite(self, tmp_path, t_final):
+        for argv in (["simulate", "--x0", "-3,-4"],
+                     ["regularize", "--x0", "-3,-4"],
+                     ["pairwise", "--c", "0.5", "--pairs", "1"]):
+            rc = main([*argv, "--config", "example1", "--t-final", t_final,
+                       "--out", str(tmp_path / "o")])
+            assert rc == 64, argv
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--x0", "-3,-4", "--t-final", "1"],
+        ["certify", "--c", "0.5"],
+    ])
+    def test_non_finite_config(self, tmp_path, command):
+        doc = json.loads(builtin_config_path("example1").read_text())
+        doc["modes"][0]["A"][0][0] = float("nan")
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
+        assert not out.exists()
+
+    def test_ill_conditioned_q_still_runs_pairwise(self, tmp_path):
+        # cond(Q) > 1e12 is refused only where mu_Q is evaluated
+        common = ["--config", "example1", "--Q", "diag:1,1e-13", "--c", "0.1"]
+        rc = main(["pairwise", *common, "--pairs", "1", "--t-final", "1",
+                   "--out", str(tmp_path / "pw.json")])
+        assert rc in (0, 1)
+        assert (tmp_path / "pw.json").exists()
+        assert main(["certify", *common, "--out", str(tmp_path / "c.json")]) == 1
+
+
+class TestManifest:
+    def test_wall_time_includes_import(self, tmp_path):
+        out = tmp_path / "cert.json"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pwscontract.cli", "certify", "--config",
+             "example2", "--c", "1.87", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
+        assert manifest["wall_time_s"] >= manifest["import_s"] > 0.0
+
+    def test_data_output_carries_no_timing(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert main(["certify", "--config", "example2", "--c", "1.87",
+                         "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        manifest = json.loads((tmp_path / "b.json.manifest.json").read_text())
+        assert manifest["wall_time_s"] >= manifest["import_s"] >= 0.0

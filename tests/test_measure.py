@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwscontract.measure import (
     Metric,
     is_positive_definite,
     matrix_measure,
+    measure_many,
     sym_eig_max,
 )
 
@@ -206,3 +208,99 @@ class TestMetric:
         m = Metric.identity(3, 1.0)
         assert m.cond() == pytest.approx(1.0, abs=1e-12)
         assert m.weighted_norm([3.0, 4.0, 0.0]) == pytest.approx(5.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel: one factor of Q, a (k, n, n) stack of matrices
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spd_matrices(draw, n):
+    """Q = L L^T with a lower factor bounded so that cond(Q) stays below
+    1e11: det(L) and the largest singular value of L bound the smallest."""
+    diag, off = ((0.05, 20.0), 20.0) if n == 2 else ((0.5, 5.0), 2.0)
+    L = np.zeros((n, n))
+    for i in range(n):
+        L[i, i] = draw(st.floats(*diag))
+        for j in range(i):
+            L[i, j] = draw(st.floats(-off, off))
+    return L @ L.T
+
+
+@st.composite
+def stacks(draw, n):
+    """Random matrices mixed with rank-one u g^T, as the jump conditions use."""
+    mats = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            u = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+            g = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+            mats.append(np.outer(u, g))
+        else:
+            mats.append(np.array(draw(st.lists(finite, min_size=n * n,
+                                               max_size=n * n))).reshape(n, n))
+    return np.array(mats)
+
+
+def one_matrix_reference(Q, A):
+    """The unbatched path: 2-D products with the same factor, then the
+    closed form or Jacobi of sym_eig_max."""
+    Qs, Qinv = Metric(Q, 0.0).factor
+    S = Qs @ A @ Qinv
+    return sym_eig_max(0.5 * (S + S.T))
+
+
+class TestBatchedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(spd_matrices(2), stacks(2))
+    def test_2x2_equals_matrix_measure_exactly(self, Q, mats):
+        batched = measure_many(Q, mats)
+        assert batched.shape == (len(mats),)
+        for value, A in zip(batched.tolist(), mats):
+            assert value == matrix_measure(Q, A)
+            assert value == one_matrix_reference(Q, A)
+        assert np.array_equal(Metric(Q, 1.0).measures(mats), batched)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 4).flatmap(lambda n: st.tuples(spd_matrices(n), stacks(n))))
+    def test_jacobi_sizes_agree(self, case):
+        Q, mats = case
+        for value, A in zip(measure_many(Q, mats).tolist(), mats):
+            for ref in (matrix_measure(Q, A), one_matrix_reference(Q, A)):
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("Q, A", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)),  # not symmetric
+        (np.diag([1.0, -1.0]), np.eye(2)),  # not positive definite
+        (np.diag([1.0, 1e-14]), np.eye(2)),  # cond > 1e12
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
+        (np.diag([np.inf, 1.0]), np.eye(2)),
+        (np.eye(2), np.array([[0.0, np.nan], [0.0, 0.0]])),
+        (np.eye(2), np.diag([-np.inf, 1.0])),
+    ])
+    def test_same_error_as_matrix_measure(self, Q, A):
+        with pytest.raises(ValueError) as single:
+            matrix_measure(Q, A)
+        with pytest.raises(ValueError) as batched:
+            measure_many(Q, np.array([-np.eye(2), A]))
+        assert str(batched.value) == str(single.value)
+
+    def test_ill_conditioned_metric_fails_when_measured(self):
+        metric = Metric(np.diag([1.0, 1e-14]), 0.5)  # built: Q is PD
+        assert metric.cond() > 1e12
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            metric.measure(np.eye(2))
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            metric.measures(np.eye(2)[None])
+
+    @pytest.mark.parametrize("Q, c", [
+        ([[1.0, 0.0], [0.0, np.nan]], 0.5),
+        ([[np.inf, 0.0], [0.0, 1.0]], 0.5),
+        (np.eye(2), np.nan),
+        (np.eye(2), np.inf),
+    ])
+    def test_metric_rejects_non_finite(self, Q, c):
+        with pytest.raises(ValueError, match="finite"):
+            Metric(Q, c)

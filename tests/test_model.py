@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from pwscontract.model import (
+    AffineField,
     AnalysisBox,
     ConfigError,
     Manifold,
@@ -139,6 +141,59 @@ class TestModeAndManifold:
         man = Manifold.from_affine("s", [1.0, 1.0], 1.0)
         p = man.project([5.0, -2.0])
         assert abs(man.h(p)) < 1e-15
+
+
+class TestNonFiniteData:
+    EX1 = json.loads(builtin_config_path("example1").read_text())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_affine_field(self, bad):
+        with pytest.raises(ConfigError, match="mode matrix"):
+            AffineField([[-1.0, 0.0], [0.0, bad]], [0.0, 0.0])
+        with pytest.raises(ConfigError, match="mode offset"):
+            AffineField(-np.eye(2), [bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_affine_manifold(self, bad):
+        with pytest.raises(ConfigError, match="normal"):
+            Manifold.from_affine("s", [1.0, bad], 0.0)
+        with pytest.raises(ConfigError, match="offset"):
+            Manifold.from_affine("s", [1.0, 0.0], bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_box(self, bad):
+        with pytest.raises(ConfigError, match="box lower"):
+            AnalysisBox([bad, -1.0], [1.0, 1.0])
+        with pytest.raises(ConfigError, match="box upper"):
+            AnalysisBox([-1.0, -1.0], [1.0, -bad])
+
+    @pytest.mark.parametrize("path, value", [
+        (("modes", 0, "A", 1, 1), math.nan),
+        (("modes", 2, "b", 0), math.inf),
+        (("manifolds", 1, "c", 0), math.nan),
+        (("manifolds", 0, "d"), -math.inf),
+        (("box", "upper", 1), math.inf),
+    ])
+    def test_config_document(self, path, value):
+        doc = json.loads(json.dumps(self.EX1))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match="finite"):
+            make_system(doc)
+
+    @pytest.mark.parametrize("Q, c", [([[1.0, 0.0], [0.0, math.nan]], 0.5),
+                                      ([[1.0, 0.0], [0.0, 1.0]], math.inf)])
+    def test_embedded_metric(self, Q, c):
+        doc = dict(self.EX1, metric={"Q": Q, "c": c})
+        with pytest.raises(ConfigError, match="metric"):
+            make_system(doc)
+
+    def test_non_pd_embedded_metric_still_fails_at_build(self):
+        doc = dict(self.EX1, metric={"Q": [[1.0, 0.0], [0.0, -1.0]], "c": 0.5})
+        with pytest.raises(ValueError, match="positive definite"):
+            make_system(doc)
 
 
 class TestLocate:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from pwscontract.certify import condition_table
 from pwscontract.measure import Metric
 from pwscontract.qsearch import (
     SearchOptions,
+    _search_margin,
     margin,
     search_certificate,
 )
@@ -92,3 +94,25 @@ class TestSearch:
         result = search_certificate(system)
         assert result.found
         assert result.metric.c == pytest.approx(1.0, abs=2e-3)
+
+
+class TestSearchMargin:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
+    def test_agrees_with_public_margin(self, name, request):
+        # the search reduces one batch evaluation of the condition table; the
+        # public margin reduces the certificate report of the same table
+        system = request.getfixturevalue(name)
+        table = condition_table(system)
+        n = system.dimension
+        rng = np.random.default_rng(2024)
+        for _ in range(25):
+            L = np.tril(rng.uniform(-1.0, 1.0, (n, n)))
+            L[np.diag_indices(n)] = rng.uniform(0.2, 1.5, n)
+            Q, c = L @ L.T, float(rng.uniform(0.0, 3.0))
+            expected = margin(system, Metric(Q, c))
+            assert _search_margin(table, Q, c) == pytest.approx(expected,
+                                                                abs=1e-12)
+
+    def test_identity_values(self, ex1, ex2):
+        assert _search_margin(condition_table(ex1), np.eye(2), 0.5) == 0.0
+        assert _search_margin(condition_table(ex2), np.eye(2), 1.87) > 0.0
