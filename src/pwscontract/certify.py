@@ -19,9 +19,19 @@ from typing import Optional
 import numpy as np
 
 from .measure import Metric
-from .model import AnalysisBox, PwsSystem, check_intersection_assumption
+from .model import (
+    AnalysisBox,
+    Manifold,
+    PwsSystem,
+    _chain_bands_disjoint,
+    _dedupe,
+    _hyperplane_box_vertices,
+    _manifold_grid,
+    _slab_box_vertices,
+    box_grid,
+    check_intersection_assumption,
+)
 from .filippov import SolverOptions, integrate
-from .model import _manifold_grid  # shared manifold meshing
 
 __all__ = [
     "CertificateError",
@@ -112,46 +122,6 @@ class CertificateReport:
 
 # ---------------------------------------------------------------------------
 # polytope vertex enumeration (affine data only)
-
-
-def _dedupe(points, tol=1e-9):
-    out = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in out):
-            out.append(p)
-    return out
-
-
-def _hyperplane_box_vertices(c, d, box: AnalysisBox, tol=1e-9):
-    """Vertices of {x in box : c.x = d}: box-edge intersections and box
-    corners lying on the plane. Works in any dimension."""
-    c = np.asarray(c, dtype=float)
-    n = box.dimension
-    corners = box.corners()
-    hv = corners @ c - d
-    pts = [corners[k].copy() for k in range(len(corners)) if abs(hv[k]) <= tol]
-    for k in range(len(corners)):
-        for a in range(n):
-            if (k >> a) & 1:
-                continue
-            k2 = k | (1 << a)
-            h0, h1 = hv[k], hv[k2]
-            if h0 * h1 < 0:
-                t = h0 / (h0 - h1)
-                p = corners[k].copy()
-                p[a] += t * (corners[k2][a] - corners[k][a])
-                pts.append(p)
-    return _dedupe(pts)
-
-
-def _slab_box_vertices(c, d, eps, box: AnalysisBox, tol=1e-9):
-    """Vertices of {x in box : |c.x - d| <= eps}."""
-    pts = _hyperplane_box_vertices(c, d + eps, box, tol)
-    pts += _hyperplane_box_vertices(c, d - eps, box, tol)
-    for corner in box.corners():
-        if abs(float(np.dot(c, corner)) - d) <= eps + tol:
-            pts.append(corner.copy())
-    return _dedupe(pts)
 
 
 def _polytope_vertices_2d(eqs, ineqs, box: AnalysisBox, tol=1e-9):
@@ -289,13 +259,9 @@ def _add_flow(table, system, box, i, domain, inflate=None):
 
 
 def _region_mesh(system, box, i, inflate):
-    axes = [np.linspace(box.lower[k], box.upper[k], GRID_REGION)
-            for k in range(box.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
     signs = system.region_signs(i)
     keep = []
-    for x in pts:
+    for x in box_grid(box, GRID_REGION):
         ok = True
         for j, s in enumerate(signs):
             slack = 1e-12 + (inflate(i, j) if inflate else 0.0)
@@ -307,15 +273,18 @@ def _region_mesh(system, box, i, inflate):
     return keep
 
 
-def _add_jump(table, system, cond_id, domain, matfun, points_vertex,
-              manifold_idx, extra_filter=None):
+def _add_jump(table, system, box, cond_id, domain, matfun, points_vertex,
+              surfaces, extra_filter=None):
+    """Add one jump condition, evaluated at ``points_vertex()`` (vertex
+    strategy) or on a mesh of each manifold in ``surfaces`` (grid)."""
     if table.strategy == "vertex":
         if not system.is_affine:
             raise CertificateError("vertex strategy requires affine data")
         pts = points_vertex()
         method = "vertex"
     else:
-        pts = _manifold_grid(system, system.manifolds[manifold_idx], GRID_MANIFOLD)
+        pts = [p for surface in surfaces
+               for p in _manifold_grid(box, surface, GRID_MANIFOLD)]
         if extra_filter is not None:
             pts = [p for p in pts if extra_filter(p)]
         method = f"grid({GRID_MANIFOLD})"
@@ -344,6 +313,8 @@ def _chain_table(system, box, strategy, eps):
     else:
         if eps <= 0:
             raise CertificateError("eps must be positive")
+        if not system.is_affine:
+            raise CertificateError("band disjointness check requires affine manifolds")
         if not _chain_bands_disjoint(system, eps, box):
             raise CertificateError("bands intersect - chain regularization invalid")
         table = ConditionTable(system.dimension, strategy,
@@ -367,8 +338,14 @@ def _chain_table(system, box, strategy, eps):
                 return _hyperplane_box_vertices(*man.affine, box)
             return _slab_box_vertices(man.affine[0], man.affine[1], eps, box)
 
-        _add_jump(table, system, f"jump[{k + 1}]", band.format(label=man.label),
-                  matfun, vertices, k)
+        if eps is None:
+            surfaces = [man]
+        else:  # the closed band through its level sets H = -eps, 0, +eps
+            c, d = man.affine
+            surfaces = [Manifold.from_affine(man.label, c, d - eps), man,
+                        Manifold.from_affine(man.label, c, d + eps)]
+        _add_jump(table, system, box, f"jump[{k + 1}]", band.format(label=man.label),
+                  matfun, vertices, surfaces)
     return table
 
 
@@ -390,28 +367,6 @@ def check_regularized_chain(system: PwsSystem, metric: Metric, eps: float,
     jump conditions over the closed bands."""
     _require(system, metric, "chain")
     return condition_table(system, box, strategy, eps).report(metric)
-
-
-def _chain_bands_disjoint(system: PwsSystem, eps: float,
-                          box: AnalysisBox) -> bool:
-    """No two consecutive bands may meet inside the box (affine data: exact
-    via slab vertices)."""
-    if not system.is_affine:
-        raise CertificateError("band disjointness check requires affine manifolds")
-    for k in range(len(system.manifolds) - 1):
-        c0, d0 = system.manifolds[k].affine
-        c1, d1 = system.manifolds[k + 1].affine
-        verts0 = _slab_box_vertices(c0, d0, eps, box)
-        verts1 = _slab_box_vertices(c1, d1, eps, box)
-        if not verts0 or not verts1:
-            continue
-        # next manifold value must stay below -eps on band k, and the previous
-        # manifold value above +eps on band k+1
-        if max(float(np.dot(c1, v)) - d1 for v in verts0) >= -eps:
-            return False
-        if min(float(np.dot(c0, v)) - d0 for v in verts1) <= eps:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +412,9 @@ def _cross_table(system, box, strategy):
     for i in (1, 2, 3, 4):
         _add_flow(table, system, box, i, f"closure(S_{i}) in box")
     for idx, man, combo in ((0, m1, full1), (1, m2, full2)):
-        _add_jump(table, system, f"manifold[{idx + 1}]", f"{man.label} in box",
+        _add_jump(table, system, box, f"manifold[{idx + 1}]", f"{man.label} in box",
                   lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
-                  lambda man=man: _hyperplane_box_vertices(*man.affine, box), idx)
+                  lambda man=man: _hyperplane_box_vertices(*man.affine, box), [man])
     half_specs = [
         ("half[1,+]", 0, m2, 1, diag, f"{m1.label} with {m2.label}>0"),
         ("half[1,-]", 0, m2, -1, neg_diag, f"{m1.label} with {m2.label}<0"),
@@ -474,9 +429,9 @@ def _cross_table(system, box, strategy):
             return _polytope_vertices_2d(
                 [man.affine], [((-side) * oc, (-side) * od)], box)
 
-        _add_jump(table, system, cond_id, domain,
+        _add_jump(table, system, box, cond_id, domain,
                   lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
-                  vertex_pts, man_idx,
+                  vertex_pts, [man],
                   extra_filter=lambda p, oc=oc, od=od, side=side:
                       side * (float(np.dot(oc, p)) - od) >= -1e-12)
     table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde)}",

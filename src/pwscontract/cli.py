@@ -31,7 +31,7 @@ from .filippov import (
     integrate,
     write_trajectory_csv,
 )
-from .regularize import convergence_study, write_convergence_csv
+from .regularize import convergence_study, sweep_widths, write_convergence_csv
 from .certify import (
     CertificateError,
     check_chain_certificate,
@@ -209,9 +209,9 @@ def cmd_regularize(args) -> int:
     system, config = _load_config(args.config)
     x0 = _parse_vector(args.x0, system.dimension)
     try:
-        eps_list = [float(p) for p in args.eps.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse eps list {args.eps!r}")
+        eps_list = sweep_widths(system, args.eps.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad eps list {args.eps!r}: {exc}")
     opts = SolverOptions(step=args.step)
     table = convergence_study(system, x0, args.t_final, eps_list, opts)
     out = Path(args.out)

@@ -250,14 +250,15 @@ def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 
 class _AffineKernel:
-    """Precomputed RK4 transition maps for affine modes.
+    """Precomputed RK4 transition maps for affine modes, and the affine event
+    surfaces H_k(x) = C[k].x - d[k] that the flow engine watches.
 
     One RK4 step of x' = Ax + b with step h is exactly x -> R(h) x + r(h)
     with R the degree-4 truncated exponential; blocks of steps are evaluated
     through stacked cumulative powers.
     """
 
-    def __init__(self, system: PwsSystem, opts: SolverOptions):
+    def __init__(self, system: PwsSystem, opts: SolverOptions, surfaces: list):
         n = system.dimension
         self.n = n
         self.block = opts.block
@@ -269,12 +270,9 @@ class _AffineKernel:
             A3 = A2 @ A
             A4 = A3 @ A
             self._pow.append(((eye, A, A2, A3, A4), (b, A @ b, A2 @ b, A3 @ b)))
-        if system.manifolds:
-            self.C = np.vstack([m.affine[0] for m in system.manifolds])
-            self.d = np.array([m.affine[1] for m in system.manifolds])
-        else:
-            self.C = np.zeros((0, n))
-            self.d = np.zeros(0)
+        self.surfaces = surfaces
+        self.C = np.array([s.affine[0] for s in surfaces]).reshape(-1, n)
+        self.d = np.array([s.affine[1] for s in surfaces])
         self._stacks = {}
 
     def step_map(self, mode_idx: int, h: float):
@@ -305,12 +303,12 @@ class _AffineKernel:
 
 
 def _event_flags(h0, h1, tol):
-    """Detect a root of H in one step: strict sign change, or landing on the
-    manifold from a point clearly off it. Starting on the manifold (|H| within
-    tol) never triggers, which lets trajectories leave a boundary cleanly."""
-    s0 = 0 if abs(h0) <= tol else (1 if h0 > 0 else -1)
-    s1 = 0 if abs(h1) <= tol else (1 if h1 > 0 else -1)
-    return (s0 * s1 < 0) or (s0 != 0 and s1 == 0)
+    """Detect a root of each H over one step, elementwise over arrays of H
+    values at the step's start and end: strict sign change, or landing on the
+    surface from a point clearly off it. Starting on the surface (|H| within
+    tol) never triggers, which lets trajectories leave a boundary cleanly.
+    From |h0| > tol both cases read h1 * sign(h0) <= tol."""
+    return (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol)
 
 
 def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0, opts: SolverOptions):
@@ -330,6 +328,20 @@ def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0, opts: SolverOptions)
         else:
             hi = mid
     return hi, step_fn(x0, hi * delta)
+
+
+def _first_hit(step_fn, surfaces, flagged, x0, delta, h0, opts: SolverOptions):
+    """Bisect every surface flagged by ``_event_flags`` along the step from x0
+    and keep the earliest root (the lowest index on ties): (theta, k,
+    unprojected state), or None when nothing is flagged. ``h0`` holds the H
+    values at x0 of all ``surfaces``."""
+    best = None
+    for k in np.flatnonzero(flagged):
+        theta, xe = _bisect_manifold(step_fn, surfaces[k], x0, delta,
+                                     float(h0[k]), opts)
+        if best is None or theta < best[0]:
+            best = (theta, int(k), xe)
+    return best
 
 
 def _next_grid(t: float, h: float, t_stop: float) -> float:
@@ -390,100 +402,64 @@ def _run_flow_generic(system, mode_idx, x, t, t_stop, opts, builder, seg_id):
     ("t_stop", t, x) or ("hit", manifold_idx, t_e, x_e)."""
     f = system.modes[mode_idx - 1].f
     mans = system.manifolds
-    h0 = [m.h(x) for m in mans]
+    h0 = system.h_values(x)
     step_fn = lambda x0, d: _rk4(f, x0, d)
     while t < t_stop - 1e-14:
         tn = _next_grid(t, opts.step, t_stop)
         delta = tn - t
         x1 = _rk4(f, x, delta)
-        h1 = [m.h(x1) for m in mans]
-        flagged = [k for k in range(len(mans))
-                   if _event_flags(h0[k], h1[k], opts.tol_event)]
-        if flagged:
-            best = None
-            for k in flagged:
-                theta, xe = _bisect_manifold(step_fn, mans[k], x, delta, h0[k], opts)
-                if best is None or theta < best[0]:
-                    best = (theta, k, xe)
-            theta, k, xe = best
-            xe = mans[k].project(xe)
-            return "hit", k, t + theta * delta, xe
+        h1 = system.h_values(x1)
+        flagged = _event_flags(h0, h1, opts.tol_event)
+        if flagged.any():
+            theta, k, xe = _first_hit(step_fn, mans, flagged, x, delta, h0, opts)
+            return "hit", k, t + theta * delta, mans[k].project(xe)
         t, x, h0 = tn, x1, h1
         builder.add_point(t, x, seg_id)
     return "t_stop", t, x
 
 
-def _run_flow_affine(system, kern, mode_idx, x, t, t_stop, opts, builder, seg_id):
+def _run_flow_affine(kern, mode_idx, x, t, t_stop, opts, builder, seg_id):
+    """Advance one affine mode, in blocks of exact RK4 steps on the aligned
+    time grid, until t_stop or a hit of one of the kernel's event surfaces;
+    returns ("t_stop", t, x) or ("hit", surface_idx, t_e, x_e) with x_e
+    projected onto that surface."""
     h = opts.step
-    mans = system.manifolds
-    n_man = len(mans)
+    surfaces = kern.surfaces
     step_fn = lambda x0, d: kern.state(mode_idx, x0, d)
 
-    def scan_single(x0, t0, delta):
-        x1 = kern.state(mode_idx, x0, delta)
-        if n_man:
-            h0 = kern.C @ x0 - kern.d
-            h1 = kern.C @ x1 - kern.d
-            flagged = [k for k in range(n_man)
-                       if _event_flags(h0[k], h1[k], opts.tol_event)]
-            if flagged:
-                best = None
-                for k in flagged:
-                    theta, xe = _bisect_manifold(step_fn, mans[k], x0, delta,
-                                                 float(h0[k]), opts)
-                    if best is None or theta < best[0]:
-                        best = (theta, k, xe)
-                theta, k, xe = best
-                return ("hit", k, t0 + theta * delta, mans[k].project(xe))
-        return ("ok", x1)
+    def hit(x0, t0, delta, h0, flags):
+        theta, k, xe = _first_hit(step_fn, surfaces, flags, x0, delta, h0, opts)
+        return "hit", k, t0 + theta * delta, surfaces[k].project(xe)
 
     while t < t_stop - 1e-14:
         k0 = math.floor(t / h + 1e-9)
         aligned = abs(t - k0 * h) <= 1e-12 * max(h, 1.0)
-        if not aligned:
+        m_total = int(math.floor((t_stop - t) / h + 1e-12))
+        if not aligned or m_total == 0:
+            # one step up to the next grid time (or t_stop)
             tn = _next_grid(t, h, t_stop)
-            res = scan_single(x, t, tn - t)
-            if res[0] == "hit":
-                return res
-            x = res[1]
-            t = tn
+            x1 = kern.state(mode_idx, x, tn - t)
+            h0 = kern.C @ x - kern.d
+            flags = _event_flags(h0, kern.C @ x1 - kern.d, opts.tol_event)
+            if flags.any():
+                return hit(x, t, tn - t, h0, flags)
+            t, x = tn, x1
             builder.add_point(t, x, seg_id)
             continue
-        m_total = int(math.floor((t_stop - t) / h + 1e-12))
-        if m_total == 0:
-            res = scan_single(x, t, t_stop - t)
-            if res[0] == "hit":
-                return res
-            x = res[1]
-            t = t_stop
-            builder.add_point(t, x, seg_id)
-            break
         m = min(kern.block, m_total)
         Rs, rs = kern.stacks(mode_idx, h)
         X = Rs[:m] @ x + rs[:m]
         ts = (k0 + 1 + np.arange(m)) * h
-        if n_man:
-            Hs = np.empty((m + 1, n_man))
-            Hs[0] = kern.C @ x - kern.d
-            Hs[1:] = X @ kern.C.T - kern.d
-            absH = np.abs(Hs)
-            sgn = np.where(absH <= opts.tol_event, 0, np.sign(Hs))
-            a, b = sgn[:-1], sgn[1:]
-            ev = (a * b < 0) | ((a != 0) & (b == 0))
-            rows = np.flatnonzero(ev.any(axis=1))
-            if rows.size:
-                idx = int(rows[0])
-                x_prev = x if idx == 0 else X[idx - 1]
-                t_prev = t + idx * h
-                builder.add_block(ts[:idx], X[:idx], seg_id)
-                best = None
-                for k in np.flatnonzero(ev[idx]):
-                    theta, xe = _bisect_manifold(step_fn, mans[k], x_prev, h,
-                                                 float(Hs[idx, k]), opts)
-                    if best is None or theta < best[0]:
-                        best = (theta, int(k), xe)
-                theta, k, xe = best
-                return "hit", k, t_prev + theta * h, mans[k].project(xe)
+        Hs = np.empty((m + 1, len(surfaces)))
+        Hs[0] = kern.C @ x - kern.d
+        Hs[1:] = X @ kern.C.T - kern.d
+        ev = _event_flags(Hs[:-1], Hs[1:], opts.tol_event)
+        rows = np.flatnonzero(ev.any(axis=1))
+        if rows.size:
+            idx = int(rows[0])
+            builder.add_block(ts[:idx], X[:idx], seg_id)
+            return hit(x if idx == 0 else X[idx - 1], t + idx * h, h,
+                       Hs[idx], ev[idx])
         builder.add_block(ts, X, seg_id)
         x = X[-1]
         t = ts[-1]
@@ -503,6 +479,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     """
     man = system.manifolds[man_idx]
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
+    surfaces = [system.manifolds[k] for k in others]
     fi_fn = system.modes[i - 1].f
     fj_fn = system.modes[j - 1].f
 
@@ -520,8 +497,12 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     def slide_step(x0, d):
         return man.project(_rk4(fs, x0, d))
 
+    def h_others(xq):
+        return np.array([s.h(xq) for s in surfaces])
+
     lo_bound = opts.tol_lambda
     hi_bound = 1.0 - opts.tol_lambda
+    h0 = h_others(x)
     while t < t_stop - 1e-14:
         tn = _next_grid(t, opts.step, t_stop)
         delta = tn - t
@@ -529,15 +510,9 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             raise StepUnderflowError(f"sliding step underflow at t={t}")
         x1 = slide_step(x, delta)
         # another manifold reached mid-slide (planar cross: the intersection)
-        hit = None
-        for k in others:
-            h0 = system.manifolds[k].h(x)
-            h1 = system.manifolds[k].h(x1)
-            if _event_flags(h0, h1, opts.tol_event):
-                theta, xe = _bisect_manifold(slide_step, system.manifolds[k],
-                                             x, delta, h0, opts)
-                if hit is None or theta < hit[0]:
-                    hit = (theta, k, xe)
+        h1 = h_others(x1)
+        hit = _first_hit(slide_step, surfaces, _event_flags(h0, h1, opts.tol_event),
+                         x, delta, h0, opts)
         # combination weight leaving [0, 1] marks a candidate exit
         lam1 = lam_at(x1)
         lam_exit = None
@@ -558,9 +533,9 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             theta, k, xe = hit
             te = t + theta * delta
             builder.add_point(te, xe, seg_id, lam=min(max(lam_at(xe), 0.0), 1.0))
-            return "hit", k, te, xe
+            return "hit", others[k], te, xe
         if lam_exit is None:
-            t, x = tn, x1
+            t, x, h0 = tn, x1, h1
             builder.add_point(t, x, seg_id, lam=lam1)
             continue
         theta, xe = lam_exit
@@ -570,7 +545,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
         x_probe = slide_step(xe, rest) if rest > 1e-15 else xe
         lam_probe = lam_at(x_probe)
         if lo_bound <= lam_probe <= hi_bound:
-            t, x = tn, x_probe
+            t, x, h0 = tn, x_probe, h_others(x_probe)
             builder.add_point(t, x, seg_id, lam=lam_probe)
             continue
         te = t + theta * delta
@@ -611,7 +586,8 @@ def integrate(system: PwsSystem, x0, t_f: float,
         raise ValueError("t_f must be nonnegative")
 
     builder = _Builder(system.dimension)
-    kern = _AffineKernel(system, opts) if system.is_affine else None
+    kern = (_AffineKernel(system, opts, system.manifolds)
+            if system.is_affine else None)
     sector_cache: dict = {}
 
     def certified_sector() -> int:
@@ -681,7 +657,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
                 builder.add_point(t, x, sid)
                 first = False
             if kern is not None:
-                res = _run_flow_affine(system, kern, mode_idx, x, t, t_f, opts,
+                res = _run_flow_affine(kern, mode_idx, x, t, t_f, opts,
                                        builder, sid)
             else:
                 res = _run_flow_generic(system, mode_idx, x, t, t_f, opts,

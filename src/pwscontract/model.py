@@ -39,6 +39,7 @@ __all__ = [
     "check_transversality",
     "check_intersection_assumption",
     "check_box_invariance",
+    "box_grid",
 ]
 
 TOL_BOUNDARY = 1e-9
@@ -290,6 +291,11 @@ class PwsSystem:
         for k, mode in enumerate(self.modes, start=1):
             if mode.index != k:
                 raise ConfigError(f"mode {k} carries index {mode.index}")
+        if (self.topology == "chain" and all(m.is_affine for m in self.manifolds)
+                and not _chain_bands_disjoint(self, 0.0, self.box)):
+            raise ConfigError(
+                "chain manifolds are out of order: inside the box, H_k <= 0 "
+                "must imply H_k+1 < 0 for every consecutive pair")
 
     @property
     def n_modes(self) -> int:
@@ -455,41 +461,89 @@ def locate(system: PwsSystem, x, tol_boundary: float = TOL_BOUNDARY) -> RegionLo
     raise TopologyError(f"sign pattern {signs} matches no region")
 
 
-def _manifold_grid(system: PwsSystem, manifold: Manifold, points_per_axis: int):
-    """Mesh of points on {H = 0} inside the analysis box."""
-    box = system.box
+def box_grid(box: AnalysisBox, per_axis: int, skip: Optional[int] = None) -> np.ndarray:
+    """Tensor grid of ``per_axis`` points on every axis of the box except
+    ``skip``, as an (N, n) array in ``indexing="ij"`` order. The ``skip``
+    column holds 0 for the caller to fill."""
+    axes = [np.zeros(1) if i == skip else
+            np.linspace(box.lower[i], box.upper[i], per_axis)
+            for i in range(box.dimension)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _dedupe(points, tol=1e-9):
+    out = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= tol for q in out):
+            out.append(p)
+    return out
+
+
+def _hyperplane_box_vertices(c, d, box: AnalysisBox, tol=1e-9):
+    """Vertices of {x in box : c.x = d}: box-edge intersections and box
+    corners lying on the plane. Works in any dimension."""
+    c = np.asarray(c, dtype=float)
     n = box.dimension
+    corners = box.corners()
+    hv = corners @ c - d
+    pts = [corners[k].copy() for k in range(len(corners)) if abs(hv[k]) <= tol]
+    for k in range(len(corners)):
+        for a in range(n):
+            if (k >> a) & 1:
+                continue
+            k2 = k | (1 << a)
+            h0, h1 = hv[k], hv[k2]
+            if h0 * h1 < 0:
+                t = h0 / (h0 - h1)
+                p = corners[k].copy()
+                p[a] += t * (corners[k2][a] - corners[k][a])
+                pts.append(p)
+    return _dedupe(pts)
+
+
+def _slab_box_vertices(c, d, eps, box: AnalysisBox, tol=1e-9):
+    """Vertices of {x in box : |c.x - d| <= eps}."""
+    pts = _hyperplane_box_vertices(c, d + eps, box, tol)
+    pts += _hyperplane_box_vertices(c, d - eps, box, tol)
+    for corner in box.corners():
+        if abs(float(np.dot(c, corner)) - d) <= eps + tol:
+            pts.append(corner.copy())
+    return _dedupe(pts)
+
+
+def _chain_bands_disjoint(system: PwsSystem, eps: float,
+                          box: AnalysisBox) -> bool:
+    """Whether the closed eps-bands of consecutive affine chain manifolds are
+    disjoint and in chain order inside the box: {H_k <= eps} ∩ box must lie
+    in {H_k+1 < -eps}. Exact via the vertices of {H_k <= eps} ∩ box; at
+    eps = 0 this is the chain order of the manifolds themselves."""
+    corners = box.corners()
+    for k in range(len(system.manifolds) - 1):
+        c0, d0 = system.manifolds[k].affine
+        c1, d1 = system.manifolds[k + 1].affine
+        below = [p for p in corners if float(np.dot(c0, p)) - d0 <= eps]
+        below += _hyperplane_box_vertices(c0, d0 + eps, box)
+        if any(float(np.dot(c1, v)) - d1 >= -eps for v in below):
+            return False
+    return True
+
+
+def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
+    """Mesh of points on {H = 0} inside the box."""
     if manifold.is_affine:
         c, d = manifold.affine
         pivot = int(np.argmax(np.abs(c)))
-        free = [i for i in range(n) if i != pivot]
-        axes = [np.linspace(box.lower[i], box.upper[i], points_per_axis) for i in free]
-        pts = []
-        grids = np.meshgrid(*axes, indexing="ij") if free else []
-        flat = [g.ravel() for g in grids]
-        count = flat[0].size if flat else 1
-        for k in range(count):
-            x = np.empty(n)
-            for slot, i in enumerate(free):
-                x[i] = flat[slot][k]
-            x[pivot] = (d - sum(c[i] * x[i] for i in free)) / c[pivot]
-            if box.contains(x, tol=1e-12):
-                pts.append(x)
-        return pts
+        pts = box_grid(box, points_per_axis, skip=pivot)
+        pts[:, pivot] = (d - sum(c[i] * pts[:, i] for i in range(box.dimension)
+                                 if i != pivot)) / c[pivot]
+        return [x for x in pts if box.contains(x, tol=1e-12)]
     # smooth manifold: bracket a root of H along each grid line of the first axis
     from scipy.optimize import brentq
 
-    free = list(range(1, n))
-    axes = [np.linspace(box.lower[i], box.upper[i], points_per_axis) for i in free]
-    grids = np.meshgrid(*axes, indexing="ij") if free else []
-    flat = [g.ravel() for g in grids]
-    count = flat[0].size if flat else 1
     pts = []
-    for k in range(count):
-        x_lo = np.empty(n)
-        x_hi = np.empty(n)
-        for slot, i in enumerate(free):
-            x_lo[i] = x_hi[i] = flat[slot][k]
+    for x in box_grid(box, points_per_axis, skip=0):
+        x_lo, x_hi = x.copy(), x.copy()
         x_lo[0], x_hi[0] = box.lower[0], box.upper[0]
         h_lo, h_hi = manifold.h(x_lo), manifold.h(x_hi)
         if h_lo * h_hi > 0:
@@ -519,12 +573,9 @@ def check_transversality(system: PwsSystem, box: Optional[AnalysisBox] = None,
     derivative is nonzero (transversal switching data)."""
     if points_per_axis < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    if box is not None:
-        system = PwsSystem(system.dimension, system.topology, system.modes,
-                           system.manifolds, box, system.metric)
     report = TransversalityReport()
     for k, manifold in enumerate(system.manifolds):
-        for x in _manifold_grid(system, manifold, points_per_axis):
+        for x in _manifold_grid(box or system.box, manifold, points_per_axis):
             try:
                 i, j = system.adjacent_modes(k, x)
             except TopologyError:
@@ -595,24 +646,12 @@ def check_box_invariance(system: PwsSystem, points_per_face: int = 21) -> list:
     """Diagnostic only: sample the box boundary and report outward-pointing
     flow samples (the box is asserted forward invariant by the user)."""
     box = system.box
-    n = box.dimension
     bad = []
-    axes = [np.linspace(box.lower[i], box.upper[i], points_per_face) for i in range(n)]
-    for face_axis in range(n):
+    for face_axis in range(box.dimension):
         for side, bound in ((-1, box.lower[face_axis]), (1, box.upper[face_axis])):
-            others = [axes[i] for i in range(n) if i != face_axis]
-            grids = np.meshgrid(*others, indexing="ij") if others else []
-            flat = [g.ravel() for g in grids]
-            count = flat[0].size if flat else 1
-            for k in range(count):
-                x = np.empty(n)
-                slot = 0
-                for i in range(n):
-                    if i == face_axis:
-                        x[i] = bound
-                    else:
-                        x[i] = flat[slot][k]
-                        slot += 1
+            face = box_grid(box, points_per_face, skip=face_axis)
+            face[:, face_axis] = bound
+            for x in face:
                 try:
                     loc = locate(system, x)
                 except TopologyError:

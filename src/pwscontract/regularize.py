@@ -11,14 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Manifold, PwsSystem, TopologyError, locate
+from .model import Manifold, PwsSystem, TopologyError, _chain_bands_disjoint, locate
 from .filippov import (
     SolverOptions,
     Trajectory,
     _AffineKernel,
     _Builder,
-    _event_flags,
-    _bisect_manifold,
     _next_grid,
     _rk4,
     _run_flow_affine,
@@ -37,6 +35,7 @@ __all__ = [
     "integrate_regularized",
     "reduced_sliding_field",
     "convergence_study",
+    "sweep_widths",
     "write_convergence_csv",
 ]
 
@@ -165,8 +164,13 @@ class RegularizedSystem:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be a finite positive number")
+        if (self.base.topology == "chain"
+                and all(m.is_affine for m in self.base.manifolds)
+                and not _chain_bands_disjoint(self.base, self.eps, self.base.box)):
+            raise ValueError(
+                f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
         if self.base.topology == "chain":
             self._field = lambda x: regularized_field_chain(self.base, self.eps, x)
             self._jac = lambda x: regularized_jacobian_chain(self.base, self.eps, x)
@@ -232,16 +236,15 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
         return builder.finish()
 
     h_band = min(opts.step, eps / 10.0)
-    affine = system.is_affine
-    kern = _AffineKernel(system, opts) if affine else None
-    if affine and system.manifolds:
+    kern = None
+    if system.is_affine:
+        # outside the bands the flow engine watches the band boundaries
         surfaces = []
         for m in system.manifolds:
             c, d = m.affine
             surfaces.append(Manifold.from_affine(f"{m.label}+", c, d + eps))
             surfaces.append(Manifold.from_affine(f"{m.label}-", c, d - eps))
-    else:
-        surfaces = []
+        kern = _AffineKernel(system, opts, surfaces)
 
     t, x = 0.0, x0.copy()
     guard = 0
@@ -260,14 +263,9 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                     x = _rk4(reg.field, x, sub)
                 t = tn
                 builder.add_point(t, x, sid)
-        elif affine:
+        elif kern is not None:
             mode = locate(system, x, tol_boundary=0.0).mode
-            if surfaces:
-                res = _run_flow_affine_reg(system, kern, surfaces, mode, x, t,
-                                           t_f, opts, builder, sid)
-            else:
-                res = _run_flow_affine(system, kern, mode, x, t, t_f, opts,
-                                       builder, sid)
+            res = _run_flow_affine(kern, mode, x, t, t_f, opts, builder, sid)
             if res[0] == "hit":
                 _, _, t, x = res
                 builder.add_point(t, x, sid)
@@ -300,71 +298,6 @@ def _crossed_band(reg: RegularizedSystem, x0, x1, eps: float) -> bool:
         if (a > eps) != (b > eps) or (a < -eps) != (b < -eps):
             return True
     return False
-
-
-def _run_flow_affine_reg(system, kern, surfaces, mode_idx, x, t, t_stop, opts,
-                         builder, seg_id):
-    """Block-advance one affine mode until a band boundary is hit."""
-    h = opts.step
-    step_fn = lambda x0, d: kern.state(mode_idx, x0, d)
-    Cs = np.vstack([s.affine[0] for s in surfaces])
-    ds = np.array([s.affine[1] for s in surfaces])
-
-    def scan_single(x0, t0, delta):
-        x1 = kern.state(mode_idx, x0, delta)
-        h0 = Cs @ x0 - ds
-        h1 = Cs @ x1 - ds
-        flagged = [k for k in range(len(surfaces))
-                   if _event_flags(h0[k], h1[k], opts.tol_event)]
-        if flagged:
-            best = None
-            for k in flagged:
-                theta, xe = _bisect_manifold(step_fn, surfaces[k], x0, delta,
-                                             float(h0[k]), opts)
-                if best is None or theta < best[0]:
-                    best = (theta, k, xe)
-            theta, k, xe = best
-            return ("hit", k, t0 + theta * delta, surfaces[k].project(xe))
-        return ("ok", x1)
-
-    while t < t_stop - 1e-14:
-        k0 = math.floor(t / h + 1e-9)
-        aligned = abs(t - k0 * h) <= 1e-12 * max(h, 1.0)
-        if not aligned or math.floor((t_stop - t) / h + 1e-12) == 0:
-            tn = _next_grid(t, h, t_stop)
-            res = scan_single(x, t, tn - t)
-            if res[0] == "hit":
-                return res
-            x = res[1]
-            t = tn
-            builder.add_point(t, x, seg_id)
-            continue
-        m = min(kern.block, int(math.floor((t_stop - t) / h + 1e-12)))
-        Rs, rs = kern.stacks(mode_idx, h)
-        X = Rs[:m] @ x + rs[:m]
-        ts = (k0 + 1 + np.arange(m)) * h
-        Hs = np.empty((m + 1, len(surfaces)))
-        Hs[0] = Cs @ x - ds
-        Hs[1:] = X @ Cs.T - ds
-        sgn = np.where(np.abs(Hs) <= opts.tol_event, 0, np.sign(Hs))
-        ev = (sgn[:-1] * sgn[1:] < 0) | ((sgn[:-1] != 0) & (sgn[1:] == 0))
-        rows = np.flatnonzero(ev.any(axis=1))
-        if rows.size:
-            idx = int(rows[0])
-            x_prev = x if idx == 0 else X[idx - 1]
-            builder.add_block(ts[:idx], X[:idx], seg_id)
-            best = None
-            for k in np.flatnonzero(ev[idx]):
-                theta, xe = _bisect_manifold(step_fn, surfaces[k], x_prev, h,
-                                             float(Hs[idx, k]), opts)
-                if best is None or theta < best[0]:
-                    best = (theta, int(k), xe)
-            theta, k, xe = best
-            return "hit", k, t + idx * h + theta * h, surfaces[k].project(xe)
-        builder.add_block(ts, X, seg_id)
-        x = X[-1]
-        t = ts[-1]
-    return "t_stop", t, x
 
 
 def reduced_sliding_field(system: PwsSystem, i: int, x) -> np.ndarray:
@@ -426,15 +359,26 @@ class ConvergenceTable:
         return bool(np.all(np.diff(g) < 0))
 
 
+def sweep_widths(system: PwsSystem, eps_list) -> list:
+    """The band half-widths of a convergence study as floats. Raises
+    ValueError unless they are positive, finite and strictly decreasing, and
+    each gives a valid ``RegularizedSystem`` (for an affine chain: bands that
+    stay apart inside the box)."""
+    eps_arr = [float(e) for e in eps_list]
+    if not eps_arr or any(not e > 0 for e in eps_arr):
+        raise ValueError("eps values must be positive")
+    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
+        raise ValueError("eps values must be strictly decreasing")
+    for eps in eps_arr:
+        RegularizedSystem(system, eps)
+    return eps_arr
+
+
 def convergence_study(system: PwsSystem, x0, t_f: float, eps_list,
                       opts: Optional[SolverOptions] = None) -> ConvergenceTable:
     """Integrate the Filippov and regularized solutions on a shared time grid
     for each band width and tabulate the sup-norm gaps."""
-    eps_arr = [float(e) for e in eps_list]
-    if not eps_arr or any(e <= 0 for e in eps_arr):
-        raise ValueError("eps values must be positive")
-    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ValueError("eps values must be strictly decreasing")
+    eps_arr = sweep_widths(system, eps_list)
     opts = opts or SolverOptions()
     ref = integrate(system, x0, t_f, opts)
     t_ref, x_ref = ref.grid_samples(opts.step)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwscontract.measure import Metric
-from pwscontract.model import Mode, PwsSystem, builtin_config_path
+from pwscontract.model import AnalysisBox, Mode, PwsSystem, builtin_config_path
 from pwscontract.certify import (
     CertificateError,
     check_chain_certificate,
@@ -28,6 +28,16 @@ IDENTICAL_CROSS = {
     "dimension": 2, "topology": "planar_cross",
     "modes": [{"A": [[-3.0, 0.0], [0.0, -3.0]], "b": [1.0, -2.0]}] * 4,
     "manifolds": [{"c": [0.0, 1.0], "d": 0.0}, {"c": [1.0, 0.0], "d": 0.0}],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
+# a jump field (10 x2, 0) that vanishes on the manifold x1 = 0 only at x2 = 0
+# and grows across the band
+BAND_SYSTEM = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": [[-5.0, 0.0], [0.0, -5.0]], "b": [1.0, 0.0]},
+              {"A": [[-5.0, 10.0], [0.0, -5.0]], "b": [1.0, 0.0]}],
+    "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
     "box": {"lower": [-5, -5], "upper": [5, 5]},
 }
 
@@ -74,6 +84,15 @@ class TestChainCertificate:
         rg = check_chain_certificate(ex1, metric, strategy="grid")
         for cond in rg.conditions:
             assert cond.worst <= rv.condition(cond.cond_id).worst + 1e-9
+
+    def test_grid_meshes_the_callers_box(self, ex1):
+        box = AnalysisBox([-1.0, -1.0], [1.0, 1.0])
+        report = check_chain_certificate(ex1, Metric.identity(2, 0.5), box=box,
+                                         strategy="grid")
+        assert report.condition("jump[1]").point is not None
+        for cond_id in ("jump[1]", "jump[2]"):
+            point = report.condition(cond_id).point
+            assert point is None or box.contains(point)
 
     def test_rejects_cross_topology(self, ex2):
         with pytest.raises(CertificateError):
@@ -147,13 +166,7 @@ class TestRegularizedChain:
     def test_band_domain_covers_offset_worst_case(self):
         # a jump field growing away from the manifold is caught on the band
         # even though it vanishes on the manifold itself
-        system = make_system({
-            "dimension": 2, "topology": "chain",
-            "modes": [{"A": [[-5.0, 0.0], [0.0, -5.0]], "b": [1.0, 0.0]},
-                      {"A": [[-5.0, 10.0], [0.0, -5.0]], "b": [1.0, 0.0]}],
-            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
-            "box": {"lower": [-5, -5], "upper": [5, 5]},
-        })
+        system = make_system(BAND_SYSTEM)
         metric = Metric.identity(2, 1.0)
         limit = check_chain_certificate(system, metric)
         inflated = check_regularized_chain(system, metric, 0.5)
@@ -161,6 +174,16 @@ class TestRegularizedChain:
         assert limit.condition("jump[1]").worst > 1e-9
         assert inflated.condition("jump[1]").worst > \
             limit.condition("jump[1]").worst - 1e-12
+
+    def test_grid_samples_the_closed_band(self):
+        system = make_system(BAND_SYSTEM)
+        metric = Metric.identity(2, 1.0)
+        eps = 0.5
+        grid = check_regularized_chain(system, metric, eps, strategy="grid")
+        vertex = check_regularized_chain(system, metric, eps)
+        jump = grid.condition("jump[1]")
+        assert abs(system.manifolds[0].h(jump.point)) == eps
+        assert jump.worst == vertex.condition("jump[1]").worst
 
 
 class TestRegularizedCross:

@@ -244,6 +244,29 @@ class TestUsageErrors:
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["2,1", "1e-2,1e-1", "1e-1,0", "1e-1,nan"])
+    def test_bad_eps_list(self, tmp_path, eps):
+        # "2,1": the 2-bands of example1's manifolds x1 = 0 and x1 = 2 overlap
+        out = tmp_path / "conv.csv"
+        rc = main(["regularize", "--config", "example1", "--x0", "-3,-4",
+                   "--t-final", "1", "--eps", eps, "--out", str(out)])
+        assert rc == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--x0", "1,1", "--t-final", "1"],
+        ["certify", "--c", "0.5"],
+    ])
+    def test_out_of_order_chain(self, tmp_path, command):
+        # manifold 2 of example1 moved to x1 = -1 empties mode 2's region
+        doc = json.loads(builtin_config_path("example1").read_text())
+        doc["manifolds"][1]["d"] = -1.0
+        cfg = tmp_path / "order.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
+        assert not out.exists()
+
     def test_ill_conditioned_q_still_runs_pairwise(self, tmp_path):
         # cond(Q) > 1e12 is refused only where mu_Q is evaluated
         common = ["--config", "example1", "--Q", "diag:1,1e-13", "--c", "0.1"]

@@ -12,6 +12,7 @@ from pwscontract.model import (
     Mode,
     PwsSystem,
     TopologyError,
+    box_grid,
     builtin_config_path,
     check_box_invariance,
     check_intersection_assumption,
@@ -108,6 +109,34 @@ class TestLoadSystem:
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError, match="unknown builtin"):
             builtin_config_path("example9")
+
+
+class TestChainOrder:
+    @staticmethod
+    def example1_with_manifold2_at(d):
+        doc = json.loads(builtin_config_path("example1").read_text())
+        doc["manifolds"][1]["d"] = d
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("d", [-1.0, 0.0, -6.0])
+    def test_out_of_order_rejected(self, d):
+        # x1 = -1 empties mode 2's region; x1 = 0 doubles manifold 1; x1 = -6
+        # lies outside the box but on the wrong side of manifold 1
+        with pytest.raises(ConfigError, match="out of order"):
+            load_system(self.example1_with_manifold2_at(d))
+
+    def test_manifold_beyond_the_box_on_the_right_side(self):
+        system = load_system(self.example1_with_manifold2_at(6.0))
+        assert locate(system, [4.0, 0.0]).mode == 2
+
+
+class TestBoxGrid:
+    def test_ij_order_and_skipped_axis(self):
+        box = AnalysisBox([0.0, 10.0, 20.0], [1.0, 11.0, 21.0])
+        pts = box_grid(box, 2, skip=1)
+        assert pts.tolist() == [[0.0, 0.0, 20.0], [0.0, 0.0, 21.0],
+                                [1.0, 0.0, 20.0], [1.0, 0.0, 21.0]]
+        assert box_grid(box, 3).shape == (27, 3)
 
 
 class TestModeAndManifold:
@@ -228,13 +257,14 @@ class TestLocate:
                     assert s * system.manifolds[j].h(x) > 0
 
     def test_inconsistent_pattern_raises(self):
-        system = make_system({
-            "dimension": 2, "topology": "chain",
-            "modes": [{"A": [[0, 0], [0, 0]], "b": [0, 0]}] * 3,
-            "manifolds": [{"c": [1.0, 0.0], "d": 0.0},
-                          {"c": [-1.0, 0.0], "d": 1.0}],
-            "box": {"lower": [-5, -5], "upper": [5, 5]},
-        })
+        # smooth manifolds escape the affine chain-order check at construction
+        zero = np.zeros((2, 2))
+        system = PwsSystem(
+            2, "chain", [Mode.from_affine(i, zero, [0.0, 0.0]) for i in (1, 2, 3)],
+            [Manifold.from_handles("m1", lambda x: x[0], lambda x: np.array([1.0, 0.0])),
+             Manifold.from_handles("m2", lambda x: -x[0] - 1.0,
+                                   lambda x: np.array([-1.0, 0.0]))],
+            AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
         with pytest.raises(TopologyError, match="matches no"):
             locate(system, [-2.0, 0.0])
 

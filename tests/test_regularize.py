@@ -202,6 +202,19 @@ class TestRegularizedSystem:
         with pytest.raises(ValueError):
             RegularizedSystem(ex1, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, ex1, eps):
+        with pytest.raises(ValueError, match="finite positive"):
+            RegularizedSystem(ex1, eps)
+
+    @pytest.mark.parametrize("eps", [1.0, 1.5])
+    def test_rejects_meeting_bands(self, ex1, eps):
+        # example1's manifolds x1 = 0 and x1 = 2 are 2 apart: the 1-bands touch
+        with pytest.raises(ValueError, match="meet inside the box"):
+            RegularizedSystem(ex1, eps)
+        with pytest.raises(ValueError, match="meet inside the box"):
+            integrate_regularized(ex1, eps, [-3.0, -4.0], 1.0)
+
 
 class TestIntegrateRegularized:
     def test_stationary_equilibrium(self, ex1):
