@@ -6,7 +6,16 @@ localized by bisection on the sign change of each manifold function. Sliding
 segments integrate the convex-combination sliding field along the manifold
 with post-step projection back onto it, and exit when the combination weight
 reaches 0 or 1. For affine systems the smooth flow is advanced in vectorized
-blocks through the exact single-step RK4 transition map.
+blocks through the exact single-step RK4 transition map; each mode's block
+maps are built once per (step, block) on its ``AffineField`` and shared by
+every integration of the system. The slide engine evaluates an affine mode
+through its ``AffineField`` and an affine manifold through its constant
+normal, the same arithmetic as ``Mode.f`` and ``Manifold.grad``.
+
+Two numerical refusals guard the output: building the block maps for a step
+at which RK4 grows a decaying mode raises ``StiffStepError``, and a
+trajectory with a NaN or infinite state raises ``NonFiniteStateError``
+instead of being returned.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import numpy as np
 from .model import (
     PwsSystem,
     Manifold,
+    StiffStepError,
     TopologyError,
     check_intersection_assumption,
     locate,
@@ -33,6 +43,8 @@ __all__ = [
     "EscapingRegionError",
     "IntersectionAssumptionError",
     "StepUnderflowError",
+    "NonFiniteStateError",
+    "StiffStepError",
     "lie_derivative",
     "classify_boundary",
     "sliding_coefficient",
@@ -69,6 +81,10 @@ class IntersectionAssumptionError(RuntimeError):
 
 class StepUnderflowError(RuntimeError):
     pass
+
+
+class NonFiniteStateError(RuntimeError):
+    """An integration produced a NaN or infinite state."""
 
 
 @dataclass(frozen=True)
@@ -250,56 +266,13 @@ def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 
 class _AffineKernel:
-    """Precomputed RK4 transition maps for affine modes, and the affine event
-    surfaces H_k(x) = C[k].x - d[k] that the flow engine watches.
+    """The affine event surfaces H_k(x) = C[k].x - d[k] that the affine flow
+    engine watches, with their normals and offsets stacked once."""
 
-    One RK4 step of x' = Ax + b with step h is exactly x -> R(h) x + r(h)
-    with R the degree-4 truncated exponential; blocks of steps are evaluated
-    through stacked cumulative powers.
-    """
-
-    def __init__(self, system: PwsSystem, opts: SolverOptions, surfaces: list):
-        n = system.dimension
-        self.n = n
-        self.block = opts.block
-        self._pow = []
-        eye = np.eye(n)
-        for mode in system.modes:
-            A, b = mode.affine.A, mode.affine.b
-            A2 = A @ A
-            A3 = A2 @ A
-            A4 = A3 @ A
-            self._pow.append(((eye, A, A2, A3, A4), (b, A @ b, A2 @ b, A3 @ b)))
+    def __init__(self, n: int, surfaces: list):
         self.surfaces = surfaces
         self.C = np.array([s.affine[0] for s in surfaces]).reshape(-1, n)
         self.d = np.array([s.affine[1] for s in surfaces])
-        self._stacks = {}
-
-    def step_map(self, mode_idx: int, h: float):
-        mats, vecs = self._pow[mode_idx - 1]
-        eye, A, A2, A3, A4 = mats
-        b, Ab, A2b, A3b = vecs
-        R = eye + h * A + (h * h / 2.0) * A2 + (h ** 3 / 6.0) * A3 + (h ** 4 / 24.0) * A4
-        r = h * b + (h * h / 2.0) * Ab + (h ** 3 / 6.0) * A2b + (h ** 4 / 24.0) * A3b
-        return R, r
-
-    def state(self, mode_idx: int, x: np.ndarray, h: float) -> np.ndarray:
-        R, r = self.step_map(mode_idx, h)
-        return R @ x + r
-
-    def stacks(self, mode_idx: int, h: float):
-        key = (mode_idx, h)
-        if key not in self._stacks:
-            R, r = self.step_map(mode_idx, h)
-            Rs = np.empty((self.block, self.n, self.n))
-            rs = np.empty((self.block, self.n))
-            Rs[0] = R
-            rs[0] = r
-            for k in range(1, self.block):
-                Rs[k] = R @ Rs[k - 1]
-                rs[k] = R @ rs[k - 1] + r
-            self._stacks[key] = (Rs, rs)
-        return self._stacks[key]
 
 
 def _event_flags(h0, h1, tol):
@@ -361,6 +334,7 @@ class _Builder:
         self._x = []
         self._lam = []
         self._seg = []
+        self._points = []  # single samples not yet stacked into the arrays
         self.segments: list = []
 
     def open_segment(self, kind, t, mode=None, manifold=None, pair=None) -> int:
@@ -371,25 +345,42 @@ class _Builder:
         self.segments[seg_id].t_end = t_end
 
     def add_point(self, t, x, seg_id, lam=math.nan):
-        self._t.append(np.array([t]))
-        self._x.append(np.asarray(x, dtype=float).reshape(1, -1))
-        self._lam.append(np.array([lam]))
-        self._seg.append(np.array([seg_id]))
+        self._points.append((t, x, lam, seg_id))
+
+    def _stack_points(self):
+        if self._points:
+            ts, xs, lams, segs = zip(*self._points)
+            self._points = []
+            self._t.append(np.array(ts, dtype=float))
+            self._x.append(np.array(xs, dtype=float).reshape(len(ts), self.n))
+            self._lam.append(np.array(lams, dtype=float))
+            self._seg.append(np.array(segs, dtype=int))
 
     def add_block(self, ts, X, seg_id):
         k = len(ts)
         if k == 0:
             return
+        self._stack_points()
         self._t.append(np.asarray(ts, dtype=float))
         self._x.append(np.asarray(X, dtype=float))
         self._lam.append(np.full(k, math.nan))
         self._seg.append(np.full(k, seg_id, dtype=int))
 
     def finish(self) -> Trajectory:
+        """The trajectory; raises NonFiniteStateError if any sample is not
+        finite, so no engine hands out a state that blew up."""
+        self._stack_points()
         times = np.concatenate(self._t)
         states = np.vstack(self._x)
         lams = np.concatenate(self._lam)
         segs = np.concatenate(self._seg).astype(int)
+        bad = ~np.isfinite(states).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonFiniteStateError(
+                f"the state is not finite from t={times[k]:.6g} on: the step is "
+                "too large for the dynamics, or a field returned a non-finite "
+                "value; use a smaller --step")
         return Trajectory(times, states, lams, segs, self.segments)
 
 
@@ -418,14 +409,18 @@ def _run_flow_generic(system, mode_idx, x, t, t_stop, opts, builder, seg_id):
     return "t_stop", t, x
 
 
-def _run_flow_affine(kern, mode_idx, x, t, t_stop, opts, builder, seg_id):
+def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
     """Advance one affine mode, in blocks of exact RK4 steps on the aligned
     time grid, until t_stop or a hit of one of the kernel's event surfaces;
     returns ("t_stop", t, x) or ("hit", surface_idx, t_e, x_e) with x_e
     projected onto that surface."""
     h = opts.step
     surfaces = kern.surfaces
-    step_fn = lambda x0, d: kern.state(mode_idx, x0, d)
+    field = mode.affine
+
+    def step_fn(x0, d):
+        R, r = field.step_map(d)
+        return R @ x0 + r
 
     def hit(x0, t0, delta, h0, flags):
         theta, k, xe = _first_hit(step_fn, surfaces, flags, x0, delta, h0, opts)
@@ -438,7 +433,7 @@ def _run_flow_affine(kern, mode_idx, x, t, t_stop, opts, builder, seg_id):
         if not aligned or m_total == 0:
             # one step up to the next grid time (or t_stop)
             tn = _next_grid(t, h, t_stop)
-            x1 = kern.state(mode_idx, x, tn - t)
+            x1 = step_fn(x, tn - t)
             h0 = kern.C @ x - kern.d
             flags = _event_flags(h0, kern.C @ x1 - kern.d, opts.tol_event)
             if flags.any():
@@ -446,8 +441,11 @@ def _run_flow_affine(kern, mode_idx, x, t, t_stop, opts, builder, seg_id):
             t, x = tn, x1
             builder.add_point(t, x, seg_id)
             continue
-        m = min(kern.block, m_total)
-        Rs, rs = kern.stacks(mode_idx, h)
+        m = min(opts.block, m_total)
+        try:
+            Rs, rs = field.stacks(h, opts.block)
+        except StiffStepError as exc:
+            raise StiffStepError(f"mode {mode.index}: {exc}") from None
         X = Rs[:m] @ x + rs[:m]
         ts = (k0 + 1 + np.arange(m)) * h
         Hs = np.empty((m + 1, len(surfaces)))
@@ -480,29 +478,38 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     man = system.manifolds[man_idx]
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
     surfaces = [system.manifolds[k] for k in others]
-    fi_fn = system.modes[i - 1].f
-    fj_fn = system.modes[j - 1].f
+    # The cheapest exact primitives, bound once per segment: an affine mode's
+    # AffineField and an affine manifold's constant normal give the values of
+    # Mode.f and Manifold.grad without their array coercions.
+    fi_fn, fj_fn = (m.affine if m.is_affine else m.f
+                    for m in (system.mode(i), system.mode(j)))
+    if man.is_affine:
+        normal = man.affine[0]
+        grad = lambda xq: normal
+    else:
+        grad = man.grad
+    project = man.project
 
     def lam_at(xq):
-        g = man.grad(xq)
+        g = grad(xq)
         return _lambda_raw(float(np.dot(g, fi_fn(xq))), float(np.dot(g, fj_fn(xq))))
 
     def fs(xq):
         fi = fi_fn(xq)
         fj = fj_fn(xq)
-        g = man.grad(xq)
+        g = grad(xq)
         lam = _lambda_raw(float(np.dot(g, fi)), float(np.dot(g, fj)))
         return fi + lam * (fj - fi)
 
     def slide_step(x0, d):
-        return man.project(_rk4(fs, x0, d))
+        return project(_rk4(fs, x0, d))
 
     def h_others(xq):
         return np.array([s.h(xq) for s in surfaces])
 
     lo_bound = opts.tol_lambda
     hi_bound = 1.0 - opts.tol_lambda
-    h0 = h_others(x)
+    h0 = h1 = h_others(x)
     while t < t_stop - 1e-14:
         tn = _next_grid(t, opts.step, t_stop)
         delta = tn - t
@@ -510,9 +517,12 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             raise StepUnderflowError(f"sliding step underflow at t={t}")
         x1 = slide_step(x, delta)
         # another manifold reached mid-slide (planar cross: the intersection)
-        h1 = h_others(x1)
-        hit = _first_hit(slide_step, surfaces, _event_flags(h0, h1, opts.tol_event),
-                         x, delta, h0, opts)
+        hit = None
+        if surfaces:
+            h1 = h_others(x1)
+            flags = _event_flags(h0, h1, opts.tol_event)
+            if flags.any():
+                hit = _first_hit(slide_step, surfaces, flags, x, delta, h0, opts)
         # combination weight leaving [0, 1] marks a candidate exit
         lam1 = lam_at(x1)
         lam_exit = None
@@ -586,7 +596,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
         raise ValueError("t_f must be nonnegative")
 
     builder = _Builder(system.dimension)
-    kern = (_AffineKernel(system, opts, system.manifolds)
+    kern = (_AffineKernel(system.dimension, system.manifolds)
             if system.is_affine else None)
     sector_cache: dict = {}
 
@@ -657,8 +667,8 @@ def integrate(system: PwsSystem, x0, t_f: float,
                 builder.add_point(t, x, sid)
                 first = False
             if kern is not None:
-                res = _run_flow_affine(kern, mode_idx, x, t, t_f, opts,
-                                       builder, sid)
+                res = _run_flow_affine(kern, system.mode(mode_idx), x, t, t_f,
+                                       opts, builder, sid)
             else:
                 res = _run_flow_generic(system, mode_idx, x, t, t_f, opts,
                                         builder, sid)

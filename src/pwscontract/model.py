@@ -24,6 +24,7 @@ from .measure import Metric
 __all__ = [
     "ConfigError",
     "TopologyError",
+    "StiffStepError",
     "AffineField",
     "Mode",
     "Manifold",
@@ -71,9 +72,22 @@ def _vec(v, n: Optional[int] = None, name: str = "vector") -> np.ndarray:
     return a
 
 
+class StiffStepError(RuntimeError):
+    """Raised when an RK4 step is outside the stability region of a decaying
+    mode, so the discrete flow would grow where the true flow decays."""
+
+
 @dataclass(frozen=True)
 class AffineField:
-    """Affine vector field f(x) = A x + b."""
+    """Affine vector field f(x) = A x + b, with the data of its classical RK4
+    transition map.
+
+    One RK4 step of x' = Ax + b with step h is exactly x -> R(h) x + r(h),
+    R the degree-4 truncated exponential of hA. The powers of A behind it are
+    formed at construction; the block stacks of ``stacks`` are built on first
+    use, one entry per (step, block) for the life of the field, and shared,
+    read-only, by every integration that uses it.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -93,9 +107,66 @@ class AffineField:
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        A2 = A @ A
+        A3 = A2 @ A
+        A4 = A3 @ A
+        object.__setattr__(self, "_powers", ((np.eye(A.shape[0]), A, A2, A3, A4),
+                                             (b, A @ b, A2 @ b, A3 @ b)))
+        object.__setattr__(self, "_stacks", {})
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b
+
+    def step_map(self, h: float):
+        """(R, r) of one RK4 step of size h."""
+        (eye, A, A2, A3, A4), (b, Ab, A2b, A3b) = self._powers
+        R = eye + h * A + (h * h / 2.0) * A2 + (h ** 3 / 6.0) * A3 + (h ** 4 / 24.0) * A4
+        r = h * b + (h * h / 2.0) * Ab + (h ** 3 / 6.0) * A2b + (h ** 4 / 24.0) * A3b
+        return R, r
+
+    def stacks(self, h: float, block: int):
+        """Read-only (Rs, rs) with Rs[k] = R^(k+1) and rs[k] the offset of k+1
+        steps, for k < block, built once per (h, block) by sequential products.
+
+        Raises StiffStepError when building them for a step h at which a
+        decaying eigenvalue of A has an RK4 growth factor of at least 1.
+        """
+        key = (h, block)
+        entry = self._stacks.get(key)
+        if entry is None:
+            # two threads may both build an entry; both get the first stored
+            entry = self._stacks.setdefault(key, self._build_stacks(h, block))
+        return entry
+
+    def _build_stacks(self, h: float, block: int):
+        self._check_step(h)
+        R, r = self.step_map(h)
+        n = self.A.shape[0]
+        Rs = np.empty((block, n, n))
+        rs = np.empty((block, n))
+        Rs[0] = R
+        rs[0] = r
+        for k in range(1, block):
+            Rs[k] = R @ Rs[k - 1]
+            rs[k] = R @ rs[k - 1] + r
+        Rs.flags.writeable = False
+        rs.flags.writeable = False
+        return Rs, rs
+
+    def _check_step(self, h: float) -> None:
+        # The eigenvalues of R(h) are p(h lam) with p(z) = 1 + z + z^2/2 +
+        # z^3/6 + z^4/24. |p|^2 - 1 = 2 Re w + |w|^2 with w = p - 1 does not
+        # cancel as h lam -> 0, so a slow decaying eigenvalue never reads 1.
+        z = h * np.linalg.eigvals(self.A)
+        w = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        growth = 2.0 * w.real + np.abs(w) ** 2
+        bad = (z.real < 0.0) & (growth >= 0.0)
+        if bad.any():
+            rho = float(np.max(np.abs(1.0 + w)))
+            raise StiffStepError(
+                f"RK4 step h={h:g} is unstable for this decaying mode: the "
+                f"spectral radius of the step map R(h) is {rho:.6g} >= 1; "
+                "use a smaller --step")
 
 
 class Mode:
@@ -167,6 +238,8 @@ class Manifold:
         self.affine = affine  # (c, d) for H(x) = c.x - d
         self._h = h_fn
         self._grad = grad_fn
+        if affine is not None:
+            self._cc = float(np.dot(affine[0], affine[0]))
 
     @classmethod
     def from_affine(cls, label: str, c, d: float) -> "Manifold":
@@ -198,7 +271,7 @@ class Manifold:
         x = np.asarray(x, dtype=float)
         if self.affine is not None:
             c, d = self.affine
-            return x - c * ((float(np.dot(c, x)) - d) / float(np.dot(c, c)))
+            return x - c * ((float(np.dot(c, x)) - d) / self._cc)
         # one damped Newton step along the gradient, repeated
         for _ in range(8):
             hv = self.h(x)
@@ -538,19 +611,34 @@ def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
         pts[:, pivot] = (d - sum(c[i] * pts[:, i] for i in range(box.dimension)
                                  if i != pivot)) / c[pivot]
         return [x for x in pts if box.contains(x, tol=1e-12)]
-    # smooth manifold: bracket a root of H along each grid line of the first axis
-    from scipy.optimize import brentq
+    # smooth manifold: every root of H along each grid line of the first axis,
+    # from the sign changes of a scan at the grid points, each bisected
+    lines = box_grid(box, points_per_axis, skip=0)
+    ts = np.linspace(box.lower[0], box.upper[0], points_per_axis)
+
+    def on_line(line, t):
+        x = line.copy()
+        x[0] = t
+        return x
 
     pts = []
-    for x in box_grid(box, points_per_axis, skip=0):
-        x_lo, x_hi = x.copy(), x.copy()
-        x_lo[0], x_hi[0] = box.lower[0], box.upper[0]
-        h_lo, h_hi = manifold.h(x_lo), manifold.h(x_hi)
-        if h_lo * h_hi > 0:
-            continue
-        root = brentq(lambda t: manifold.h(np.concatenate(([t], x_lo[1:]))),
-                      box.lower[0], box.upper[0], xtol=1e-12)
-        pts.append(np.concatenate(([root], x_lo[1:])))
+    for line in lines:
+        hs = np.array([manifold.h(on_line(line, t)) for t in ts])
+        pts += [on_line(line, t) for t in ts[hs == 0.0]]
+        for k in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
+            lo, hi, h_lo = ts[k], ts[k + 1], hs[k]
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                h_mid = manifold.h(on_line(line, mid))
+                if h_mid == 0.0:
+                    lo = hi = mid
+                elif (h_mid > 0.0) == (h_lo > 0.0):
+                    lo, h_lo = mid, h_mid
+                else:
+                    hi = mid
+            pts.append(on_line(line, 0.5 * (lo + hi)))
     return pts
 
 

@@ -244,7 +244,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
             c, d = m.affine
             surfaces.append(Manifold.from_affine(f"{m.label}+", c, d + eps))
             surfaces.append(Manifold.from_affine(f"{m.label}-", c, d - eps))
-        kern = _AffineKernel(system, opts, surfaces)
+        kern = _AffineKernel(system.dimension, surfaces)
 
     t, x = 0.0, x0.copy()
     guard = 0
@@ -264,7 +264,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                 t = tn
                 builder.add_point(t, x, sid)
         elif kern is not None:
-            mode = locate(system, x, tol_boundary=0.0).mode
+            mode = system.mode(locate(system, x, tol_boundary=0.0).mode)
             res = _run_flow_affine(kern, mode, x, t, t_f, opts, builder, sid)
             if res[0] == "hit":
                 _, _, t, x = res

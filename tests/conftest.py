@@ -1,8 +1,19 @@
+import collections
 import json
 
+import numpy as np
 import pytest
 
-from pwscontract.model import builtin_config_path, load_system, load_system_file
+from pwscontract.model import (
+    AffineField,
+    AnalysisBox,
+    Manifold,
+    Mode,
+    PwsSystem,
+    builtin_config_path,
+    load_system,
+    load_system_file,
+)
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +24,11 @@ def ex1():
 @pytest.fixture(scope="session")
 def ex2():
     return load_system_file(builtin_config_path("example2"))
+
+
+# the eight starts of the shipped examples' golden runs
+GOLDEN_STARTS = [(-5.0, -5.0), (-5.0, 5.0), (5.0, -5.0), (5.0, 5.0),
+                 (-3.0, -4.0), (-0.3, 2.0), (4.0, -3.0), (2.0, 4.0)]
 
 
 def make_system(doc: dict):
@@ -74,3 +90,41 @@ def chain3d():
         "manifolds": [{"c": [1.0, 0.0, 0.0], "d": 0.0}],
         "box": {"lower": [-5, -5, -5], "upper": [5, 5, 5]},
     })
+
+
+# one mode whose fast eigenvalue -5000 puts h lambda = -5 outside RK4's real
+# stability interval (about [-2.79, 0]) at the default step 1e-3
+STIFF = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": [[-5000.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}],
+    "manifolds": [],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
+
+@pytest.fixture(scope="session")
+def circle():
+    """-I x inside and -I x + (1, 0) outside the circle x.x = 4: every grid
+    line through the disc meets the manifold twice, and the jump measure at
+    (2, 0) is (a.b + |a||b|)/2 = 4 > 0 for a = (1, 0), b = grad H = (4, 0)."""
+    eye = np.eye(2)
+    return PwsSystem(
+        2, "chain",
+        [Mode.from_affine(1, -eye, [0.0, 0.0]), Mode.from_affine(2, -eye, [1.0, 0.0])],
+        [Manifold.from_handles("circle", lambda x: float(x @ x) - 4.0,
+                               lambda x: 2.0 * np.asarray(x))],
+        AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """Counts of block-stack builds keyed by (id(field), h, block)."""
+    counts = collections.Counter()
+    build = AffineField._build_stacks
+
+    def counting(field, h, block):
+        counts[(id(field), h, block)] += 1
+        return build(field, h, block)
+
+    monkeypatch.setattr(AffineField, "_build_stacks", counting)
+    return counts

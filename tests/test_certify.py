@@ -99,6 +99,15 @@ class TestChainCertificate:
             check_chain_certificate(ex2, Metric.identity(2, 1.0))
 
 
+    def test_grid_samples_a_closed_smooth_manifold(self, circle):
+        report = check_chain_certificate(circle, Metric.identity(2, 0.5),
+                                         strategy="grid")
+        jump = next(c for c in report.conditions if c.cond_id == "jump[1]")
+        assert math.isfinite(jump.worst) and jump.worst > 0.0
+        assert jump.point is not None
+        assert not report.passed
+
+
 class TestCrossCertificate:
     def test_example2_passes(self, ex2):
         report = check_cross_certificate(ex2, Metric.identity(2, 1.87))

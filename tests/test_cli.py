@@ -10,6 +10,8 @@ import pytest
 from pwscontract.cli import main
 from pwscontract.model import builtin_config_path
 
+from conftest import STIFF
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -275,6 +277,27 @@ class TestUsageErrors:
         assert rc in (0, 1)
         assert (tmp_path / "pw.json").exists()
         assert main(["certify", *common, "--out", str(tmp_path / "c.json")]) == 1
+
+
+class TestNumericalRefusal:
+    def test_certified_stiff_mode_exits_one_without_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "stiff.json"
+        cfg.write_text(json.dumps(STIFF))
+        assert main(["certify", "--config", str(cfg), "--Q", "identity",
+                     "--c", "0.9", "--out", str(tmp_path / "cert.json")]) == 0
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--x0", "1,1",
+                     "--t-final", "1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "use a smaller --step" in capsys.readouterr().err
+
+    def test_stiff_mode_at_a_stable_step(self, tmp_path):
+        cfg = tmp_path / "stiff.json"
+        cfg.write_text(json.dumps(STIFF))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--x0", "1,1",
+                     "--t-final", "1", "--step", "1e-4", "--out", str(out)]) == 0
+        assert np.all(np.isfinite(final_state(out)))
 
 
 class TestManifest:

@@ -4,10 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract.model import Mode, PwsSystem, TopologyError, locate
+from pwscontract.model import (
+    AffineField,
+    AnalysisBox,
+    Mode,
+    PwsSystem,
+    TopologyError,
+    builtin_config_path,
+    load_system_file,
+    locate,
+)
 from pwscontract.filippov import (
     EscapingRegionError,
+    NonFiniteStateError,
     SolverOptions,
+    StiffStepError,
     classify_boundary,
     integrate,
     lie_derivative,
@@ -15,8 +26,18 @@ from pwscontract.filippov import (
     sliding_field,
     write_trajectory_csv,
 )
+from pwscontract.regularize import integrate_regularized
 
-from conftest import make_system
+from conftest import GOLDEN_STARTS, STIFF, make_system
+
+
+def fresh(name):
+    return load_system_file(builtin_config_path(name))
+
+
+def same_trajectory(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
+               for k in ("times", "states", "lambdas", "seg_index"))
 
 
 class TestLieDerivative:
@@ -321,3 +342,76 @@ class TestTrajectoryCsv:
         xs = np.array([[float(r[1]), float(r[2])] for r in rows])
         assert np.array_equal(ts, traj.times)
         assert np.array_equal(xs, traj.states)
+
+
+class TestNumericalRefusals:
+    def test_stiff_mode_refused(self):
+        with pytest.raises(StiffStepError,
+                           match=r"mode 1: RK4 step h=0\.001 .* 13\.7083 >= 1; "
+                                 r"use a smaller --step"):
+            integrate(make_system(STIFF), [1.0, 1.0], 1.0)
+
+    def test_stiff_mode_refused_in_regularized_run(self):
+        with pytest.raises(StiffStepError, match="mode 1"):
+            integrate_regularized(make_system(STIFF), 1e-2, [1.0, 1.0], 1.0)
+
+    def test_stiff_mode_runs_at_a_stable_step(self):
+        traj = integrate(make_system(STIFF), [1.0, 1.0], 1.0, SolverOptions(step=1e-4))
+        assert np.all(np.isfinite(traj.states))
+        assert abs(traj.final_state[1] - math.exp(-1.0)) < 1e-12
+
+    def test_slow_decay_is_not_refused(self):
+        # |R(h)| rounds to 1 along the slow direction; the growth test must
+        # not read that as instability
+        Rs, _ = AffineField(np.diag([-1e-14, -1.0]), [0.0, 0.0]).stacks(1e-3, 4)
+        assert Rs[-1, 0, 0] == 1.0
+
+    def test_blow_up_refused(self):
+        # x' = x^2 from x = 1 blows up at t = 1; RK4 overflows soon after
+        mode = Mode.from_handles(1, lambda x: x * x, lambda x: np.diag(2.0 * x))
+        system = PwsSystem(2, "chain", [mode], [], AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError,
+                                                      match="not finite from t=1"):
+            integrate(system, [1.0, 1.0], 2.0)
+
+
+class TestBlockMapCache:
+    def test_built_once_per_system(self, stack_builds):
+        system = fresh("example2")
+        for _ in range(3):
+            for x0 in GOLDEN_STARTS:
+                integrate(system, x0, 20.0)
+        assert stack_builds and set(stack_builds.values()) == {1}
+        fields = {id(m.affine) for m in system.modes}
+        assert {key[0] for key in stack_builds} <= fields
+        assert {key[1:] for key in stack_builds} == {(1e-3, 256)}
+
+    def test_interleaved_options_match_fresh_system(self):
+        shared = fresh("example1")
+        plan = [SolverOptions(step=1e-3), SolverOptions(step=7.3e-3),
+                SolverOptions(block=64), SolverOptions(step=7.3e-3),
+                SolverOptions(step=1e-3, block=64), SolverOptions(step=1e-3)]
+        for opts in plan:
+            for x0 in ((-3.0, -4.0), (4.0, -3.0)):
+                assert same_trajectory(integrate(shared, x0, 5.0, opts),
+                                       integrate(fresh("example1"), x0, 5.0, opts))
+        for mode, new in zip(shared.modes, fresh("example1").modes):
+            for h, block in ((1e-3, 256), (7.3e-3, 256), (1e-3, 64)):
+                for a, b in zip(mode.affine.stacks(h, block), new.affine.stacks(h, block)):
+                    assert np.array_equal(a, b)
+
+    def test_cached_arrays_are_read_only(self, ex1):
+        Rs, rs = ex1.modes[0].affine.stacks(1e-3, 256)
+        assert not Rs.flags.writeable and not rs.flags.writeable
+        with pytest.raises(ValueError):
+            Rs[0, 0, 0] = 0.0
+        assert ex1.modes[0].affine.stacks(1e-3, 256)[0] is Rs
+
+    def test_stacks_are_sequential_powers(self, ex1):
+        field = ex1.modes[0].affine
+        R, r = field.step_map(1e-3)
+        Rs, rs = field.stacks(1e-3, 8)
+        acc, off = R, r
+        for k in range(8):
+            assert np.array_equal(Rs[k], acc) and np.array_equal(rs[k], off)
+            acc, off = R @ acc, R @ off + r

@@ -21,6 +21,7 @@ from pwscontract.model import (
     load_system_file,
     locate,
 )
+from pwscontract.model import _manifold_grid
 
 from conftest import make_system
 
@@ -288,6 +289,14 @@ class TestTransversality:
         })
         report = check_transversality(system, points_per_axis=11)
         assert len(report.violations) == report.samples_checked == 11
+
+    def test_circle_sampled_where_lines_meet_it_twice(self, circle):
+        report = check_transversality(circle, points_per_axis=101)
+        assert report.ok
+        # 39 grid lines cross the disc twice, the lines x2 = +-2 touch it once
+        assert report.samples_checked == 80
+        for x in _manifold_grid(circle.box, circle.manifolds[0], 101):
+            assert abs(circle.manifolds[0].h(x)) <= 1e-10
 
     def test_single_mode_empty(self, single_mode):
         report = check_transversality(single_mode)

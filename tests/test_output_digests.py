@@ -1,16 +1,24 @@
 """SHA-256 of the data outputs (CSV and report JSON, not manifests) of the
 README commands, of `certify` on both examples with both strategies, and of
-`reproduce 1/2`, run in-process. A refactor that keeps behaviour keeps these
-bytes. The digests were taken with numpy 2.4 on x86-64; another BLAS or CPU
-may round a matrix product differently and change them."""
+`reproduce 1/2`, run in-process; and of the raw trajectory arrays (times,
+states, lambdas, seg_index) of `integrate` and `integrate_regularized` runs
+on the shipped examples and the extended chains. A refactor that keeps
+behaviour keeps these bytes. The digests were taken with numpy 2.4 on
+x86-64; another BLAS or CPU may round a matrix product differently and
+change them."""
 
 import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from pwscontract.cli import main
+from pwscontract.filippov import SolverOptions, integrate
+from pwscontract.regularize import integrate_regularized
+
+from conftest import GOLDEN_STARTS
 
 README_SWEEP = "1e-1,3e-2,1e-2,3e-3,1e-3"
 
@@ -47,3 +55,73 @@ def test_data_output_digest(tmp_path, name):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the chains slide for most of their run, so they run briefly from few starts
+CHAIN_STARTS = [(-5.0, -5.0), (4.0, -3.0), (2.0, 4.0)]
+STARTS_3D = [(-4.0, 3.0, -2.0), (0.5, 1.0, -1.0)]
+
+
+def _pool(system, seed=2024, size=20):
+    """The fixed spread of pairwise starts over the box that the benchmark's
+    ensemble workload pairs up."""
+    box = system.box
+    return list(np.random.default_rng(seed).uniform(box.lower, box.upper,
+                                                    (size, system.dimension)))
+
+
+# name -> (system fixture, starts, runner(system, x0), digest)
+TRAJECTORY_CASES = {
+    "integrate-example1-1e-3": (
+        "ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
+        "2cd6a26ffaf97e9d6c25c9ecfb8f9ab57d4729c9b21c84a7ecd618b3c50785da"),
+    "integrate-example1-7.3e-3": (
+        "ex1", GOLDEN_STARTS,
+        lambda s, x: integrate(s, x, 20.0, SolverOptions(step=7.3e-3)),
+        "a22ee8cbf69007d507e31aea09e002b121bc2fc8e33396d72d2a5d9f4717f45a"),
+    "integrate-example2-1e-3": (
+        "ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
+        "eff82d239f473ef8d40eaf1159fc5f303abadd13cdd02d09a66ea74caea054a9"),
+    "integrate-example2-7.3e-3": (
+        "ex2", GOLDEN_STARTS,
+        lambda s, x: integrate(s, x, 20.0, SolverOptions(step=7.3e-3)),
+        "db5c1b7c98dc76606bcf6f75d8c5a286ae94087daf672418ada1e1f283906bff"),
+    "pairwise-pool-example1": (
+        "ex1", _pool, lambda s, x: integrate(s, x, 10.0),
+        "5e0e931d6a2e2eb8665e33d73506b58a9b4a5fa887bd03cd530e50eb634d03a3"),
+    "regularized-example1-1e-2": (
+        "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
+        "6f93cd293fc291158ad198dc29df64e358d7a0fa13995f7b2e8cdcd5e7470953"),
+    "regularized-example2-1e-2": (
+        "ex2", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
+        "44680749fb096bd4c3304a40f17f02b34802d9777b8f320b439b52a76e043f01"),
+    "integrate-chain4": (
+        "chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0),
+        "6a89cbb1a1205f4e36c668336d44741d72ebb0a7bbf11a82313594540e69de73"),
+    "regularized-chain4-1e-2": (
+        "chain4", CHAIN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
+        "ce01505fe79ebd50cf3552bf33db50285e989829f18f8e89fee8493b8e662b9f"),
+    "integrate-chain3d": (
+        "chain3d", STARTS_3D, lambda s, x: integrate(s, x, 3.0),
+        "44293b4df87e163ec5ab1e0788d75dda5c894754f72efa07c94c1713bdd0c7bb"),
+    "regularized-chain3d-1e-2": (
+        "chain3d", STARTS_3D, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
+        "c42f49e1a57abee9d8377966698d1e273f425636e8fb6545436c279f90017b6e"),
+}
+
+
+def trajectory_digest(trajs) -> str:
+    h = hashlib.sha256()
+    for traj in trajs:
+        for a in (traj.times, traj.states, traj.lambdas, traj.seg_index):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_CASES))
+def test_trajectory_digest(request, name):
+    fixture, starts, run, digest = TRAJECTORY_CASES[name]
+    system = request.getfixturevalue(fixture)
+    if callable(starts):
+        starts = starts(system)
+    assert trajectory_digest(run(system, np.array(x0)) for x0 in starts) == digest

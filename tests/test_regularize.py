@@ -1,11 +1,19 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pwscontract.filippov import SolverOptions, integrate, sliding_field
-from pwscontract.model import Manifold, Mode, PwsSystem, AnalysisBox, TopologyError
+from pwscontract.model import (
+    AnalysisBox,
+    Manifold,
+    Mode,
+    PwsSystem,
+    TopologyError,
+    builtin_config_path,
+)
 from pwscontract.regularize import (
     ConvergenceTable,
     RegularizedSystem,
@@ -339,6 +347,13 @@ class TestConvergenceStudy:
     def test_rejects_non_decreasing(self, ex1):
         with pytest.raises(ValueError, match="decreasing"):
             convergence_study(ex1, [0.0, 0.0], 1.0, [1e-2, 1e-1])
+
+    def test_base_block_maps_built_once(self, stack_builds):
+        # the Filippov reference and every band width share the base modes
+        system = make_system(json.loads(builtin_config_path("example1").read_text()))
+        convergence_study(system, [-3.0, -4.0], 5.0, [1e-1, 1e-2, 1e-3])
+        assert stack_builds and set(stack_builds.values()) == {1}
+        assert {key[0] for key in stack_builds} <= {id(m.affine) for m in system.modes}
 
     def test_rejects_nonpositive(self, ex1):
         with pytest.raises(ValueError, match="positive"):
