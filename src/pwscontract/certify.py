@@ -6,7 +6,13 @@ closed mode regions and the manifold (jump) conditions over the switching
 manifolds; the regularized checkers quantify the same data over band-inflated
 regions. For affine data every quantified matrix is affine in x, so worst
 cases are attained at polytope vertices (mu_Q is convex); the vertex strategy
-evaluates only there. The grid strategy meshes each domain instead.
+evaluates only there, at the points of ``model.polytope_vertices``. The grid
+strategy meshes each domain instead.
+
+One table builder per topology serves both forms: ``_band(man, w)`` gives a
+manifold's equality (w = 0) or its closed slab (w = eps). The vertex order is
+part of the output, since a report names the first maximum and conditions
+often tie at several vertices; see ``polytope_vertices``.
 """
 
 from __future__ import annotations
@@ -24,12 +30,10 @@ from .model import (
     Manifold,
     PwsSystem,
     _chain_bands_disjoint,
-    _dedupe,
-    _hyperplane_box_vertices,
     _manifold_grid,
-    _slab_box_vertices,
     box_grid,
     check_intersection_assumption,
+    polytope_vertices,
 )
 from .filippov import SolverOptions, integrate
 
@@ -69,12 +73,6 @@ class ConditionResult:
     margin: float
     point: Optional[tuple]
     method: str
-
-    def strict_margin(self) -> float:
-        """Margin against the exact bound, without the floating-point allowance."""
-        if self.kind == "flow":
-            return self.margin
-        return self.margin - (TOL_EQ if self.kind == "equality" else TOL_ZERO)
 
 
 @dataclass
@@ -118,35 +116,6 @@ class CertificateReport:
                 for c in self.conditions
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# polytope vertex enumeration (affine data only)
-
-
-def _polytope_vertices_2d(eqs, ineqs, box: AnalysisBox, tol=1e-9):
-    """Vertices of a planar polytope given by equalities a.x = b, inequalities
-    a.x <= b, and the box."""
-    lines = [(np.asarray(a, dtype=float), float(b)) for a, b in eqs]
-    cons = [(np.asarray(a, dtype=float), float(b)) for a, b in ineqs]
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        cons.append((e.copy(), float(box.upper[i])))
-        cons.append((-e, float(-box.lower[i])))
-    boundaries = lines + cons
-    pts = []
-    for i in range(len(boundaries)):
-        for j in range(i + 1, len(boundaries)):
-            M = np.vstack([boundaries[i][0], boundaries[j][0]])
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            p = np.linalg.solve(M, np.array([boundaries[i][1], boundaries[j][1]]))
-            ok = all(abs(float(np.dot(a, p)) - b) <= tol for a, b in lines) and \
-                all(float(np.dot(a, p)) <= b + tol for a, b in cons)
-            if ok:
-                pts.append(p)
-    return _dedupe(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +209,7 @@ def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
     box = box or system.box
     if system.topology == "chain":
         return _chain_table(system, box, strategy, eps)
-    if eps is None:
-        return _cross_table(system, box, strategy)
-    return _regularized_cross_table(system, box, strategy, eps)
+    return _cross_table(system, box, strategy, eps)
 
 
 def _add_flow(table, system, box, i, domain, inflate=None):
@@ -334,9 +301,7 @@ def _chain_table(system, box, strategy, eps):
             return np.outer(system.f(j, x) - system.f(i, x), man.grad(x))
 
         def vertices(man=man):
-            if eps is None:
-                return _hyperplane_box_vertices(*man.affine, box)
-            return _slab_box_vertices(man.affine[0], man.affine[1], eps, box)
+            return polytope_vertices(*_band(man, eps or 0.0), box)
 
         if eps is None:
             surfaces = [man]
@@ -403,83 +368,71 @@ def _cross_setup(system):
     return chk, combos
 
 
-def _cross_table(system, box, strategy):
-    chk, (full1, full2, diag, neg_diag) = _cross_setup(system)
-    x_tilde = chk.x_tilde
-    m1, m2 = system.manifolds
-    table = ConditionTable(2, strategy,
-                           notes=f"certified crossing sector S_{chk.sector}")
-    for i in (1, 2, 3, 4):
-        _add_flow(table, system, box, i, f"closure(S_{i}) in box")
-    for idx, man, combo in ((0, m1, full1), (1, m2, full2)):
-        _add_jump(table, system, box, f"manifold[{idx + 1}]", f"{man.label} in box",
-                  lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
-                  lambda man=man: _hyperplane_box_vertices(*man.affine, box), [man])
-    half_specs = [
-        ("half[1,+]", 0, m2, 1, diag, f"{m1.label} with {m2.label}>0"),
-        ("half[1,-]", 0, m2, -1, neg_diag, f"{m1.label} with {m2.label}<0"),
-        ("half[2,+]", 1, m1, 1, diag, f"{m2.label} with {m1.label}>0"),
-        ("half[2,-]", 1, m1, -1, neg_diag, f"{m2.label} with {m1.label}<0"),
-    ]
-    for cond_id, man_idx, other, side, combo, domain in half_specs:
-        man = system.manifolds[man_idx]
-        oc, od = other.affine
+def _band(man, w):
+    """(eqs, ineqs) of ``polytope_vertices`` for an affine manifold: the
+    equality H = 0 when w = 0, the closed slab |H| <= w when w > 0."""
+    c, d = man.affine
+    if w == 0:
+        return [(c, d)], []
+    return [], [(c, d + w), (-c, -(d - w))]
 
-        def vertex_pts(man=man, oc=oc, od=od, side=side):
-            return _polytope_vertices_2d(
-                [man.affine], [((-side) * oc, (-side) * od)], box)
+
+def _cross_table(system, box, strategy, eps=None):
+    """The limit cross conditions (eps None), or the band-inflated ones: the
+    manifolds become closed eps-bands, the half-manifolds the band arms
+    outside the central square, and the intersection point that square."""
+    lim = eps is None
+    if not lim:
+        if eps <= 0:
+            raise CertificateError("eps must be positive")
+        if strategy != "vertex" or not system.is_affine:
+            raise CertificateError(
+                "the regularized cross checker evaluates affine data by vertices")
+    chk, (full1, full2, diag, neg_diag) = _cross_setup(system)
+    m1, m2 = system.manifolds
+    w = 0.0 if lim else eps
+    table = ConditionTable(2, strategy, notes=f"certified crossing sector S_{chk.sector}"
+                           if lim else f"band half-width eps={eps}")
+    for i in (1, 2, 3, 4):
+        _add_flow(table, system, box, i, f"closure(S_{i}) in box" if lim else
+                  f"{eps}-inflated quadrant of S_{i} in box")
+    # (id, domain, manifold, field combination, (other manifold, side) of an arm)
+    specs = [(f"manifold[{k}]" if lim else f"band[{k}]",
+              f"{man.label} in box" if lim else f"closed {eps}-band of {man.label}",
+              man, combo, None)
+             for k, man, combo in ((1, m1, full1), (2, m2, full2))]
+    for half_id, arm_id, man, other, side, combo in (
+            ("half[1,+]", "region[6]", m1, m2, 1, diag),
+            ("half[1,-]", "region[4]", m1, m2, -1, neg_diag),
+            ("half[2,+]", "region[2]", m2, m1, 1, diag),
+            ("half[2,-]", "region[8]", m2, m1, -1, neg_diag)):
+        rel = ">" if side > 0 else "<"
+        cond_id, domain = (
+            (half_id, f"{man.label} with {other.label}{rel}0") if lim else
+            (arm_id, f"{man.label}-band arm with {other.label}{rel}= {side * eps}"))
+        specs.append((cond_id, domain, man, combo, (other, side)))
+    for cond_id, domain, man, combo, arm in specs:
+
+        def vertex_pts(man=man, arm=arm):
+            eqs, ineqs = _band(man, w)
+            if arm is not None:  # side * H_other >= w
+                other, side = arm
+                oc, od = other.affine
+                ineqs = ineqs + [((-side) * oc, (-side) * od - w)]
+            return polytope_vertices(eqs, ineqs, box)
 
         _add_jump(table, system, box, cond_id, domain,
                   lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
                   vertex_pts, [man],
-                  extra_filter=lambda p, oc=oc, od=od, side=side:
-                      side * (float(np.dot(oc, p)) - od) >= -1e-12)
-    table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde)}",
-              "point", [], [x_tilde],
-              residual=float(np.linalg.norm(diag(x_tilde))))
-    return table
-
-
-def _regularized_cross_table(system, box, strategy, eps):
-    if eps <= 0:
-        raise CertificateError("eps must be positive")
-    if strategy != "vertex" or not system.is_affine:
-        raise CertificateError(
-            "the regularized cross checker evaluates affine data by vertices")
-    _, (full1, full2, diag, neg_diag) = _cross_setup(system)
-    m1, m2 = system.manifolds
-    c1, d1 = m1.affine
-    c2, d2 = m2.affine
-    table = ConditionTable(2, "vertex", notes=f"band half-width eps={eps}")
-    for i in (1, 2, 3, 4):
-        table.add(f"flow[{i}]", "flow", f"{eps}-inflated quadrant of S_{i} in box",
-                  "vertex (constant)", [system.modes[i - 1].affine.A], [None])
-
-    def add_mu(cond_id, domain, combo, man, pts):
-        table.add(cond_id, "jump", domain, "vertex",
-                  [np.outer(combo(x), man.grad(x)) for x in pts], pts)
-
-    add_mu("band[1]", f"closed {eps}-band of {m1.label}", full1, m1,
-           _slab_box_vertices(c1, d1, eps, box))
-    add_mu("band[2]", f"closed {eps}-band of {m2.label}", full2, m2,
-           _slab_box_vertices(c2, d2, eps, box))
-
-    band1 = [(c1, d1 + eps), (-c1, -(d1 - eps))]  # |H1| <= eps
-    band2 = [(c2, d2 + eps), (-c2, -(d2 - eps))]  # |H2| <= eps
-    arm_specs = [
-        ("region[6]", band1 + [(-c2, -(d2 + eps))], diag, m1,  # H2 >= eps
-         f"{m1.label}-band arm with {m2.label}>= {eps}"),
-        ("region[4]", band1 + [(c2, d2 - eps)], neg_diag, m1,  # H2 <= -eps
-         f"{m1.label}-band arm with {m2.label}<= -{eps}"),
-        ("region[2]", band2 + [(-c1, -(d1 + eps))], diag, m2,  # H1 >= eps
-         f"{m2.label}-band arm with {m1.label}>= {eps}"),
-        ("region[8]", band2 + [(c1, d1 - eps)], neg_diag, m2,  # H1 <= -eps
-         f"{m2.label}-band arm with {m1.label}<= -{eps}"),
-    ]
-    for cond_id, ineqs, combo, man, domain in arm_specs:
-        add_mu(cond_id, domain, combo, man, _polytope_vertices_2d([], ineqs, box))
-
-    square = _polytope_vertices_2d([], band1 + band2, box)
+                  extra_filter=None if arm is None else
+                  lambda p, arm=arm: arm[1] * arm[0].h(p) >= -1e-12)
+    if lim:
+        x_tilde = chk.x_tilde
+        table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde)}",
+                  "point", [], [x_tilde],
+                  residual=float(np.linalg.norm(diag(x_tilde))))
+        return table
+    square = polytope_vertices([], _band(m1, w)[1] + _band(m2, w)[1], box)
     norms = [float(np.linalg.norm(diag(p))) for p in square]
     residual = max(norms, default=0.0)
     table.add("square-eq", "equality",

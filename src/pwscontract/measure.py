@@ -101,6 +101,20 @@ def _eig_max(S: np.ndarray) -> float:
     return float(np.max(_jacobi_eigenvalues(S)))
 
 
+def _eig_range(S: np.ndarray) -> tuple:
+    """(smallest, largest) eigenvalue of a matrix known to be symmetric
+    positive definite. For n = 2 the smallest is det / largest, which does not
+    cancel when the two differ in scale; for n > 2 both come from one Jacobi
+    run."""
+    n = S.shape[0]
+    if n == 2:
+        hi = _eig_max(S)
+        b = 0.5 * (S[0, 1] + S[1, 0])
+        return float((S[0, 0] * S[1, 1] - b * b) / hi), hi
+    eig = _jacobi_eigenvalues(S) if n > 2 else np.diag(S)
+    return float(np.min(eig)), float(np.max(eig))
+
+
 def sym_eig_max(S) -> float:
     """Largest eigenvalue of a symmetric matrix.
 
@@ -135,8 +149,7 @@ def _factor(Q) -> tuple:
     L = _cholesky_lower(Qs)
     if L is None:
         raise ValueError("Q must be symmetric positive definite")
-    lam_hi = _eig_max(Qs)
-    lam_lo = -_eig_max(-Qs)
+    lam_lo, lam_hi = _eig_range(Qs)
     if lam_lo <= 0.0 or lam_hi / lam_lo > _COND_LIMIT:
         raise ValueError("Q is singular or too ill-conditioned (cond > 1e12)")
     Linv = _lower_inverse(L)
@@ -191,7 +204,7 @@ def matrix_measure(Q, A) -> float:
     return float(measure_many(Q, A[None])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """Contraction certificate candidate: a PD weight matrix Q and a rate c >= 0."""
 
@@ -236,6 +249,5 @@ class Metric:
         return float(np.linalg.norm(self.Q @ np.asarray(v, dtype=float)))
 
     def cond(self) -> float:
-        lam_hi = sym_eig_max(self.Q)
-        lam_lo = -sym_eig_max(-self.Q)
-        return float(lam_hi / lam_lo)
+        lam_lo, lam_hi = _eig_range(self.Q)
+        return lam_hi / lam_lo

@@ -12,6 +12,7 @@ modes in the fixed sign order::
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -41,6 +42,7 @@ __all__ = [
     "check_intersection_assumption",
     "check_box_invariance",
     "box_grid",
+    "polytope_vertices",
 ]
 
 TOL_BOUNDARY = 1e-9
@@ -77,7 +79,7 @@ class StiffStepError(RuntimeError):
     mode, so the discrete flow would grow where the true flow decays."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineField:
     """Affine vector field f(x) = A x + b, with the data of its classical RK4
     transition map.
@@ -282,7 +284,7 @@ class Manifold:
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisBox:
     """Axis-aligned box standing in for the forward-invariant analysis set."""
 
@@ -308,14 +310,6 @@ class AnalysisBox:
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-    def corners(self) -> np.ndarray:
-        n = self.dimension
-        out = np.empty((2 ** n, n))
-        for k in range(2 ** n):
-            for i in range(n):
-                out[k, i] = self.upper[i] if (k >> i) & 1 else self.lower[i]
-        return out
 
 
 @dataclass(frozen=True)
@@ -553,36 +547,32 @@ def _dedupe(points, tol=1e-9):
     return out
 
 
-def _hyperplane_box_vertices(c, d, box: AnalysisBox, tol=1e-9):
-    """Vertices of {x in box : c.x = d}: box-edge intersections and box
-    corners lying on the plane. Works in any dimension."""
-    c = np.asarray(c, dtype=float)
+def polytope_vertices(eqs, ineqs, box: AnalysisBox, tol=1e-9) -> list:
+    """Vertices of {x in box : a.x = b for (a, b) in eqs, a.x <= b for (a, b)
+    in ineqs}, in any dimension n: the feasible solutions of every n-subset of
+    the boundary rows that holds all the equalities, with |det| >= 1e-12.
+
+    The order is part of the result, since a reported worst case is the first
+    maximum over these points: the rows are the given constraints, then the
+    box faces from the last axis to the first, lower before upper; subsets go
+    in ``itertools.combinations`` order, and a repeated point keeps its first
+    occurrence."""
     n = box.dimension
-    corners = box.corners()
-    hv = corners @ c - d
-    pts = [corners[k].copy() for k in range(len(corners)) if abs(hv[k]) <= tol]
-    for k in range(len(corners)):
-        for a in range(n):
-            if (k >> a) & 1:
-                continue
-            k2 = k | (1 << a)
-            h0, h1 = hv[k], hv[k2]
-            if h0 * h1 < 0:
-                t = h0 / (h0 - h1)
-                p = corners[k].copy()
-                p[a] += t * (corners[k2][a] - corners[k][a])
-                pts.append(p)
-    return _dedupe(pts)
-
-
-def _slab_box_vertices(c, d, eps, box: AnalysisBox, tol=1e-9):
-    """Vertices of {x in box : |c.x - d| <= eps}."""
-    pts = _hyperplane_box_vertices(c, d + eps, box, tol)
-    pts += _hyperplane_box_vertices(c, d - eps, box, tol)
-    for corner in box.corners():
-        if abs(float(np.dot(c, corner)) - d) <= eps + tol:
-            pts.append(corner.copy())
-    return _dedupe(pts)
+    rows = [(np.asarray(a, dtype=float), float(b)) for a, b in (*eqs, *ineqs)]
+    for i in reversed(range(n)):
+        e = np.eye(n)[i]
+        rows += [(-e, -float(box.lower[i])), (e, float(box.upper[i]))]
+    a = np.array([r for r, _ in rows])
+    b = np.array([v for _, v in rows])
+    m = len(eqs)
+    subsets = np.array([s for s in itertools.combinations(range(len(rows)), n)
+                        if s[:m] == tuple(range(m))], dtype=np.intp).reshape(-1, n)
+    M, rhs = a[subsets], b[subsets]
+    keep = np.abs(np.linalg.det(M)) >= 1e-12
+    pts = np.linalg.solve(M[keep], rhs[keep][..., None])[..., 0]
+    r = pts @ a.T - b
+    ok = np.all(np.abs(r[:, :m]) <= tol, axis=1) & np.all(r[:, m:] <= tol, axis=1)
+    return _dedupe(list(pts[ok]))
 
 
 def _chain_bands_disjoint(system: PwsSystem, eps: float,
@@ -591,12 +581,10 @@ def _chain_bands_disjoint(system: PwsSystem, eps: float,
     disjoint and in chain order inside the box: {H_k <= eps} ∩ box must lie
     in {H_k+1 < -eps}. Exact via the vertices of {H_k <= eps} ∩ box; at
     eps = 0 this is the chain order of the manifolds themselves."""
-    corners = box.corners()
     for k in range(len(system.manifolds) - 1):
         c0, d0 = system.manifolds[k].affine
         c1, d1 = system.manifolds[k + 1].affine
-        below = [p for p in corners if float(np.dot(c0, p)) - d0 <= eps]
-        below += _hyperplane_box_vertices(c0, d0 + eps, box)
+        below = polytope_vertices([], [(c0, d0 + eps)], box)
         if any(float(np.dot(c1, v)) - d1 >= -eps for v in below):
             return False
     return True

@@ -21,8 +21,6 @@ from .certify import (
     CertificateError,
     CertificateReport,
     ConditionTable,
-    check_chain_certificate,
-    check_cross_certificate,
     condition_table,
     PASS_TOL,
 )
@@ -54,12 +52,6 @@ class SearchResult:
     trace: list = field(default_factory=list)  # (c, best inner margin)
 
 
-def _check(system: PwsSystem, metric: Metric, box) -> CertificateReport:
-    if system.topology == "chain":
-        return check_chain_certificate(system, metric, box)
-    return check_cross_certificate(system, metric, box)
-
-
 def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
     """Aggregate margin of a trial Q at rate c, from one batch evaluation of
     the table; see ``margin`` below for the convention."""
@@ -83,15 +75,9 @@ def margin(system: PwsSystem, metric: Metric,
     do not cap the margin, since no choice of c improves them; when violated
     they contribute their negative margin.
     """
-    report = _check(system, metric, box)
-    out = math.inf
-    for cond in report.conditions:
-        sm = cond.strict_margin()
-        if cond.kind == "flow":
-            out = min(out, sm)
-        elif cond.margin < -PASS_TOL:
-            out = min(out, sm)
-    return out
+    if metric.dimension != system.dimension:
+        raise CertificateError("metric dimension does not match the system")
+    return _search_margin(condition_table(system, box), metric.Q, metric.c)
 
 
 def _params_to_q(theta: np.ndarray, n: int) -> Optional[np.ndarray]:

@@ -209,6 +209,11 @@ class TestMetric:
         assert m.cond() == pytest.approx(1.0, abs=1e-12)
         assert m.weighted_norm([3.0, 4.0, 0.0]) == pytest.approx(5.0)
 
+    def test_cond_does_not_cancel(self):
+        # lambda_min as -lambda_max(-Q) loses it to cancellation: 1.0008e14
+        assert Metric(np.diag([1.0, 1e-14]), 0.5).cond() == pytest.approx(1e14, rel=1e-12)
+        assert Metric(np.diag([4.0, 1.0, 0.5]), 0.5).cond() == pytest.approx(8.0, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # the batched kernel: one factor of Q, a (k, n, n) stack of matrices

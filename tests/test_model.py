@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+from pwscontract.measure import Metric
 from pwscontract.model import (
     AffineField,
     AnalysisBox,
@@ -20,6 +23,7 @@ from pwscontract.model import (
     load_system,
     load_system_file,
     locate,
+    polytope_vertices,
 )
 from pwscontract.model import _manifold_grid
 
@@ -138,6 +142,86 @@ class TestBoxGrid:
         assert pts.tolist() == [[0.0, 0.0, 20.0], [0.0, 0.0, 21.0],
                                 [1.0, 0.0, 20.0], [1.0, 0.0, 21.0]]
         assert box_grid(box, 3).shape == (27, 3)
+
+
+# ---------------------------------------------------------------------------
+# polytope vertices: {x in box : eqs, ineqs} for any n
+
+tenths = st.integers(-20, 20).map(lambda k: k / 10)
+
+
+@st.composite
+def polytopes(draw):
+    """A box around the origin cut by random planes, slabs |c.x - d| <= w and
+    a half-space, and sometimes a slab entirely outside the box (empty).
+    Integer normals and offsets in tenths keep every near-degenerate vertex
+    exactly degenerate, so the LP reference agrees to rounding."""
+    n = draw(st.sampled_from([2, 3]))
+    box = AnalysisBox([draw(st.integers(-20, -1)) / 10 for _ in range(n)],
+                      [draw(st.integers(1, 20)) / 10 for _ in range(n)])
+    normals = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(
+        lambda v: np.array(v, dtype=float))
+    half = st.integers(1, 10).map(lambda k: k / 20)
+    eqs = [(draw(normals), draw(tenths)) for _ in range(draw(st.integers(0, n - 1)))]
+    ineqs = []
+    for _ in range(draw(st.integers(0, 2))):
+        c, d, w = draw(normals), draw(tenths), draw(half)
+        ineqs += [(c, d + w), (-c, -(d - w))]
+    if draw(st.booleans()):
+        ineqs.append((draw(normals), draw(tenths)))
+    if draw(st.booleans()):
+        c, w = draw(normals), draw(half)
+        top = float(np.sum(np.maximum(c * box.lower, c * box.upper)))
+        ineqs += [(c, top + 0.5 + 2 * w), (-c, -(top + 0.5))]
+    objectives = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                               min_size=1, max_size=4))
+    return eqs, ineqs, box, [np.array(w) for w in objectives]
+
+
+class TestPolytopeVertices:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polytopes())
+    def test_feasible_and_maximises_every_linear_objective(self, case):
+        eqs, ineqs, box, objectives = case
+        pts = polytope_vertices(eqs, ineqs, box)
+        for p in pts:
+            assert all(abs(float(a @ p) - b) <= 1e-9 for a, b in eqs)
+            assert all(float(a @ p) <= b + 1e-9 for a, b in ineqs)
+            assert box.contains(p, tol=1e-9)
+        lp = {"A_ub": [a for a, _ in ineqs] or None, "b_ub": [b for _, b in ineqs] or None,
+              "A_eq": [a for a, _ in eqs] or None, "b_eq": [b for _, b in eqs] or None,
+              "bounds": list(zip(box.lower, box.upper))}
+        for w in objectives:
+            res = linprog(-w, **lp)
+            assert (res.status == 2) == (not pts), res.message
+            if pts:
+                best = max(float(w @ p) for p in pts)
+                assert best == pytest.approx(-res.fun, abs=1e-9)
+
+    def test_order_is_constraints_then_faces_last_axis_first_lower_first(self):
+        box = AnalysisBox([-5.0, -5.0], [5.0, 5.0])
+        assert [p.tolist() for p in polytope_vertices([], [], box)] == [
+            [-5.0, -5.0], [5.0, -5.0], [-5.0, 5.0], [5.0, 5.0]]
+        # example1's jump[1] ties at (0, +-5); the report names the first
+        line = polytope_vertices([(np.array([1.0, 0.0]), 0.0)], [], box)
+        assert [p.tolist() for p in line] == [[0.0, -5.0], [0.0, 5.0]]
+
+    def test_band_vertices_lie_exactly_on_the_band_edges(self):
+        eps = 0.0013640389004372535
+        c = np.array([0.0, 1.0])
+        pts = polytope_vertices([], [(c, eps), (-c, eps)], AnalysisBox([-5.0, -5.0],
+                                                                       [5.0, 5.0]))
+        assert sorted(abs(p[1]) for p in pts) == [eps] * 4
+
+
+class TestArrayHoldingDataclasses:
+    def test_compare_by_identity_and_hash(self):
+        for make in (lambda: AffineField(np.eye(2), np.zeros(2)),
+                     lambda: AnalysisBox([-1.0, -1.0], [1.0, 1.0]),
+                     lambda: Metric(np.eye(2), 0.5)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
 
 class TestModeAndManifold:
