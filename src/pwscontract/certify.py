@@ -428,7 +428,7 @@ def _cross_table(system, box, strategy, eps=None):
                   lambda p, arm=arm: arm[1] * arm[0].h(p) >= -1e-12)
     if lim:
         x_tilde = chk.x_tilde
-        table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde)}",
+        table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde.tolist())}",
                   "point", [], [x_tilde],
                   residual=float(np.linalg.norm(diag(x_tilde))))
         return table

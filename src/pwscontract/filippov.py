@@ -12,10 +12,11 @@ every integration of the system. The slide engine evaluates an affine mode
 through its ``AffineField`` and an affine manifold through its constant
 normal, the same arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
-Two numerical refusals guard the output: building the block maps for a step
-at which RK4 grows a decaying mode raises ``StiffStepError``, and a
-trajectory with a NaN or infinite state raises ``NonFiniteStateError``
-instead of being returned.
+Two numerical refusals guard the output: a step at which RK4 grows a
+decaying direction of a mode raises ``StiffStepError`` (for an affine mode
+when its block maps are built, for a handle mode at the Jacobian at the start
+of each flow segment), and a trajectory with a NaN or infinite state raises
+``NonFiniteStateError`` instead of being returned.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (
+    TOL_LIE,
     PwsSystem,
     Manifold,
     StiffStepError,
     TopologyError,
+    _check_rk4_step,
     check_intersection_assumption,
     locate,
 )
@@ -57,6 +60,12 @@ CROSSING = "crossing"
 SLIDING = "sliding"
 ESCAPING = "escaping"
 TANGENTIAL = "tangential"
+
+TOL_EVENT = 1e-10  # |H| at which a bisected boundary hit is accepted
+MAX_BISECT = 80
+TOL_LAMBDA = 1e-10  # a slide exits once its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]
+BLOCK = 256  # exact RK4 steps per affine block
+MAX_TRANSITIONS = 200_000
 
 
 class EscapingRegionError(RuntimeError):
@@ -89,16 +98,9 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Fixed-step solver knobs; the defaults reproduce all shipped results."""
+    """The fixed RK4 base step; the default reproduces all shipped results."""
 
     step: float = 1e-3
-    tol_event: float = 1e-10
-    max_bisect: int = 80
-    tol_lie: float = 1e-10
-    tol_lambda: float = 1e-10
-    tol_boundary: float = 1e-9
-    block: int = 256
-    max_transitions: int = 200_000
 
     def __post_init__(self):
         if self.step <= 0:
@@ -161,12 +163,6 @@ class Trajectory:
     def has_sliding(self) -> bool:
         return any(s.kind == "slide" for s in self.segments)
 
-    def slide_history(self, seg: Segment):
-        """(times, lambdas) recorded along one slide segment."""
-        sid = self.segments.index(seg)
-        mask = self.seg_index == sid
-        return self.times[mask], self.lambdas[mask]
-
 
 def lie_derivative(manifold: Manifold, field_value, x) -> float:
     """Directional derivative of H along a field value: grad H(x) . f."""
@@ -174,7 +170,7 @@ def lie_derivative(manifold: Manifold, field_value, x) -> float:
 
 
 def classify_boundary(system: PwsSystem, manifold_idx: int, x,
-                      tol_lie: float = 1e-10,
+                      tol_lie: float = TOL_LIE,
                       resolve_tangential: bool = True) -> BoundaryClass:
     """Classify a point on a single manifold as crossing, sliding, or escaping.
 
@@ -284,17 +280,17 @@ def _event_flags(h0, h1, tol):
     return (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol)
 
 
-def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0, opts: SolverOptions):
+def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0):
     """Locate a root of H along the step map, returning (theta, state)."""
-    if abs(h0) <= opts.tol_event:
+    if abs(h0) <= TOL_EVENT:
         return 0.0, np.asarray(x0, dtype=float)
     pos0 = h0 > 0
     lo, hi = 0.0, 1.0
-    for _ in range(opts.max_bisect):
+    for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         xm = step_fn(x0, mid * delta)
         hm = man.h(xm)
-        if abs(hm) <= opts.tol_event:
+        if abs(hm) <= TOL_EVENT:
             return mid, xm
         if (hm > 0) == pos0:
             lo = mid
@@ -303,15 +299,14 @@ def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0, opts: SolverOptions)
     return hi, step_fn(x0, hi * delta)
 
 
-def _first_hit(step_fn, surfaces, flagged, x0, delta, h0, opts: SolverOptions):
+def _first_hit(step_fn, surfaces, flagged, x0, delta, h0):
     """Bisect every surface flagged by ``_event_flags`` along the step from x0
     and keep the earliest root (the lowest index on ties): (theta, k,
     unprojected state), or None when nothing is flagged. ``h0`` holds the H
     values at x0 of all ``surfaces``."""
     best = None
     for k in np.flatnonzero(flagged):
-        theta, xe = _bisect_manifold(step_fn, surfaces[k], x0, delta,
-                                     float(h0[k]), opts)
+        theta, xe = _bisect_manifold(step_fn, surfaces[k], x0, delta, float(h0[k]))
         if best is None or theta < best[0]:
             best = (theta, int(k), xe)
     return best
@@ -390,8 +385,15 @@ class _Builder:
 
 def _run_flow_generic(system, mode_idx, x, t, t_stop, opts, builder, seg_id):
     """Step one smooth mode until a manifold hit or t_stop; returns
-    ("t_stop", t, x) or ("hit", manifold_idx, t_e, x_e)."""
-    f = system.modes[mode_idx - 1].f
+    ("t_stop", t, x) or ("hit", manifold_idx, t_e, x_e). Raises
+    StiffStepError when the step grows a decaying direction of the mode's
+    Jacobian at the segment's start."""
+    mode = system.mode(mode_idx)
+    try:
+        _check_rk4_step(np.linalg.eigvals(mode.jac(x)), opts.step)
+    except StiffStepError as exc:
+        raise StiffStepError(f"mode {mode_idx}: {exc}") from None
+    f = mode.f
     mans = system.manifolds
     h0 = system.h_values(x)
     step_fn = lambda x0, d: _rk4(f, x0, d)
@@ -400,9 +402,9 @@ def _run_flow_generic(system, mode_idx, x, t, t_stop, opts, builder, seg_id):
         delta = tn - t
         x1 = _rk4(f, x, delta)
         h1 = system.h_values(x1)
-        flagged = _event_flags(h0, h1, opts.tol_event)
+        flagged = _event_flags(h0, h1, TOL_EVENT)
         if flagged.any():
-            theta, k, xe = _first_hit(step_fn, mans, flagged, x, delta, h0, opts)
+            theta, k, xe = _first_hit(step_fn, mans, flagged, x, delta, h0)
             return "hit", k, t + theta * delta, mans[k].project(xe)
         t, x, h0 = tn, x1, h1
         builder.add_point(t, x, seg_id)
@@ -423,7 +425,7 @@ def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
         return R @ x0 + r
 
     def hit(x0, t0, delta, h0, flags):
-        theta, k, xe = _first_hit(step_fn, surfaces, flags, x0, delta, h0, opts)
+        theta, k, xe = _first_hit(step_fn, surfaces, flags, x0, delta, h0)
         return "hit", k, t0 + theta * delta, surfaces[k].project(xe)
 
     while t < t_stop - 1e-14:
@@ -435,15 +437,15 @@ def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
             h0 = kern.C @ x - kern.d
-            flags = _event_flags(h0, kern.C @ x1 - kern.d, opts.tol_event)
+            flags = _event_flags(h0, kern.C @ x1 - kern.d, TOL_EVENT)
             if flags.any():
                 return hit(x, t, tn - t, h0, flags)
             t, x = tn, x1
             builder.add_point(t, x, seg_id)
             continue
-        m = min(opts.block, m_total)
+        m = min(BLOCK, m_total)
         try:
-            Rs, rs = field.stacks(h, opts.block)
+            Rs, rs = field.stacks(h, BLOCK)
         except StiffStepError as exc:
             raise StiffStepError(f"mode {mode.index}: {exc}") from None
         X = Rs[:m] @ x + rs[:m]
@@ -451,7 +453,7 @@ def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
         Hs = np.empty((m + 1, len(surfaces)))
         Hs[0] = kern.C @ x - kern.d
         Hs[1:] = X @ kern.C.T - kern.d
-        ev = _event_flags(Hs[:-1], Hs[1:], opts.tol_event)
+        ev = _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
         rows = np.flatnonzero(ev.any(axis=1))
         if rows.size:
             idx = int(rows[0])
@@ -507,8 +509,8 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     def h_others(xq):
         return np.array([s.h(xq) for s in surfaces])
 
-    lo_bound = opts.tol_lambda
-    hi_bound = 1.0 - opts.tol_lambda
+    lo_bound = TOL_LAMBDA
+    hi_bound = 1.0 - TOL_LAMBDA
     h0 = h1 = h_others(x)
     while t < t_stop - 1e-14:
         tn = _next_grid(t, opts.step, t_stop)
@@ -520,16 +522,16 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
         hit = None
         if surfaces:
             h1 = h_others(x1)
-            flags = _event_flags(h0, h1, opts.tol_event)
+            flags = _event_flags(h0, h1, TOL_EVENT)
             if flags.any():
-                hit = _first_hit(slide_step, surfaces, flags, x, delta, h0, opts)
+                hit = _first_hit(slide_step, surfaces, flags, x, delta, h0)
         # combination weight leaving [0, 1] marks a candidate exit
         lam1 = lam_at(x1)
         lam_exit = None
         if not (lo_bound <= lam1 <= hi_bound):
             lo_th, hi_th = 0.0, 1.0
             xe = x
-            for _ in range(opts.max_bisect):
+            for _ in range(MAX_BISECT):
                 mid = 0.5 * (lo_th + hi_th)
                 xm = slide_step(x, mid * delta)
                 if lo_bound <= lam_at(xm) <= hi_bound:
@@ -576,7 +578,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
 
     The trajectory alternates smooth flow segments, zero-duration crossing
     events, and sliding segments. Boundary hits are localized by bisection to
-    ``opts.tol_event`` in |H|; classification uses field values evaluated on
+    ``TOL_EVENT`` in |H|; classification uses field values evaluated on
     the projected boundary point. Sliding exits when the combination weight
     leaves [0, 1] persistently (one-step hysteresis). At the intersection of a
     planar cross the trajectory crosses into the sector certified by the
@@ -610,7 +612,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
 
     def classify_entry(man_idx, t, x, mode_from=None):
         """Decide what happens at a boundary point; returns the next state."""
-        cls = classify_boundary(system, man_idx, x, tol_lie=opts.tol_lie)
+        cls = classify_boundary(system, man_idx, x)
         i, j = cls.pair
         label = system.manifolds[man_idx].label
         if cls.kind == ESCAPING:
@@ -625,7 +627,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
         return ("slide", man_idx, i, j)
 
     def boundary_state(man_idx, t, x, mode_from=None):
-        loc = locate(system, x, tol_boundary=opts.tol_boundary)
+        loc = locate(system, x)
         if loc.kind == "on_manifold" and len(loc.manifolds) >= 2:
             target = certified_sector()
             sid = builder.open_segment(
@@ -637,7 +639,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
 
     # initial state
     t, x = 0.0, x0.copy()
-    loc = locate(system, x, tol_boundary=opts.tol_boundary)
+    loc = locate(system, x)
     if loc.kind == "interior":
         state = ("flow", loc.mode)
     elif len(loc.manifolds) >= 2:
@@ -657,7 +659,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
     transitions = 0
     while t < t_f - 1e-14:
         transitions += 1
-        if transitions > opts.max_transitions:
+        if transitions > MAX_TRANSITIONS:
             raise StepUnderflowError(
                 "too many segment transitions (chattering or step underflow)")
         if state[0] == "flow":

@@ -1,6 +1,6 @@
-"""Weighted matrix measure (logarithmic norm) and the small dense symmetric
-linear algebra it needs: Cholesky factorization, closed-form 2x2 eigenvalues,
-and a cyclic Jacobi eigensolver for larger matrices."""
+"""Weighted matrix measure (logarithmic norm): closed-form 2x2 eigenvalues,
+and numpy.linalg (Cholesky, eigvalsh) for the weight checks and larger
+matrices."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ import numpy as np
 __all__ = ["Metric", "sym_eig_max", "is_positive_definite", "matrix_measure",
            "measure_many"]
 
-_JACOBI_SWEEPS = 50
-_JACOBI_OFF_TOL = 1e-14
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e12
 
@@ -33,62 +31,6 @@ def _is_symmetric(S: np.ndarray) -> bool:
     return float(np.linalg.norm(S - S.T)) <= _SYM_TOL * scale
 
 
-def _cholesky_lower(Q: np.ndarray):
-    """Lower Cholesky factor of Q, or None if a pivot is not positive."""
-    n = Q.shape[0]
-    L = np.zeros_like(Q)
-    for j in range(n):
-        d = Q[j, j] - float(np.dot(L[j, :j], L[j, :j]))
-        if d <= 0.0 or not math.isfinite(d):
-            return None
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (Q[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
-    X = np.zeros_like(L)
-    for j in range(n):
-        X[j, j] = 1.0 / L[j, j]
-        for i in range(j + 1, n):
-            X[i, j] = -float(np.dot(L[i, j:i], X[j:i, j])) / L[i, i]
-    return X
-
-
-def _jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    A = 0.5 * (S + S.T)
-    n = A.shape[0]
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        return np.zeros(n)
-    thresh = _JACOBI_OFF_TOL * fro
-    for _ in range(_JACOBI_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(np.tril(A, -1) ** 2)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh / (n * n):
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-    return np.diag(A).copy()
-
-
 def _eig_max(S: np.ndarray) -> float:
     """Largest eigenvalue of a matrix known to be symmetric."""
     n = S.shape[0]
@@ -98,27 +40,26 @@ def _eig_max(S: np.ndarray) -> float:
         a, c = S[0, 0], S[1, 1]
         b = 0.5 * (S[0, 1] + S[1, 0])
         return float(0.5 * (a + c) + math.hypot(0.5 * (a - c), b))
-    return float(np.max(_jacobi_eigenvalues(S)))
+    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
 
 
 def _eig_range(S: np.ndarray) -> tuple:
     """(smallest, largest) eigenvalue of a matrix known to be symmetric
     positive definite. For n = 2 the smallest is det / largest, which does not
-    cancel when the two differ in scale; for n > 2 both come from one Jacobi
-    run."""
+    cancel when the two differ in scale."""
     n = S.shape[0]
     if n == 2:
         hi = _eig_max(S)
         b = 0.5 * (S[0, 1] + S[1, 0])
         return float((S[0, 0] * S[1, 1] - b * b) / hi), hi
-    eig = _jacobi_eigenvalues(S) if n > 2 else np.diag(S)
-    return float(np.min(eig)), float(np.max(eig))
+    eig = np.linalg.eigvalsh(0.5 * (S + S.T))
+    return float(eig[0]), float(eig[-1])
 
 
 def sym_eig_max(S) -> float:
     """Largest eigenvalue of a symmetric matrix.
 
-    Uses the closed form for n <= 2 and cyclic Jacobi iteration above that.
+    Uses the closed form for n <= 2 and ``numpy.linalg.eigvalsh`` above that.
     Raises ValueError if S is not symmetric within 1e-12 relative tolerance.
     """
     S = _as_square(S, "S")
@@ -128,11 +69,15 @@ def sym_eig_max(S) -> float:
 
 
 def is_positive_definite(Q) -> bool:
-    """True iff Q is symmetric and all Cholesky pivots are positive."""
+    """True iff Q is finite, symmetric and has a Cholesky factor."""
     Q = _as_square(Q, "Q")
-    if not _is_symmetric(Q):
+    if not (np.all(np.isfinite(Q)) and _is_symmetric(Q)):
         return False
-    return _cholesky_lower(0.5 * (Q + Q.T)) is not None
+    try:
+        np.linalg.cholesky(0.5 * (Q + Q.T))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _factor(Q) -> tuple:
@@ -146,13 +91,14 @@ def _factor(Q) -> tuple:
     if not _is_symmetric(Q):
         raise ValueError("Q must be symmetric positive definite")
     Qs = 0.5 * (Q + Q.T)
-    L = _cholesky_lower(Qs)
-    if L is None:
-        raise ValueError("Q must be symmetric positive definite")
+    try:
+        L = np.linalg.cholesky(Qs)
+    except np.linalg.LinAlgError:
+        raise ValueError("Q must be symmetric positive definite") from None
     lam_lo, lam_hi = _eig_range(Qs)
     if lam_lo <= 0.0 or lam_hi / lam_lo > _COND_LIMIT:
         raise ValueError("Q is singular or too ill-conditioned (cond > 1e12)")
-    Linv = _lower_inverse(L)
+    Linv = np.linalg.inv(L)
     return Qs, Linv.T @ Linv
 
 
@@ -160,8 +106,8 @@ def _measures(factor: tuple, mats: np.ndarray) -> np.ndarray:
     """mu_Q of every matrix of a (k, n, n) stack, for a validated factor.
 
     The 2x2 closed form takes math.hypot per entry and larger matrices go
-    through the Jacobi kernel one by one, so each value equals the
-    one-matrix evaluation bit for bit."""
+    through one batched eigvalsh, so each value equals the one-matrix
+    evaluation bit for bit."""
     Qs, Qinv = factor
     n = Qs.shape[0]
     if mats.ndim != 3 or mats.shape[1:] != (n, n):
@@ -180,7 +126,7 @@ def _measures(factor: tuple, mats: np.ndarray) -> np.ndarray:
         half = (0.5 * (a - c)).tolist()
         hyp = np.array([math.hypot(h, v) for h, v in zip(half, b.tolist())])
         return 0.5 * (a + c) + hyp
-    return np.array([float(np.max(_jacobi_eigenvalues(s))) for s in S])
+    return np.linalg.eigvalsh(S)[:, -1]
 
 
 def measure_many(Q, mats) -> np.ndarray:
@@ -193,7 +139,7 @@ def matrix_measure(Q, A) -> float:
     """Matrix measure mu_Q(A) = lambda_max((Q A Q^-1 + Q^-1 A^T Q) / 2).
 
     Q must be symmetric positive definite; Q^-1 is formed from the Cholesky
-    factor. With Q = I this reduces to lambda_max((A + A^T) / 2).
+    factor L as L^-T L^-1. With Q = I this reduces to lambda_max((A + A^T) / 2).
     Raises ValueError for non-finite entries, non-PD Q or a condition
     estimate above 1e12.
     """

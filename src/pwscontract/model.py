@@ -79,6 +79,23 @@ class StiffStepError(RuntimeError):
     mode, so the discrete flow would grow where the true flow decays."""
 
 
+def _check_rk4_step(eigenvalues, h: float) -> None:
+    """Raise StiffStepError when an RK4 step of size h grows a decaying
+    direction: some eigenvalue lam with Re lam < 0 has |p(h lam)| >= 1."""
+    # The eigenvalues of the RK4 step map are p(h lam) with p(z) = 1 + z +
+    # z^2/2 + z^3/6 + z^4/24. |p|^2 - 1 = 2 Re w + |w|^2 with w = p - 1 does
+    # not cancel as h lam -> 0, so a slow decaying eigenvalue never reads 1.
+    z = h * np.asarray(eigenvalues)
+    w = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    growth = 2.0 * w.real + np.abs(w) ** 2
+    if ((z.real < 0.0) & (growth >= 0.0)).any():
+        rho = float(np.max(np.abs(1.0 + w)))
+        raise StiffStepError(
+            f"RK4 step h={h:g} is unstable for this decaying mode: the "
+            f"spectral radius of the step map R(h) is {rho:.6g} >= 1; "
+            "use a smaller --step")
+
+
 @dataclass(frozen=True, eq=False)
 class AffineField:
     """Affine vector field f(x) = A x + b, with the data of its classical RK4
@@ -141,7 +158,7 @@ class AffineField:
         return entry
 
     def _build_stacks(self, h: float, block: int):
-        self._check_step(h)
+        _check_rk4_step(np.linalg.eigvals(self.A), h)
         R, r = self.step_map(h)
         n = self.A.shape[0]
         Rs = np.empty((block, n, n))
@@ -154,21 +171,6 @@ class AffineField:
         Rs.flags.writeable = False
         rs.flags.writeable = False
         return Rs, rs
-
-    def _check_step(self, h: float) -> None:
-        # The eigenvalues of R(h) are p(h lam) with p(z) = 1 + z + z^2/2 +
-        # z^3/6 + z^4/24. |p|^2 - 1 = 2 Re w + |w|^2 with w = p - 1 does not
-        # cancel as h lam -> 0, so a slow decaying eigenvalue never reads 1.
-        z = h * np.linalg.eigvals(self.A)
-        w = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-        growth = 2.0 * w.real + np.abs(w) ** 2
-        bad = (z.real < 0.0) & (growth >= 0.0)
-        if bad.any():
-            rho = float(np.max(np.abs(1.0 + w)))
-            raise StiffStepError(
-                f"RK4 step h={h:g} is unstable for this decaying mode: the "
-                f"spectral radius of the step map R(h) is {rho:.6g} >= 1; "
-                "use a smaller --step")
 
 
 class Mode:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measure import Metric, measure_many
 from .model import AnalysisBox, PwsSystem
@@ -28,6 +27,14 @@ from .certify import (
 __all__ = ["SearchOptions", "SearchResult", "margin", "search_certificate"]
 
 _PENALTY = -1e6
+
+
+def minimize(fun, x0, **kw):
+    """``scipy.optimize.minimize``, imported on first use so that only the
+    metric search pays for loading scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kw)
 
 
 @dataclass(frozen=True)

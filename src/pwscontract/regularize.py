@@ -13,6 +13,7 @@ import numpy as np
 
 from .model import Manifold, PwsSystem, TopologyError, _chain_bands_disjoint, locate
 from .filippov import (
+    MAX_TRANSITIONS,
     SolverOptions,
     Trajectory,
     _AffineKernel,
@@ -173,10 +174,8 @@ class RegularizedSystem:
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
         if self.base.topology == "chain":
             self._field = lambda x: regularized_field_chain(self.base, self.eps, x)
-            self._jac = lambda x: regularized_jacobian_chain(self.base, self.eps, x)
         else:
             self._field = lambda x: regularized_field_cross(self.base, self.eps, x)
-            self._jac = lambda x: regularized_jacobian_cross(self.base, self.eps, x)
         if self.base.is_affine and self.base.manifolds:
             self._As = np.stack([m.affine.A for m in self.base.modes])
             self._bs = np.stack([m.affine.b for m in self.base.modes])
@@ -184,10 +183,6 @@ class RegularizedSystem:
             self._d = np.array([m.affine[1] for m in self.base.manifolds])
         else:
             self._As = None
-
-    @property
-    def bands(self) -> list:
-        return [(m.label, self.eps) for m in self.base.manifolds]
 
     def field(self, x) -> np.ndarray:
         if self._As is None:
@@ -199,9 +194,6 @@ class RegularizedSystem:
         else:
             w = _cross_weights(phis[0], phis[1])
         return w @ (self._As @ x + self._bs)
-
-    def jacobian(self, x) -> np.ndarray:
-        return self._jac(np.asarray(x, dtype=float))
 
     def min_h_abs(self, x) -> float:
         if not self.base.manifolds:
@@ -250,7 +242,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     guard = 0
     while t < t_f - 1e-14:
         guard += 1
-        if guard > opts.max_transitions:
+        if guard > MAX_TRANSITIONS:
             raise RuntimeError("regularized integration stalled")
         if reg.min_h_abs(x) <= eps:
             # inside (or touching) a band: substep the blend

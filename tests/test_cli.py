@@ -101,6 +101,14 @@ class TestCertify:
                    "--c", "1.87", "--out", str(tmp_path / "c.json")])
         assert rc == 0
 
+    @pytest.mark.parametrize("config, c", [("example1", "0.5"), ("example2", "1.87")])
+    @pytest.mark.parametrize("strategy", ["vertex", "grid"])
+    def test_report_holds_no_numpy_reprs(self, tmp_path, config, c, strategy):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", config, "--Q", "identity", "--c", c,
+                     "--strategy", strategy, "--out", str(out)]) == 0
+        assert "np.float64" not in out.read_text()
+
     def test_failing_rate_exit_one(self, tmp_path):
         rc = main(["certify", "--config", "example1", "--Q", "identity",
                    "--c", "0.6", "--out", str(tmp_path / "c.json")])
@@ -301,6 +309,23 @@ class TestNumericalRefusal:
 
 
 class TestManifest:
+    def test_scipy_loads_only_for_search_q(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from pwscontract.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            "rc = main(['certify', '--config', 'example2', '--c', '1.87',"
+            " '--out', 'cert.json'])\n"
+            "assert rc == 0 and 'scipy' not in sys.modules\n"
+            "rc = main(['search-q', '--config', 'example1', '--c-lo', '0.99',"
+            " '--c-hi', '1.01', '--out', 'search.json'])\n"
+            "assert rc == 0 and 'scipy.optimize' in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "search.json").read_text())["found"]
+
     def test_wall_time_includes_import(self, tmp_path):
         out = tmp_path / "cert.json"
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -351,6 +351,17 @@ class TestNumericalRefusals:
                                  r"use a smaller --step"):
             integrate(make_system(STIFF), [1.0, 1.0], 1.0)
 
+    def test_stiff_handle_mode_refused(self):
+        # the generic engine stays finite here (x1 reaches ~7e56 by t = 0.05),
+        # so only the growth test on the Jacobian can refuse it
+        A = np.diag([-5000.0, -1.0])
+        mode = Mode.from_handles(1, lambda x: A @ x, lambda x: A)
+        system = PwsSystem(2, "chain", [mode], [], AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+        with pytest.raises(StiffStepError, match=r"mode 1: RK4 step h=0\.001 .* 13\.7083"):
+            integrate(system, [1.0, 1.0], 0.05)
+        traj = integrate(system, [1.0, 1.0], 0.05, SolverOptions(step=1e-4))
+        assert abs(traj.final_state[1] - math.exp(-0.05)) < 1e-12
+
     def test_stiff_mode_refused_in_regularized_run(self):
         with pytest.raises(StiffStepError, match="mode 1"):
             integrate_regularized(make_system(STIFF), 1e-2, [1.0, 1.0], 1.0)
@@ -389,14 +400,13 @@ class TestBlockMapCache:
     def test_interleaved_options_match_fresh_system(self):
         shared = fresh("example1")
         plan = [SolverOptions(step=1e-3), SolverOptions(step=7.3e-3),
-                SolverOptions(block=64), SolverOptions(step=7.3e-3),
-                SolverOptions(step=1e-3, block=64), SolverOptions(step=1e-3)]
+                SolverOptions(step=7.3e-3), SolverOptions(step=1e-3)]
         for opts in plan:
             for x0 in ((-3.0, -4.0), (4.0, -3.0)):
                 assert same_trajectory(integrate(shared, x0, 5.0, opts),
                                        integrate(fresh("example1"), x0, 5.0, opts))
         for mode, new in zip(shared.modes, fresh("example1").modes):
-            for h, block in ((1e-3, 256), (7.3e-3, 256), (1e-3, 64)):
+            for h, block in ((1e-3, 256), (7.3e-3, 256)):
                 for a, b in zip(mode.affine.stacks(h, block), new.affine.stacks(h, block)):
                     assert np.array_equal(a, b)
 

@@ -37,10 +37,10 @@ CASES = {
                        "677d8f30be62065b335b98d1d40b2a79410cef79f67d093c173848bec71bdc22"),
     "certify-2-vertex": (["certify", "--config", "example2", "--Q", "identity",
                           "--c", "1.87"],
-                         "c57e5d596d1752874ca28018cd1a5c9d6beecc1f441a48846782df6e69684e26"),
+                         "e7677aaf22cca05bb9ef32287441cd42a07e5eeb5b522e0f4481eab80296dc97"),
     "certify-2-grid": (["certify", "--config", "example2", "--Q", "identity",
                         "--c", "1.87", "--strategy", "grid"],
-                       "7249f9b72343b27b680869d4887da5638dc9434949b390db773409e9d049416e"),
+                       "9909545ce2f5e62d55dc575ce599e4f605509ddfacc1c53728016f0b3a3ed627"),
     "reproduce-1": (["reproduce", "1"],
                     "50ef66fde2060d50258eefba9a4bb7d02a54c7701d9c43b1c402ef615d099ed3"),
     "reproduce-2": (["reproduce", "2"],
