@@ -229,25 +229,25 @@ def cmd_regularize(args) -> int:
 
 def cmd_search_q(args) -> int:
     system, config = _load_config(args.config)
-    opts = SearchOptions(c_lo=args.c_lo, c_hi=args.c_hi, seed=args.seed,
-                         restarts=args.restarts, max_iter=args.max_iter)
+    try:
+        opts = SearchOptions(c_lo=args.c_lo, c_hi=args.c_hi, max_cond=args.max_cond)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     result = search_certificate(system, opts=opts)
     out = Path(args.out)
-    doc = {"found": result.found,
+    doc = {"found": result.found, "reason": result.reason,
            "trace": [{"c": c, "margin": m} for c, m in result.trace]}
     if result.found:
         doc["metric"] = {"Q": result.metric.Q.tolist(), "c": result.metric.c}
         doc["report"] = result.report.to_dict()
     _write_json(out, doc)
     _write_manifest(out, args, "search-q", config,
-                    {"c_lo": args.c_lo, "c_hi": args.c_hi, "seed": args.seed,
-                     "restarts": args.restarts, "max_iter": args.max_iter},
+                    {"c_lo": args.c_lo, "c_hi": args.c_hi, "max_cond": args.max_cond},
                     [out])
     if result.found:
         print(f"found certificate with c={result.metric.c:.6g}")
         return EXIT_OK
-    print("no certificate found within the search budget "
-          "(not a proof of non-contractivity)")
+    print(f"no certificate found: {result.reason}")
     return EXIT_FAIL
 
 
@@ -376,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--c-lo", type=float, default=0.0, dest="c_lo")
     p.add_argument("--c-hi", type=float, default=10.0, dest="c_hi")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    p.add_argument("--max-cond", type=float, default=1e6, dest="max_cond",
+                   help="bound on cond(Q) for every probed metric")
     p.add_argument("--out", default="search.json")
     p.set_defaults(func=cmd_search_q)
 

@@ -714,10 +714,8 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     ``t,x1,...,xn,segment,mode_or_pair,lambda`` (lambda empty outside slides)."""
     n = traj.states.shape[1]
     cols = ",".join(f"x{k + 1}" for k in range(n))
-    fh.write(f"t,{cols},segment,mode_or_pair,lambda\n")
-    fmt = "{:.17g}"
-    for k in range(len(traj.times)):
-        seg = traj.segments[traj.seg_index[k]]
+    labels = []  # "kind,tag," of every segment
+    for seg in traj.segments:
         if seg.kind == "flow":
             tag = "" if seg.mode is None else str(seg.mode)
         elif seg.kind == "slide":
@@ -725,7 +723,10 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
         else:
             src = "" if seg.pair[0] is None else str(seg.pair[0])
             tag = f"{src}->{seg.pair[1]}"
-        lam = traj.lambdas[k]
-        lam_s = "" if math.isnan(lam) else fmt.format(lam)
-        xs = ",".join(fmt.format(v) for v in traj.states[k])
-        fh.write(f"{fmt.format(traj.times[k])},{xs},{seg.kind},{tag},{lam_s}\n")
+        labels.append(f"{seg.kind},{tag},")
+    # "%.17g" % v is the same text as "{:.17g}".format(v)
+    lams = ["" if math.isnan(v) else "%.17g" % v for v in traj.lambdas.tolist()]
+    row = "%.17g," * (n + 1) + "%s%s\n"
+    fh.write(f"t,{cols},segment,mode_or_pair,lambda\n" + "".join(
+        row % vals for vals in zip(traj.times.tolist(), *traj.states.T.tolist(),
+                                   [labels[i] for i in traj.seg_index.tolist()], lams)))

@@ -1,9 +1,10 @@
-"""Search for a certificate metric (Q, c): outer bisection on the rate c with
-an inner derivative-free simplex search over Cholesky-factor parameters of Q.
-
-The search is heuristic: failure to find a metric proves nothing (the
-certificate conditions are sufficient only), and any returned metric is
-re-checked before being reported.
+"""Exact synthesis of a certificate metric (Q, c) in P = Q^2: bisection on c
+over a log-barrier solve at every probed rate. A flow condition mu_Q(A) <= -c
+is the LMI P A + A^T P <= -2cP, and mu_Q(u g^T) <= 0 on a rank-one jump term
+holds iff P u = -kappa g with kappa >= 0 (Lohmiller & Slotine, Automatica
+1998; Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System and Control
+Theory, 1994). For a positive definite P, u^T P u = -kappa u.g > 0, so
+kappa >= 0 iff u.g = tr(u g^T) < 0: the signs are a gate on the table alone.
 """
 
 from __future__ import annotations
@@ -16,39 +17,29 @@ import numpy as np
 
 from .measure import Metric, measure_many
 from .model import AnalysisBox, PwsSystem
-from .certify import (
-    CertificateError,
-    CertificateReport,
-    ConditionTable,
-    condition_table,
-    PASS_TOL,
-)
+from .certify import (CertificateError, CertificateReport, ConditionTable,
+                      PASS_TOL, condition_table)
 
 __all__ = ["SearchOptions", "SearchResult", "margin", "search_certificate"]
 
-_PENALTY = -1e6
-
-
-def minimize(fun, x0, **kw):
-    """``scipy.optimize.minimize``, imported on first use so that only the
-    metric search pays for loading scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kw)
+_ZERO_ROW = 1e-12  # a jump row of smaller Frobenius norm constrains nothing
+_GAP_FLOOR = 1e-12  # the barrier stops once its duality gap is this small
 
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Rate bracket, bisection tolerance, and cond(Q) <= max_cond for every Q."""
+
     c_lo: float = 0.0
     c_hi: float = 10.0
     c_tol: float = 1e-3
-    max_iter: int = 200
-    restarts: int = 3
-    seed: int = 0
+    max_cond: float = 1e6
 
     def __post_init__(self):
         if not (0.0 <= self.c_lo < self.c_hi):
             raise ValueError("need 0 <= c_lo < c_hi")
+        if not 1.0 < self.max_cond <= 1e12:  # measure refuses cond(Q) > 1e12
+            raise ValueError("need 1 < max_cond <= 1e12")
 
 
 @dataclass
@@ -56,7 +47,8 @@ class SearchResult:
     found: bool
     metric: Optional[Metric]
     report: Optional[CertificateReport]
-    trace: list = field(default_factory=list)  # (c, best inner margin)
+    trace: list = field(default_factory=list)  # (c, margin of the probe's Q)
+    reason: str = ""  # why nothing was found; empty when found
 
 
 def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
@@ -76,125 +68,133 @@ def margin(system: PwsSystem, metric: Metric,
            box: Optional[AnalysisBox] = None) -> float:
     """Smallest (required bound - worst case) over the certificate conditions,
     against the exact bounds; positive iff the certificate passes with slack.
-
-    Zero-bound conditions (manifold jump terms and the intersection equality)
-    are hard gates: when satisfied within their floating-point allowance they
-    do not cap the margin, since no choice of c improves them; when violated
-    they contribute their negative margin.
-    """
+    Zero-bound conditions (jump terms, the intersection equality) are hard
+    gates: within their floating-point allowance they do not cap the margin,
+    since no choice of c improves them; violated, they give their margin."""
     if metric.dimension != system.dimension:
         raise CertificateError("metric dimension does not match the system")
     return _search_margin(condition_table(system, box), metric.Q, metric.c)
 
 
-def _params_to_q(theta: np.ndarray, n: int) -> Optional[np.ndarray]:
-    L = np.zeros((n, n))
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1):
-            L[i, j] = theta[idx]
-            idx += 1
-    Q = L @ L.T
-    dmax = float(np.max(np.diag(Q)))
-    if not math.isfinite(dmax) or dmax <= 1e-12:
-        return None
-    # mu_Q is invariant under positive scaling of Q: pin the largest diagonal
-    return Q / dmax
+def _admissible(table: ConditionTable, n: int):
+    """(P0, D): P0 + sum_k z_k D[k] spans the symmetric P of trace 1 meeting the
+    jump equalities of the table; or the reason why no such P is PD."""
+    I = np.eye(n)  # E: a Frobenius-orthonormal basis of the symmetric matrices
+    E = np.array([(np.outer(I[i], I[j]) + np.outer(I[j], I[i])) / math.sqrt(2 + 2 * (i == j))
+                  for i in range(n) for j in range(i, n)])
+    K = [np.zeros((1, len(E)))]  # a zero row keeps the SVD defined
+    for cond in table.conditions:
+        for M in table.mats[cond.rows] if cond.kind == "jump" else ():
+            norm = np.linalg.norm(M)
+            if norm <= _ZERO_ROW:
+                continue
+            if np.trace(M) >= 0.0:
+                return (f"{cond.cond_id}: a jump term u g^T has u.g = {np.trace(M):.6g}"
+                        " >= 0, so its measure is positive for every Q")
+            g = M[np.argmax(np.linalg.norm(M, axis=1))]  # rows of u g^T are u_i g^T
+            proj = I - np.outer(g, g) / (g @ g)
+            K.append((proj @ E @ (M / norm)).reshape(len(E), -1).T)
+    _, sv, vt = np.linalg.svd(np.vstack(K))
+    B = np.tensordot(vt[int(np.sum(sv > 1e-9 * sv[0])):], E, 1)  # the null space
+    tau = np.trace(B, axis1=1, axis2=2)
+    if tau @ tau <= 1e-18:
+        return "the jump conditions admit no positive definite P = Q^2 at all"
+    free = np.linalg.svd(tau[None])[2][1:]  # directions of zero trace
+    return np.tensordot(tau, B, 1) / (tau @ tau), np.tensordot(free, B, 1)
 
 
-def _initial_params(n: int) -> np.ndarray:
-    theta = []
-    for i in range(n):
-        for j in range(i + 1):
-            theta.append(1.0 if i == j else 0.0)
-    return np.array(theta)
+def _ascend(F0: np.ndarray, D: np.ndarray):
+    """Maximize t subject to F0[j] + sum_k z_k D[j, k] >= t I for every block
+    j (concave), by damped Newton steps on -s t - sum_j log det. Yields (t, z)
+    at every iterate with t > 0, and last where the duality bound t + deg/s
+    proves t* < 0 or the gap deg/s falls below _GAP_FLOOR."""
+    J, n = F0.shape[:2]
+    D = np.concatenate([D, np.broadcast_to(-np.eye(n), (J, 1, n, n))], axis=1)
+    x = np.append(np.zeros(D.shape[1] - 1), np.linalg.eigvalsh(F0)[:, 0].min() - 1.0)
+    s, deg = 1.0, J * n
+    for _ in range(400):
+        if x[-1] > 0.0:
+            yield x[-1], x[:-1]
+        Li = np.linalg.inv(np.linalg.cholesky(F0 + np.einsum("k,jkab->jab", x, D)))
+        W = Li[:, None] @ D @ Li[:, None].swapaxes(2, 3)
+        grad = -np.trace(W, axis1=2, axis2=3).sum(axis=0)
+        grad[-1] -= s
+        step = np.linalg.solve(np.einsum("jkab,jlab->kl", W, W), -grad)
+        dec = float(-grad @ step)  # squared Newton decrement
+        if dec < 1e-10:  # centred: the optimum is at most t + deg/s
+            if x[-1] + deg / s < 0.0 or deg / s < _GAP_FLOOR:
+                break
+            s *= 10.0
+        x = x + step / (1.0 + math.sqrt(dec))
+    yield x[-1], x[:-1]
 
 
-def _inner_search(table: ConditionTable, n, c, opts: SearchOptions, rng) -> tuple:
-    """Maximize the certificate margin over Q at fixed rate c.
-
-    Returns (best margin, best Q) across seeded restarts; deterministic for a
-    fixed seed."""
-
-    def neg_margin(theta):
-        Q = _params_to_q(theta, n)
-        if Q is None:
-            return -_PENALTY
-        try:
-            return -_search_margin(table, Q, c)
-        except Exception:
-            return -_PENALTY
-
-    starts = [_initial_params(n)]
-    for _ in range(max(0, opts.restarts - 1)):
-        starts.append(_initial_params(n) + 0.25 * rng.standard_normal(len(starts[0])))
-    best = (-math.inf, None)
-    for theta0 in starts:
-        m0 = -neg_margin(theta0)
-        if m0 > best[0]:
-            best = (m0, _params_to_q(theta0, n))
-        if best[0] >= -PASS_TOL:
-            # feasibility is all the bisection needs; skip the polish
-            return best
-        res = minimize(neg_margin, theta0, method="Nelder-Mead",
-                       options={"maxiter": opts.max_iter, "xatol": 1e-8,
-                                "fatol": 1e-10, "disp": False})
-        m1 = -float(res.fun)
-        if m1 > best[0]:
-            best = (m1, _params_to_q(res.x, n))
-        if best[0] >= -PASS_TOL:
-            return best
-    return best
+def _root(P: np.ndarray, max_cond: float) -> np.ndarray:
+    """Q = P^(1/2) by eigh, its eigenvalues floored so that cond(Q) <=
+    max_cond, scaled so that its largest diagonal entry is 1."""
+    w, V = np.linalg.eigh(P)
+    Q = (V * np.sqrt(np.maximum(w, w[-1] / max_cond ** 2))) @ V.T
+    return (Q + Q.T) / (Q + Q.T).diagonal().max()
 
 
 def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
                        opts: Optional[SearchOptions] = None) -> SearchResult:
     """Find the largest certifiable rate by bisection on c, with the metric
-    re-optimized at every probed rate. The returned metric is re-checked; a
-    SearchResult with ``found=False`` means only that the budgeted search
-    failed, not that no certificate exists."""
+    synthesized exactly at every probed rate: at fixed c and tr P = 1, the
+    largest t with every flow block -(P A + A^T P) - 2cP and P - I/max_cond^2
+    above t I. ``found=False`` comes with a ``reason``: a jump term or jump
+    constraints no symmetric Q meets (a proof), or the smallest rate refused
+    under cond(Q) <= max_cond."""
     opts = opts or SearchOptions()
-    rng = np.random.default_rng(opts.seed)
-    trace = []
-    best: Optional[tuple] = None  # (c, Q)
+    trace: list = []
+    fail = lambda reason: SearchResult(False, None, None, trace, reason)
     try:
         table = condition_table(system, box)
-    except (ValueError, CertificateError):
-        return SearchResult(False, None, None, [])
-    n = system.dimension
+    except (ValueError, CertificateError) as exc:
+        return fail(str(exc))
+    space = _admissible(table, system.dimension)
+    if isinstance(space, str):
+        return fail(space)
+    P0, D = space
+    P0_floor = P0 - np.eye(system.dimension) / opts.max_cond ** 2
+    if next(_ascend(P0_floor[None], D[None]))[0] <= 0.0:
+        return fail("the jump conditions leave no positive definite P = Q^2 "
+                    f"with cond(Q) <= {opts.max_cond:g}")
+    A = np.concatenate([table.mats[cond.rows] for cond in table.conditions
+                        if cond.kind == "flow"])
+    PA0, PAD = P0 @ A, D[:, None] @ A
+    L0, LD = -(PA0 + PA0.swapaxes(1, 2)), -(PAD + PAD.swapaxes(2, 3)).swapaxes(0, 1)
+    accepted = {}  # c -> Q
 
     def feasible(c: float) -> bool:
-        nonlocal best
-        m, Q = _inner_search(table, n, c, opts, rng)
+        for _, z in _ascend(np.concatenate([L0 - 2.0 * c * P0, P0_floor[None]]),
+                            np.concatenate([LD - 2.0 * c * D, D[None]])):
+            Q = _root(P0 + np.tensordot(z, D, 1), opts.max_cond)
+            try:
+                m = _search_margin(table, Q, c)
+            except ValueError:  # measure._factor refused Q
+                m = -math.inf
+            if m >= -PASS_TOL:
+                break
         trace.append((c, m))
-        if m >= -PASS_TOL and Q is not None:
-            if best is None or c > best[0]:
-                best = (c, Q)
-            return True
-        return False
+        if m >= -PASS_TOL:
+            accepted[c] = Q
+        return m >= -PASS_TOL
 
-    lo, hi = opts.c_lo, opts.c_hi
+    lo, hi = max(opts.c_lo, opts.c_tol), opts.c_hi
     if feasible(hi):
         lo = hi
-    elif not feasible(max(lo, opts.c_tol)):
+    elif not feasible(lo):
         # even the smallest positive rate failed: one more sweep downward
-        probe = max(lo, opts.c_tol) / 8.0
-        if probe <= 0 or not feasible(probe):
-            return SearchResult(False, None, None, trace)
-        hi = max(lo, opts.c_tol)
-        lo = probe
-    else:
-        lo = max(lo, opts.c_tol)
+        lo, hi = lo / 8.0, lo
+        if lo <= 0 or not feasible(lo):
+            return fail(f"no Q with cond(Q) <= {opts.max_cond:g} certifies "
+                        f"c = {trace[-1][0]:g}")
     while hi - lo > opts.c_tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    c_star, q_star = best
-    metric = Metric(q_star, c_star)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    metric = Metric(accepted[max(accepted)], max(accepted))
     report = table.report(metric)
-    if not report.passed:
-        # soundness guard: never return a metric whose re-check fails
-        return SearchResult(False, None, None, trace)
+    if not report.passed:  # soundness guard: never return a failing metric
+        return fail("the synthesized metric failed its re-check")
     return SearchResult(True, metric, report, trace)

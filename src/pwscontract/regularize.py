@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Manifold, PwsSystem, TopologyError, _chain_bands_disjoint, locate
+from .model import (Manifold, PwsSystem, TopologyError, _chain_bands_disjoint,
+                    _check_rk4_step, locate)
 from .filippov import (
     MAX_TRANSITIONS,
     SolverOptions,
@@ -212,6 +213,9 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     clamped to min(step, eps/10) to control the stiffness of the blend.
     Outside the bands the field coincides with a single affine mode, where the
     affine fast path advances in blocks until a band boundary is reached.
+    A smooth (handle) system steps the blend itself outside the bands, and
+    raises StiffStepError when, at the start of such a stretch, the step
+    grows a decaying direction of the blend's Jacobian.
     """
     opts = opts or SolverOptions()
     reg = RegularizedSystem(system, eps)
@@ -238,13 +242,17 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
             surfaces.append(Manifold.from_affine(f"{m.label}-", c, d - eps))
         kern = _AffineKernel(system.dimension, surfaces)
 
+    jac = (regularized_jacobian_chain if system.topology == "chain"
+           else regularized_jacobian_cross)
     t, x = 0.0, x0.copy()
     guard = 0
+    fresh = True  # the next generic full step starts a stretch outside the bands
     while t < t_f - 1e-14:
         guard += 1
         if guard > MAX_TRANSITIONS:
             raise RuntimeError("regularized integration stalled")
         if reg.min_h_abs(x) <= eps:
+            fresh = True
             # inside (or touching) a band: substep the blend
             while t < t_f - 1e-14 and reg.min_h_abs(x) <= eps:
                 tn = _next_grid(t, opts.step, t_f)
@@ -266,6 +274,9 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
         else:
             # generic path: full steps outside bands, redo with substeps when
             # a step lands in or crosses a band
+            if fresh:
+                _check_rk4_step(np.linalg.eigvals(jac(system, eps, x)), opts.step)
+                fresh = False
             tn = _next_grid(t, opts.step, t_f)
             delta = tn - t
             x1 = _rk4(reg.field, x, delta)
@@ -275,6 +286,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                 x1 = x
                 for _ in range(ns):
                     x1 = _rk4(reg.field, x1, sub)
+                fresh = True
             t, x = tn, x1
             builder.add_point(t, x, sid)
     builder.close_segment(sid, t)

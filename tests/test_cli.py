@@ -175,11 +175,13 @@ class TestPairwiseAndSearch:
         }))
         out = tmp_path / "search.json"
         rc = main(["search-q", "--config", str(cfg), "--c-hi", "2",
-                   "--restarts", "1", "--max-iter", "60", "--out", str(out)])
+                   "--max-cond", "100", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["found"]
+        assert doc["found"] and doc["reason"] == ""
         assert doc["metric"]["c"] >= 0.9
+        manifest = json.loads((tmp_path / "search.json.manifest.json").read_text())
+        assert manifest["options"]["max_cond"] == 100.0
 
     def test_search_q_not_found(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -190,9 +192,20 @@ class TestPairwiseAndSearch:
             "box": {"lower": [-5, -5], "upper": [5, 5]},
         }))
         rc = main(["search-q", "--config", str(cfg), "--c-hi", "2",
-                   "--restarts", "1", "--max-iter", "40",
                    "--out", str(tmp_path / "s.json")])
         assert rc == 1
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert not doc["found"] and "certifies c = " in doc["reason"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-cond", "1"], ["--max-cond", "0.5"], ["--max-cond", "nan"],
+        ["--max-cond", "inf"], ["--max-cond", "1e13"], ["--max-cond", "x"],
+        ["--c-lo", "2", "--c-hi", "1"], ["--c-hi", "nan"], ["--c-lo", "-1"],
+    ])
+    def test_search_q_bad_options_usage_error(self, tmp_path, flags):
+        out = tmp_path / "s.json"
+        assert main(["search-q", "--config", "example1", *flags, "--out", str(out)]) == 64
+        assert not out.exists()
 
 
 class TestReproduce:
@@ -309,17 +322,26 @@ class TestNumericalRefusal:
 
 
 class TestManifest:
-    def test_scipy_loads_only_for_search_q(self, tmp_path):
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes any import of scipy fail
+        commands = [
+            ["simulate", "--config", "example1", "--x0", "-3,-4", "--t-final", "2",
+             "--out", "traj.csv"],
+            ["certify", "--config", "example2", "--c", "1.87", "--out", "cert.json"],
+            ["regularize", "--config", "example1", "--x0", "-3,-4", "--t-final", "2",
+             "--eps", "1e-1,1e-2", "--out", "conv.csv"],
+            ["search-q", "--config", "example1", "--c-lo", "0.99", "--c-hi", "1.01",
+             "--out", "search.json"],
+            ["pairwise", "--config", "example1", "--c", "0.5", "--pairs", "2",
+             "--t-final", "2", "--out", "pairwise.json"],
+            ["reproduce", "1", "--out", "reproduce.json"],
+        ]
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from pwscontract.cli import main\n"
-            "assert 'scipy' not in sys.modules\n"
-            "rc = main(['certify', '--config', 'example2', '--c', '1.87',"
-            " '--out', 'cert.json'])\n"
-            "assert rc == 0 and 'scipy' not in sys.modules\n"
-            "rc = main(['search-q', '--config', 'example1', '--c-lo', '0.99',"
-            " '--c-hi', '1.01', '--out', 'search.json'])\n"
-            "assert rc == 0 and 'scipy.optimize' in sys.modules\n")
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)

@@ -366,6 +366,18 @@ class TestNumericalRefusals:
         with pytest.raises(StiffStepError, match="mode 1"):
             integrate_regularized(make_system(STIFF), 1e-2, [1.0, 1.0], 1.0)
 
+    def test_stiff_handle_mode_refused_in_regularized_run(self):
+        # the generic regularized path steps the blend itself; unchecked, it
+        # returned x1 ~ 7e56 here with no error
+        A = np.diag([-5000.0, -1.0])
+        mode = Mode.from_handles(1, lambda x: A @ x, lambda x: A)
+        system = PwsSystem(2, "chain", [mode], [], AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+        with pytest.raises(StiffStepError, match=r"RK4 step h=0\.001 .* 13\.7083"):
+            integrate_regularized(system, 1e-2, [1.0, 1.0], 0.05)
+        traj = integrate_regularized(system, 1e-2, [1.0, 1.0], 0.05,
+                                     SolverOptions(step=1e-4))
+        assert abs(traj.final_state[1] - math.exp(-0.05)) < 1e-12
+
     def test_stiff_mode_runs_at_a_stable_step(self):
         traj = integrate(make_system(STIFF), [1.0, 1.0], 1.0, SolverOptions(step=1e-4))
         assert np.all(np.isfinite(traj.states))
