@@ -162,9 +162,7 @@ class ConditionTable:
     @cached_property
     def mats(self) -> np.ndarray:
         n = self.dimension
-        mats = np.array(self._rows, dtype=float).reshape(-1, n, n)
-        mats.flags.writeable = False
-        return mats
+        return np.array(self._rows, dtype=float).reshape(-1, n, n)
 
     @cached_property
     def _starts(self) -> np.ndarray:
@@ -207,20 +205,11 @@ def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
                     strategy: str = "vertex",
                     eps: Optional[float] = None) -> ConditionTable:
     """The conditions of the limit certificate of ``system`` over ``box``, or
-    of its eps-regularized certificate when ``eps`` is given. Systems are not
-    mutated after construction, so each table is built once per (box bounds,
-    strategy, eps) and kept on the system; its stacked matrices are
-    read-only."""
+    of its eps-regularized certificate when ``eps`` is given."""
     box = box or system.box
-    key = (tuple(box.lower.tolist()), tuple(box.upper.tolist()), strategy, eps)
-    table = system._tables.get(key)
-    if table is None:
-        build = _chain_table if system.topology == "chain" else _cross_table
-        table = build(system, box, strategy, eps)
-        table.mats  # stack the rows before the table is shared
-        # two threads may both build a table; both get the first stored
-        table = system._tables.setdefault(key, table)
-    return table
+    if system.topology == "chain":
+        return _chain_table(system, box, strategy, eps)
+    return _cross_table(system, box, strategy, eps)
 
 
 def _add_flow(table, system, box, i, domain, inflate=None):

@@ -230,7 +230,7 @@ def cmd_regularize(args) -> int:
 def cmd_search_q(args) -> int:
     system, config = _load_config(args.config)
     try:
-        opts = SearchOptions(c_lo=args.c_lo, c_hi=args.c_hi, max_cond=args.max_cond)
+        opts = SearchOptions(c_lo=args.c_lo, c_hi=args.c_hi)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     result = search_certificate(system, opts=opts)
@@ -242,7 +242,7 @@ def cmd_search_q(args) -> int:
         doc["report"] = result.report.to_dict()
     _write_json(out, doc)
     _write_manifest(out, args, "search-q", config,
-                    {"c_lo": args.c_lo, "c_hi": args.c_hi, "max_cond": args.max_cond},
+                    {"c_lo": args.c_lo, "c_hi": args.c_hi},
                     [out])
     if result.found:
         print(f"found certificate with c={result.metric.c:.6g}")
@@ -376,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--c-lo", type=float, default=0.0, dest="c_lo")
     p.add_argument("--c-hi", type=float, default=10.0, dest="c_hi")
-    p.add_argument("--max-cond", type=float, default=1e6, dest="max_cond",
-                   help="bound on cond(Q) for every probed metric")
     p.add_argument("--out", default="search.json")
     p.set_defaults(func=cmd_search_q)
 

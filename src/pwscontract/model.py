@@ -341,8 +341,6 @@ class PwsSystem:
         self.box = box
         self.metric = metric
         self._validate()
-        # certify.condition_table's tables, one per (box bounds, strategy, eps)
-        self._tables: dict = {}
 
     def _validate(self):
         if self.topology not in ("chain", "planar_cross"):

@@ -18,28 +18,26 @@ import numpy as np
 from .measure import Metric, measure_many
 from .model import AnalysisBox, PwsSystem
 from .certify import (CertificateError, CertificateReport, ConditionTable,
-                      PASS_TOL, condition_table)
+                      PASS_TOL, TOL_ZERO, condition_table)
 
 __all__ = ["SearchOptions", "SearchResult", "margin", "search_certificate"]
 
-_ZERO_ROW = 1e-12  # a jump row of smaller Frobenius norm constrains nothing
+_MAX_COND = 1e6  # every probed Q has cond(Q) <= this; measure refuses > 1e12
+_ROUNDING = 1e-12  # a jump row this small relative to the largest is noise
 _GAP_FLOOR = 1e-12  # the barrier stops once its duality gap is this small
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Rate bracket, bisection tolerance, and cond(Q) <= max_cond for every Q."""
+    """Rate bracket and bisection tolerance."""
 
     c_lo: float = 0.0
     c_hi: float = 10.0
     c_tol: float = 1e-3
-    max_cond: float = 1e6
 
     def __post_init__(self):
         if not (0.0 <= self.c_lo < self.c_hi):
             raise ValueError("need 0 <= c_lo < c_hi")
-        if not 1.0 < self.max_cond <= 1e12:  # measure refuses cond(Q) > 1e12
-            raise ValueError("need 1 < max_cond <= 1e12")
 
 
 @dataclass
@@ -83,11 +81,13 @@ def _admissible(table: ConditionTable, n: int):
     E = np.array([(np.outer(I[i], I[j]) + np.outer(I[j], I[i])) / math.sqrt(2 + 2 * (i == j))
                   for i in range(n) for j in range(i, n)])
     K = [np.zeros((1, len(E)))]  # a zero row keeps the SVD defined
-    for cond in table.conditions:
-        for M in table.mats[cond.rows] if cond.kind == "jump" else ():
-            norm = np.linalg.norm(M)
-            if norm <= _ZERO_ROW:
-                continue
+    rows = [(cond, M, np.linalg.norm(M)) for cond in table.conditions
+            if cond.kind == "jump" for M in table.mats[cond.rows]]
+    # rows within TOL_ZERO (the allowance for a well-conditioned Q) or at the
+    # table's rounding level are no constraint and no proof: probes check them
+    floor = max([TOL_ZERO] + [_ROUNDING * norm for _, _, norm in rows])
+    for cond, M, norm in rows:
+        if norm > floor:
             if np.trace(M) >= 0.0:
                 return (f"{cond.cond_id}: a jump term u g^T has u.g = {np.trace(M):.6g}"
                         " >= 0, so its measure is positive for every Q")
@@ -129,11 +129,11 @@ def _ascend(F0: np.ndarray, D: np.ndarray):
     yield x[-1], x[:-1]
 
 
-def _root(P: np.ndarray, max_cond: float) -> np.ndarray:
+def _root(P: np.ndarray) -> np.ndarray:
     """Q = P^(1/2) by eigh, its eigenvalues floored so that cond(Q) <=
-    max_cond, scaled so that its largest diagonal entry is 1."""
+    _MAX_COND, scaled so that its largest diagonal entry is 1."""
     w, V = np.linalg.eigh(P)
-    Q = (V * np.sqrt(np.maximum(w, w[-1] / max_cond ** 2))) @ V.T
+    Q = (V * np.sqrt(np.maximum(w, w[-1] / _MAX_COND ** 2))) @ V.T
     return (Q + Q.T) / (Q + Q.T).diagonal().max()
 
 
@@ -141,10 +141,10 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
                        opts: Optional[SearchOptions] = None) -> SearchResult:
     """Find the largest certifiable rate by bisection on c, with the metric
     synthesized exactly at every probed rate: at fixed c and tr P = 1, the
-    largest t with every flow block -(P A + A^T P) - 2cP and P - I/max_cond^2
+    largest t with every flow block -(P A + A^T P) - 2cP and P - I/_MAX_COND^2
     above t I. ``found=False`` comes with a ``reason``: a jump term or jump
     constraints no symmetric Q meets (a proof), or the smallest rate refused
-    under cond(Q) <= max_cond."""
+    under cond(Q) <= _MAX_COND."""
     opts = opts or SearchOptions()
     trace: list = []
     fail = lambda reason: SearchResult(False, None, None, trace, reason)
@@ -156,10 +156,10 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
     if isinstance(space, str):
         return fail(space)
     P0, D = space
-    P0_floor = P0 - np.eye(system.dimension) / opts.max_cond ** 2
+    P0_floor = P0 - np.eye(system.dimension) / _MAX_COND ** 2
     if next(_ascend(P0_floor[None], D[None]))[0] <= 0.0:
         return fail("the jump conditions leave no positive definite P = Q^2 "
-                    f"with cond(Q) <= {opts.max_cond:g}")
+                    f"with cond(Q) <= {_MAX_COND:g}")
     A = np.concatenate([table.mats[cond.rows] for cond in table.conditions
                         if cond.kind == "flow"])
     PA0, PAD = P0 @ A, D[:, None] @ A
@@ -169,7 +169,7 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
     def feasible(c: float) -> bool:
         for _, z in _ascend(np.concatenate([L0 - 2.0 * c * P0, P0_floor[None]]),
                             np.concatenate([LD - 2.0 * c * D, D[None]])):
-            Q = _root(P0 + np.tensordot(z, D, 1), opts.max_cond)
+            Q = _root(P0 + np.tensordot(z, D, 1))
             try:
                 m = _search_margin(table, Q, c)
             except ValueError:  # measure._factor refused Q
@@ -188,7 +188,7 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
         # even the smallest positive rate failed: one more sweep downward
         lo, hi = lo / 8.0, lo
         if lo <= 0 or not feasible(lo):
-            return fail(f"no Q with cond(Q) <= {opts.max_cond:g} certifies "
+            return fail(f"no Q with cond(Q) <= {_MAX_COND:g} certifies "
                         f"c = {trace[-1][0]:g}")
     while hi - lo > opts.c_tol:
         mid = 0.5 * (lo + hi)

@@ -4,10 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract import certify
 from pwscontract.measure import Metric
-from pwscontract.model import (AnalysisBox, Mode, PwsSystem, builtin_config_path,
-                               load_system_file)
+from pwscontract.model import AnalysisBox, Mode, PwsSystem, builtin_config_path
 from pwscontract.certify import (
     CertificateError,
     check_chain_certificate,
@@ -281,37 +279,3 @@ class TestPairwise:
         doc = report.to_dict()
         assert doc["verdict"] == "pass"
         assert doc["metric"]["Q"] == [[1.2, 0.0], [0.0, 1.0]]
-
-
-class TestTableCache:
-    @pytest.mark.parametrize("name, table_fn, check, check_reg", [
-        ("example1", "_chain_table", check_chain_certificate, check_regularized_chain),
-        ("example2", "_cross_table", check_cross_certificate, check_regularized_cross),
-    ])
-    def test_each_table_built_once_per_system(self, monkeypatch, name, table_fn,
-                                              check, check_reg):
-        system = load_system_file(builtin_config_path(name))
-        metric = Metric.identity(2, 0.5)
-        build = getattr(certify, table_fn)
-        fresh = {}  # reports of tables built outside the cache
-        for strategy, eps in (("vertex", None), ("grid", None), ("vertex", 1e-2)):
-            fresh[strategy, eps] = build(system, system.box, strategy, eps).report(metric)
-        calls = []
-        monkeypatch.setattr(certify, table_fn,
-                            lambda *args: calls.append(args[2:]) or build(*args))
-        for _ in range(2):
-            got = {("vertex", None): check(system, metric),
-                   ("grid", None): check(system, metric, strategy="grid"),
-                   ("vertex", 1e-2): check_reg(system, metric, 1e-2)}
-            for key, report in got.items():
-                assert report.to_dict() == fresh[key].to_dict()
-        assert sorted(calls, key=repr) == sorted(fresh, key=repr)
-        # another box is another table
-        check(system, metric, box=AnalysisBox([-4.0, -4.0], [4.0, 4.0]))
-        assert len(calls) == 4
-
-    def test_cached_matrices_are_read_only(self, ex1):
-        table = certify.condition_table(ex1)
-        assert certify.condition_table(ex1) is table
-        with pytest.raises(ValueError):
-            table.mats[0, 0, 0] = 1.0

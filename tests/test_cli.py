@@ -174,14 +174,11 @@ class TestPairwiseAndSearch:
             "box": {"lower": [-5, -5], "upper": [5, 5]},
         }))
         out = tmp_path / "search.json"
-        rc = main(["search-q", "--config", str(cfg), "--c-hi", "2",
-                   "--max-cond", "100", "--out", str(out)])
+        rc = main(["search-q", "--config", str(cfg), "--c-hi", "2", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["found"] and doc["reason"] == ""
         assert doc["metric"]["c"] >= 0.9
-        manifest = json.loads((tmp_path / "search.json.manifest.json").read_text())
-        assert manifest["options"]["max_cond"] == 100.0
 
     def test_search_q_not_found(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -198,8 +195,6 @@ class TestPairwiseAndSearch:
         assert not doc["found"] and "certifies c = " in doc["reason"]
 
     @pytest.mark.parametrize("flags", [
-        ["--max-cond", "1"], ["--max-cond", "0.5"], ["--max-cond", "nan"],
-        ["--max-cond", "inf"], ["--max-cond", "1e13"], ["--max-cond", "x"],
         ["--c-lo", "2", "--c-hi", "1"], ["--c-hi", "nan"], ["--c-lo", "-1"],
     ])
     def test_search_q_bad_options_usage_error(self, tmp_path, flags):
