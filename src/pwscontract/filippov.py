@@ -5,18 +5,21 @@ Flow segments use classical RK4 with a fixed base step; boundary hits are
 localized by bisection on the sign change of each manifold function. Sliding
 segments integrate the convex-combination sliding field along the manifold
 with post-step projection back onto it, and exit when the combination weight
-reaches 0 or 1. For affine systems the smooth flow is advanced in vectorized
-blocks through the exact single-step RK4 transition map; each mode's block
-maps are built once per (step, block) on its ``AffineField`` and shared by
-every integration of the system. The slide engine evaluates an affine mode
-through its ``AffineField`` and an affine manifold through its constant
-normal, the same arithmetic as ``Mode.f`` and ``Manifold.grad``.
+reaches 0 or 1. One flow entry point, ``_run_flow``, serves this solver and
+the regularized one: it watches the event surfaces it is handed and, for
+affine systems, advances the smooth flow in vectorized blocks through the
+exact single-step RK4 transition map; each mode's block maps are built once
+per (step, block) on its ``AffineField`` and shared by every integration of
+the system. The slide engine evaluates an affine mode through its
+``AffineField`` and an affine manifold through its constant normal, the same
+arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
 Two numerical refusals guard the output: a step at which RK4 grows a
 decaying direction of a mode raises ``StiffStepError`` (for an affine mode
 when its block maps are built, for a handle mode at the Jacobian at the start
 of each flow segment), and a trajectory with a NaN or infinite state raises
-``NonFiniteStateError`` instead of being returned.
+``NonFiniteStateError`` instead of being returned. A start outside the box,
+or a final time that is negative or not finite, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -170,11 +173,10 @@ def lie_derivative(manifold: Manifold, field_value, x) -> float:
 
 
 def classify_boundary(system: PwsSystem, manifold_idx: int, x,
-                      tol_lie: float = TOL_LIE,
                       resolve_tangential: bool = True) -> BoundaryClass:
     """Classify a point on a single manifold as crossing, sliding, or escaping.
 
-    Tangential points (one Lie derivative within tol_lie of zero) resolve to
+    Tangential points (one Lie derivative within ``TOL_LIE`` of zero) resolve to
     sliding unless ``resolve_tangential`` is False. The point must not lie on
     any other manifold.
     """
@@ -184,7 +186,7 @@ def classify_boundary(system: PwsSystem, manifold_idx: int, x,
     g = man.grad(x)
     si = float(np.dot(g, system.f(i, x)))
     sj = float(np.dot(g, system.f(j, x)))
-    zi, zj = abs(si) <= tol_lie, abs(sj) <= tol_lie
+    zi, zj = abs(si) <= TOL_LIE, abs(sj) <= TOL_LIE
     if zi and zj:
         raise TopologyError(
             f"both Lie derivatives vanish on {man.label} at x={x}; "
@@ -261,14 +263,18 @@ def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _AffineKernel:
-    """The affine event surfaces H_k(x) = C[k].x - d[k] that the affine flow
-    engine watches, with their normals and offsets stacked once."""
+class _EventSurfaces:
+    """The surfaces H_k(x) = 0 that a flow segment of ``system`` watches. For
+    an affine system H_k(x) = C[k].x - d[k], with the normals and offsets
+    stacked once for the affine flow engine; otherwise C and d are None."""
 
-    def __init__(self, n: int, surfaces: list):
+    def __init__(self, system: PwsSystem, surfaces: list):
         self.surfaces = surfaces
-        self.C = np.array([s.affine[0] for s in surfaces]).reshape(-1, n)
-        self.d = np.array([s.affine[1] for s in surfaces])
+        self.C = self.d = None
+        if system.is_affine:
+            self.C = np.array([s.affine[0] for s in surfaces]).reshape(
+                -1, system.dimension)
+            self.d = np.array([s.affine[1] for s in surfaces])
 
 
 def _event_flags(h0, h1, tol):
@@ -383,41 +389,48 @@ class _Builder:
 # flow engines
 
 
-def _run_flow_generic(system, mode_idx, x, t, t_stop, opts, builder, seg_id):
-    """Step one smooth mode until a manifold hit or t_stop; returns
-    ("t_stop", t, x) or ("hit", manifold_idx, t_e, x_e). Raises
-    StiffStepError when the step grows a decaying direction of the mode's
-    Jacobian at the segment's start."""
-    mode = system.mode(mode_idx)
+def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
+    """Flow one mode from (t, x) until t_stop or a hit of one of the event
+    surfaces; returns ("t_stop", t, x) or ("hit", surface_idx, t_e, x_e) with
+    x_e projected onto that surface. Affine systems take the block engine,
+    every other system the stepwise one."""
+    engine = _run_flow_generic if events.C is None else _run_flow_affine
+    return engine(events, mode, x, t, t_stop, opts, builder, seg_id)
+
+
+def _run_flow_generic(events, mode, x, t, t_stop, opts, builder, seg_id):
+    """Step one smooth mode with full RK4 steps on the aligned time grid.
+    Raises StiffStepError when the step grows a decaying direction of the
+    mode's Jacobian at the segment's start."""
     try:
         _check_rk4_step(np.linalg.eigvals(mode.jac(x)), opts.step)
     except StiffStepError as exc:
-        raise StiffStepError(f"mode {mode_idx}: {exc}") from None
+        raise StiffStepError(f"mode {mode.index}: {exc}") from None
     f = mode.f
-    mans = system.manifolds
-    h0 = system.h_values(x)
+    surfaces = events.surfaces
+    h_of = lambda xq: np.array([s.h(xq) for s in surfaces])
+    h0 = h_of(x)
     step_fn = lambda x0, d: _rk4(f, x0, d)
     while t < t_stop - 1e-14:
         tn = _next_grid(t, opts.step, t_stop)
         delta = tn - t
         x1 = _rk4(f, x, delta)
-        h1 = system.h_values(x1)
+        h1 = h_of(x1)
         flagged = _event_flags(h0, h1, TOL_EVENT)
         if flagged.any():
-            theta, k, xe = _first_hit(step_fn, mans, flagged, x, delta, h0)
-            return "hit", k, t + theta * delta, mans[k].project(xe)
+            theta, k, xe = _first_hit(step_fn, surfaces, flagged, x, delta, h0)
+            return "hit", k, t + theta * delta, surfaces[k].project(xe)
         t, x, h0 = tn, x1, h1
         builder.add_point(t, x, seg_id)
     return "t_stop", t, x
 
 
-def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
-    """Advance one affine mode, in blocks of exact RK4 steps on the aligned
-    time grid, until t_stop or a hit of one of the kernel's event surfaces;
-    returns ("t_stop", t, x) or ("hit", surface_idx, t_e, x_e) with x_e
-    projected onto that surface."""
+def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
+    """Advance one affine mode in blocks of exact RK4 steps on the aligned
+    time grid."""
     h = opts.step
-    surfaces = kern.surfaces
+    surfaces = events.surfaces
+    C, d = events.C, events.d
     field = mode.affine
 
     def step_fn(x0, d):
@@ -436,8 +449,8 @@ def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
             # one step up to the next grid time (or t_stop)
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
-            h0 = kern.C @ x - kern.d
-            flags = _event_flags(h0, kern.C @ x1 - kern.d, TOL_EVENT)
+            h0 = C @ x - d
+            flags = _event_flags(h0, C @ x1 - d, TOL_EVENT)
             if flags.any():
                 return hit(x, t, tn - t, h0, flags)
             t, x = tn, x1
@@ -451,8 +464,8 @@ def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
         X = Rs[:m] @ x + rs[:m]
         ts = (k0 + 1 + np.arange(m)) * h
         Hs = np.empty((m + 1, len(surfaces)))
-        Hs[0] = kern.C @ x - kern.d
-        Hs[1:] = X @ kern.C.T - kern.d
+        Hs[0] = C @ x - d
+        Hs[1:] = X @ C.T - d
         ev = _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
         rows = np.flatnonzero(ev.any(axis=1))
         if rows.size:
@@ -471,7 +484,8 @@ def _run_flow_affine(kern, mode, x, t, t_stop, opts, builder, seg_id):
 
 
 def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
-    """Integrate the sliding field along one manifold.
+    """Integrate the sliding field along one manifold, starting with the
+    sample at the entry point (t, x).
 
     Returns ("t_stop", t, x), ("exit", mode, t_e, x_e), or
     ("hit", other_manifold_idx, t_e, x_e) when the slide reaches another
@@ -509,6 +523,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     def h_others(xq):
         return np.array([s.h(xq) for s in surfaces])
 
+    builder.add_point(t, x, seg_id, lam=min(max(lam_at(x), 0.0), 1.0))
     lo_bound = TOL_LAMBDA
     hi_bound = 1.0 - TOL_LAMBDA
     h0 = h1 = h_others(x)
@@ -572,6 +587,21 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
 # orchestration
 
 
+def _check_start(system: PwsSystem, x0, t_f: float) -> np.ndarray:
+    """x0 as a float array; raises ValueError unless x0 is a finite state of
+    the system inside its box (within 1e-9) and t_f is finite and >= 0."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dimension,):
+        raise ValueError(f"x0 must have shape ({system.dimension},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    if not system.box.contains(x0, tol=1e-9):
+        raise ValueError("x0 lies outside the analysis box")
+    if not 0.0 <= t_f < math.inf:
+        raise ValueError("t_f must be finite and nonnegative")
+    return x0
+
+
 def integrate(system: PwsSystem, x0, t_f: float,
               opts: Optional[SolverOptions] = None) -> Trajectory:
     """Integrate the Filippov solution from x0 over [0, t_f].
@@ -589,17 +619,10 @@ def integrate(system: PwsSystem, x0, t_f: float,
     common-sector assumption fails.
     """
     opts = opts or SolverOptions()
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,):
-        raise ValueError(f"x0 must have shape ({system.dimension},)")
-    if not system.box.contains(x0, tol=1e-9):
-        raise ValueError("x0 lies outside the analysis box")
-    if t_f < 0:
-        raise ValueError("t_f must be nonnegative")
+    x0 = _check_start(system, x0, t_f)
 
     builder = _Builder(system.dimension)
-    kern = (_AffineKernel(system.dimension, system.manifolds)
-            if system.is_affine else None)
+    events = _EventSurfaces(system, system.manifolds)
     sector_cache: dict = {}
 
     def certified_sector() -> int:
@@ -668,12 +691,8 @@ def integrate(system: PwsSystem, x0, t_f: float,
             if first:
                 builder.add_point(t, x, sid)
                 first = False
-            if kern is not None:
-                res = _run_flow_affine(kern, system.mode(mode_idx), x, t, t_f,
-                                       opts, builder, sid)
-            else:
-                res = _run_flow_generic(system, mode_idx, x, t, t_f, opts,
-                                        builder, sid)
+            res = _run_flow(events, system.mode(mode_idx), x, t, t_f, opts,
+                            builder, sid)
             if res[0] == "t_stop":
                 _, t, x = res
                 builder.close_segment(sid, t)
@@ -686,10 +705,6 @@ def integrate(system: PwsSystem, x0, t_f: float,
             _, man_idx, i, j = state
             label = system.manifolds[man_idx].label
             sid = builder.open_segment("slide", t, manifold=label, pair=(i, j))
-            g = system.manifolds[man_idx].grad(x)
-            lam0 = _lambda_raw(float(np.dot(g, system.f(i, x))),
-                               float(np.dot(g, system.f(j, x))))
-            builder.add_point(t, x, sid, lam=min(max(lam0, 0.0), 1.0))
             first = False
             res = _run_slide(system, man_idx, i, j, x, t, t_f, opts, builder, sid)
             if res[0] == "t_stop":

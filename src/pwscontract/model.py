@@ -645,8 +645,7 @@ class TransversalityReport:
 
 
 def check_transversality(system: PwsSystem, box: Optional[AnalysisBox] = None,
-                         points_per_axis: int = 101,
-                         tol_lie: float = TOL_LIE) -> TransversalityReport:
+                         points_per_axis: int = 101) -> TransversalityReport:
     """Sampled check that on every manifold at least one adjacent Lie
     derivative is nonzero (transversal switching data)."""
     if points_per_axis < 2:
@@ -662,7 +661,7 @@ def check_transversality(system: PwsSystem, box: Optional[AnalysisBox] = None,
             si = float(np.dot(g, system.f(i, x)))
             sj = float(np.dot(g, system.f(j, x)))
             report.samples_checked += 1
-            if abs(si) <= tol_lie and abs(sj) <= tol_lie:
+            if abs(si) <= TOL_LIE and abs(sj) <= TOL_LIE:
                 report.violations.append((manifold.label, x.copy(), si, sj))
     return report
 
@@ -678,8 +677,7 @@ class IntersectionCheck:
     detail: str = ""
 
 
-def check_intersection_assumption(system: PwsSystem,
-                                  tol_lie: float = TOL_LIE) -> IntersectionCheck:
+def check_intersection_assumption(system: PwsSystem) -> IntersectionCheck:
     """Check that all four fields at the intersection point push strictly into
     one common sector (vertex test on the convex hull of the field values).
 
@@ -705,7 +703,7 @@ def check_intersection_assumption(system: PwsSystem,
         fk = system.f(k + 1, x_tilde)
         sig[k, 0] = float(np.dot(c1, fk))
         sig[k, 1] = float(np.dot(c2, fk))
-    if np.any(np.abs(sig) <= tol_lie):
+    if np.any(np.abs(sig) <= TOL_LIE):
         raise TopologyError(
             "a Lie derivative vanishes at the intersection; the common-sector "
             "test is undecidable")

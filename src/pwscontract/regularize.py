@@ -1,6 +1,12 @@
 """Clamp-function regularization of the piecewise-smooth field, regularized
 Jacobians, stiffness-aware integration of the regularized ODE, the reduced
 sliding field, and band-width convergence studies against the Filippov solver.
+
+The regularized integrator substeps the blend inside the bands |H| <= eps and
+hands every stretch outside them to the Filippov solver's flow engine, which
+stops at the band edges H = +-eps; affine and handle systems take the same
+path. ``regularized_field_chain``/``_cross`` are the plain per-mode loops
+that ``RegularizedSystem.field`` is tested against.
 """
 
 from __future__ import annotations
@@ -11,17 +17,17 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (Manifold, PwsSystem, TopologyError, _chain_bands_disjoint,
-                    _check_rk4_step, locate)
+from .model import Manifold, PwsSystem, TopologyError, _chain_bands_disjoint, locate
 from .filippov import (
     MAX_TRANSITIONS,
     SolverOptions,
     Trajectory,
-    _AffineKernel,
     _Builder,
+    _EventSurfaces,
+    _check_start,
     _next_grid,
     _rk4,
-    _run_flow_affine,
+    _run_flow,
     integrate,
 )
 
@@ -59,6 +65,8 @@ def phi_prime(s: float) -> float:
 def _chain_weights(phis: np.ndarray) -> np.ndarray:
     """Mode weights of the chain blend for given phi(H_k / eps) values."""
     nman = phis.shape[0]
+    if nman == 0:
+        return np.ones(1)
     w = np.empty(nman + 1)
     w[0] = 0.5 * (1.0 - phis[0])
     for i in range(1, nman):
@@ -67,7 +75,9 @@ def _chain_weights(phis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _cross_weights(p1: float, p2: float) -> np.ndarray:
+def _cross_weights(phis) -> np.ndarray:
+    """Mode weights of the planar-cross blend for phi(H_1/eps), phi(H_2/eps)."""
+    p1, p2 = phis
     return 0.25 * np.array([
         (1.0 + p1) * (1.0 - p2),
         (1.0 + p1) * (1.0 + p2),
@@ -98,8 +108,7 @@ def regularized_field_cross(system: PwsSystem, eps: float, x) -> np.ndarray:
     if system.topology != "planar_cross":
         raise TopologyError("cross regularization needs a planar_cross system")
     x = np.asarray(x, dtype=float)
-    p1, p2 = np.clip(system.h_values(x) / eps, -1.0, 1.0)
-    w = _cross_weights(p1, p2)
+    w = _cross_weights(np.clip(system.h_values(x) / eps, -1.0, 1.0))
     out = np.zeros(2)
     for i, wi in enumerate(w):
         if wi != 0.0:
@@ -152,7 +161,7 @@ def regularized_jacobian_cross(system: PwsSystem, eps: float, x) -> np.ndarray:
         J += dp2 * np.outer(f2 + f3 - f1 - f4, g2)
         J += dp2 * p1 * np.outer(f2 + f4 - f3 - f1, g2)
     J /= 4.0 * eps
-    for i, wi in enumerate(_cross_weights(p1, p2)):
+    for i, wi in enumerate(_cross_weights((p1, p2))):
         if wi != 0.0:
             J += wi * system.modes[i].jac(x)
     return J
@@ -168,62 +177,62 @@ class RegularizedSystem:
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
             raise ValueError("eps must be a finite positive number")
-        if (self.base.topology == "chain"
-                and all(m.is_affine for m in self.base.manifolds)
-                and not _chain_bands_disjoint(self.base, self.eps, self.base.box)):
+        base = self.base
+        if (base.topology == "chain"
+                and all(m.is_affine for m in base.manifolds)
+                and not _chain_bands_disjoint(base, self.eps, base.box)):
             raise ValueError(
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
-        if self.base.topology == "chain":
-            self._field = lambda x: regularized_field_chain(self.base, self.eps, x)
+        self._weights = _chain_weights if base.topology == "chain" else _cross_weights
+        # the manifold values H(x) and the stacked mode fields f_i(x)
+        if base.is_affine:
+            As = np.stack([m.affine.A for m in base.modes])
+            bs = np.stack([m.affine.b for m in base.modes])
+            C = np.array([m.affine[0] for m in base.manifolds]).reshape(-1, base.dimension)
+            d = np.array([m.affine[1] for m in base.manifolds])
+            self._H = lambda x: C @ x - d
+            self._fields = lambda x: As @ x + bs
         else:
-            self._field = lambda x: regularized_field_cross(self.base, self.eps, x)
-        if self.base.is_affine and self.base.manifolds:
-            self._As = np.stack([m.affine.A for m in self.base.modes])
-            self._bs = np.stack([m.affine.b for m in self.base.modes])
-            self._C = np.vstack([m.affine[0] for m in self.base.manifolds])
-            self._d = np.array([m.affine[1] for m in self.base.manifolds])
-        else:
-            self._As = None
+            self._H = lambda x: np.array([m.h(x) for m in base.manifolds])
+            self._fields = lambda x: np.array([m.f(x) for m in base.modes])
 
     def field(self, x) -> np.ndarray:
-        if self._As is None:
-            return self._field(np.asarray(x, dtype=float))
         x = np.asarray(x, dtype=float)
-        phis = np.clip((self._C @ x - self._d) / self.eps, -1.0, 1.0)
-        if self.base.topology == "chain":
-            w = _chain_weights(phis)
-        else:
-            w = _cross_weights(phis[0], phis[1])
-        return w @ (self._As @ x + self._bs)
+        return (self._weights(np.clip(self._H(x) / self.eps, -1.0, 1.0))
+                @ self._fields(x))
 
     def min_h_abs(self, x) -> float:
-        if not self.base.manifolds:
-            return math.inf
-        return float(np.min(np.abs(self.base.h_values(x))))
+        return float(np.min(np.abs(self._H(np.asarray(x, dtype=float))),
+                            initial=math.inf))
 
     def in_band(self, x) -> bool:
         return self.min_h_abs(x) <= self.eps
+
+
+def _band_edges(man: Manifold, eps: float) -> tuple:
+    """The two edges H = +eps and H = -eps of the regularization band of man."""
+    if man.is_affine:
+        c, d = man.affine
+        return (Manifold.from_affine(f"{man.label}+", c, d + eps),
+                Manifold.from_affine(f"{man.label}-", c, d - eps))
+    return (Manifold.from_handles(f"{man.label}+", lambda x: man.h(x) - eps, man.grad),
+            Manifold.from_handles(f"{man.label}-", lambda x: man.h(x) + eps, man.grad))
 
 
 def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                           opts: Optional[SolverOptions] = None) -> Trajectory:
     """RK4 trajectory of the regularized (continuous) dynamics.
 
-    No event logic is needed; inside any regularization band the step is
+    No event logic is needed inside a regularization band, where the step is
     clamped to min(step, eps/10) to control the stiffness of the blend.
-    Outside the bands the field coincides with a single affine mode, where the
-    affine fast path advances in blocks until a band boundary is reached.
-    A smooth (handle) system steps the blend itself outside the bands, and
-    raises StiffStepError when, at the start of such a stretch, the step
-    grows a decaying direction of the blend's Jacobian.
+    Outside the bands the blend coincides with a single mode, which the
+    Filippov flow engine advances until it reaches a band edge H = +-eps
+    (raising StiffStepError as in ``integrate`` when the step grows a
+    decaying direction of that mode).
     """
     opts = opts or SolverOptions()
     reg = RegularizedSystem(system, eps)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,):
-        raise ValueError(f"x0 must have shape ({system.dimension},)")
-    if t_f < 0:
-        raise ValueError("t_f must be nonnegative")
+    x0 = _check_start(system, x0, t_f)
 
     builder = _Builder(system.dimension)
     sid = builder.open_segment("flow", 0.0, mode=None, manifold="regularized")
@@ -232,27 +241,15 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
         return builder.finish()
 
     h_band = min(opts.step, eps / 10.0)
-    kern = None
-    if system.is_affine:
-        # outside the bands the flow engine watches the band boundaries
-        surfaces = []
-        for m in system.manifolds:
-            c, d = m.affine
-            surfaces.append(Manifold.from_affine(f"{m.label}+", c, d + eps))
-            surfaces.append(Manifold.from_affine(f"{m.label}-", c, d - eps))
-        kern = _AffineKernel(system.dimension, surfaces)
-
-    jac = (regularized_jacobian_chain if system.topology == "chain"
-           else regularized_jacobian_cross)
+    events = _EventSurfaces(system, [e for m in system.manifolds
+                                     for e in _band_edges(m, eps)])
     t, x = 0.0, x0.copy()
     guard = 0
-    fresh = True  # the next generic full step starts a stretch outside the bands
     while t < t_f - 1e-14:
         guard += 1
         if guard > MAX_TRANSITIONS:
             raise RuntimeError("regularized integration stalled")
         if reg.min_h_abs(x) <= eps:
-            fresh = True
             # inside (or touching) a band: substep the blend
             while t < t_f - 1e-14 and reg.min_h_abs(x) <= eps:
                 tn = _next_grid(t, opts.step, t_f)
@@ -263,45 +260,16 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                     x = _rk4(reg.field, x, sub)
                 t = tn
                 builder.add_point(t, x, sid)
-        elif kern is not None:
+        else:
             mode = system.mode(locate(system, x, tol_boundary=0.0).mode)
-            res = _run_flow_affine(kern, mode, x, t, t_f, opts, builder, sid)
+            res = _run_flow(events, mode, x, t, t_f, opts, builder, sid)
             if res[0] == "hit":
                 _, _, t, x = res
                 builder.add_point(t, x, sid)
             else:
                 _, t, x = res
-        else:
-            # generic path: full steps outside bands, redo with substeps when
-            # a step lands in or crosses a band
-            if fresh:
-                _check_rk4_step(np.linalg.eigvals(jac(system, eps, x)), opts.step)
-                fresh = False
-            tn = _next_grid(t, opts.step, t_f)
-            delta = tn - t
-            x1 = _rk4(reg.field, x, delta)
-            if reg.min_h_abs(x1) <= eps or _crossed_band(reg, x, x1, eps):
-                ns = max(1, int(math.ceil(delta / h_band - 1e-12)))
-                sub = delta / ns
-                x1 = x
-                for _ in range(ns):
-                    x1 = _rk4(reg.field, x1, sub)
-                fresh = True
-            t, x = tn, x1
-            builder.add_point(t, x, sid)
     builder.close_segment(sid, t)
     return builder.finish()
-
-
-def _crossed_band(reg: RegularizedSystem, x0, x1, eps: float) -> bool:
-    if not reg.base.manifolds:
-        return False
-    h0 = reg.base.h_values(x0)
-    h1 = reg.base.h_values(x1)
-    for a, b in zip(h0, h1):
-        if (a > eps) != (b > eps) or (a < -eps) != (b < -eps):
-            return True
-    return False
 
 
 def reduced_sliding_field(system: PwsSystem, i: int, x) -> np.ndarray:

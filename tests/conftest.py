@@ -35,6 +35,17 @@ def make_system(doc: dict):
     return load_system(json.dumps(doc))
 
 
+def handle_copy(system):
+    """The system with each affine mode given as field and Jacobian handles,
+    so that it takes the generic (non-affine) code paths."""
+    modes = [Mode.from_handles(m.index,
+                               lambda x, A=m.affine.A, b=m.affine.b: A @ x + b,
+                               lambda x, A=m.affine.A: A)
+             for m in system.modes]
+    return PwsSystem(system.dimension, system.topology, modes, system.manifolds,
+                     system.box)
+
+
 @pytest.fixture(scope="session")
 def single_mode():
     return make_system({

@@ -28,7 +28,7 @@ from pwscontract.filippov import (
 )
 from pwscontract.regularize import integrate_regularized
 
-from conftest import GOLDEN_STARTS, STIFF, make_system
+from conftest import GOLDEN_STARTS, STIFF, handle_copy, make_system
 
 
 def fresh(name):
@@ -257,6 +257,23 @@ class TestIntegrateEdgeCases:
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(ex1, [1.0, 0.0], -1.0)
 
+    @pytest.mark.parametrize("run", [
+        integrate, lambda s, x0, t_f: integrate_regularized(s, 1e-2, x0, t_f)],
+        ids=["filippov", "regularized"])
+    @pytest.mark.parametrize("x0, t_f, match", [
+        ([9.0, 9.0], 1.0, "analysis box"),
+        ([math.nan, 0.0], 1.0, "x0 must be finite"),
+        ([1.0, 0.0, 0.0], 1.0, r"x0 must have shape \(2,\)"),
+        ([1.0, 0.0], -1.0, "t_f must be finite and nonnegative"),
+        ([1.0, 0.0], math.nan, "t_f must be finite and nonnegative"),
+        ([1.0, 0.0], math.inf, "t_f must be finite and nonnegative"),
+    ], ids=["outside-box", "nan-x0", "shape", "negative-t", "nan-t", "inf-t"])
+    def test_bad_start_rejected(self, ex1, run, x0, t_f, match):
+        # the regularized run used to accept x0 outside the box, return one
+        # sample for t_f = NaN, and both overflowed on t_f = inf
+        with pytest.raises(ValueError, match=match):
+            run(ex1, x0, t_f)
+
     def test_single_mode_matches_exact_flow(self, single_mode):
         traj = integrate(single_mode, [1.0, 1.0], 1.0)
         assert np.allclose(traj.final_state, np.exp(-1.0) * np.ones(2), atol=1e-10)
@@ -301,13 +318,7 @@ class TestNumericalBehavior:
         assert math.log2(e1 / e2) >= 3.0
 
     def test_generic_path_matches_affine_fast_path(self, ex1):
-        handles = [
-            Mode.from_handles(m.index,
-                              lambda x, A=m.affine.A, b=m.affine.b: A @ x + b,
-                              lambda x, A=m.affine.A: A)
-            for m in ex1.modes
-        ]
-        generic = PwsSystem(2, "chain", handles, ex1.manifolds, ex1.box)
+        generic = handle_copy(ex1)
         assert not generic.is_affine
         ta = integrate(ex1, [-3.0, -4.0], 5.0)
         tb = integrate(generic, [-3.0, -4.0], 5.0)
@@ -367,12 +378,13 @@ class TestNumericalRefusals:
             integrate_regularized(make_system(STIFF), 1e-2, [1.0, 1.0], 1.0)
 
     def test_stiff_handle_mode_refused_in_regularized_run(self):
-        # the generic regularized path steps the blend itself; unchecked, it
-        # returned x1 ~ 7e56 here with no error
+        # outside the bands the regularized run flows the mode through the
+        # Filippov flow engine, whose growth test refuses the step; unchecked,
+        # the run returned x1 ~ 7e56 here with no error
         A = np.diag([-5000.0, -1.0])
         mode = Mode.from_handles(1, lambda x: A @ x, lambda x: A)
         system = PwsSystem(2, "chain", [mode], [], AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
-        with pytest.raises(StiffStepError, match=r"RK4 step h=0\.001 .* 13\.7083"):
+        with pytest.raises(StiffStepError, match=r"mode 1: RK4 step h=0\.001 .* 13\.7083"):
             integrate_regularized(system, 1e-2, [1.0, 1.0], 0.05)
         traj = integrate_regularized(system, 1e-2, [1.0, 1.0], 0.05,
                                      SolverOptions(step=1e-4))
