@@ -4,8 +4,8 @@ sliding field, and band-width convergence studies against the Filippov solver.
 
 The regularized integrator substeps the blend inside the bands |H| <= eps and
 hands every stretch outside them to the Filippov solver's flow engine, which
-stops at the band edges H = +-eps; affine and handle systems take the same
-path. ``regularized_field_chain``/``_cross`` are the plain per-mode loops
+stops at the band edges H = +-eps; a point on an edge counts as in the band.
+Affine and handle systems take the same path. ``regularized_field_chain``/``_cross`` are the plain per-mode loops
 that ``RegularizedSystem.field`` is tested against.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 from .model import Manifold, PwsSystem, TopologyError, _chain_bands_disjoint, locate
 from .filippov import (
     MAX_TRANSITIONS,
+    TOL_EVENT,
     SolverOptions,
     Trajectory,
     _Builder,
@@ -226,8 +227,8 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     No event logic is needed inside a regularization band, where the step is
     clamped to min(step, eps/10) to control the stiffness of the blend.
     Outside the bands the blend coincides with a single mode, which the
-    Filippov flow engine advances until it reaches a band edge H = +-eps
-    (raising StiffStepError as in ``integrate`` when the step grows a
+    Filippov flow engine advances until it reaches a band edge H = +-eps,
+    from where the blend is substepped again (raising StiffStepError as in ``integrate`` when the step grows a
     decaying direction of that mode).
     """
     opts = opts or SolverOptions()
@@ -243,15 +244,19 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     h_band = min(opts.step, eps / 10.0)
     events = _EventSurfaces(system, [e for m in system.manifolds
                                      for e in _band_edges(m, eps)])
+    # a point within TOL_EVENT of an edge counts as in the band: the flow
+    # engine never flags a surface it starts on, so a stretch started there
+    # would cross the band with the plain mode's field
+    edge = eps + TOL_EVENT
     t, x = 0.0, x0.copy()
     guard = 0
     while t < t_f - 1e-14:
         guard += 1
         if guard > MAX_TRANSITIONS:
             raise RuntimeError("regularized integration stalled")
-        if reg.min_h_abs(x) <= eps:
-            # inside (or touching) a band: substep the blend
-            while t < t_f - 1e-14 and reg.min_h_abs(x) <= eps:
+        if reg.min_h_abs(x) <= edge:
+            # inside a band or on its edge: substep the blend
+            while t < t_f - 1e-14 and reg.min_h_abs(x) <= edge:
                 tn = _next_grid(t, opts.step, t_f)
                 delta = tn - t
                 ns = max(1, int(math.ceil(delta / h_band - 1e-12)))

@@ -46,6 +46,17 @@ def handle_copy(system):
                      system.box)
 
 
+def handle_manifold_copy(system):
+    """The system with each affine manifold c.x - d given as value and
+    gradient handles, so that its band edges are handle manifolds."""
+    manifolds = [Manifold.from_handles(m.label,
+                                       lambda x, c=m.affine[0], d=m.affine[1]: c @ x - d,
+                                       lambda x, c=m.affine[0]: np.asarray(c, dtype=float))
+                 for m in system.manifolds]
+    return PwsSystem(system.dimension, system.topology, system.modes, manifolds,
+                     system.box)
+
+
 @pytest.fixture(scope="session")
 def single_mode():
     return make_system({

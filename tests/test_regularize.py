@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract.filippov import SolverOptions, integrate, sliding_field
+from pwscontract.filippov import SolverOptions, _rk4, integrate, sliding_field
 from pwscontract.model import (
     AnalysisBox,
     Manifold,
@@ -29,7 +29,7 @@ from pwscontract.regularize import (
     write_convergence_csv,
 )
 
-from conftest import handle_copy, make_system
+from conftest import handle_copy, handle_manifold_copy, make_system
 
 
 def fd_jacobian(fn, x, d=1e-6):
@@ -51,6 +51,20 @@ def interior_points(system, eps, rng, count):
         if min(margins) > 1e-4:
             pts.append(x)
     return pts
+
+
+def substepped_blend(system, eps, x0, t_f, step=1e-2):
+    """Grid samples of plain RK4 on the blend with substeps of at most eps/40
+    everywhere: a reference that stops at no band edge."""
+    field = RegularizedSystem(system, eps).field
+    ns = int(math.ceil(step / (eps / 40.0)))
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for _ in range(int(round(t_f / step))):
+        for _ in range(ns):
+            x = _rk4(field, x, step / ns)
+        out.append(x)
+    return np.array(out)
 
 
 class TestPhi:
@@ -260,6 +274,43 @@ class TestIntegrateRegularized:
                 tb, xb = b.grid_samples(1e-3)
                 assert np.array_equal(ta, tb)
                 assert np.max(np.abs(xa - xb)) < 1e-9
+
+    def test_handle_manifolds_match_affine_path(self, ex1, ex2):
+        # band edges H -+ eps as handles: Newton projection and the stepwise
+        # engine against the exact projection and the block engine
+        for system in (ex1, ex2):
+            for eps in (3e-2, 1e-3):
+                for x0 in ([-3.0, -4.0], [4.0, -3.0]):
+                    a = integrate_regularized(system, eps, x0, 4.0)
+                    b = integrate_regularized(handle_manifold_copy(system), eps, x0, 4.0)
+                    assert len(a.times) == len(b.times)
+                    ta, xa = a.grid_samples(1e-3)
+                    tb, xb = b.grid_samples(1e-3)
+                    assert np.array_equal(ta, tb)
+                    assert np.max(np.abs(xa - xb)) < 1e-9
+
+    @pytest.mark.parametrize("copy", [lambda s: s, handle_copy, handle_manifold_copy],
+                             ids=["affine", "handle-modes", "handle-manifolds"])
+    @pytest.mark.parametrize("x0", [[4.0, -3.0], [-3.0, -4.0]])
+    def test_band_entered_at_an_edge_is_blended(self, ex1, copy, x0):
+        # (4, -3) enters the x1 = 2 band at its edge x1 = 2.1 near t = 0.138
+        # and (-3, -4) the x1 = 0 band at x1 = -0.1; a flow stretch restarted
+        # on the edge it stopped at would cross the band with the plain mode
+        # (gap 4e-2 for (4, -3))
+        system = copy(ex1)
+        t, x = integrate_regularized(system, 0.1, x0, 1.0).grid_samples(1e-2)
+        ref = substepped_blend(system, 0.1, x0, 1.0)
+        assert len(x) == len(ref)
+        assert np.max(np.linalg.norm(x - ref, axis=1)) < 1e-4
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2])
+    def test_circle_tracks_substepped_blend(self, circle, eps):
+        # a curved handle manifold: the band edges |x|^2 = 4 +- eps
+        for x0 in ([4.0, 3.0], [-4.5, 1.0]):
+            t, x = integrate_regularized(circle, eps, x0, 2.0).grid_samples(1e-2)
+            ref = substepped_blend(circle, eps, x0, 2.0)
+            assert len(x) == len(ref)
+            assert np.max(np.linalg.norm(x - ref, axis=1)) < 5e-5
 
 
 class TestReducedSlidingField:
