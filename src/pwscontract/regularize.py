@@ -5,8 +5,9 @@ sliding field, and band-width convergence studies against the Filippov solver.
 The regularized integrator substeps the blend inside the bands |H| <= eps and
 hands every stretch outside them to the Filippov solver's flow engine, which
 stops at the band edges H = +-eps; a point on an edge counts as in the band.
-Affine and handle systems take the same path. ``regularized_field_chain``/``_cross`` are the plain per-mode loops
-that ``RegularizedSystem.field`` is tested against.
+Affine and handle systems take the same path. ``regularized_field_chain``/
+``_cross`` are the plain per-mode loops that ``RegularizedSystem.field`` is
+tested against.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     clamped to min(step, eps/10) to control the stiffness of the blend.
     Outside the bands the blend coincides with a single mode, which the
     Filippov flow engine advances until it reaches a band edge H = +-eps,
-    from where the blend is substepped again (raising StiffStepError as in ``integrate`` when the step grows a
-    decaying direction of that mode).
+    from where the blend is substepped again (raising StiffStepError as in
+    ``integrate`` when the step grows a decaying direction of that mode).
     """
     opts = opts or SolverOptions()
     reg = RegularizedSystem(system, eps)

@@ -50,9 +50,9 @@ def handle_manifold_copy(system):
     """The system with each affine manifold c.x - d given as value and
     gradient handles, so that its band edges are handle manifolds."""
     manifolds = [Manifold.from_handles(m.label,
-                                       lambda x, c=m.affine[0], d=m.affine[1]: c @ x - d,
-                                       lambda x, c=m.affine[0]: np.asarray(c, dtype=float))
-                 for m in system.manifolds]
+                                       lambda x, c=c, d=d: c @ x - d,
+                                       lambda x, c=c: np.asarray(c, dtype=float))
+                 for m in system.manifolds for c, d in [m.affine]]
     return PwsSystem(system.dimension, system.topology, system.modes, manifolds,
                      system.box)
 

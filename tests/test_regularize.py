@@ -279,10 +279,11 @@ class TestIntegrateRegularized:
         # band edges H -+ eps as handles: Newton projection and the stepwise
         # engine against the exact projection and the block engine
         for system in (ex1, ex2):
+            copy = handle_manifold_copy(system)
             for eps in (3e-2, 1e-3):
                 for x0 in ([-3.0, -4.0], [4.0, -3.0]):
                     a = integrate_regularized(system, eps, x0, 4.0)
-                    b = integrate_regularized(handle_manifold_copy(system), eps, x0, 4.0)
+                    b = integrate_regularized(copy, eps, x0, 4.0)
                     assert len(a.times) == len(b.times)
                     ta, xa = a.grid_samples(1e-3)
                     tb, xb = b.grid_samples(1e-3)
