@@ -3,11 +3,11 @@ sweeps, metric search, pairwise decay tests, and golden reproduction of the
 two shipped example systems.
 
 Exit codes: 0 success/pass, 1 analytic fail, 2 escaping-region halt,
-64 usage error. All floating-point output uses 17 significant digits so that
-identical command lines produce identical files. Each output gets a
-``*.manifest.json`` with the options, the package import time ``import_s`` and
-the wall time ``wall_time_s``, which a run from the shell counts from the
-start of the package import.
+3 numerical refusal, 64 usage error. All floating-point output uses 17
+significant digits so that identical command lines produce identical files.
+Each output gets a ``*.manifest.json`` with the options, the package import
+time ``import_s`` and the wall time ``wall_time_s``, which a run from the
+shell counts from the start of the package import.
 """
 
 from __future__ import annotations
@@ -24,10 +24,20 @@ import numpy as np
 
 from . import _IMPORT_S, _IMPORT_T0, __version__
 from .measure import Metric, matrix_measure
-from .model import ConfigError, PwsSystem, builtin_config_path, load_system_file
+from .model import (
+    ConfigError,
+    PwsSystem,
+    StiffStepError,
+    TopologyError,
+    builtin_config_path,
+    load_system_file,
+)
 from .filippov import (
     EscapingRegionError,
+    IntersectionAssumptionError,
+    NonFiniteStateError,
     SolverOptions,
+    StepUnderflowError,
     integrate,
     write_trajectory_csv,
 )
@@ -43,7 +53,12 @@ from .qsearch import SearchOptions, search_certificate
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ESCAPING = 2
+EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
+
+# the program refused to compute (or to return) a result it cannot trust
+_NUMERICAL_REFUSALS = (StiffStepError, NonFiniteStateError, StepUnderflowError,
+                       TopologyError, IntersectionAssumptionError)
 
 
 class UsageError(ValueError):
@@ -443,6 +458,9 @@ def main(argv=None) -> int:
     except EscapingRegionError as exc:
         print(f"escaping-region halt: {exc}", file=sys.stderr)
         return EXIT_ESCAPING
+    except _NUMERICAL_REFUSALS as exc:
+        print(f"numerical refusal: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (CertificateError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -14,10 +14,22 @@ the system. The slide engine evaluates an affine mode through its
 ``AffineField`` and an affine manifold through its constant normal, the same
 arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
+When two affine modes i | j on an affine manifold c.x = d have a jump that
+is rank-one in the normal, A_j - A_i = u c^T (equal matrices included), the
+field jump is a constant w on the manifold, so the weight lambda is affine
+and so is the sliding field Pi (A_i x + b_i), Pi = I - w c^T / c.w. That
+field is built once per (manifold, pair), cached on the system, and its
+slides advance in the same exact RK4 blocks as a flow, each row projected
+onto the manifold; the step at which lambda leaves its bounds or another
+surface is flagged is taken by the stepwise slide, with its exit bisection
+and persistence probe. Every other pair (a handle mode or manifold, a jump
+that is not rank-one in the normal, c.w = 0) keeps the stepwise slide.
+
 Two numerical refusals guard the output: a step at which RK4 grows a
-decaying direction of a mode raises ``StiffStepError`` (for an affine mode
-when its block maps are built, for a handle mode at the Jacobian at the start
-of each flow segment), and a trajectory with a NaN or infinite state raises
+decaying direction of a mode or of an affine sliding field raises
+``StiffStepError`` (for an affine field when its block maps are built, for a
+handle mode at the Jacobian at the start of each flow segment), and a
+trajectory with a NaN or infinite state raises
 ``NonFiniteStateError`` instead of being returned. A start outside the box,
 or a final time that is negative or not finite, raises ``ValueError``.
 """
@@ -26,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .model import (
     TOL_LIE,
+    AffineField,
     PwsSystem,
     Manifold,
     StiffStepError,
@@ -68,6 +81,7 @@ TOL_EVENT = 1e-10  # |H| at which a bisected boundary hit is accepted
 MAX_BISECT = 80
 TOL_LAMBDA = 1e-10  # a slide exits once its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]
 BLOCK = 256  # exact RK4 steps per affine block
+TOL_RANK_ONE = 1e-12  # relative residual of a mode jump from u c^T for an affine slide
 MAX_TRANSITIONS = 200_000
 
 
@@ -357,14 +371,15 @@ class _Builder:
             self._lam.append(np.array(lams, dtype=float))
             self._seg.append(np.array(segs, dtype=int))
 
-    def add_block(self, ts, X, seg_id):
+    def add_block(self, ts, X, seg_id, lams=None):
         k = len(ts)
         if k == 0:
             return
         self._stack_points()
         self._t.append(np.asarray(ts, dtype=float))
         self._x.append(np.asarray(X, dtype=float))
-        self._lam.append(np.full(k, math.nan))
+        self._lam.append(np.full(k, math.nan) if lams is None
+                         else np.asarray(lams, dtype=float))
         self._seg.append(np.full(k, seg_id, dtype=int))
 
     def finish(self) -> Trajectory:
@@ -425,6 +440,35 @@ def _run_flow_generic(events, mode, x, t, t_stop, opts, builder, seg_id):
     return "t_stop", t, x
 
 
+def _advance_block(field, what, x, t, h, t_stop):
+    """The next block of exact RK4 steps of an affine field from (t, x) on the
+    time grid k*h: (ts, X) with X[k] the state at ts[k]. None when t is off
+    the grid or no full step fits before t_stop; the caller then takes one
+    step. A StiffStepError from building the block maps names ``what``."""
+    k0 = math.floor(t / h + 1e-9)
+    m = min(BLOCK, int(math.floor((t_stop - t) / h + 1e-12)))
+    if abs(t - k0 * h) > 1e-12 * max(h, 1.0) or m == 0:
+        return None
+    try:
+        Rs, rs = field.stacks(h, BLOCK)
+    except StiffStepError as exc:
+        raise StiffStepError(f"{what}: {exc}") from None
+    n = x.shape[0]
+    # one 2-D product: a batched (m, n, n) @ (n,) matmul is several times slower
+    X = (Rs[:m].reshape(-1, n) @ x).reshape(m, n) + rs[:m]
+    return (k0 + 1 + np.arange(m)) * h, X
+
+
+def _block_events(C, d, x, X):
+    """(Hs, ev) over a block from x through the rows of X: Hs[0] holds the
+    values of the surfaces C y = d at x and Hs[k + 1] those at X[k]; ev[k]
+    flags each surface over step k."""
+    Hs = np.empty((len(X) + 1, len(d)))
+    Hs[0] = C @ x - d
+    Hs[1:] = X @ C.T - d
+    return Hs, _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
+
+
 def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
     """Advance one affine mode in blocks of exact RK4 steps on the aligned
     time grid."""
@@ -442,10 +486,8 @@ def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
         return "hit", k, t0 + theta * delta, surfaces[k].project(xe)
 
     while t < t_stop - 1e-14:
-        k0 = math.floor(t / h + 1e-9)
-        aligned = abs(t - k0 * h) <= 1e-12 * max(h, 1.0)
-        m_total = int(math.floor((t_stop - t) / h + 1e-12))
-        if not aligned or m_total == 0:
+        block = _advance_block(field, f"mode {mode.index}", x, t, h, t_stop)
+        if block is None:
             # one step up to the next grid time (or t_stop)
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
@@ -456,17 +498,8 @@ def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
             t, x = tn, x1
             builder.add_point(t, x, seg_id)
             continue
-        m = min(BLOCK, m_total)
-        try:
-            Rs, rs = field.stacks(h, BLOCK)
-        except StiffStepError as exc:
-            raise StiffStepError(f"mode {mode.index}: {exc}") from None
-        X = Rs[:m] @ x + rs[:m]
-        ts = (k0 + 1 + np.arange(m)) * h
-        Hs = np.empty((m + 1, len(surfaces)))
-        Hs[0] = C @ x - d
-        Hs[1:] = X @ C.T - d
-        ev = _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
+        ts, X = block
+        Hs, ev = _block_events(C, d, x, X)
         rows = np.flatnonzero(ev.any(axis=1))
         if rows.size:
             idx = int(rows[0])
@@ -483,9 +516,60 @@ def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
 # sliding engine
 
 
-def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
+class _AffineSlide(NamedTuple):
+    """An affine sliding field f_s(x) = field(x) with weight
+    lambda(x) = lam_x . x + lam_0."""
+
+    field: AffineField
+    lam_x: np.ndarray
+    lam_0: float
+
+
+def _slide_field(system: PwsSystem, man_idx: int, i: int, j: int):
+    """The ``_AffineSlide`` of the pair (i, j) on manifold ``man_idx``, built
+    once and cached on the system, or None when the slide is not affine.
+
+    For affine modes on an affine manifold c.x = d whose jump is rank-one in
+    the normal, A_j - A_i = u c^T, the jump f_j - f_i = u d + b_j - b_i = w
+    is constant on the manifold. Then lambda = -c.(A_i x + b_i) / c.w and the
+    sliding field is Pi (A_i x + b_i) with Pi = I - w c^T / c.w, tangent to
+    the manifold. None for a handle mode or manifold, for a jump whose
+    largest entry off u c^T exceeds ``TOL_RANK_ONE`` max(1, max |A_j - A_i|),
+    or for c.w = 0.
+    """
+    key = (man_idx, i, j)
+    cache = system._slide_fields
+    if key not in cache:
+        cache.setdefault(key, _build_slide_field(system, man_idx, i, j))
+    return cache[key]
+
+
+def _build_slide_field(system, man_idx, i, j):
+    if not system.is_affine:
+        return None
+    c, d = system.manifolds[man_idx].affine
+    fi, fj = system.mode(i).affine, system.mode(j).affine
+    jump = fj.A - fi.A
+    u = jump @ c / float(c @ c)
+    if np.abs(jump - np.outer(u, c)).max() > TOL_RANK_ONE * max(1.0, np.abs(jump).max()):
+        return None
+    w = u * d + fj.b - fi.b
+    cw = float(c @ w)
+    if cw == 0.0:
+        return None
+    proj = np.eye(system.dimension) - np.outer(w, c) / cw
+    return _AffineSlide(AffineField(proj @ fi.A, proj @ fi.b),
+                        -(fi.A.T @ c) / cw, -float(c @ fi.b) / cw)
+
+
+def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     """Integrate the sliding field along one manifold, starting with the
-    sample at the entry point (t, x).
+    sample at the entry point (t, x). An affine slide (``_slide_field``)
+    advances its aligned stretches in blocks of exact RK4 steps, projected
+    onto the manifold; the first step of a block at which lambda leaves
+    [TOL_LAMBDA, 1 - TOL_LAMBDA] or another surface is flagged, and every
+    step off the grid or of any other slide, is one step of the sliding
+    field, with the exit bisection, the persistence probe and ``_first_hit``.
 
     Returns ("t_stop", t, x), ("exit", mode, t_e, x_e), or
     ("hit", other_manifold_idx, t_e, x_e) when the slide reaches another
@@ -494,6 +578,12 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     man = system.manifolds[man_idx]
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
     surfaces = [system.manifolds[k] for k in others]
+    affine = _slide_field(system, man_idx, i, j)
+    if affine is not None:
+        c, d = man.affine
+        cc = float(c @ c)
+        C_o, d_o = events.C[others], events.d[others]
+        what = f"sliding field on {man.label}, pair ({i}, {j})"
     # The cheapest exact primitives, bound once per segment: an affine mode's
     # AffineField and an affine manifold's constant normal give the values of
     # Mode.f and Manifold.grad without their array coercions.
@@ -528,6 +618,23 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     hi_bound = 1.0 - TOL_LAMBDA
     h0 = h1 = h_others(x)
     while t < t_stop - 1e-14:
+        block = None if affine is None else _advance_block(
+            affine.field, what, x, t, opts.step, t_stop)
+        if block is not None:
+            # keep the rows before the first marked step; the stepwise code
+            # below takes that step again
+            ts, X = block
+            X -= np.outer((X @ c - d) / cc, c)
+            lams = X @ affine.lam_x + affine.lam_0
+            ev = _block_events(C_o, d_o, x, X)[1]
+            marked = ev.any(axis=1) | ~((lo_bound <= lams) & (lams <= hi_bound))
+            idx = int(np.argmax(marked)) if marked.any() else len(ts)
+            if idx:
+                builder.add_block(ts[:idx], X[:idx], seg_id, lams[:idx])
+                t, x = float(ts[idx - 1]), X[idx - 1]
+                h0 = h_others(x)
+            if idx == len(ts):
+                continue
         tn = _next_grid(t, opts.step, t_stop)
         delta = tn - t
         if delta < 1e-15:
@@ -706,7 +813,8 @@ def integrate(system: PwsSystem, x0, t_f: float,
             label = system.manifolds[man_idx].label
             sid = builder.open_segment("slide", t, manifold=label, pair=(i, j))
             first = False
-            res = _run_slide(system, man_idx, i, j, x, t, t_f, opts, builder, sid)
+            res = _run_slide(system, events, man_idx, i, j, x, t, t_f, opts, builder,
+                             sid)
             if res[0] == "t_stop":
                 _, t, x = res
                 builder.close_segment(sid, t)

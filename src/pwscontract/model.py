@@ -340,6 +340,9 @@ class PwsSystem:
         self.manifolds = list(manifolds)
         self.box = box
         self.metric = metric
+        # (manifold, i, j) -> the pair's affine sliding field or None, built
+        # once by the Filippov slide engine and shared like the mode fields
+        self._slide_fields: dict = {}
         self._validate()
 
     def _validate(self):

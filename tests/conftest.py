@@ -29,6 +29,10 @@ def ex2():
 # the eight starts of the shipped examples' golden runs
 GOLDEN_STARTS = [(-5.0, -5.0), (-5.0, 5.0), (5.0, -5.0), (5.0, 5.0),
                  (-3.0, -4.0), (-0.3, 2.0), (4.0, -3.0), (2.0, 4.0)]
+# the golden starts of the chain4 and chain3d fixtures; the chains slide for
+# most of their run, so they run briefly from few starts
+CHAIN_STARTS = [(-5.0, -5.0), (4.0, -3.0), (2.0, 4.0)]
+STARTS_3D = [(-4.0, 3.0, -2.0), (0.5, 1.0, -1.0)]
 
 
 def make_system(doc: dict):
@@ -120,6 +124,17 @@ STIFF = {
     "dimension": 2, "topology": "chain",
     "modes": [{"A": [[-5000.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}],
     "manifolds": [],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
+# two modes of the same stiff matrix on either side of x1 = 0: a start on the
+# manifold slides at once, along the sliding field diag(0, -5000), whose
+# h lambda = -5 at the default step is again outside RK4's stability interval
+STIFF_SLIDE = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": [[-1.0, 0.0], [0.0, -5000.0]], "b": [1.0, 0.0]},
+              {"A": [[-1.0, 0.0], [0.0, -5000.0]], "b": [-1.0, 0.0]}],
+    "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
     "box": {"lower": [-5, -5], "upper": [5, 5]},
 }
 

@@ -242,3 +242,20 @@ def test_criterion_9_jacobian_oracle(ex1, ex2):
     ok = worst1 <= 1e-6 and worst2 <= 1e-6 and elapsed < 0.1
     report(9, ok, f"chain worst {worst1:.2e}, cross worst {worst2:.2e} "
                   f"(<= 1e-6), runtime {elapsed * 1e3:.1f} ms (< 100 ms)")
+
+
+def test_criterion_10_chain_slide_runtime(chain4):
+    # a fresh copy of the 4-mode chain, so the block maps of its modes and of
+    # its sliding field are built inside the timed run
+    system = PwsSystem(2, "chain", [Mode.from_affine(m.index, m.affine.A, m.affine.b)
+                                    for m in chain4.modes],
+                       chain4.manifolds, chain4.box)
+    t0 = time.perf_counter()
+    traj = integrate(system, np.array([-5.0, -5.0]), 20.0)
+    elapsed = time.perf_counter() - t0
+    slide = sum(s.t_end - s.t_start for s in traj.segments if s.kind == "slide")
+    dist = float(np.linalg.norm(traj.final_state))
+    ok = slide >= 18.0 and dist <= 1e-4 and elapsed <= 0.6
+    report(10, ok, f"4-mode chain from (-5, -5) to T = 20: {slide:.2f} s of "
+                   f"sliding, final distance {dist:.2e} to the Filippov "
+                   f"equilibrium (<= 1e-4), runtime {elapsed * 1e3:.1f} ms (<= 0.6 s)")

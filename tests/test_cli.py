@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwscontract.cli import main
+from pwscontract.cli import EXIT_NUMERICAL, main
 from pwscontract.model import builtin_config_path
 
-from conftest import STIFF
+from conftest import STIFF, STIFF_SLIDE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -296,16 +296,25 @@ class TestUsageErrors:
 
 
 class TestNumericalRefusal:
-    def test_certified_stiff_mode_exits_one_without_csv(self, tmp_path, capsys):
+    def test_certified_stiff_mode_exits_numerical_without_csv(self, tmp_path, capsys):
         cfg = tmp_path / "stiff.json"
         cfg.write_text(json.dumps(STIFF))
         assert main(["certify", "--config", str(cfg), "--Q", "identity",
                      "--c", "0.9", "--out", str(tmp_path / "cert.json")]) == 0
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--config", str(cfg), "--x0", "1,1",
-                     "--t-final", "1", "--out", str(out)]) == 1
+                     "--t-final", "1", "--out", str(out)]) == EXIT_NUMERICAL == 3
         assert not out.exists()
         assert "use a smaller --step" in capsys.readouterr().err
+
+    def test_stiff_sliding_field_exits_numerical(self, tmp_path, capsys):
+        cfg = tmp_path / "stiff_slide.json"
+        cfg.write_text(json.dumps(STIFF_SLIDE))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--x0", "0,1",
+                     "--t-final", "1", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "sliding field on sigma_1_2, pair (1, 2)" in capsys.readouterr().err
 
     def test_stiff_mode_at_a_stable_step(self, tmp_path):
         cfg = tmp_path / "stiff.json"

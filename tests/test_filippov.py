@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from pwscontract.model import (
     locate,
 )
 from pwscontract.filippov import (
+    TOL_LAMBDA,
     EscapingRegionError,
     NonFiniteStateError,
     SolverOptions,
@@ -25,10 +27,19 @@ from pwscontract.filippov import (
     sliding_coefficient,
     sliding_field,
     write_trajectory_csv,
+    _slide_field,
 )
 from pwscontract.regularize import integrate_regularized
 
-from conftest import GOLDEN_STARTS, STIFF, handle_copy, make_system
+from conftest import (
+    CHAIN_STARTS,
+    GOLDEN_STARTS,
+    STARTS_3D,
+    STIFF,
+    STIFF_SLIDE,
+    handle_copy,
+    make_system,
+)
 
 
 def fresh(name):
@@ -449,3 +460,125 @@ class TestBlockMapCache:
         for k in range(8):
             assert np.array_equal(Rs[k], acc) and np.array_equal(rs[k], off)
             acc, off = R @ acc, R @ off + r
+
+
+@pytest.fixture(scope="module")
+def oblique():
+    """Two modes on c.x = 0.5 with c = (1, 1) whose jump A_2 - A_1 = u c^T,
+    u = (-0.5, 0.25), is rank-one in the normal; the constant on-manifold
+    jump w = u d + b_2 - b_1 is not parallel to c, so the sliding field's
+    projection I - w c^T / c.w is oblique."""
+    return make_system({
+        "dimension": 2, "topology": "chain",
+        "modes": [{"A": [[-1.0, 0.5], [0.0, -1.0]], "b": [1.0, 0.5]},
+                  {"A": [[-1.5, 0.0], [0.25, -0.75]], "b": [-1.0, 0.0]}],
+        "manifolds": [{"c": [1.0, 1.0], "d": 0.5}],
+        "box": {"lower": [-5, -5], "upper": [5, 5]}})
+
+
+def rebuilt(system):
+    """The system with the same modes and manifolds and an empty cache of
+    sliding fields."""
+    return PwsSystem(system.dimension, system.topology, system.modes,
+                     system.manifolds, system.box)
+
+
+class TestAffineSlide:
+    """Slides of an affine pair whose jump is rank-one in the normal advance
+    in blocks of exact RK4 steps; the handle-mode copy of the same system
+    takes the stepwise slide."""
+
+    # (fixture, starts, horizon): every slide of the example1 runs ends by
+    # t = 2; the chains and the oblique pair slide until the end
+    CASES = [("ex1", GOLDEN_STARTS, 2.0), ("chain4", CHAIN_STARTS, 2.0),
+             ("chain3d", STARTS_3D, 2.0),
+             ("oblique", [(-0.3, 2.0), (4.0, -3.0), (5.0, -5.0)], 3.0)]
+
+    @pytest.mark.parametrize("step", [1e-3, 7.3e-3])
+    @pytest.mark.parametrize("name, starts, t_f", CASES)
+    def test_block_slide_matches_stepwise_slide(self, request, stack_builds,
+                                                name, starts, t_f, step):
+        system = rebuilt(request.getfixturevalue(name))
+        stepwise = handle_copy(system)
+        opts = SolverOptions(step=step)
+        slid = 0
+        for x0 in starts:
+            a = integrate(system, x0, t_f, opts)
+            b = integrate(stepwise, x0, t_f, opts)
+            slid += a.has_sliding()
+            assert ([(s.kind, s.pair, s.manifold) for s in a.segments]
+                    == [(s.kind, s.pair, s.manifold) for s in b.segments])
+            assert len(a.times) == len(b.times)
+            assert np.array_equal(a.seg_index, b.seg_index)
+            assert np.max(np.abs(a.times - b.times)) <= 1e-12
+            assert np.max(np.abs(a.states - b.states)) <= 1e-12
+            on = ~np.isnan(a.lambdas)
+            assert np.array_equal(on, ~np.isnan(b.lambdas))
+            assert np.max(np.abs(a.lambdas[on] - b.lambdas[on]), initial=0.0) <= 1e-12
+            for sa, sb in zip(a.segments, b.segments):
+                assert abs(sa.t_end - sb.t_end) <= 1e-12
+        assert slid >= min(len(starts), 3)
+        # the affine runs took the block path: a sliding field's block maps
+        # were built
+        slides = [f.field for f in system._slide_fields.values()]
+        assert slides and all(f is not None for f in slides)
+        assert {id(f) for f in slides} & {key[0] for key in stack_builds}
+
+    @pytest.mark.parametrize("step", [1e-3, 7.3e-3])
+    def test_exit_at_unit_weight(self, ex1, step):
+        # from (-3, -4) example1 slides on x1 = 0 until lambda reaches 1 near
+        # t = ln 4, then flows on in mode 2
+        opts = SolverOptions(step=step)
+        runs = [integrate(s, (-3.0, -4.0), 2.0, opts)
+                for s in (rebuilt(ex1), handle_copy(ex1))]
+        exits = []
+        for traj in runs:
+            k = next(k for k, s in enumerate(traj.segments) if s.kind == "slide")
+            assert traj.segments[k + 1].kind == "flow"
+            assert traj.segments[k + 1].mode == 2
+            assert traj.lambdas[traj.seg_index == k][-1] >= 1.0 - 2 * TOL_LAMBDA
+            exits.append(traj.segments[k].t_end)
+        assert abs(exits[0] - exits[1]) <= 1e-12
+        assert abs(exits[0] - math.log(4.0)) <= 1e-6
+
+    def test_pairs_on_the_block_path(self, ex1, ex2, chain4, chain3d, oblique):
+        for system in (ex1, chain4, chain3d, oblique):
+            for k in range(len(system.manifolds)):
+                assert _slide_field(system, k, k + 1, k + 2) is not None
+        for k, pair in ((0, (4, 1)), (0, (3, 2)), (1, (1, 2)), (1, (4, 3))):
+            assert _slide_field(ex2, k, *pair) is None
+        assert _slide_field(handle_copy(ex1), 0, 1, 2) is None
+
+    def test_field_is_the_filippov_combination(self, ex1):
+        slide = _slide_field(ex1, 0, 1, 2)
+        for x2 in (-2.9, -2.0, -1.1):  # sliding needs -3 < x2 < -1
+            x = np.array([0.0, x2])
+            assert np.allclose(slide.field(x), sliding_field(ex1, 1, 2, x),
+                               rtol=0, atol=1e-14)
+            si = lie_derivative(ex1.manifolds[0], ex1.f(1, x), x)
+            sj = lie_derivative(ex1.manifolds[0], ex1.f(2, x), x)
+            assert abs(slide.lam_x @ x + slide.lam_0 - si / (si - sj)) <= 1e-15
+
+    def test_non_rank_one_jump_is_stepwise(self):
+        doc = json.loads(builtin_config_path("example1").read_text())
+        doc["modes"][1]["A"][1][1] += 1e-6
+        assert _slide_field(make_system(doc), 0, 1, 2) is None
+
+    def test_zero_normal_jump_is_stepwise(self):
+        # equal matrices and a jump b_2 - b_1 = (0, 1) along the manifold
+        eye = [[-1.0, 0.0], [0.0, -1.0]]
+        system = make_system({
+            "dimension": 2, "topology": "chain",
+            "modes": [{"A": eye, "b": [0.0, 0.0]}, {"A": eye, "b": [0.0, 1.0]}],
+            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
+            "box": {"lower": [-5, -5], "upper": [5, 5]}})
+        assert _slide_field(system, 0, 1, 2) is None
+
+    def test_stiff_sliding_field_refused(self):
+        system = make_system(STIFF_SLIDE)
+        with pytest.raises(StiffStepError,
+                           match=r"sliding field on sigma_1_2, pair \(1, 2\): RK4 step"):
+            integrate(system, [0.0, 1.0], 1.0)
+        traj = integrate(system, [0.0, 1.0], 1.0, SolverOptions(step=1e-4))
+        assert [s.kind for s in traj.segments] == ["slide"]
+        assert np.abs(traj.final_state).max() <= 1e-12

@@ -18,17 +18,17 @@ from pwscontract.cli import main
 from pwscontract.filippov import SolverOptions, integrate
 from pwscontract.regularize import integrate_regularized
 
-from conftest import GOLDEN_STARTS
+from conftest import CHAIN_STARTS, GOLDEN_STARTS, STARTS_3D
 
 README_SWEEP = "1e-1,3e-2,1e-2,3e-3,1e-3"
 
 CASES = {
     "simulate": (["simulate", "--config", "example1", "--x0", "-3,-4",
                   "--t-final", "20"],
-                 "14c84d6576376f401df3c11bf6a1158257be22d534e7bd8f823ecb4765df0154"),
+                 "0f85915f844432cbebef1bc96250c66952ca4d8ff11f8767b230f0cfbbb4d511"),
     "regularize": (["regularize", "--config", "example1", "--x0", "-3,-4",
                     "--t-final", "20", "--eps", README_SWEEP],
-                   "559f4c0f8fa65427fef51ec9afc207e4d72acef033b8cc001b006f92086dbcf1"),
+                   "732c80587c9a6ce81c3b1965be4ae7da8dbb81d8352a1f88f41b0916bcf2e6b7"),
     "certify-1-vertex": (["certify", "--config", "example1", "--Q", "identity",
                           "--c", "0.5"],
                          "ad9122743e69cd2e3954b474c469ab3040ba6b46f64b42975ef63993c6a55992"),
@@ -57,11 +57,6 @@ def test_data_output_digest(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# the chains slide for most of their run, so they run briefly from few starts
-CHAIN_STARTS = [(-5.0, -5.0), (4.0, -3.0), (2.0, 4.0)]
-STARTS_3D = [(-4.0, 3.0, -2.0), (0.5, 1.0, -1.0)]
-
-
 def _pool(system, seed=2024, size=20):
     """The fixed spread of pairwise starts over the box that the benchmark's
     ensemble workload pairs up."""
@@ -74,11 +69,11 @@ def _pool(system, seed=2024, size=20):
 TRAJECTORY_CASES = {
     "integrate-example1-1e-3": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
-        "2cd6a26ffaf97e9d6c25c9ecfb8f9ab57d4729c9b21c84a7ecd618b3c50785da"),
+        "7186a0bc3b1451ccee5395c117afc1aa70399cb7a95de1431c355b48c079721e"),
     "integrate-example1-7.3e-3": (
         "ex1", GOLDEN_STARTS,
         lambda s, x: integrate(s, x, 20.0, SolverOptions(step=7.3e-3)),
-        "a22ee8cbf69007d507e31aea09e002b121bc2fc8e33396d72d2a5d9f4717f45a"),
+        "990f4458d1c57855df5091131dab48f1f7b998c3da6142f056b15bf8b559c361"),
     "integrate-example2-1e-3": (
         "ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
         "eff82d239f473ef8d40eaf1159fc5f303abadd13cdd02d09a66ea74caea054a9"),
@@ -88,7 +83,7 @@ TRAJECTORY_CASES = {
         "db5c1b7c98dc76606bcf6f75d8c5a286ae94087daf672418ada1e1f283906bff"),
     "pairwise-pool-example1": (
         "ex1", _pool, lambda s, x: integrate(s, x, 10.0),
-        "5e0e931d6a2e2eb8665e33d73506b58a9b4a5fa887bd03cd530e50eb634d03a3"),
+        "bf7102310f5e453d83faad0aee5a2fb6600d129c2a1b53dbabb8d033dfb4244a"),
     "regularized-example1-1e-2": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
         "6f93cd293fc291158ad198dc29df64e358d7a0fa13995f7b2e8cdcd5e7470953"),
@@ -97,13 +92,13 @@ TRAJECTORY_CASES = {
         "44680749fb096bd4c3304a40f17f02b34802d9777b8f320b439b52a76e043f01"),
     "integrate-chain4": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0),
-        "6a89cbb1a1205f4e36c668336d44741d72ebb0a7bbf11a82313594540e69de73"),
+        "c77babc0eca41a7e3994ad5b47803dde3a39f0bf9e0d9819caf66b46a7af4301"),
     "regularized-chain4-1e-2": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
         "ce01505fe79ebd50cf3552bf33db50285e989829f18f8e89fee8493b8e662b9f"),
     "integrate-chain3d": (
         "chain3d", STARTS_3D, lambda s, x: integrate(s, x, 3.0),
-        "44293b4df87e163ec5ab1e0788d75dda5c894754f72efa07c94c1713bdd0c7bb"),
+        "e2a191d8ea93ef74b8edf7ec29429f633d8ff56a24a773f45f364fc93d5d31b1"),
     "regularized-chain3d-1e-2": (
         "chain3d", STARTS_3D, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
         "c42f49e1a57abee9d8377966698d1e273f425636e8fb6545436c279f90017b6e"),

@@ -401,11 +401,15 @@ class TestConvergenceStudy:
             convergence_study(ex1, [0.0, 0.0], 1.0, [1e-2, 1e-1])
 
     def test_base_block_maps_built_once(self, stack_builds):
-        # the Filippov reference and every band width share the base modes
+        # the Filippov reference and every band width share the base modes;
+        # the reference's slide advances through the system's cached field
         system = make_system(json.loads(builtin_config_path("example1").read_text()))
         convergence_study(system, [-3.0, -4.0], 5.0, [1e-1, 1e-2, 1e-3])
         assert stack_builds and set(stack_builds.values()) == {1}
-        assert {key[0] for key in stack_builds} <= {id(m.affine) for m in system.modes}
+        slides = {id(s.field) for s in system._slide_fields.values() if s is not None}
+        assert slides
+        assert {key[0] for key in stack_builds} <= (
+            {id(m.affine) for m in system.modes} | slides)
 
     def test_rejects_nonpositive(self, ex1):
         with pytest.raises(ValueError, match="positive"):
