@@ -10,9 +10,15 @@ evaluates only there, at the points of ``model.polytope_vertices``. The grid
 strategy meshes each domain instead.
 
 One table builder per topology serves both forms: ``_band(man, w)`` gives a
-manifold's equality (w = 0) or its closed slab (w = eps). The vertex order is
-part of the output, since a report names the first maximum and conditions
-often tie at several vertices; see ``polytope_vertices``.
+manifold's equality (w = 0) or its closed slab (w = eps). Each condition is
+built by one batched evaluation over its point set: every mode field on the
+stacked points (``Mode.f_many``; handle data is stacked point by point), the
+jump rows F g^T in one broadcast, and the arm and box cuts of a mesh as array
+masks, with the bits of a point-by-point evaluation. The vertex order is part
+of the output, since a report names the first maximum and conditions often
+tie at several vertices; see ``polytope_vertices``. A condition without
+points is reported as ``"empty"`` (vertex strategy: its domain is empty, so
+it holds) or ``"unsampled"`` (grid: the mesh missed it, so it fails).
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class ConditionResult:
     margin: float
     point: Optional[tuple]
     method: str
+    status: str = ""  # "empty" | "unsampled" for a condition without points
 
 
 @dataclass
@@ -108,10 +115,11 @@ class CertificateReport:
                 {
                     "id": c.cond_id,
                     "domain": c.domain,
-                    "worst": c.worst,
-                    "margin": c.margin,
+                    "worst": None if c.status else c.worst,
+                    "margin": None if c.status else c.margin,
                     "point": None if c.point is None else list(c.point),
                     "method": c.method,
+                    **({"status": c.status} if c.status else {}),
                 }
                 for c in self.conditions
             ],
@@ -125,16 +133,17 @@ class CertificateReport:
 @dataclass(frozen=True)
 class Condition:
     """One certificate condition. Its quantified matrices are the rows
-    ``rows`` of the table's stack, taken at ``points`` (None where the matrix
-    is constant over the domain). An equality quantifies no matrix: its worst
-    case is the metric-independent ``residual``, attained at ``points[0]``."""
+    ``rows`` of the table's stack, taken at the rows of the array ``points``
+    ([None] where the matrix is constant over the domain). An equality
+    quantifies no matrix: its worst case is the metric-independent
+    ``residual``, attained at ``points[0]``."""
 
     cond_id: str
     kind: str  # "flow" | "jump" | "equality"
     domain: str
     method: str
     rows: slice
-    points: list
+    points: object
     residual: float = 0.0
 
 
@@ -150,19 +159,18 @@ class ConditionTable:
         self.strategy = strategy
         self.notes = notes
         self.conditions: list = []
-        self._rows: list = []
+        self._blocks: list = []  # the (k, n, n) matrices of each condition
 
     def add(self, cond_id, kind, domain, method, mats, points, residual=0.0):
-        start = len(self._rows)
-        self._rows.extend(mats)
+        start = self.conditions[-1].rows.stop if self.conditions else 0
+        self._blocks.append(np.reshape(mats, (-1, self.dimension, self.dimension)))
         self.conditions.append(Condition(cond_id, kind, domain, method,
-                                         slice(start, len(self._rows)),
-                                         list(points), residual))
+                                         slice(start, start + len(self._blocks[-1])),
+                                         points, residual))
 
     @cached_property
     def mats(self) -> np.ndarray:
-        n = self.dimension
-        return np.array(self._rows, dtype=float).reshape(-1, n, n)
+        return np.concatenate(self._blocks)
 
     @cached_property
     def _starts(self) -> np.ndarray:
@@ -172,7 +180,7 @@ class ConditionTable:
 
     def worsts(self, mu: np.ndarray) -> list:
         """Worst value of every condition, given the measures ``mu`` of the
-        stack; an empty domain gives -inf."""
+        stack; a condition without points gives -inf (never binding)."""
         peaks = iter(np.maximum.reduceat(mu, self._starts).tolist()
                      if mu.size else ())
         out = []
@@ -189,14 +197,19 @@ class ConditionTable:
         bounds = {"flow": -metric.c, "jump": TOL_ZERO, "equality": TOL_EQ}
         results = []
         for cond, worst in zip(self.conditions, self.worsts(mu)):
-            point = cond.points[0] if cond.kind == "equality" else (
-                cond.points[int(np.argmax(mu[cond.rows]))]
-                if cond.rows.stop > cond.rows.start else None)
+            status = ""
+            if cond.kind == "equality":
+                point = cond.points[0]
+            elif cond.rows.stop > cond.rows.start:
+                point = cond.points[int(np.argmax(mu[cond.rows]))]
+            else:  # a vertex enumeration proves the domain empty; a mesh, nothing
+                point, status = None, "empty" if self.strategy == "vertex" else "unsampled"
+                worst = -math.inf if status == "empty" else math.inf
             bound = bounds[cond.kind]
             results.append(ConditionResult(
                 cond.cond_id, cond.kind, cond.domain, worst, bound, bound - worst,
                 None if point is None else tuple(np.asarray(point, dtype=float)),
-                cond.method))
+                cond.method, status))
         return CertificateReport(metric, results, self.strategy, metric.c,
                                  notes=self.notes)
 
@@ -212,50 +225,58 @@ def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
     return _cross_table(system, box, strategy, eps)
 
 
-def _add_flow(table, system, box, i, domain, inflate=None):
+def _add_flow(table, system, box, i, domain):
     mode = system.modes[i - 1]
     if mode.is_affine:
         table.add(f"flow[{i}]", "flow", domain, "vertex (constant)",
-                  [mode.affine.A], [None])
+                  mode.affine.A, [None])
         return
     if table.strategy == "vertex":
         raise CertificateError("vertex strategy requires affine data")
-    pts = _region_mesh(system, box, i, inflate)
+    pts = _region_mesh(system, box, i)
     table.add(f"flow[{i}]", "flow", domain, f"grid({GRID_REGION})",
               [mode.jac(x) for x in pts], pts)
 
 
-def _region_mesh(system, box, i, inflate):
-    signs = system.region_signs(i)
-    keep = []
-    for x in box_grid(box, GRID_REGION):
-        ok = True
-        for j, s in enumerate(signs):
-            slack = 1e-12 + (inflate(i, j) if inflate else 0.0)
-            if s * system.manifolds[j].h(x) < -slack:
-                ok = False
-                break
-        if ok:
-            keep.append(x)
-    return keep
+def _region_mesh(system, box, i):
+    """The grid points of mode i's closed region (never in a regularized
+    table, whose modes are affine)."""
+    pts = box_grid(box, GRID_REGION)
+    out = np.zeros(len(pts), dtype=bool)
+    for j, s in enumerate(system.region_signs(i)):
+        out |= s * system.manifolds[j].h_many(pts) < -1e-12
+    return pts[~out]
 
 
-def _add_jump(table, system, box, cond_id, domain, matfun, points_vertex,
-              surfaces, extra_filter=None):
-    """Add one jump condition, evaluated at ``points_vertex()`` (vertex
-    strategy) or on a mesh of each manifold in ``surfaces`` (grid)."""
+def _jump_points(table, system, box, man, w, arm=None):
+    """(method, points) of a jump condition across ``man``, over its closed
+    w-band (w = 0: the manifold) cut by an ``arm`` (other, side) to
+    side * H_other >= w: the vertices of that polytope (vertex strategy), or
+    a mesh of the band's level sets H = -w, 0, +w masked by the arm (grid)."""
     if table.strategy == "vertex":
         if not system.is_affine:
             raise CertificateError("vertex strategy requires affine data")
-        pts = points_vertex()
-        method = "vertex"
-    else:
-        pts = [p for surface in surfaces
-               for p in _manifold_grid(box, surface, GRID_MANIFOLD)]
-        if extra_filter is not None:
-            pts = [p for p in pts if extra_filter(p)]
-        method = f"grid({GRID_MANIFOLD})"
-    table.add(cond_id, "jump", domain, method, [matfun(x) for x in pts], pts)
+        eqs, ineqs = _band(man, w)
+        if arm is not None:
+            (oc, od), side = arm[0].affine, arm[1]
+            ineqs = ineqs + [((-side) * oc, (-side) * od - w)]
+        return "vertex", np.reshape(polytope_vertices(eqs, ineqs, box), (-1, box.dimension))
+    levels = [man]
+    if w:
+        c, d = man.affine
+        levels = [Manifold.from_affine(man.label, c, d - w), man,
+                  Manifold.from_affine(man.label, c, d + w)]
+    pts = np.concatenate([_manifold_grid(box, s, GRID_MANIFOLD) for s in levels])
+    if arm is not None:
+        pts = pts[arm[1] * arm[0].h_many(pts) >= w - 1e-12]
+    return f"grid({GRID_MANIFOLD})", pts
+
+
+def _add_jump(table, cond_id, domain, man, method, pts, jump):
+    """Add a jump condition whose field jump at the rows of ``pts`` is the
+    matching row of ``jump``: its matrices jump g^T, in one broadcast."""
+    table.add(cond_id, "jump", domain, method,
+              jump[:, :, None] * man.grad_many(pts)[:, None, :], pts)
 
 
 def _require(system: PwsSystem, metric: Metric, topology: str):
@@ -274,7 +295,6 @@ def _require(system: PwsSystem, metric: Metric, topology: str):
 def _chain_table(system, box, strategy, eps):
     if eps is None:
         table = ConditionTable(system.dimension, strategy)
-        inflate = None
         region = "closure(S_{i}) in box"
         band = "{label} in box"
     else:
@@ -286,31 +306,15 @@ def _chain_table(system, box, strategy, eps):
             raise CertificateError("bands intersect - chain regularization invalid")
         table = ConditionTable(system.dimension, strategy,
                                notes=f"band half-width eps={eps}")
-
-        def inflate(i, j):
-            return eps if j in (i - 2, i - 1) else 0.0
-
         region = f"closure(S_{{i}}) + adjacent {eps}-bands in box"
         band = f"closed {eps}-band of {{label}} in box"
     for i in range(1, system.n_modes + 1):
-        _add_flow(table, system, box, i, region.format(i=i), inflate)
+        _add_flow(table, system, box, i, region.format(i=i))
     for k, man in enumerate(system.manifolds):
-        i, j = k + 1, k + 2
-
-        def matfun(x, i=i, j=j, man=man):
-            return np.outer(system.f(j, x) - system.f(i, x), man.grad(x))
-
-        def vertices(man=man):
-            return polytope_vertices(*_band(man, eps or 0.0), box)
-
-        if eps is None:
-            surfaces = [man]
-        else:  # the closed band through its level sets H = -eps, 0, +eps
-            c, d = man.affine
-            surfaces = [Manifold.from_affine(man.label, c, d - eps), man,
-                        Manifold.from_affine(man.label, c, d + eps)]
-        _add_jump(table, system, box, f"jump[{k + 1}]", band.format(label=man.label),
-                  matfun, vertices, surfaces)
+        method, pts = _jump_points(table, system, box, man, eps or 0.0)
+        _add_jump(table, f"jump[{k + 1}]", band.format(label=man.label), man,
+                  method, pts,
+                  system.modes[k + 1].f_many(pts) - system.modes[k].f_many(pts))
     return table
 
 
@@ -338,34 +342,18 @@ def check_regularized_chain(system: PwsSystem, metric: Metric, eps: float,
 # planar cross conditions
 
 
-def _cross_combo(system, signs):
-    """x -> sum_k signs[k] * f_k(x) for the four cross modes."""
-
-    def combo(x):
-        out = np.zeros(2)
-        for k, s in enumerate(signs):
-            if s:
-                out += s * system.f(k + 1, x)
-        return out
-
-    return combo
-
-
 _COMBO_FULL_1 = (1, 1, -1, -1)  # f1 + f2 - f3 - f4
 _COMBO_FULL_2 = (-1, 1, 1, -1)  # f2 + f3 - f1 - f4
 _COMBO_DIAG = (-1, 1, -1, 1)  # f2 + f4 - f1 - f3
+_COMBO_NEG_DIAG = (1, -1, 1, -1)
 
 
-def _cross_setup(system):
-    """Intersection check and the field combinations (full1, full2, diag,
-    -diag) of the cross conditions."""
-    chk = check_intersection_assumption(system)
-    if not chk.ok:
-        raise CertificateError(
-            f"common-sector assumption fails at the intersection: {chk.detail}")
-    combos = [_cross_combo(system, signs) for signs in (
-        _COMBO_FULL_1, _COMBO_FULL_2, _COMBO_DIAG, tuple(-s for s in _COMBO_DIAG))]
-    return chk, combos
+def _combo(system, signs, pts):
+    """sum_k signs[k] f_k at the rows of ``pts``, from zero in mode order."""
+    out = np.zeros(np.shape(pts))
+    for s, mode in zip(signs, system.modes):
+        out += s * mode.f_many(pts)
+    return out
 
 
 def _band(man, w):
@@ -388,7 +376,10 @@ def _cross_table(system, box, strategy, eps=None):
         if strategy != "vertex" or not system.is_affine:
             raise CertificateError(
                 "the regularized cross checker evaluates affine data by vertices")
-    chk, (full1, full2, diag, neg_diag) = _cross_setup(system)
+    chk = check_intersection_assumption(system)
+    if not chk.ok:
+        raise CertificateError(
+            f"common-sector assumption fails at the intersection: {chk.detail}")
     m1, m2 = system.manifolds
     w = 0.0 if lim else eps
     table = ConditionTable(2, strategy, notes=f"certified crossing sector S_{chk.sector}"
@@ -399,46 +390,35 @@ def _cross_table(system, box, strategy, eps=None):
     # (id, domain, manifold, field combination, (other manifold, side) of an arm)
     specs = [(f"manifold[{k}]" if lim else f"band[{k}]",
               f"{man.label} in box" if lim else f"closed {eps}-band of {man.label}",
-              man, combo, None)
-             for k, man, combo in ((1, m1, full1), (2, m2, full2))]
-    for half_id, arm_id, man, other, side, combo in (
-            ("half[1,+]", "region[6]", m1, m2, 1, diag),
-            ("half[1,-]", "region[4]", m1, m2, -1, neg_diag),
-            ("half[2,+]", "region[2]", m2, m1, 1, diag),
-            ("half[2,-]", "region[8]", m2, m1, -1, neg_diag)):
+              man, signs, None)
+             for k, man, signs in ((1, m1, _COMBO_FULL_1), (2, m2, _COMBO_FULL_2))]
+    for half_id, arm_id, man, other, side, signs in (
+            ("half[1,+]", "region[6]", m1, m2, 1, _COMBO_DIAG),
+            ("half[1,-]", "region[4]", m1, m2, -1, _COMBO_NEG_DIAG),
+            ("half[2,+]", "region[2]", m2, m1, 1, _COMBO_DIAG),
+            ("half[2,-]", "region[8]", m2, m1, -1, _COMBO_NEG_DIAG)):
         rel = ">" if side > 0 else "<"
         cond_id, domain = (
             (half_id, f"{man.label} with {other.label}{rel}0") if lim else
             (arm_id, f"{man.label}-band arm with {other.label}{rel}= {side * eps}"))
-        specs.append((cond_id, domain, man, combo, (other, side)))
-    for cond_id, domain, man, combo, arm in specs:
-
-        def vertex_pts(man=man, arm=arm):
-            eqs, ineqs = _band(man, w)
-            if arm is not None:  # side * H_other >= w
-                other, side = arm
-                oc, od = other.affine
-                ineqs = ineqs + [((-side) * oc, (-side) * od - w)]
-            return polytope_vertices(eqs, ineqs, box)
-
-        _add_jump(table, system, box, cond_id, domain,
-                  lambda x, combo=combo, man=man: np.outer(combo(x), man.grad(x)),
-                  vertex_pts, [man],
-                  extra_filter=None if arm is None else
-                  lambda p, arm=arm: arm[1] * arm[0].h(p) >= -1e-12)
+        specs.append((cond_id, domain, man, signs, (other, side)))
+    for cond_id, domain, man, signs, arm in specs:
+        method, pts = _jump_points(table, system, box, man, w, arm)
+        _add_jump(table, cond_id, domain, man, method, pts, _combo(system, signs, pts))
     if lim:
         x_tilde = chk.x_tilde
         table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde.tolist())}",
-                  "point", [], [x_tilde],
-                  residual=float(np.linalg.norm(diag(x_tilde))))
+                  "point", [], [x_tilde], residual=float(np.linalg.norm(
+                      _combo(system, _COMBO_DIAG, x_tilde[None])[0])))
         return table
-    square = polytope_vertices([], _band(m1, w)[1] + _band(m2, w)[1], box)
-    norms = [float(np.linalg.norm(diag(p))) for p in square]
-    residual = max(norms, default=0.0)
+    square = np.array(polytope_vertices([], _band(m1, w)[1] + _band(m2, w)[1], box))
+    diag = _combo(system, _COMBO_DIAG, square)
+    # the stacked dot products give the bits of np.linalg.norm row by row
+    norms = np.sqrt((diag[:, None] @ diag[..., None])[:, 0, 0])
+    k = int(np.argmax(norms))
     table.add("square-eq", "equality",
               f"closed central square, half-width {eps}", "vertex", [],
-              [square[norms.index(residual)] if square else None],
-              residual=residual)
+              [square[k]], residual=float(norms[k]))
     return table
 
 

@@ -214,7 +214,7 @@ def cmd_certify(args) -> int:
                     [out])
     for cond in report.conditions:
         print(f"{cond.cond_id:<18} worst={cond.worst: .12g} "
-              f"margin={cond.margin: .12g}")
+              f"margin={cond.margin: .12g} {cond.status}".rstrip())
     print(f"verdict: {'pass' if report.passed else 'fail'} "
           f"(rate c={metric.c:.17g})")
     return EXIT_OK if report.passed else EXIT_FAIL

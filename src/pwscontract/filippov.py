@@ -26,9 +26,10 @@ and persistence probe. Every other pair (a handle mode or manifold, a jump
 that is not rank-one in the normal, c.w = 0) keeps the stepwise slide.
 
 Two numerical refusals guard the output: a step at which RK4 grows a
-decaying direction of a mode or of an affine sliding field raises
-``StiffStepError`` (for an affine field when its block maps are built, for a
-handle mode at the Jacobian at the start of each flow segment), and a
+decaying direction of a mode or of a sliding field raises ``StiffStepError``
+(for an affine field when its block maps are built, for a handle mode at the
+Jacobian at the start of each flow segment, for a stepwise slide at the
+central-difference Jacobian of its sliding field at each slide entry), and a
 trajectory with a NaN or infinite state raises
 ``NonFiniteStateError`` instead of being returned. A start outside the box,
 or a final time that is negative or not finite, raises ``ValueError``.
@@ -50,6 +51,7 @@ from .model import (
     StiffStepError,
     TopologyError,
     _check_rk4_step,
+    _fd_jacobian,
     check_intersection_assumption,
     locate,
 )
@@ -579,11 +581,11 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
     surfaces = [system.manifolds[k] for k in others]
     affine = _slide_field(system, man_idx, i, j)
+    what = f"sliding field on {man.label}, pair ({i}, {j})"
     if affine is not None:
         c, d = man.affine
         cc = float(c @ c)
         C_o, d_o = events.C[others], events.d[others]
-        what = f"sliding field on {man.label}, pair ({i}, {j})"
     # The cheapest exact primitives, bound once per segment: an affine mode's
     # AffineField and an affine manifold's constant normal give the values of
     # Mode.f and Manifold.grad without their array coercions.
@@ -613,6 +615,11 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
     def h_others(xq):
         return np.array([s.h(xq) for s in surfaces])
 
+    if affine is None:  # an affine slide's block maps check their own step
+        try:
+            _check_rk4_step(np.linalg.eigvals(_fd_jacobian(fs)(x)), opts.step)
+        except StiffStepError as exc:
+            raise StiffStepError(f"{what}: {exc}") from None
     builder.add_point(t, x, seg_id, lam=min(max(lam_at(x), 0.0), 1.0))
     lo_bound = TOL_LAMBDA
     hi_bound = 1.0 - TOL_LAMBDA

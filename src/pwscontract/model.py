@@ -210,6 +210,14 @@ class Mode:
     def f(self, x) -> np.ndarray:
         return np.asarray(self._field(np.asarray(x, dtype=float)), dtype=float)
 
+    def f_many(self, X) -> np.ndarray:
+        """f at every row of the (k, n) array X, with the bits of ``f``: one
+        stacked product for an affine mode, the handle per row otherwise."""
+        X = np.asarray(X, dtype=float)
+        if self.affine is not None:
+            return (self.affine.A @ X[..., None])[..., 0] + self.affine.b
+        return np.array([self.f(x) for x in X]).reshape(X.shape)
+
     def jac(self, x) -> np.ndarray:
         return np.asarray(self._jac(np.asarray(x, dtype=float)), dtype=float)
 
@@ -269,6 +277,21 @@ class Manifold:
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+
+    def h_many(self, X) -> np.ndarray:
+        """H at every row of the (k, n) array X, with the bits of ``h``."""
+        X = np.asarray(X, dtype=float)
+        if self.affine is not None:
+            c, d = self.affine
+            return (c @ X[..., None])[..., 0] - d
+        return np.array([self.h(x) for x in X])
+
+    def grad_many(self, X) -> np.ndarray:
+        """The gradient at every row of the (k, n) array X."""
+        X = np.asarray(X, dtype=float)
+        if self.affine is not None:
+            return np.broadcast_to(self.affine[0], X.shape)
+        return np.array([self.grad(x) for x in X]).reshape(X.shape)
 
     def project(self, x) -> np.ndarray:
         """Nearest-point projection onto {H = 0}; exact for the affine form."""
@@ -544,12 +567,15 @@ def box_grid(box: AnalysisBox, per_axis: int, skip: Optional[int] = None) -> np.
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _dedupe(points, tol=1e-9):
-    out = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in out):
-            out.append(p)
-    return out
+def _dedupe(points: np.ndarray, tol=1e-9) -> np.ndarray:
+    """The rows of ``points`` farther than tol (max norm) from every earlier
+    row kept."""
+    i, j = np.nonzero((np.abs(points[:, None] - points[None]) <= tol).all(axis=2))
+    keep = np.ones(len(points), dtype=bool)
+    for p, q in zip(i.tolist(), j.tolist()):  # row by row: keep[p] is final
+        if p < q and keep[p]:
+            keep[q] = False
+    return points[keep]
 
 
 def polytope_vertices(eqs, ineqs, box: AnalysisBox, tol=1e-9) -> list:
@@ -570,14 +596,15 @@ def polytope_vertices(eqs, ineqs, box: AnalysisBox, tol=1e-9) -> list:
     a = np.array([r for r, _ in rows])
     b = np.array([v for _, v in rows])
     m = len(eqs)
-    subsets = np.array([s for s in itertools.combinations(range(len(rows)), n)
-                        if s[:m] == tuple(range(m))], dtype=np.intp).reshape(-1, n)
+    subsets = np.array([(*range(m), *s) for s in
+                        itertools.combinations(range(m, len(rows)), n - m)],
+                       dtype=np.intp).reshape(-1, n)
     M, rhs = a[subsets], b[subsets]
     keep = np.abs(np.linalg.det(M)) >= 1e-12
     pts = np.linalg.solve(M[keep], rhs[keep][..., None])[..., 0]
     r = pts @ a.T - b
-    ok = np.all(np.abs(r[:, :m]) <= tol, axis=1) & np.all(r[:, m:] <= tol, axis=1)
-    return _dedupe(list(pts[ok]))
+    r[:, :m] = np.abs(r[:, :m])
+    return list(_dedupe(pts[(r <= tol).all(axis=1)]))
 
 
 def _chain_bands_disjoint(system: PwsSystem, eps: float,
@@ -588,22 +615,22 @@ def _chain_bands_disjoint(system: PwsSystem, eps: float,
     eps = 0 this is the chain order of the manifolds themselves."""
     for k in range(len(system.manifolds) - 1):
         c0, d0 = system.manifolds[k].affine
-        c1, d1 = system.manifolds[k + 1].affine
-        below = polytope_vertices([], [(c0, d0 + eps)], box)
-        if any(float(np.dot(c1, v)) - d1 >= -eps for v in below):
+        below = np.reshape(polytope_vertices([], [(c0, d0 + eps)], box), (-1, box.dimension))
+        if np.any(system.manifolds[k + 1].h_many(below) >= -eps):
             return False
     return True
 
 
 def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
-    """Mesh of points on {H = 0} inside the box."""
+    """Mesh of points on {H = 0} inside the box, as the rows of an array."""
     if manifold.is_affine:
         c, d = manifold.affine
         pivot = int(np.argmax(np.abs(c)))
         pts = box_grid(box, points_per_axis, skip=pivot)
         pts[:, pivot] = (d - sum(c[i] * pts[:, i] for i in range(box.dimension)
                                  if i != pivot)) / c[pivot]
-        return [x for x in pts if box.contains(x, tol=1e-12)]
+        inside = (pts >= box.lower - 1e-12) & (pts <= box.upper + 1e-12)
+        return pts[inside.all(axis=1)]
     # smooth manifold: every root of H along each grid line of the first axis,
     # from the sign changes of a scan at the grid points, each bisected
     lines = box_grid(box, points_per_axis, skip=0)
@@ -632,7 +659,7 @@ def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
                 else:
                     hi = mid
             pts.append(on_line(line, 0.5 * (lo + hi)))
-    return pts
+    return np.array(pts).reshape(-1, box.dimension)
 
 
 @dataclass
@@ -701,11 +728,8 @@ def check_intersection_assumption(system: PwsSystem) -> IntersectionCheck:
     x_tilde = np.linalg.solve(M, np.array([d1, d2]))
     if not system.box.contains(x_tilde, tol=1e-12):
         raise TopologyError("manifold intersection lies outside the analysis box")
-    sig = np.empty((4, 2))
-    for k in range(4):
-        fk = system.f(k + 1, x_tilde)
-        sig[k, 0] = float(np.dot(c1, fk))
-        sig[k, 1] = float(np.dot(c2, fk))
+    F = np.stack([m.f_many(x_tilde[None])[0] for m in system.modes])
+    sig = np.stack([(c @ F[..., None])[..., 0] for c in (c1, c2)], axis=1)
     if np.any(np.abs(sig) <= TOL_LIE):
         raise TopologyError(
             "a Lie derivative vanishes at the intersection; the common-sector "

@@ -138,6 +138,25 @@ STIFF_SLIDE = {
     "box": {"lower": [-5, -5], "upper": [5, 5]},
 }
 
+# the same pair with mode 2's fast entry -5001: the jump is not rank-one in the
+# normal, so the slide is stepwise, and its sliding field has the eigenvalue
+# -5000.5 along the manifold
+STIFF_STEPWISE_SLIDE = {
+    **STIFF_SLIDE,
+    "modes": [STIFF_SLIDE["modes"][0],
+              {"A": [[-1.0, 0.0], [0.0, -5001.0]], "b": [-1.0, 0.0]}],
+}
+
+
+# one manifold x1 = 10, outside the box: its jump condition has no domain
+OUTSIDE_MANIFOLD = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
+              {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [1.0, 0.0]}],
+    "manifolds": [{"c": [1.0, 0.0], "d": 10.0}],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
 
 @pytest.fixture(scope="session")
 def circle():

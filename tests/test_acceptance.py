@@ -2,6 +2,7 @@
 pass/fail line with the measured quantities. Tolerances and runtime budgets
 are fixed here, not tuned per machine."""
 
+import collections
 import math
 import time
 
@@ -22,6 +23,7 @@ from pwscontract.regularize import (
 from pwscontract.certify import (
     check_chain_certificate,
     check_cross_certificate,
+    condition_table,
     pairwise_contraction_test,
 )
 
@@ -259,3 +261,25 @@ def test_criterion_10_chain_slide_runtime(chain4):
     report(10, ok, f"4-mode chain from (-5, -5) to T = 20: {slide:.2f} s of "
                    f"sliding, final distance {dist:.2e} to the Filippov "
                    f"equilibrium (<= 1e-4), runtime {elapsed * 1e3:.1f} ms (<= 0.6 s)")
+
+
+def test_criterion_11_batched_condition_tables(ex1, ex2, chain3d, monkeypatch):
+    # every affine table is built by array evaluations over each condition's
+    # point set: no per-point field or manifold call, whatever the build takes
+    calls = collections.Counter()
+    for cls, name in ((Mode, "f"), (Manifold, "h")):
+        def counting(self, x, method=getattr(cls, name), key=f"{cls.__name__}.{name}"):
+            calls[key] += 1
+            return method(self, x)
+
+        monkeypatch.setattr(cls, name, counting)
+    times = []
+    for label, system in (("example1", ex1), ("example2", ex2), ("chain3d", chain3d)):
+        for build, kwargs in (("vertex", {}), ("grid", {"strategy": "grid"}),
+                              ("eps 1e-2", {"eps": 1e-2})):
+            t0 = time.perf_counter()
+            condition_table(system, **kwargs)
+            times.append(f"{label} {build} {(time.perf_counter() - t0) * 1e3:.2f} ms")
+    ok = not calls
+    report(11, ok, f"per-point calls while building 9 affine tables: "
+                   f"{dict(calls) or 0} (must be 0); build times: {', '.join(times)}")

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from pwscontract.measure import Metric
-from pwscontract.model import AnalysisBox, Mode, PwsSystem, builtin_config_path
+from pwscontract.model import (AnalysisBox, Manifold, Mode, PwsSystem,
+                               builtin_config_path)
 from pwscontract.certify import (
     CertificateError,
     check_chain_certificate,
     check_cross_certificate,
     check_regularized_chain,
     check_regularized_cross,
+    condition_table,
     pairwise_contraction_test,
 )
+from pwscontract.qsearch import SearchOptions, _search_margin, search_certificate
 
-from conftest import make_system
+from conftest import OUTSIDE_MANIFOLD, make_system
 
 
 def perturbed_ex2(b4):
@@ -217,6 +220,49 @@ class TestRegularizedCross:
         system = perturbed_ex2([7.0, -1.3])
         report = check_regularized_cross(system, Metric.identity(2, 1.0), 0.05)
         assert report.condition("square-eq").margin < 0
+
+
+class TestConditionsWithoutPoints:
+    def test_vertex_strategy_proves_the_domain_empty(self):
+        system = make_system(OUTSIDE_MANIFOLD)
+        for report in (check_chain_certificate(system, Metric.identity(2, 0.5)),
+                       check_regularized_chain(system, Metric.identity(2, 0.5), 1e-2)):
+            jump = report.condition("jump[1]")
+            assert (jump.status, jump.point, jump.worst) == ("empty", None, -math.inf)
+            assert report.passed
+            doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+            assert (doc["conditions"][-1]["worst"], doc["conditions"][-1]["margin"],
+                    doc["conditions"][-1]["status"]) == (None, None, "empty")
+            assert "status" not in doc["conditions"][0]
+
+    def test_grid_without_samples_fails(self):
+        report = check_chain_certificate(make_system(OUTSIDE_MANIFOLD),
+                                         Metric.identity(2, 0.5), strategy="grid")
+        jump = report.condition("jump[1]")
+        assert (jump.status, jump.point, jump.margin) == ("unsampled", None, -math.inf)
+        assert not report.passed
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_circle_between_grid_lines_is_unsampled(self):
+        # radius 0.1 around (0, 0.125): no grid line x2 = k/4 of the mesh meets it
+        centre = np.array([0.0, 0.125])
+        eye = np.eye(2)
+        system = PwsSystem(
+            2, "chain",
+            [Mode.from_affine(1, -eye, [0.0, 0.0]), Mode.from_affine(2, -eye, [1.0, 0.0])],
+            [Manifold.from_handles("small", lambda x: float((x - centre) @ (x - centre)) - 0.01,
+                                   lambda x: 2.0 * (np.asarray(x) - centre))],
+            AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+        report = check_chain_certificate(system, Metric.identity(2, 0.5), strategy="grid")
+        assert report.condition("jump[1]").status == "unsampled"
+        assert not report.passed
+
+    def test_search_treats_an_empty_condition_as_non_binding(self):
+        system = make_system(OUTSIDE_MANIFOLD)
+        assert _search_margin(condition_table(system), np.eye(2), 0.5) == 0.5
+        result = search_certificate(system, opts=SearchOptions(c_lo=0.5, c_hi=1.5))
+        assert result.found and result.metric.c >= 0.999
+        assert result.report.condition("jump[1]").status == "empty"
 
 
 class TestReportShape:

@@ -10,7 +10,7 @@ import pytest
 from pwscontract.cli import EXIT_NUMERICAL, main
 from pwscontract.model import builtin_config_path
 
-from conftest import STIFF, STIFF_SLIDE
+from conftest import OUTSIDE_MANIFOLD, STIFF, STIFF_SLIDE, STIFF_STEPWISE_SLIDE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,6 +123,21 @@ class TestCertify:
         rc = main(["certify", "--config", "example2",
                    "--out", str(tmp_path / "c.json")])
         assert rc == 0
+
+    @pytest.mark.parametrize("strategy, rc, status", [("vertex", 0, "empty"),
+                                                      ("grid", 1, "unsampled")])
+    def test_condition_without_points(self, tmp_path, capsys, strategy, rc, status):
+        cfg = tmp_path / "outside.json"
+        cfg.write_text(json.dumps(OUTSIDE_MANIFOLD))
+        out = tmp_path / "c.json"
+        assert main(["certify", "--config", str(cfg), "--c", "0.5",
+                     "--strategy", strategy, "--out", str(out)]) == rc
+        # strict JSON: no -Infinity or NaN tokens
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+        jump = doc["conditions"][-1]
+        assert (jump["worst"], jump["margin"], jump["status"]) == (None, None, status)
+        assert all("status" not in c for c in doc["conditions"][:-1])
+        assert capsys.readouterr().out.splitlines()[2].endswith(status)
 
 
 class TestRegularize:
@@ -313,6 +328,15 @@ class TestNumericalRefusal:
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--config", str(cfg), "--x0", "0,1",
                      "--t-final", "1", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "sliding field on sigma_1_2, pair (1, 2)" in capsys.readouterr().err
+
+    def test_stiff_stepwise_slide_exits_numerical(self, tmp_path, capsys):
+        cfg = tmp_path / "stiff_stepwise_slide.json"
+        cfg.write_text(json.dumps(STIFF_STEPWISE_SLIDE))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--x0", "0,1",
+                     "--t-final", "0.05", "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
         assert "sliding field on sigma_1_2, pair (1, 2)" in capsys.readouterr().err
 

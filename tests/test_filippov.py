@@ -37,6 +37,7 @@ from conftest import (
     STARTS_3D,
     STIFF,
     STIFF_SLIDE,
+    STIFF_STEPWISE_SLIDE,
     handle_copy,
     make_system,
 )
@@ -580,5 +581,16 @@ class TestAffineSlide:
                            match=r"sliding field on sigma_1_2, pair \(1, 2\): RK4 step"):
             integrate(system, [0.0, 1.0], 1.0)
         traj = integrate(system, [0.0, 1.0], 1.0, SolverOptions(step=1e-4))
+        assert [s.kind for s in traj.segments] == ["slide"]
+        assert np.abs(traj.final_state).max() <= 1e-12
+
+    def test_stiff_stepwise_slide_refused(self):
+        system = make_system(STIFF_STEPWISE_SLIDE)
+        assert _slide_field(system, 0, 1, 2) is None
+        # before the entry check this returned x2 = 7.2e56 without an error
+        with pytest.raises(StiffStepError,
+                           match=r"sliding field on sigma_1_2, pair \(1, 2\): RK4 step"):
+            integrate(system, [0.0, 1.0], 0.05)
+        traj = integrate(system, [0.0, 1.0], 0.05, SolverOptions(step=1e-4))
         assert [s.kind for s in traj.segments] == ["slide"]
         assert np.abs(traj.final_state).max() <= 1e-12
