@@ -477,6 +477,8 @@ def pairwise_contraction_test(system: PwsSystem, metric: Metric, pairs,
     The reported ``alpha`` is cond(Q) * max_t d(t) e^{c t} / d(0), an
     admissible constant for the plain Euclidean decay bound.
     """
+    if not 0.0 <= tol_decay < math.inf:
+        raise ValueError("tol_decay must be a finite number >= 0")
     opts = opts or SolverOptions()
     c = metric.c
     entries = []

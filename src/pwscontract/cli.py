@@ -105,6 +105,7 @@ def _bounded(cast, low, strict: bool, what: str):
 _STEP = _bounded(float, 0.0, True, "step must be a finite positive number")
 _T_FINAL = _bounded(float, 0.0, False, "final time must be a finite number >= 0")
 _PAIRS = _bounded(int, 1, False, "pair count must be a positive integer")
+_TOL_DECAY = _bounded(float, 0.0, False, "decay tolerance must be a finite number >= 0")
 
 
 def _load_config(name_or_path: str) -> tuple:
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_PAIRS, default=10)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--t-final", type=_T_FINAL, default=10.0, dest="t_final")
-    p.add_argument("--tol-decay", type=float, default=1e-2, dest="tol_decay")
+    p.add_argument("--tol-decay", type=_TOL_DECAY, default=1e-2, dest="tol_decay")
     p.add_argument("--step", type=_STEP, default=1e-3)
     p.add_argument("--out", default="pairwise.json")
     p.set_defaults(func=cmd_pairwise)

@@ -10,7 +10,9 @@ the regularized one: it watches the event surfaces it is handed and, for
 affine systems, advances the smooth flow in vectorized blocks through the
 exact single-step RK4 transition map; each mode's block maps are built once
 per (step, block) on its ``AffineField`` and shared by every integration of
-the system. The slide engine evaluates an affine mode through its
+the system. ``_EventSurfaces`` is the one evaluator of a set of surfaces: the
+flow, the slide (for the other manifolds) and the regularized blend read
+their H values from it. The slide engine evaluates an affine mode through its
 ``AffineField`` and an affine manifold through its constant normal, the same
 arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
@@ -27,10 +29,10 @@ that is not rank-one in the normal, c.w = 0) keeps the stepwise slide.
 
 Two numerical refusals guard the output: a step at which RK4 grows a
 decaying direction of a mode or of a sliding field raises ``StiffStepError``
-(for an affine field when its block maps are built, for a handle mode at the
-Jacobian at the start of each flow segment, for a stepwise slide at the
-central-difference Jacobian of its sliding field at each slide entry), and a
-trajectory with a NaN or infinite state raises
+(for an affine field when its block maps are built, for a mode of any other
+system at its Jacobian at the start of each flow segment, for a stepwise
+slide at the central-difference Jacobian of its sliding field at each slide
+entry), and a trajectory with a NaN or infinite state raises
 ``NonFiniteStateError`` instead of being returned. A start outside the box,
 or a final time that is negative or not finite, raises ``ValueError``.
 """
@@ -122,8 +124,8 @@ class SolverOptions:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -280,9 +282,10 @@ def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 
 class _EventSurfaces:
-    """The surfaces H_k(x) = 0 that a flow segment of ``system`` watches. For
+    """The one evaluator of a set of surfaces H_k(x) = 0 of ``system``. For
     an affine system H_k(x) = C[k].x - d[k], with the normals and offsets
-    stacked once for the affine flow engine; otherwise C and d are None."""
+    stacked once; otherwise the values are those of the surfaces' handles,
+    and C and d are None."""
 
     def __init__(self, system: PwsSystem, surfaces: list):
         self.surfaces = surfaces
@@ -291,6 +294,21 @@ class _EventSurfaces:
             self.C = np.array([s.affine[0] for s in surfaces]).reshape(
                 -1, system.dimension)
             self.d = np.array([s.affine[1] for s in surfaces])
+
+    def values(self, x) -> np.ndarray:
+        """H_k(x) of every surface."""
+        if self.C is None:
+            return np.array([s.h(x) for s in self.surfaces])
+        return self.C @ x - self.d
+
+    def scan_block(self, x, X):
+        """(Hs, ev) over a block of an affine system from x through the rows
+        of X: Hs[0] holds the values at x and Hs[k + 1] those at X[k]; ev[k]
+        flags each surface over step k."""
+        Hs = np.empty((len(X) + 1, len(self.surfaces)))
+        Hs[0] = self.C @ x - self.d
+        Hs[1:] = X @ self.C.T - self.d
+        return Hs, _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
 
 
 def _event_flags(h0, h1, tol):
@@ -303,9 +321,9 @@ def _event_flags(h0, h1, tol):
 
 
 def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0):
-    """Locate a root of H along the step map, returning (theta, state)."""
-    if abs(h0) <= TOL_EVENT:
-        return 0.0, np.asarray(x0, dtype=float)
+    """Locate a root of H along the step map, returning (theta, state); H
+    changes sign over the step, or lands on the surface from |h0| > TOL_EVENT
+    (``_event_flags``)."""
     pos0 = h0 > 0
     lo, hi = 0.0, 1.0
     for _ in range(MAX_BISECT):
@@ -403,43 +421,7 @@ class _Builder:
 
 
 # ---------------------------------------------------------------------------
-# flow engines
-
-
-def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
-    """Flow one mode from (t, x) until t_stop or a hit of one of the event
-    surfaces; returns ("t_stop", t, x) or ("hit", surface_idx, t_e, x_e) with
-    x_e projected onto that surface. Affine systems take the block engine,
-    every other system the stepwise one."""
-    engine = _run_flow_generic if events.C is None else _run_flow_affine
-    return engine(events, mode, x, t, t_stop, opts, builder, seg_id)
-
-
-def _run_flow_generic(events, mode, x, t, t_stop, opts, builder, seg_id):
-    """Step one smooth mode with full RK4 steps on the aligned time grid.
-    Raises StiffStepError when the step grows a decaying direction of the
-    mode's Jacobian at the segment's start."""
-    try:
-        _check_rk4_step(np.linalg.eigvals(mode.jac(x)), opts.step)
-    except StiffStepError as exc:
-        raise StiffStepError(f"mode {mode.index}: {exc}") from None
-    f = mode.f
-    surfaces = events.surfaces
-    h_of = lambda xq: np.array([s.h(xq) for s in surfaces])
-    h0 = h_of(x)
-    step_fn = lambda x0, d: _rk4(f, x0, d)
-    while t < t_stop - 1e-14:
-        tn = _next_grid(t, opts.step, t_stop)
-        delta = tn - t
-        x1 = _rk4(f, x, delta)
-        h1 = h_of(x1)
-        flagged = _event_flags(h0, h1, TOL_EVENT)
-        if flagged.any():
-            theta, k, xe = _first_hit(step_fn, surfaces, flagged, x, delta, h0)
-            return "hit", k, t + theta * delta, surfaces[k].project(xe)
-        t, x, h0 = tn, x1, h1
-        builder.add_point(t, x, seg_id)
-    return "t_stop", t, x
+# flow engine
 
 
 def _advance_block(field, what, x, t, h, t_stop):
@@ -461,47 +443,56 @@ def _advance_block(field, what, x, t, h, t_stop):
     return (k0 + 1 + np.arange(m)) * h, X
 
 
-def _block_events(C, d, x, X):
-    """(Hs, ev) over a block from x through the rows of X: Hs[0] holds the
-    values of the surfaces C y = d at x and Hs[k + 1] those at X[k]; ev[k]
-    flags each surface over step k."""
-    Hs = np.empty((len(X) + 1, len(d)))
-    Hs[0] = C @ x - d
-    Hs[1:] = X @ C.T - d
-    return Hs, _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
+def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
+    """Flow one mode from (t, x) until t_stop or a hit of one of the event
+    surfaces; returns ("t_stop", None, t, x) or ("hit", surface_idx, t_e, x_e)
+    with x_e projected onto that surface.
 
-
-def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
-    """Advance one affine mode in blocks of exact RK4 steps on the aligned
-    time grid."""
+    A mode of an affine system advances its aligned stretches in blocks of
+    exact RK4 steps and takes every other step through its exact step map.
+    The modes of any other system (one with a handle mode or surface) take
+    one RK4 step of their field up to each grid time, and raise
+    StiffStepError when the step grows a decaying direction of the mode's
+    Jacobian at the segment's start.
+    """
     h = opts.step
-    surfaces = events.surfaces
-    C, d = events.C, events.d
-    field = mode.affine
+    field = None if events.C is None else mode.affine
+    what = f"mode {mode.index}"
+    if field is None:
+        try:
+            _check_rk4_step(np.linalg.eigvals(mode.jac(x)), h)
+        except StiffStepError as exc:
+            raise StiffStepError(f"{what}: {exc}") from None
+        f = mode.f
 
-    def step_fn(x0, d):
-        R, r = field.step_map(d)
-        return R @ x0 + r
+        def step_fn(x0, dt):
+            return _rk4(f, x0, dt)
+    else:
+        def step_fn(x0, dt):
+            R, r = field.step_map(dt)
+            return R @ x0 + r
 
     def hit(x0, t0, delta, h0, flags):
-        theta, k, xe = _first_hit(step_fn, surfaces, flags, x0, delta, h0)
-        return "hit", k, t0 + theta * delta, surfaces[k].project(xe)
+        theta, k, xe = _first_hit(step_fn, events.surfaces, flags, x0, delta, h0)
+        return "hit", k, t0 + theta * delta, events.surfaces[k].project(xe)
 
+    h0 = None  # the event values at x, carried from step to step
     while t < t_stop - 1e-14:
-        block = _advance_block(field, f"mode {mode.index}", x, t, h, t_stop)
+        block = None if field is None else _advance_block(field, what, x, t, h, t_stop)
         if block is None:
-            # one step up to the next grid time (or t_stop)
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
-            h0 = C @ x - d
-            flags = _event_flags(h0, C @ x1 - d, TOL_EVENT)
+            if h0 is None:
+                h0 = events.values(x)
+            h1 = events.values(x1)
+            flags = _event_flags(h0, h1, TOL_EVENT)
             if flags.any():
                 return hit(x, t, tn - t, h0, flags)
-            t, x = tn, x1
+            t, x, h0 = tn, x1, h1
             builder.add_point(t, x, seg_id)
             continue
         ts, X = block
-        Hs, ev = _block_events(C, d, x, X)
+        Hs, ev = events.scan_block(x, X)
         rows = np.flatnonzero(ev.any(axis=1))
         if rows.size:
             idx = int(rows[0])
@@ -509,9 +500,8 @@ def _run_flow_affine(events, mode, x, t, t_stop, opts, builder, seg_id):
             return hit(x if idx == 0 else X[idx - 1], t + idx * h, h,
                        Hs[idx], ev[idx])
         builder.add_block(ts, X, seg_id)
-        x = X[-1]
-        t = ts[-1]
-    return "t_stop", t, x
+        x, t, h0 = X[-1], ts[-1], None
+    return "t_stop", None, t, x
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +554,7 @@ def _build_slide_field(system, man_idx, i, j):
                         -(fi.A.T @ c) / cw, -float(c @ fi.b) / cw)
 
 
-def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
+def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     """Integrate the sliding field along one manifold, starting with the
     sample at the entry point (t, x). An affine slide (``_slide_field``)
     advances its aligned stretches in blocks of exact RK4 steps, projected
@@ -573,19 +563,19 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
     step off the grid or of any other slide, is one step of the sliding
     field, with the exit bisection, the persistence probe and ``_first_hit``.
 
-    Returns ("t_stop", t, x), ("exit", mode, t_e, x_e), or
+    Returns ("t_stop", None, t, x), ("exit", mode, t_e, x_e), or
     ("hit", other_manifold_idx, t_e, x_e) when the slide reaches another
     manifold (for a planar cross: the intersection point).
     """
     man = system.manifolds[man_idx]
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
-    surfaces = [system.manifolds[k] for k in others]
+    events = _EventSurfaces(system, [system.manifolds[k] for k in others])
+    surfaces = events.surfaces
     affine = _slide_field(system, man_idx, i, j)
     what = f"sliding field on {man.label}, pair ({i}, {j})"
     if affine is not None:
         c, d = man.affine
         cc = float(c @ c)
-        C_o, d_o = events.C[others], events.d[others]
     # The cheapest exact primitives, bound once per segment: an affine mode's
     # AffineField and an affine manifold's constant normal give the values of
     # Mode.f and Manifold.grad without their array coercions.
@@ -612,9 +602,6 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
     def slide_step(x0, d):
         return project(_rk4(fs, x0, d))
 
-    def h_others(xq):
-        return np.array([s.h(xq) for s in surfaces])
-
     if affine is None:  # an affine slide's block maps check their own step
         try:
             _check_rk4_step(np.linalg.eigvals(_fd_jacobian(fs)(x)), opts.step)
@@ -623,7 +610,7 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
     builder.add_point(t, x, seg_id, lam=min(max(lam_at(x), 0.0), 1.0))
     lo_bound = TOL_LAMBDA
     hi_bound = 1.0 - TOL_LAMBDA
-    h0 = h1 = h_others(x)
+    h0 = h1 = events.values(x)
     while t < t_stop - 1e-14:
         block = None if affine is None else _advance_block(
             affine.field, what, x, t, opts.step, t_stop)
@@ -633,13 +620,13 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
             ts, X = block
             X -= np.outer((X @ c - d) / cc, c)
             lams = X @ affine.lam_x + affine.lam_0
-            ev = _block_events(C_o, d_o, x, X)[1]
+            ev = events.scan_block(x, X)[1]
             marked = ev.any(axis=1) | ~((lo_bound <= lams) & (lams <= hi_bound))
             idx = int(np.argmax(marked)) if marked.any() else len(ts)
             if idx:
                 builder.add_block(ts[:idx], X[:idx], seg_id, lams[:idx])
                 t, x = float(ts[idx - 1]), X[idx - 1]
-                h0 = h_others(x)
+                h0 = events.values(x)
             if idx == len(ts):
                 continue
         tn = _next_grid(t, opts.step, t_stop)
@@ -650,7 +637,7 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
         # another manifold reached mid-slide (planar cross: the intersection)
         hit = None
         if surfaces:
-            h1 = h_others(x1)
+            h1 = events.values(x1)
             flags = _event_flags(h0, h1, TOL_EVENT)
             if flags.any():
                 hit = _first_hit(slide_step, surfaces, flags, x, delta, h0)
@@ -686,7 +673,7 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
         x_probe = slide_step(xe, rest) if rest > 1e-15 else xe
         lam_probe = lam_at(x_probe)
         if lo_bound <= lam_probe <= hi_bound:
-            t, x, h0 = tn, x_probe, h_others(x_probe)
+            t, x, h0 = tn, x_probe, events.values(x_probe)
             builder.add_point(t, x, seg_id, lam=lam_probe)
             continue
         te = t + theta * delta
@@ -694,7 +681,7 @@ def _run_slide(system, events, man_idx, i, j, x, t, t_stop, opts, builder, seg_i
         builder.add_point(te, xe, seg_id, lam=lam_e)
         exit_mode = i if lam_probe < lo_bound else j
         return "exit", exit_mode, te, xe
-    return "t_stop", t, x
+    return "t_stop", None, t, x
 
 
 # ---------------------------------------------------------------------------
@@ -800,42 +787,28 @@ def integrate(system: PwsSystem, x0, t_f: float,
             raise StepUnderflowError(
                 "too many segment transitions (chattering or step underflow)")
         if state[0] == "flow":
-            mode_idx = state[1]
-            sid = builder.open_segment("flow", t, mode=mode_idx)
+            mode_from = state[1]
+            sid = builder.open_segment("flow", t, mode=mode_from)
             if first:
                 builder.add_point(t, x, sid)
                 first = False
-            res = _run_flow(events, system.mode(mode_idx), x, t, t_f, opts,
-                            builder, sid)
-            if res[0] == "t_stop":
-                _, t, x = res
-                builder.close_segment(sid, t)
-                break
-            _, man_idx, te, xe = res
-            builder.close_segment(sid, te)
-            t, x = te, xe
-            state = boundary_state(man_idx, t, x, mode_from=mode_idx)
+            kind, idx, t, x = _run_flow(events, system.mode(mode_from), x, t, t_f,
+                                        opts, builder, sid)
         else:
             _, man_idx, i, j = state
             label = system.manifolds[man_idx].label
             sid = builder.open_segment("slide", t, manifold=label, pair=(i, j))
             first = False
-            res = _run_slide(system, events, man_idx, i, j, x, t, t_f, opts, builder,
-                             sid)
-            if res[0] == "t_stop":
-                _, t, x = res
-                builder.close_segment(sid, t)
-                break
-            if res[0] == "exit":
-                _, exit_mode, te, xe = res
-                builder.close_segment(sid, te)
-                t, x = te, xe
-                state = ("flow", exit_mode)
-            else:  # reached another manifold: for a planar cross this is x~
-                _, other_idx, te, xe = res
-                builder.close_segment(sid, te)
-                t, x = te, xe
-                state = boundary_state(other_idx, t, x, mode_from=None)
+            mode_from = None
+            kind, idx, t, x = _run_slide(system, man_idx, i, j, x, t, t_f, opts,
+                                         builder, sid)
+        builder.close_segment(sid, t)
+        if kind == "t_stop":
+            break
+        if kind == "exit":  # a slide left its manifold into mode idx
+            state = ("flow", idx)
+        else:  # manifold idx was hit; a slide into a planar cross hits x~
+            state = boundary_state(idx, t, x, mode_from=mode_from)
     return builder.finish()
 
 

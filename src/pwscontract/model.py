@@ -513,7 +513,12 @@ def load_system(text: str) -> PwsSystem:
         Q, c = np.asarray(mdoc["Q"], dtype=float), float(mdoc["c"])
         _require_finite(Q, "metric Q")
         _require_finite(c, "metric rate c")
-        metric = Metric(Q, c)
+        if Q.shape != (n, n):
+            raise ConfigError(f"metric Q has shape {Q.shape}, expected ({n}, {n})")
+        try:
+            metric = Metric(Q, c)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return PwsSystem(n, topology, modes, manifolds, box, metric)
 
 

@@ -29,15 +29,17 @@ _GAP_FLOOR = 1e-12  # the barrier stops once its duality gap is this small
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Rate bracket and bisection tolerance."""
+    """Rate bracket and bisection tolerance, all finite."""
 
     c_lo: float = 0.0
     c_hi: float = 10.0
     c_tol: float = 1e-3
 
     def __post_init__(self):
-        if not (0.0 <= self.c_lo < self.c_hi):
-            raise ValueError("need 0 <= c_lo < c_hi")
+        if not 0.0 <= self.c_lo < self.c_hi < math.inf:
+            raise ValueError("need finite 0 <= c_lo < c_hi")
+        if not 0.0 < self.c_tol < math.inf:
+            raise ValueError("c_tol must be a finite positive number")
 
 
 @dataclass

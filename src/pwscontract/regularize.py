@@ -187,15 +187,12 @@ class RegularizedSystem:
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
         self._weights = _chain_weights if base.topology == "chain" else _cross_weights
         # the manifold values H(x) and the stacked mode fields f_i(x)
+        self._H = _EventSurfaces(base, base.manifolds).values
         if base.is_affine:
             As = np.stack([m.affine.A for m in base.modes])
             bs = np.stack([m.affine.b for m in base.modes])
-            C = np.array([m.affine[0] for m in base.manifolds]).reshape(-1, base.dimension)
-            d = np.array([m.affine[1] for m in base.manifolds])
-            self._H = lambda x: C @ x - d
             self._fields = lambda x: As @ x + bs
         else:
-            self._H = lambda x: np.array([m.h(x) for m in base.manifolds])
             self._fields = lambda x: np.array([m.f(x) for m in base.modes])
 
     def field(self, x) -> np.ndarray:
@@ -268,12 +265,9 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                 builder.add_point(t, x, sid)
         else:
             mode = system.mode(locate(system, x, tol_boundary=0.0).mode)
-            res = _run_flow(events, mode, x, t, t_f, opts, builder, sid)
-            if res[0] == "hit":
-                _, _, t, x = res
+            kind, _, t, x = _run_flow(events, mode, x, t, t_f, opts, builder, sid)
+            if kind == "hit":
                 builder.add_point(t, x, sid)
-            else:
-                _, t, x = res
     builder.close_segment(sid, t)
     return builder.finish()
 

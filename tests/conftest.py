@@ -41,7 +41,7 @@ def make_system(doc: dict):
 
 def handle_copy(system):
     """The system with each affine mode given as field and Jacobian handles,
-    so that it takes the generic (non-affine) code paths."""
+    so that it takes the stepwise (non-affine) code paths."""
     modes = [Mode.from_handles(m.index,
                                lambda x, A=m.affine.A, b=m.affine.b: A @ x + b,
                                lambda x, A=m.affine.A: A)
@@ -147,6 +147,17 @@ STIFF_STEPWISE_SLIDE = {
               {"A": [[-1.0, 0.0], [0.0, -5001.0]], "b": [-1.0, 0.0]}],
 }
 
+
+# a planar cross on H1 = x2 and H2 = x1 with constant fields: from (-2, 0.5)
+# mode 1 flows onto sigma_1 at t = 0.5 and slides along it with the field
+# (1, 0) into the intersection, reached at t = 2, where the fields disagree
+SLIDE_TO_INTERSECTION = {
+    "dimension": 2, "topology": "planar_cross",
+    "modes": [{"A": [[0.0, 0.0], [0.0, 0.0]], "b": b}
+              for b in ([1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0])],
+    "manifolds": [{"c": [0.0, 1.0], "d": 0.0}, {"c": [1.0, 0.0], "d": 0.0}],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
 
 # one manifold x1 = 10, outside the box: its jump condition has no domain
 OUTSIDE_MANIFOLD = {

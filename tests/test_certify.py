@@ -313,6 +313,13 @@ class TestPairwise:
         report = pairwise_contraction_test(ex1, Metric.identity(2, 5.0), pairs, 5.0)
         assert not report.passed
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -5.0])
+    def test_tol_decay_must_be_finite(self, ex1, tol):
+        pairs = [(np.array([-3.0, -4.0]), np.array([3.0, 4.0]))]
+        with pytest.raises(ValueError, match="tol_decay"):
+            pairwise_contraction_test(ex1, Metric.identity(2, 0.5), pairs, 1.0,
+                                      tol_decay=tol)
+
     def test_weighted_metric(self, ex2):
         # diag(1.2, 1) certifies the cross example at rate 1, so the weighted
         # separation must decay accordingly

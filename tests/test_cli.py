@@ -10,7 +10,13 @@ import pytest
 from pwscontract.cli import EXIT_NUMERICAL, main
 from pwscontract.model import builtin_config_path
 
-from conftest import OUTSIDE_MANIFOLD, STIFF, STIFF_SLIDE, STIFF_STEPWISE_SLIDE
+from conftest import (
+    OUTSIDE_MANIFOLD,
+    SLIDE_TO_INTERSECTION,
+    STIFF,
+    STIFF_SLIDE,
+    STIFF_STEPWISE_SLIDE,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -277,6 +283,32 @@ class TestUsageErrors:
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
         assert not out.exists()
 
+    @pytest.mark.parametrize("Q, c", [(np.eye(3).tolist(), 0.5),
+                                      ([[1.0, 0.0], [0.0, -1.0]], 0.5),
+                                      ([[1.0, 0.0], [0.0, 1.0]], -0.5)])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--x0", "-3,-4", "--t-final", "1"],
+        ["certify", "--Q", "config"],
+    ])
+    def test_bad_config_metric(self, tmp_path, capsys, command, Q, c):
+        # a 3x3 Q in a 2-D config, a Q that is not PD, a negative rate
+        doc = json.loads(builtin_config_path("example1").read_text())
+        doc["metric"] = {"Q": Q, "c": c}
+        cfg = tmp_path / "metric.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
+        assert not out.exists()
+        assert "usage error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-5"])
+    def test_tol_decay_must_be_finite(self, tmp_path, tol):
+        out = tmp_path / "pw.json"
+        rc = main(["pairwise", "--config", "example1", "--c", "0.5", "--pairs", "1",
+                   "--t-final", "1", "--tol-decay", tol, "--out", str(out)])
+        assert rc == 64
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["2,1", "1e-2,1e-1", "1e-1,0", "1e-1,nan"])
     def test_bad_eps_list(self, tmp_path, eps):
         # "2,1": the 2-bands of example1's manifolds x1 = 0 and x1 = 2 overlap
@@ -339,6 +371,15 @@ class TestNumericalRefusal:
                      "--t-final", "0.05", "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
         assert "sliding field on sigma_1_2, pair (1, 2)" in capsys.readouterr().err
+
+    def test_slide_into_failed_intersection_exits_numerical(self, tmp_path, capsys):
+        cfg = tmp_path / "slide_to_intersection.json"
+        cfg.write_text(json.dumps(SLIDE_TO_INTERSECTION))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--x0=-2,0.5",
+                     "--t-final", "3", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "field directions disagree" in capsys.readouterr().err
 
     def test_stiff_mode_at_a_stable_step(self, tmp_path):
         cfg = tmp_path / "stiff.json"

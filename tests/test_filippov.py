@@ -38,6 +38,7 @@ from conftest import (
     STIFF,
     STIFF_SLIDE,
     STIFF_STEPWISE_SLIDE,
+    SLIDE_TO_INTERSECTION,
     handle_copy,
     make_system,
 )
@@ -251,6 +252,37 @@ class TestIntegrateExample2:
             integrate(system, [-1.0, -1.0], 3.0)
 
 
+    def test_slide_into_the_intersection_halts(self, monkeypatch):
+        # the slide on sigma_1 reaches the other manifold; at the
+        # intersection the fields disagree, so the run stops there
+        from pwscontract import filippov
+        from pwscontract.filippov import IntersectionAssumptionError
+
+        builders = []
+
+        class Recording(filippov._Builder):
+            def __init__(self, n):
+                super().__init__(n)
+                builders.append(self)
+
+        monkeypatch.setattr(filippov, "_Builder", Recording)
+        system = make_system(SLIDE_TO_INTERSECTION)
+        assert _slide_field(system, 0, 4, 1) is not None  # the block slide
+        with pytest.raises(IntersectionAssumptionError,
+                           match="field directions disagree"):
+            integrate(system, [-2.0, 0.5], 3.0)
+        (builder,) = builders
+        flow, slide = builder.segments
+        assert (flow.kind, flow.mode) == ("flow", 1)
+        assert (slide.kind, slide.manifold, slide.pair) == ("slide", "sigma_1", (4, 1))
+        assert abs(slide.t_start - 0.5) <= 1e-9
+        assert abs(slide.t_end - 2.0) <= 1e-9
+        t_last, x_last, lam_last, seg_last = builder._points[-1]
+        assert seg_last == 1 and abs(t_last - slide.t_end) <= 1e-15
+        assert np.allclose(x_last, [0.0, 0.0], atol=1e-9)
+        assert lam_last == 0.5
+
+
 class TestIntegrateEdgeCases:
     def test_zero_duration(self, ex1):
         traj = integrate(ex1, [-3.0, -4.0], 0.0)
@@ -260,6 +292,12 @@ class TestIntegrateEdgeCases:
     def test_escaping_halts(self, swapped_ex1):
         with pytest.raises(EscapingRegionError):
             integrate(swapped_ex1, [0.0, -2.0], 1.0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1e-3])
+    def test_step_must_be_finite_and_positive(self, step):
+        # an infinite step once ran example1 from (-3, -4) to (90606, -809)
+        with pytest.raises(ValueError, match="finite positive"):
+            SolverOptions(step=step)
 
     def test_outside_box_rejected(self, ex1):
         with pytest.raises(ValueError, match="analysis box"):
@@ -375,7 +413,7 @@ class TestNumericalRefusals:
             integrate(make_system(STIFF), [1.0, 1.0], 1.0)
 
     def test_stiff_handle_mode_refused(self):
-        # the generic engine stays finite here (x1 reaches ~7e56 by t = 0.05),
+        # the stepwise flow stays finite here (x1 reaches ~7e56 by t = 0.05),
         # so only the growth test on the Jacobian can refuse it
         A = np.diag([-5000.0, -1.0])
         mode = Mode.from_handles(1, lambda x: A @ x, lambda x: A)

@@ -304,6 +304,17 @@ class TestNonFiniteData:
         with pytest.raises(ConfigError, match="metric"):
             make_system(doc)
 
+    @pytest.mark.parametrize("Q, c, match", [
+        (np.eye(3).tolist(), 0.5, "shape"),
+        ([[1.0, 0.0], [0.0, -1.0]], 0.5, "positive definite"),
+        ([[1.0, 0.0], [0.0, 1.0]], -0.5, "nonnegative"),
+    ])
+    def test_embedded_metric_refused_at_load(self, Q, c, match):
+        # a config error, so every command on the config is a usage error
+        doc = dict(self.EX1, metric={"Q": Q, "c": c})
+        with pytest.raises(ConfigError, match=match):
+            make_system(doc)
+
     def test_non_pd_embedded_metric_still_fails_at_build(self):
         doc = dict(self.EX1, metric={"Q": [[1.0, 0.0], [0.0, -1.0]], "c": 0.5})
         with pytest.raises(ValueError, match="positive definite"):

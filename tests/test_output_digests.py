@@ -2,7 +2,8 @@
 README commands, of `certify` on both examples with both strategies, and of
 `reproduce 1/2`, run in-process; and of the raw trajectory arrays (times,
 states, lambdas, seg_index) of `integrate` and `integrate_regularized` runs
-on the shipped examples and the extended chains. A refactor that keeps
+on the shipped examples, their handle-mode and handle-manifold copies, and
+the extended chains. A refactor that keeps
 behaviour keeps these bytes. The digests were taken with numpy 2.4 on
 x86-64; another BLAS or CPU may round a matrix product differently and
 change them."""
@@ -18,7 +19,13 @@ from pwscontract.cli import main
 from pwscontract.filippov import SolverOptions, integrate
 from pwscontract.regularize import integrate_regularized
 
-from conftest import CHAIN_STARTS, GOLDEN_STARTS, STARTS_3D
+from conftest import (
+    CHAIN_STARTS,
+    GOLDEN_STARTS,
+    STARTS_3D,
+    handle_copy,
+    handle_manifold_copy,
+)
 
 README_SWEEP = "1e-1,3e-2,1e-2,3e-3,1e-3"
 
@@ -65,6 +72,16 @@ def _pool(system, seed=2024, size=20):
                                                     (size, system.dimension)))
 
 
+@pytest.fixture(scope="module")
+def handle_ex1(ex1):
+    return handle_copy(ex1)
+
+
+@pytest.fixture(scope="module")
+def handle_manifold_ex2(ex2):
+    return handle_manifold_copy(ex2)
+
+
 # name -> (system fixture, starts, runner(system, x0), digest)
 TRAJECTORY_CASES = {
     "integrate-example1-1e-3": (
@@ -102,6 +119,23 @@ TRAJECTORY_CASES = {
     "regularized-chain3d-1e-2": (
         "chain3d", STARTS_3D, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
         "c42f49e1a57abee9d8377966698d1e273f425636e8fb6545436c279f90017b6e"),
+    # the handle copies take the stepwise code of every mode or surface that
+    # is not affine; by T = 1.5 the eight runs hold 4 slides and 4 crossings
+    # on example1 and 2 slides and 7 crossings on example2
+    "integrate-handle-example1": (
+        "handle_ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 1.5),
+        "ad14433bda3591198f6987ad9ebdfdcb2126336376b91148d41ba6515c18fcec"),
+    "regularized-handle-example1-1e-2": (
+        "handle_ex1", GOLDEN_STARTS,
+        lambda s, x: integrate_regularized(s, 1e-2, x, 1.5),
+        "8e7f93fb42a5c08271d839097d4c76810d01ecf3da936e46f890344facf8dfbc"),
+    "integrate-handle-manifold-example2": (
+        "handle_manifold_ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 1.5),
+        "932812cfec62190ea854b822275a796bc629d65c68bbefb683a4caae75e11fac"),
+    "regularized-handle-manifold-example2-1e-2": (
+        "handle_manifold_ex2", GOLDEN_STARTS,
+        lambda s, x: integrate_regularized(s, 1e-2, x, 1.5),
+        "663b9a637dd632e46ad8ad54711000b16d47f94a2d208571c79886596cfcdec0"),
 }
 
 

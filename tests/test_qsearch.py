@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestSearch:
         result = search_certificate(system)
         assert result.found
         assert result.metric.c == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"c_hi": math.inf}, "finite 0 <= c_lo < c_hi"),
+        ({"c_hi": math.nan}, "finite 0 <= c_lo < c_hi"),
+        ({"c_lo": 2.0, "c_hi": 1.0}, "finite 0 <= c_lo < c_hi"),
+        ({"c_tol": 0.0}, "c_tol"),
+        ({"c_tol": -1e-3}, "c_tol"),
+        ({"c_tol": math.inf}, "c_tol"),
+        ({"c_tol": math.nan}, "c_tol"),
+    ])
+    def test_options_must_be_finite(self, kwargs, match):
+        # an infinite c_hi, or a c_tol <= 0, once made the bisection endless
+        with pytest.raises(ValueError, match=match):
+            SearchOptions(**kwargs)
 
 
 class TestSearchMargin:
