@@ -10,11 +10,15 @@ the regularized one: it watches the event surfaces it is handed and, for
 affine systems, advances the smooth flow in vectorized blocks through the
 exact single-step RK4 transition map; each mode's block maps are built once
 per (step, block) on its ``AffineField`` and shared by every integration of
-the system. ``_EventSurfaces`` is the one evaluator of a set of surfaces: the
-flow, the slide (for the other manifolds) and the regularized blend read
-their H values from it. The slide engine evaluates an affine mode through its
-``AffineField`` and an affine manifold through its constant normal, the same
-arithmetic as ``Mode.f`` and ``Manifold.grad``.
+the system. An event-free stretch advances as a chain of up to ``MAX_CHAIN``
+such blocks, each started from the last row of the one before, with one
+event scan and one append for the whole chain; the chain doubles from one
+block while no event is flagged, and a chained run has the bits of one
+block at a time. ``_EventSurfaces`` is the one evaluator of a set of
+surfaces: the flow, the slide (for the other manifolds) and the regularized
+blend read their H values from it. The slide engine evaluates an affine mode
+through its ``AffineField`` and an affine manifold through its constant
+normal, the same arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
 When two affine modes i | j on an affine manifold c.x = d have a jump that
 is rank-one in the normal, A_j - A_i = u c^T (equal matrices included), the
@@ -85,6 +89,7 @@ TOL_EVENT = 1e-10  # |H| at which a bisected boundary hit is accepted
 MAX_BISECT = 80
 TOL_LAMBDA = 1e-10  # a slide exits once its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]
 BLOCK = 256  # exact RK4 steps per affine block
+MAX_CHAIN = 64  # most affine blocks a flow advances between two event scans
 TOL_RANK_ONE = 1e-12  # relative residual of a mode jump from u c^T for an affine slide
 MAX_TRANSITIONS = 200_000
 
@@ -424,23 +429,39 @@ class _Builder:
 # flow engine
 
 
-def _advance_block(field, what, x, t, h, t_stop):
-    """The next block of exact RK4 steps of an affine field from (t, x) on the
-    time grid k*h: (ts, X) with X[k] the state at ts[k]. None when t is off
-    the grid or no full step fits before t_stop; the caller then takes one
-    step. A StiffStepError from building the block maps names ``what``."""
+def _advance_blocks(field, what, x, t, h, t_stop, count):
+    """Up to ``count`` chained blocks of exact RK4 steps of an affine field
+    from (t, x) on the time grid k*h: (ts, X) with X[k] the state at ts[k].
+    Each block starts from the last row of the one before, and its grid
+    index and step count come from the same scalar arithmetic as a lone
+    block's, so a chain has the bits of its blocks advanced one at a time;
+    every block but the last holds BLOCK rows. None when t is off the grid
+    or no full step fits before t_stop; the caller then takes one step. A
+    StiffStepError from building the block maps names ``what``."""
     k0 = math.floor(t / h + 1e-9)
-    m = min(BLOCK, int(math.floor((t_stop - t) / h + 1e-12)))
-    if abs(t - k0 * h) > 1e-12 * max(h, 1.0) or m == 0:
+    X, row = None, 0
+    while row < count * BLOCK and t < t_stop - 1e-14:
+        k = math.floor(t / h + 1e-9)
+        m = min(BLOCK, int(math.floor((t_stop - t) / h + 1e-12)))
+        if k != k0 + row or abs(t - k * h) > 1e-12 * max(h, 1.0) or m == 0:
+            break
+        if X is None:
+            try:
+                Rs, rs = field.stacks(h, BLOCK)
+            except StiffStepError as exc:
+                raise StiffStepError(f"{what}: {exc}") from None
+            n = x.shape[0]
+            R2 = Rs.reshape(-1, n)
+            X = np.empty((count * BLOCK, n))
+        # one 2-D product: a batched (m, n, n) @ (n,) matmul is several times slower
+        np.add((R2[:m * n] @ x).reshape(m, n), rs[:m], out=X[row:row + m])
+        row += m
+        if m < BLOCK:
+            break
+        t, x = (k + m) * h, X[row - 1]
+    if X is None:
         return None
-    try:
-        Rs, rs = field.stacks(h, BLOCK)
-    except StiffStepError as exc:
-        raise StiffStepError(f"{what}: {exc}") from None
-    n = x.shape[0]
-    # one 2-D product: a batched (m, n, n) @ (n,) matmul is several times slower
-    X = (Rs[:m].reshape(-1, n) @ x).reshape(m, n) + rs[:m]
-    return (k0 + 1 + np.arange(m)) * h, X
+    return (k0 + 1 + np.arange(row)) * h, X[:row]
 
 
 def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
@@ -450,6 +471,11 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
 
     A mode of an affine system advances its aligned stretches in blocks of
     exact RK4 steps and takes every other step through its exact step map.
+    The blocks come in chains (``_advance_blocks``) scanned for events as
+    one array: the first chain of a call is one block, and each chain with
+    no event flagged doubles the next, up to ``MAX_CHAIN`` blocks. A hit's
+    time is the start of the block holding it plus its steps into that
+    block, as when the blocks are advanced one at a time.
     The modes of any other system (one with a handle mode or surface) take
     one RK4 step of their field up to each grid time, and raise
     StiffStepError when the step grows a decaying direction of the mode's
@@ -477,8 +503,10 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
         return "hit", k, t0 + theta * delta, events.surfaces[k].project(xe)
 
     h0 = None  # the event values at x, carried from step to step
+    chain = 1  # blocks in the next chain: doubles while no event is flagged
     while t < t_stop - 1e-14:
-        block = None if field is None else _advance_block(field, what, x, t, h, t_stop)
+        block = None if field is None else _advance_blocks(
+            field, what, x, t, h, t_stop, chain)
         if block is None:
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
@@ -497,10 +525,15 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
         if rows.size:
             idx = int(rows[0])
             builder.add_block(ts[:idx], X[:idx], seg_id)
-            return hit(x if idx == 0 else X[idx - 1], t + idx * h, h,
+            # the hit's time counts from the start of its own block, as a
+            # lone block would
+            row = idx - idx % BLOCK
+            t0 = t if row == 0 else ts[row - 1]
+            return hit(x if idx == 0 else X[idx - 1], t0 + (idx - row) * h, h,
                        Hs[idx], ev[idx])
         builder.add_block(ts, X, seg_id)
         x, t, h0 = X[-1], ts[-1], None
+        chain = min(2 * chain, MAX_CHAIN)
     return "t_stop", None, t, x
 
 
@@ -612,8 +645,8 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     hi_bound = 1.0 - TOL_LAMBDA
     h0 = h1 = events.values(x)
     while t < t_stop - 1e-14:
-        block = None if affine is None else _advance_block(
-            affine.field, what, x, t, opts.step, t_stop)
+        block = None if affine is None else _advance_blocks(
+            affine.field, what, x, t, opts.step, t_stop, 1)
         if block is not None:
             # keep the rows before the first marked step; the stepwise code
             # below takes that step again

@@ -65,8 +65,34 @@ def _require_finite(a, name: str) -> None:
         raise ConfigError(f"{name} must be finite")
 
 
+def _floats(v, name: str) -> np.ndarray:
+    """v as a float array; raises ConfigError unless v is a number or a
+    rectangular nesting of lists of numbers (a string, a boolean or a null
+    is not a number)."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # a ragged nesting
+        raise ConfigError(f"{name} must be a rectangular array of numbers") from None
+    if a.dtype.kind not in "iuf" or _has_bool(v):
+        raise ConfigError(f"{name} must hold numbers only")
+    return a.astype(float, copy=False)
+
+
+def _has_bool(v) -> bool:
+    """Whether a nesting of lists holds a boolean, which numpy would read
+    as 0 or 1 among numbers."""
+    return isinstance(v, bool) or (isinstance(v, list) and any(map(_has_bool, v)))
+
+
+def _number(v, name: str) -> float:
+    a = _floats(v, name)
+    if a.ndim:
+        raise ConfigError(f"{name} must be a number, got shape {a.shape}")
+    return float(a)
+
+
 def _vec(v, n: Optional[int] = None, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = _floats(v, name)
     if a.ndim != 1:
         raise ConfigError(f"{name} must be a flat vector, got shape {a.shape}")
     if n is not None and a.shape[0] != n:
@@ -451,7 +477,7 @@ class PwsSystem:
 def _mode_from_config(idx: int, entry: dict, n: int) -> Mode:
     if not isinstance(entry, dict) or "A" not in entry or "b" not in entry:
         raise ConfigError(f"mode {idx} must be an object with keys 'A' and 'b'")
-    A = np.asarray(entry["A"], dtype=float)
+    A = _floats(entry["A"], f"mode {idx} matrix")
     if A.shape != (n, n):
         raise ConfigError(f"mode {idx} matrix has shape {A.shape}, expected ({n}, {n})")
     b = _vec(entry["b"], n, f"mode {idx} offset")
@@ -486,7 +512,7 @@ def load_system(text: str) -> PwsSystem:
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
     n = doc["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("dimension must be a positive integer")
     topology = doc["topology"]
     modes = [_mode_from_config(i, m, n) for i, m in enumerate(doc["modes"], start=1)]
@@ -498,8 +524,9 @@ def load_system(text: str) -> PwsSystem:
             label = entry.get("label", f"sigma_{k + 1}_{k + 2}")
         else:
             label = entry.get("label", f"sigma_{k + 1}")
-        manifolds.append(Manifold.from_affine(label, _vec(entry["c"], n, "manifold normal"),
-                                              entry["d"]))
+        manifolds.append(Manifold.from_affine(
+            label, _vec(entry["c"], n, f"manifold {label} normal"),
+            _number(entry["d"], f"manifold {label} offset")))
     box_doc = doc["box"]
     if not isinstance(box_doc, dict) or "lower" not in box_doc or "upper" not in box_doc:
         raise ConfigError("box must be an object with keys 'lower' and 'upper'")
@@ -510,7 +537,7 @@ def load_system(text: str) -> PwsSystem:
         mdoc = doc["metric"]
         if not isinstance(mdoc, dict) or "Q" not in mdoc or "c" not in mdoc:
             raise ConfigError("metric must be an object with keys 'Q' and 'c'")
-        Q, c = np.asarray(mdoc["Q"], dtype=float), float(mdoc["c"])
+        Q, c = _floats(mdoc["Q"], "metric Q"), _number(mdoc["c"], "metric rate c")
         _require_finite(Q, "metric Q")
         _require_finite(c, "metric rate c")
         if Q.shape != (n, n):
@@ -592,8 +619,14 @@ def polytope_vertices(eqs, ineqs, box: AnalysisBox, tol=1e-9) -> list:
     maximum over these points: the rows are the given constraints, then the
     box faces from the last axis to the first, lower before upper; subsets go
     in ``itertools.combinations`` order, and a repeated point keeps its first
-    occurrence."""
+    occurrence. More than one equality is first reduced to an independent
+    subset with the same solutions (``_independent_equalities``); an
+    inconsistent set has no vertex."""
     n = box.dimension
+    if len(eqs) > 1:
+        eqs = _independent_equalities(eqs, tol)
+        if eqs is None:
+            return []
     rows = [(np.asarray(a, dtype=float), float(b)) for a, b in (*eqs, *ineqs)]
     for i in reversed(range(n)):
         e = np.eye(n)[i]
@@ -610,6 +643,26 @@ def polytope_vertices(eqs, ineqs, box: AnalysisBox, tol=1e-9) -> list:
     r = pts @ a.T - b
     r[:, :m] = np.abs(r[:, :m])
     return list(_dedupe(pts[(r <= tol).all(axis=1)]))
+
+
+def _independent_equalities(eqs, tol):
+    """The equalities a.x = b that are not linear combinations of earlier
+    ones, in their order; None when a dropped equality contradicts the kept
+    ones by more than tol (the set has no solution)."""
+    kept = []
+    for a, b in eqs:
+        a, b = np.asarray(a, dtype=float), float(b)
+        residual, implied = np.linalg.norm(a), 0.0
+        if kept:
+            A = np.array([k for k, _ in kept])
+            coef = np.linalg.lstsq(A.T, a, rcond=None)[0]
+            residual = np.linalg.norm(coef @ A - a)
+            implied = float(coef @ [v for _, v in kept])
+        if residual > 1e-12 * max(1.0, np.linalg.norm(a)):
+            kept.append((a, b))
+        elif abs(b - implied) > tol:
+            return None
+    return kept
 
 
 def _chain_bands_disjoint(system: PwsSystem, eps: float,

@@ -39,6 +39,35 @@ def make_system(doc: dict):
     return load_system(json.dumps(doc))
 
 
+# config entries of the wrong JSON type, as (path into example1, value, the
+# error message's subject); each is a config error
+WRONG_TYPES = [
+    (("metric", "c"), "abc", "metric rate c"),
+    (("metric", "c"), [1, 2], "metric rate c"),
+    (("modes", 0, "b"), "ab", "mode 1 offset"),
+    (("modes", 1, "A"), [[1, 0], [0]], "mode 2 matrix"),
+    (("manifolds", 0, "d"), [1, 2], "manifold sigma_1_2 offset"),
+    (("manifolds", 1, "c"), [1, None], "manifold sigma_2_3 normal"),
+    (("box", "lower"), ["-5", -5], "box lower"),
+    (("box", "upper"), [5, True], "box upper"),
+    (("modes", 2, "A"), [[-1.5, 0.0], [False, -1.0]], "mode 3 matrix"),
+    (("dimension",), True, "dimension"),
+]
+
+
+def with_entry(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of the config ``doc`` with the entry at ``path`` set to
+    ``value``; a "metric" path adds the identity metric at rate 0.5 first."""
+    doc = json.loads(json.dumps(doc))
+    if path[0] == "metric":
+        doc["metric"] = {"Q": np.eye(doc["dimension"]).tolist(), "c": 0.5}
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 def handle_copy(system):
     """The system with each affine mode given as field and Jacobian handles,
     so that it takes the stepwise (non-affine) code paths."""

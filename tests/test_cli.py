@@ -16,6 +16,8 @@ from conftest import (
     STIFF,
     STIFF_SLIDE,
     STIFF_STEPWISE_SLIDE,
+    WRONG_TYPES,
+    with_entry,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -331,6 +333,18 @@ class TestUsageErrors:
         out = tmp_path / "o"
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, match", WRONG_TYPES)
+    def test_wrong_json_type(self, tmp_path, capsys, path, value, match):
+        doc = with_entry(json.loads(builtin_config_path("example1").read_text()),
+                         path, value)
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--x0", "-3,-4",
+                     "--t-final", "1", "--out", str(out)]) == 64
+        assert not out.exists()
+        assert f"usage error: {match}" in capsys.readouterr().err
 
     def test_ill_conditioned_q_still_runs_pairwise(self, tmp_path):
         # cond(Q) > 1e12 is refused only where mu_Q is evaluated

@@ -29,6 +29,7 @@ from pwscontract.filippov import (
     write_trajectory_csv,
     _slide_field,
 )
+from pwscontract import filippov
 from pwscontract.regularize import integrate_regularized
 
 from conftest import (
@@ -632,3 +633,72 @@ class TestAffineSlide:
         traj = integrate(system, [0.0, 1.0], 0.05, SolverOptions(step=1e-4))
         assert [s.kind for s in traj.segments] == ["slide"]
         assert np.abs(traj.final_state).max() <= 1e-12
+
+
+class TestChainedBlocks:
+    """A flow advances its event-free stretches in chains of up to
+    ``MAX_CHAIN`` blocks with one event scan per chain; a chain has the bits
+    of its blocks advanced one at a time (``MAX_CHAIN`` = 1)."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        """(chained, one-block) runs of ``run()`` and, for the chained run,
+        the length of every scanned chain with its first flagged row (None
+        when no event was flagged)."""
+        scans = []
+        scan = filippov._EventSurfaces.scan_block
+
+        def spy(self, x, X):
+            Hs, ev = scan(self, x, X)
+            rows = np.flatnonzero(ev.any(axis=1))
+            scans.append((len(X), int(rows[0]) if rows.size else None))
+            return Hs, ev
+
+        with monkeypatch.context() as m:
+            m.setattr(filippov._EventSurfaces, "scan_block", spy)
+            chained = run()
+        with monkeypatch.context() as m:
+            m.setattr(filippov, "MAX_CHAIN", 1)
+            single = run()
+        for k in ("times", "states", "lambdas", "seg_index"):
+            assert np.array_equal(getattr(chained, k), getattr(single, k),
+                                  equal_nan=True), k
+        assert ([(s.kind, s.t_start, s.t_end) for s in chained.segments]
+                == [(s.kind, s.t_start, s.t_end) for s in single.segments])
+        assert max(n for n, _ in scans) > filippov.BLOCK  # it did chain
+        assert max(n for n, _ in scans) <= filippov.MAX_CHAIN * filippov.BLOCK
+        return chained, scans
+
+    def test_stop_inside_a_chain(self, ex1, monkeypatch):
+        traj, scans = self.both(
+            monkeypatch, lambda: integrate(ex1, (-5.0, -5.0), 20.0))
+        n, row = scans[-1]
+        assert row is None and n > filippov.BLOCK and n % filippov.BLOCK
+        assert traj.times[-1] == 20.0
+
+    @pytest.mark.parametrize("x0", [(5.0, -5.0), (-3.0, -4.0)])
+    def test_hit_in_a_later_block(self, ex1, monkeypatch, x0):
+        _, scans = self.both(monkeypatch, lambda: integrate(ex1, x0, 20.0))
+        assert any(row is not None and row >= filippov.BLOCK for _, row in scans)
+
+    def test_off_grid_restart_after_crossing(self, ex2, monkeypatch):
+        h = SolverOptions().step
+        traj, scans = self.both(
+            monkeypatch, lambda: integrate(ex2, (-3.0, -4.0), 20.0))
+        crossings = [s.t_end for s in traj.segments if s.kind == "cross"]
+        assert len(crossings) == 2
+        assert all(abs(t / h - round(t / h)) > 1e-6 for t in crossings)
+        assert sum(row is not None for _, row in scans) == 2
+
+    def test_step_not_dividing_the_horizon(self, ex1, monkeypatch):
+        opts = SolverOptions(step=7.3e-3)
+        traj, _ = self.both(
+            monkeypatch, lambda: integrate(ex1, (-5.0, 5.0), 20.0, opts))
+        assert 20.0 / opts.step % 1.0 > 0.5
+        assert traj.times[-1] == 20.0
+
+    @pytest.mark.parametrize("x0", [(-5.0, 5.0), (-3.0, -4.0)])
+    def test_regularized_band_edge_flows(self, ex1, monkeypatch, x0):
+        _, scans = self.both(
+            monkeypatch, lambda: integrate_regularized(ex1, 1e-2, x0, 5.0))
+        assert any(row is not None and row >= filippov.BLOCK for _, row in scans)

@@ -27,7 +27,7 @@ from pwscontract.model import (
 )
 from pwscontract.model import _manifold_grid
 
-from conftest import make_system
+from conftest import WRONG_TYPES, make_system, with_entry
 
 
 class TestLoadSystem:
@@ -214,6 +214,37 @@ class TestPolytopeVertices:
         assert sorted(abs(p[1]) for p in pts) == [eps] * 4
 
 
+    BOX3 = AnalysisBox([-0.1] * 3, [0.1] * 3)
+    E = np.eye(3)
+
+    @pytest.mark.parametrize("eqs", [
+        [(E[0], 0.0), (E[0], 0.0)],
+        [(E[0], 0.0), (2.0 * E[0], 0.0)],
+        [(E[0], 0.0), (E[0], 0.0), (-E[0], 0.0)],
+    ])
+    def test_dependent_equalities(self, eqs):
+        face = polytope_vertices([(self.E[0], 0.0)], [], self.BOX3)
+        assert len(face) == 4
+        assert [p.tolist() for p in polytope_vertices(eqs, [], self.BOX3)] == [
+            p.tolist() for p in face]
+
+    def test_dependent_equalities_through_a_combination(self):
+        E = self.E
+        pts = polytope_vertices([(E[0], 0.05), (E[1], 0.0), (E[0] + E[1], 0.05)],
+                                [], self.BOX3)
+        assert [p.tolist() for p in pts] == [
+            p.tolist() for p in polytope_vertices([(E[0], 0.05), (E[1], 0.0)], [],
+                                                  self.BOX3)]
+        assert [p.tolist() for p in pts] == [[0.05, 0.0, -0.1], [0.05, 0.0, 0.1]]
+
+    @pytest.mark.parametrize("eqs", [
+        [(E[0], 0.0), (E[0], 0.05)],
+        [(E[0], 0.0), (E[1], 0.0), (E[0] + E[1], 0.05)],
+    ])
+    def test_inconsistent_equalities(self, eqs):
+        assert polytope_vertices(eqs, [], self.BOX3) == []
+
+
 class TestArrayHoldingDataclasses:
     def test_compare_by_identity_and_hash(self):
         for make in (lambda: AffineField(np.eye(2), np.zeros(2)),
@@ -289,13 +320,8 @@ class TestNonFiniteData:
         (("box", "upper", 1), math.inf),
     ])
     def test_config_document(self, path, value):
-        doc = json.loads(json.dumps(self.EX1))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
         with pytest.raises(ConfigError, match="finite"):
-            make_system(doc)
+            make_system(with_entry(self.EX1, path, value))
 
     @pytest.mark.parametrize("Q, c", [([[1.0, 0.0], [0.0, math.nan]], 0.5),
                                       ([[1.0, 0.0], [0.0, 1.0]], math.inf)])
@@ -319,6 +345,22 @@ class TestNonFiniteData:
         doc = dict(self.EX1, metric={"Q": [[1.0, 0.0], [0.0, -1.0]], "c": 0.5})
         with pytest.raises(ValueError, match="positive definite"):
             make_system(doc)
+
+
+class TestWrongJsonTypes:
+    EX1 = json.loads(builtin_config_path("example1").read_text())
+
+    @pytest.mark.parametrize("path, value, match", WRONG_TYPES)
+    def test_refused_at_load(self, path, value, match):
+        with pytest.raises(ConfigError, match=match):
+            make_system(with_entry(self.EX1, path, value))
+
+    def test_integers_are_numbers(self, ex1):
+        doc = with_entry(self.EX1, ("metric", "c"), 1)
+        doc["manifolds"][1]["d"] = 2
+        system = make_system(doc)
+        assert system.metric.c == 1.0 and system.manifolds[1].affine[1] == 2.0
+        assert np.array_equal(system.modes[0].affine.A, ex1.modes[0].affine.A)
 
 
 class TestLocate:
