@@ -2,7 +2,13 @@
 event localization, crossing, and sliding motion on switching manifolds.
 
 Flow segments use classical RK4 with a fixed base step; boundary hits are
-localized by bisection on the sign change of each manifold function. Sliding
+localized by bisection on the sign change of each manifold function, one
+routine (``_bisect``) for every engine that takes H as a function of the
+step fraction. For a mode of an affine system that function is the quartic
+in tau of the exact RK4 step from x0, H_k(x0) + sum_m tau^m/m! C[k].A^(m-1)
+(A x0 + b), built once per hit (``_step_quartics``), so the step map is
+built only for the state at the located root; a handle mode and the slides
+bisect H of the stepped state. Sliding
 segments integrate the convex-combination sliding field along the manifold
 with post-step projection back onto it, and exit when the combination weight
 reaches 0 or 1. One flow entry point, ``_run_flow``, serves this solver and
@@ -325,36 +331,64 @@ def _event_flags(h0, h1, tol):
     return (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol)
 
 
-def _bisect_manifold(step_fn, man: Manifold, x0, delta, h0):
-    """Locate a root of H along the step map, returning (theta, state); H
-    changes sign over the step, or lands on the surface from |h0| > TOL_EVENT
-    (``_event_flags``)."""
+def _bisect(H, h0: float) -> float:
+    """The fraction theta in (0, 1] of a step at which H(theta), the value of
+    one surface along the step, is located: H changes sign over the step, or
+    lands on the surface from |h0| > TOL_EVENT (``_event_flags``). Dyadic
+    midpoints until |H| <= TOL_EVENT, else the upper end after MAX_BISECT
+    halvings."""
     pos0 = h0 > 0
     lo, hi = 0.0, 1.0
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        xm = step_fn(x0, mid * delta)
-        hm = man.h(xm)
+        hm = H(mid)
         if abs(hm) <= TOL_EVENT:
-            return mid, xm
+            return mid
         if (hm > 0) == pos0:
             lo = mid
         else:
             hi = mid
-    return hi, step_fn(x0, hi * delta)
+    return hi
 
 
-def _first_hit(step_fn, surfaces, flagged, x0, delta, h0):
-    """Bisect every surface flagged by ``_event_flags`` along the step from x0
-    and keep the earliest root (the lowest index on ties): (theta, k,
-    unprojected state), or None when nothing is flagged. ``h0`` holds the H
-    values at x0 of all ``surfaces``."""
+def _first_hit(along, flagged, h0):
+    """Bisect every surface flagged by ``_event_flags`` over one step and keep
+    the earliest root (the lowest index on ties): (theta, k), or None when
+    nothing is flagged. ``along(k)`` gives surface k's H as a function of the
+    step fraction theta; ``h0`` holds the H values at the step's start of all
+    the surfaces."""
     best = None
     for k in np.flatnonzero(flagged):
-        theta, xe = _bisect_manifold(step_fn, surfaces[k], x0, delta, float(h0[k]))
+        theta = _bisect(along(k), float(h0[k]))
         if best is None or theta < best[0]:
-            best = (theta, int(k), xe)
+            best = (theta, int(k))
     return best
+
+
+def _along_step(step_fn, surfaces, x0, delta):
+    """``_first_hit``'s ``along`` for any step: surface k's H at the state
+    step_fn(x0, theta delta)."""
+    return lambda k: lambda theta: surfaces[k].h(step_fn(x0, theta * delta))
+
+
+def _step_quartics(field: AffineField, events, x0, delta, h0):
+    """``_first_hit``'s ``along`` for one exact RK4 step of an affine field
+    from x0: with tau = theta delta and v = A x0 + b, each affine surface
+    value is the quartic H_k(tau) = h0[k] + sum_m tau^m C[k].A^(m-1) v / m!,
+    m = 1..4. Its coefficients come from one product per hit and it is
+    evaluated on Python floats; it equals C[k].(R(tau) x0 + r(tau)) - d[k]
+    up to rounding."""
+    coefs = (field.step_taylor(x0) @ events.C.T).T.tolist()
+
+    def along(k):
+        a1, a2, a3, a4 = coefs[k]
+        hk = float(h0[k])
+
+        def H(theta):
+            tau = theta * delta
+            return hk + tau * (a1 + tau * (a2 + tau * (a3 + tau * a4)))
+        return H
+    return along
 
 
 def _next_grid(t: float, h: float, t_stop: float) -> float:
@@ -475,11 +509,15 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
     one array: the first chain of a call is one block, and each chain with
     no event flagged doubles the next, up to ``MAX_CHAIN`` blocks. A hit's
     time is the start of the block holding it plus its steps into that
-    block, as when the blocks are advanced one at a time.
+    block, as when the blocks are advanced one at a time. Such a hit is
+    located on the quartic in tau of its exact RK4 step (``_step_quartics``),
+    equal to the step map's surface values up to rounding, and its state is
+    built once, through the step map at the located theta.
     The modes of any other system (one with a handle mode or surface) take
-    one RK4 step of their field up to each grid time, and raise
-    StiffStepError when the step grows a decaying direction of the mode's
-    Jacobian at the segment's start.
+    one RK4 step of their field up to each grid time, locate a hit on the
+    surface values of that step's state, and raise StiffStepError when the
+    step grows a decaying direction of the mode's Jacobian at the segment's
+    start.
     """
     h = opts.step
     field = None if events.C is None else mode.affine
@@ -499,7 +537,10 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
             return R @ x0 + r
 
     def hit(x0, t0, delta, h0, flags):
-        theta, k, xe = _first_hit(step_fn, events.surfaces, flags, x0, delta, h0)
+        along = (_along_step(step_fn, events.surfaces, x0, delta) if field is None
+                 else _step_quartics(field, events, x0, delta, h0))
+        theta, k = _first_hit(along, flags, h0)
+        xe = step_fn(x0, theta * delta)
         return "hit", k, t0 + theta * delta, events.surfaces[k].project(xe)
 
     h0 = None  # the event values at x, carried from step to step
@@ -673,7 +714,8 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             h1 = events.values(x1)
             flags = _event_flags(h0, h1, TOL_EVENT)
             if flags.any():
-                hit = _first_hit(slide_step, surfaces, flags, x, delta, h0)
+                hit = _first_hit(_along_step(slide_step, surfaces, x, delta),
+                                 flags, h0)
         # combination weight leaving [0, 1] marks a candidate exit
         lam1 = lam_at(x1)
         lam_exit = None
@@ -691,7 +733,8 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
                     break
             lam_exit = (lo_th, xe)
         if hit is not None and (lam_exit is None or hit[0] < lam_exit[0]):
-            theta, k, xe = hit
+            theta, k = hit
+            xe = slide_step(x, theta * delta)
             te = t + theta * delta
             builder.add_point(te, xe, seg_id, lam=min(max(lam_at(xe), 0.0), 1.0))
             return "hit", others[k], te, xe

@@ -155,8 +155,10 @@ class AffineField:
         A2 = A @ A
         A3 = A2 @ A
         A4 = A3 @ A
-        object.__setattr__(self, "_powers", ((np.eye(A.shape[0]), A, A2, A3, A4),
+        eye = np.eye(A.shape[0])
+        object.__setattr__(self, "_powers", ((eye, A, A2, A3, A4),
                                              (b, A @ b, A2 @ b, A3 @ b)))
+        object.__setattr__(self, "_taylor", np.concatenate((eye, A / 2.0, A2 / 6.0, A3 / 24.0)))
         object.__setattr__(self, "_stacks", {})
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -168,6 +170,12 @@ class AffineField:
         R = eye + h * A + (h * h / 2.0) * A2 + (h ** 3 / 6.0) * A3 + (h ** 4 / 24.0) * A4
         r = h * b + (h * h / 2.0) * Ab + (h ** 3 / 6.0) * A2b + (h ** 4 / 24.0) * A3b
         return R, r
+
+    def step_taylor(self, x: np.ndarray) -> np.ndarray:
+        """The (4, n) rows A^(m-1) v / m!, m = 1..4, with v = A x + b: one RK4
+        step of size h from x ends at x + sum_m h^m rows[m - 1], the same
+        polynomial as ``step_map``."""
+        return (self._taylor @ (self.A @ x + self.b)).reshape(4, -1)
 
     def stacks(self, h: float, block: int):
         """Read-only (Rs, rs) with Rs[k] = R^(k+1) and rs[k] the offset of k+1

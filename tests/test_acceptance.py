@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from pwscontract.measure import Metric, matrix_measure
-from pwscontract.model import AnalysisBox, Manifold, Mode, PwsSystem
+from pwscontract import filippov
+from pwscontract.model import AffineField, AnalysisBox, Manifold, Mode, PwsSystem
 from pwscontract.filippov import SolverOptions, integrate, sliding_field
 from pwscontract.regularize import (
     convergence_study,
@@ -283,3 +284,40 @@ def test_criterion_11_batched_condition_tables(ex1, ex2, chain3d, monkeypatch):
     ok = not calls
     report(11, ok, f"per-point calls while building 9 affine tables: "
                    f"{dict(calls) or 0} (must be 0); build times: {', '.join(times)}")
+
+
+def test_criterion_12_one_step_map_per_localization(ex2, monkeypatch):
+    # example2 from (-5, 5) crosses one manifold, at t ~ 0.302. The step-map
+    # calls between the event scan that flags it and the crossing segment are
+    # the localization's: it bisects on the quartic of the exact RK4 step and
+    # builds one step map, for the hit state
+    integrate(ex2, np.array([-5.0, 5.0]), 1.0)  # the block maps exist from here
+    inside = [False]
+    calls = []
+    step_map = AffineField.step_map
+    scan_block = filippov._EventSurfaces.scan_block
+    open_segment = filippov._Builder.open_segment
+
+    def counting_step_map(self, h):
+        if inside[0]:
+            calls.append(h)
+        return step_map(self, h)
+
+    def watching_scan(self, x, X):
+        Hs, ev = scan_block(self, x, X)
+        inside[0] = inside[0] or bool(ev.any())
+        return Hs, ev
+
+    def watching_open(self, kind, t, **kwargs):
+        inside[0] = inside[0] and kind != "cross"
+        return open_segment(self, kind, t, **kwargs)
+
+    monkeypatch.setattr(AffineField, "step_map", counting_step_map)
+    monkeypatch.setattr(filippov._EventSurfaces, "scan_block", watching_scan)
+    monkeypatch.setattr(filippov._Builder, "open_segment", watching_open)
+    traj = integrate(ex2, np.array([-5.0, 5.0]), 1.0)
+    crossings = [(s.t_end, s.pair) for s in traj.segments if s.kind == "cross"]
+    ok = (len(crossings) == 1 and abs(crossings[0][0] - 0.302) <= 1e-3
+          and crossings[0][1] == (1, 2) and len(calls) == 1)
+    report(12, ok, f"example2 from (-5, 5): crossings {crossings}; step-map "
+                   f"builds while localizing: {len(calls)} (must be 1)")

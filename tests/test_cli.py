@@ -450,3 +450,50 @@ class TestManifest:
         assert a.read_bytes() == b.read_bytes()
         manifest = json.loads((tmp_path / "b.json.manifest.json").read_text())
         assert manifest["wall_time_s"] >= manifest["import_s"] >= 0.0
+
+
+class TestLazyImports:
+    def test_simulate_loads_only_what_it_uses(self, tmp_path):
+        # a fresh process running simulate as from the shell
+        code = (
+            "import json, runpy, sys\n"
+            "sys.argv = ['pwscontract', 'simulate', '--config', 'example1', '--x0',\n"
+            "            '-3,-4', '--t-final', '2', '--out', 'traj.csv']\n"
+            "try:\n"
+            "    runpy.run_module('pwscontract.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('pwscontract')]))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert "pwscontract.filippov" in loaded
+        for name in ("certify", "qsearch", "regularize"):
+            assert f"pwscontract.{name}" not in loaded
+        manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+        assert manifest["wall_time_s"] >= manifest["import_s"] > 0.0
+
+    def test_every_public_name_resolves_to_its_module(self):
+        import importlib
+
+        import pwscontract
+
+        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 61
+        for name in pwscontract.__all__:
+            home = pwscontract._HOMES[name]
+            module = importlib.import_module(f"pwscontract.{home}")
+            assert getattr(pwscontract, name) is getattr(module, name), name
+            assert name in dir(pwscontract)
+        with pytest.raises(AttributeError):
+            pwscontract.no_such_name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from pwscontract import *", namespace)
+        import pwscontract
+
+        assert {n for n in namespace if not n.startswith("__")} == set(pwscontract.__all__)
+        assert namespace["integrate"] is pwscontract.filippov.integrate
+        assert namespace["search_certificate"] is pwscontract.qsearch.search_certificate

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pwscontract.model import (
     AffineField,
     AnalysisBox,
+    Manifold,
     Mode,
     PwsSystem,
     TopologyError,
@@ -702,3 +704,146 @@ class TestChainedBlocks:
         _, scans = self.both(
             monkeypatch, lambda: integrate_regularized(ex1, 1e-2, x0, 5.0))
         assert any(row is not None and row >= filippov.BLOCK for _, row in scans)
+
+
+def step_map_bisection(field, surfaces, flagged, x0, delta, h0):
+    """The reference localization: bisection on surfaces[k].h of the step
+    map's state, rebuilt at every midpoint; (theta, k, state) of the
+    earliest root, the lowest index on ties."""
+    best = None
+    for k in np.flatnonzero(flagged):
+        pos0 = h0[k] > 0
+        lo, hi = 0.0, 1.0
+        for _ in range(filippov.MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            R, r = field.step_map(mid * delta)
+            xm = R @ x0 + r
+            hm = surfaces[k].h(xm)
+            if abs(hm) <= filippov.TOL_EVENT:
+                break
+            if (hm > 0) == pos0:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            R, r = field.step_map(hi * delta)
+            mid, xm = hi, R @ x0 + r
+        if best is None or mid < best[0]:
+            best = (mid, int(k), xm)
+    return best
+
+
+class TestStepQuartic:
+    """An affine flow locates its events on the quartic of the exact RK4
+    step (``_step_quartics``); each hit has the theta, surface and state of
+    the bisection on the step map."""
+
+    @staticmethod
+    def both(field, C, d, x0, delta):
+        """(quartic, step-map) hits over one step, or None if no surface is
+        flagged."""
+        surfaces = [Manifold.from_affine(f"s{k}", c, dk) for k, (c, dk) in enumerate(zip(C, d))]
+        R, r = field.step_map(delta)
+        h0 = np.array([s.h(x0) for s in surfaces])
+        h1 = np.array([s.h(R @ x0 + r) for s in surfaces])
+        flagged = filippov._event_flags(h0, h1, filippov.TOL_EVENT)
+        if not flagged.any():
+            return None
+        events = SimpleNamespace(C=np.asarray(C, dtype=float))
+        theta, k = filippov._first_hit(
+            filippov._step_quartics(field, events, x0, delta, h0), flagged, h0)
+        Rt, rt = field.step_map(theta * delta)
+        return ((theta, k, Rt @ x0 + rt),
+                step_map_bisection(field, surfaces, flagged, x0, delta, h0))
+
+    @staticmethod
+    def assert_same(quartic, reference):
+        assert quartic[:2] == reference[:2]
+        assert np.array_equal(quartic[2], reference[2])
+
+    def test_random_affine_hits(self):
+        rng = np.random.default_rng(15)
+        hits = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 4))
+            field = AffineField(rng.normal(0.0, 1.5, (n, n)), rng.normal(0.0, 2.0, n))
+            x0 = rng.uniform(-5.0, 5.0, n)
+            delta = float(rng.uniform(1e-3, 0.2))
+            C = rng.normal(size=(3, n))
+            # each surface passes through the state at a random fraction of the step
+            R, r = field.step_map(float(rng.uniform(0.0, 1.0)) * delta)
+            out = self.both(field, C, C @ (R @ x0 + r), x0, delta)
+            if out is not None:
+                hits += 1
+                self.assert_same(*out)
+        assert hits >= 150
+
+    def test_two_surfaces_flagged_in_one_step(self, ex1):
+        field = ex1.mode(1).affine
+        x0 = np.array([-0.5, -2.0])
+        R, r = field.step_map(0.3)
+        x1 = R @ x0 + r
+        # a copy of surface 0 ties with it; surface 2 is reached first
+        C = np.array([[1.0, 0.0], [1.0, 0.0], [0.3, 1.0]])
+        early = field.step_map(0.1)
+        d = np.array([x1[0] - 0.05, x1[0] - 0.05,
+                      C[2] @ (early[0] @ x0 + early[1])])
+        quartic, reference = self.both(field, C, d, x0, 0.3)
+        self.assert_same(quartic, reference)
+        assert quartic[1] == 2
+        quartic, reference = self.both(field, C[:2], d[:2], x0, 0.3)
+        self.assert_same(quartic, reference)
+        assert quartic[1] == 0
+
+    def test_landing_from_off_the_surface(self, ex1):
+        field = ex1.mode(1).affine
+        x0 = np.array([-1.0, -2.0])
+        R, r = field.step_map(0.05)
+        x1 = R @ x0 + r
+        c = np.array([1.0, 0.5])
+        for side in (1.0, -1.0):
+            # H ends 5e-11 off the surface, on the side it starts on
+            d = c @ x1 - side * 5e-11
+            quartic, reference = self.both(field, side * c[None], [side * d], x0, 0.05)
+            assert abs(quartic[0] - 1.0) < 1e-3
+            self.assert_same(quartic, reference)
+
+    @pytest.mark.parametrize("eps, x0, step", [
+        (1e-1, (-5.0, 5.0), 1e-3),
+        (1e-2, (-3.0, -4.0), 1e-3),
+        (1e-2, (4.0, -3.0), 7.3e-3),
+        (None, (5.0, -5.0), 1e-3),
+    ])
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_runs_match_step_map_localization(self, name, eps, x0, step, monkeypatch):
+        # the same runs with each hit located by the step-map bisection; the
+        # hits of a regularized run are its band edges H = +-eps
+        def run(system):
+            opts = SolverOptions(step=step)
+            if eps is None:
+                return integrate(system, x0, 20.0, opts)
+            return integrate_regularized(system, eps, x0, 5.0, opts)
+
+        system = fresh(name)
+        quartics = []
+        step_quartics = filippov._step_quartics
+
+        def counting(field, events, x0, delta, h0):
+            quartics.append(len(events.surfaces))
+            return step_quartics(field, events, x0, delta, h0)
+
+        def step_map_along(field, events, x0, delta, h0):
+            def state(x, dt):
+                R, r = field.step_map(dt)
+                return R @ x + r
+            return filippov._along_step(state, events.surfaces, x0, delta)
+
+        monkeypatch.setattr(filippov, "_step_quartics", counting)
+        traj = run(system)
+        monkeypatch.setattr(filippov, "_step_quartics", step_map_along)
+        reference = run(system)
+        edges = len(system.manifolds) * (1 if eps is None else 2)
+        assert quartics and set(quartics) == {edges}
+        assert same_trajectory(traj, reference)
+        assert ([(s.kind, s.t_start, s.t_end, s.pair) for s in traj.segments]
+                == [(s.kind, s.t_start, s.t_end, s.pair) for s in reference.segments])
