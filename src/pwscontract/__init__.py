@@ -27,8 +27,7 @@ _HOMES = {
                      "sliding_field", "write_trajectory_csv"), "filippov"),
     **dict.fromkeys(("ConvergenceTable", "RegularizedSystem", "convergence_study",
                      "integrate_regularized", "phi", "phi_prime",
-                     "reduced_sliding_field", "regularized_field_chain",
-                     "regularized_field_cross", "regularized_jacobian_chain",
+                     "reduced_sliding_field", "regularized_jacobian_chain",
                      "regularized_jacobian_cross", "write_convergence_csv"),
                     "regularize"),
     **dict.fromkeys(("CertificateError", "CertificateReport", "Condition",

@@ -155,7 +155,7 @@ def _parse_metric(system: PwsSystem, q_arg: str, c_value) -> Metric:
 
 
 def _write_manifest(out_path: Path, args, command: str, config: str,
-                    options: dict, outputs: list) -> None:
+                    options: dict, outputs: list, results: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -165,6 +165,8 @@ def _write_manifest(out_path: Path, args, command: str, config: str,
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - args.t0,
     }
+    if results is not None:
+        manifest["results"] = results
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -243,7 +245,7 @@ def cmd_regularize(args) -> int:
     _write_manifest(out, args, "regularize", config,
                     {"x0": list(x0), "t_final": args.t_final, "eps": eps_list,
                      "step": args.step},
-                    [out])
+                    [out], {"monotone_decreasing": table.is_monotone_decreasing()})
     for eps, gap, _ in table.rows:
         print(f"eps={eps:.6g}  sup_gap={gap:.6g}")
     print(f"fitted log-log slope: {table.fitted_slope:.4f}")

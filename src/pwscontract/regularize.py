@@ -2,12 +2,23 @@
 Jacobians, stiffness-aware integration of the regularized ODE, the reduced
 sliding field, and band-width convergence studies against the Filippov solver.
 
-The regularized integrator substeps the blend inside the bands |H| <= eps and
-hands every stretch outside them to the Filippov solver's flow engine, which
-stops at the band edges H = +-eps; a point on an edge counts as in the band.
-Affine and handle systems take the same path. ``regularized_field_chain``/
-``_cross`` are the plain per-mode loops that ``RegularizedSystem.field`` is
-tested against.
+The regularized integrator hands every stretch outside the bands |H| <= eps
+to the Filippov solver's flow engine, which stops at the band edges
+H = +-eps, and substeps the blend inside them; a point on an edge counts as
+in the band. Inside the band of one manifold k every other clamp sits at
++-1, and the blend weights are affine in each clamp, so for an affine system
+the blend there is one closed form, ``_Band``: f = M0 x + m0 + p (M1 x + m1)
+with p the clamp of H_k / eps, built once per (band, signs of the other
+clamps). Where M1 = 0 (equal matrices on both sides of the manifold) the
+band's blend is an affine field, and its stretches advance in the exact RK4
+blocks of the flow engine, each grid step the band's substeps composed into
+one map. A grid step that ends in another band is taken again with the
+stacked blend ``RegularizedSystem.field``, the one formula that also serves
+handle systems and the cross's corner, where both bands are active. A grid
+step delta takes the fewest equal substeps, at least
+ceil(delta / min(step, eps/10)), at which RK4 grows no decaying direction
+of the blend: checked once on the matrix of an affine band, and otherwise
+on the blend's Jacobian where a stretch enters it.
 """
 
 from __future__ import annotations
@@ -18,12 +29,23 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Manifold, PwsSystem, TopologyError, _chain_bands_disjoint, locate
+from .model import (
+    AffineField,
+    Manifold,
+    PwsSystem,
+    StiffStepError,
+    TopologyError,
+    _chain_bands_disjoint,
+    _check_rk4_step,
+    locate,
+)
 from .filippov import (
+    MAX_CHAIN,
     MAX_TRANSITIONS,
     TOL_EVENT,
     SolverOptions,
     Trajectory,
+    _advance_blocks,
     _Builder,
     _EventSurfaces,
     _check_start,
@@ -38,8 +60,6 @@ __all__ = [
     "phi_prime",
     "RegularizedSystem",
     "ConvergenceTable",
-    "regularized_field_chain",
-    "regularized_field_cross",
     "regularized_jacobian_chain",
     "regularized_jacobian_cross",
     "integrate_regularized",
@@ -86,36 +106,6 @@ def _cross_weights(phis) -> np.ndarray:
         (1.0 - p1) * (1.0 + p2),
         (1.0 - p1) * (1.0 - p2),
     ])
-
-
-def regularized_field_chain(system: PwsSystem, eps: float, x) -> np.ndarray:
-    """Blended field of a chain system: each mode weighted by clamp values of
-    its two bounding manifold functions. Equals f_i(x) outside all bands."""
-    if system.topology != "chain":
-        raise TopologyError("chain regularization needs a chain system")
-    x = np.asarray(x, dtype=float)
-    if not system.manifolds:
-        return system.f(1, x)
-    phis = np.clip(system.h_values(x) / eps, -1.0, 1.0)
-    w = _chain_weights(phis)
-    out = np.zeros(system.dimension)
-    for i, wi in enumerate(w):
-        if wi != 0.0:
-            out += wi * system.f(i + 1, x)
-    return out
-
-
-def regularized_field_cross(system: PwsSystem, eps: float, x) -> np.ndarray:
-    """Blended field of a planar cross: four clamp-product weights."""
-    if system.topology != "planar_cross":
-        raise TopologyError("cross regularization needs a planar_cross system")
-    x = np.asarray(x, dtype=float)
-    w = _cross_weights(np.clip(system.h_values(x) / eps, -1.0, 1.0))
-    out = np.zeros(2)
-    for i, wi in enumerate(w):
-        if wi != 0.0:
-            out += wi * system.f(i + 1, x)
-    return out
 
 
 def regularized_jacobian_chain(system: PwsSystem, eps: float, x) -> np.ndarray:
@@ -169,6 +159,87 @@ def regularized_jacobian_cross(system: PwsSystem, eps: float, x) -> np.ndarray:
     return J
 
 
+class _StepRule:
+    """Substep counts for the RK4 steps of one field: the smallest count
+    n >= ns at which a substep delta / n passes ``_check_rk4_step`` on the
+    eigenvalues ``eigs`` of the field's Jacobian. RK4's stability region is
+    star-shaped, so a substep no longer than one that passed passes too; the
+    longest such substep is kept, and a step that fits under it costs no
+    check."""
+
+    def __init__(self, eigs):
+        self.eigs = eigs
+        self.h_ok = 0.0
+
+    def _passes(self, h: float) -> bool:
+        try:
+            _check_rk4_step(self.eigs, h)
+        except StiffStepError:
+            return False
+        self.h_ok = max(self.h_ok, h)
+        return True
+
+    def substeps(self, delta: float, ns: int) -> int:
+        if delta / ns <= self.h_ok or self._passes(delta / ns):
+            return ns
+        if not np.isfinite(self.eigs).all():
+            return ns  # no count passes; ``_Builder.finish`` reports the state
+        lo, hi = ns, 2 * ns  # a failing count and its double
+        while not self._passes(delta / hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._passes(delta / mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
+class _Band:
+    """The blend inside the band of manifold k of an affine system, every
+    other clamp fixed at +-1. Its weights are w0 + p w1, p = phi(H_k / eps),
+    so f(x) = M0 x + m0 + p (M1 x + m1), with M0 = sum w0_i A_i and so on:
+    one product y = S x + s, S = [M0; M1; c^T], s = [m0; m1; -d], and the
+    clip of p = y[-1] / eps.
+
+    Where M1 = 0 the blend inside the band is the affine field
+    (M0 + m1 c^T / eps) x + m0 - m1 d / eps: ``affine``, with its ``rule``
+    taken once on its matrix. Otherwise both are None, and ``jac`` gives the
+    Jacobian M0 + p M1 + (M1 x + m1) c^T / eps (the inner closure at the
+    band's edges)."""
+
+    def __init__(self, k: int, w0, w1, As, bs, c, d: float, eps: float):
+        n = c.shape[0]
+        M0, M1 = np.tensordot(w0, As, 1), np.tensordot(w1, As, 1)
+        m0, m1 = w0 @ bs, w1 @ bs
+        S = np.vstack((M0, M1, c))
+        s = np.concatenate((m0, m1, [-d]))
+        n2 = 2 * n
+
+        def field(x):
+            y = S @ x
+            y += s
+            p = y[n2] / eps
+            if p > 1.0:
+                p = 1.0
+            elif p < -1.0:
+                p = -1.0
+            return y[:n] + p * y[n:n2]
+
+        def jac(x):
+            y = S @ x + s
+            return M0 + min(max(y[n2] / eps, -1.0), 1.0) * M1 + np.outer(y[n:n2], c / eps)
+
+        self.k = k
+        self.field = field
+        self.jac = jac
+        self.affine = self.rule = None
+        if not M1.any():
+            self.affine = AffineField(M0 + np.outer(m1, c / eps), m0 - m1 * (d / eps))
+            self.rule = _StepRule(np.linalg.eigvals(self.affine.A))
+
+
 @dataclass
 class RegularizedSystem:
     """The continuous blend of a PWS system with band half-width eps."""
@@ -186,11 +257,19 @@ class RegularizedSystem:
             raise ValueError(
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
         self._weights = _chain_weights if base.topology == "chain" else _cross_weights
+        # a point within TOL_EVENT of an edge counts as in the band: the flow
+        # engine never flags a surface it starts on, so a stretch started
+        # there would cross the band with the plain mode's field
+        self._edge = self.eps + TOL_EVENT
         # the manifold values H(x) and the stacked mode fields f_i(x)
-        self._H = _EventSurfaces(base, base.manifolds).values
-        if base.is_affine:
+        self._surfaces = _EventSurfaces(base, base.manifolds)
+        self._H = self._surfaces.values
+        self._bands = {}
+        self._affine = base.is_affine
+        if self._affine:
             As = np.stack([m.affine.A for m in base.modes])
             bs = np.stack([m.affine.b for m in base.modes])
+            self._As, self._bs = As, bs
             self._fields = lambda x: As @ x + bs
         else:
             self._fields = lambda x: np.array([m.f(x) for m in base.modes])
@@ -200,12 +279,41 @@ class RegularizedSystem:
         return (self._weights(np.clip(self._H(x) / self.eps, -1.0, 1.0))
                 @ self._fields(x))
 
-    def min_h_abs(self, x) -> float:
-        return float(np.min(np.abs(self._H(np.asarray(x, dtype=float))),
-                            initial=math.inf))
+    def jacobian(self, x) -> np.ndarray:
+        """The Jacobian of ``field``, inner closure at the clamp kinks."""
+        if self.base.topology == "chain":
+            return regularized_jacobian_chain(self.base, self.eps, x)
+        return regularized_jacobian_cross(self.base, self.eps, x)
 
     def in_band(self, x) -> bool:
-        return self.min_h_abs(x) <= self.eps
+        return bool(np.min(np.abs(self._H(np.asarray(x, dtype=float))),
+                           initial=math.inf) <= self.eps)
+
+    def band(self, H) -> Optional[_Band]:
+        """The ``_Band`` of the one manifold k whose band holds the manifold
+        values H (|H_k| <= eps + TOL_EVENT), built once per (k, signs of the
+        other H) for the life of this system; None for a handle system, or
+        where no band or two bands hold H (the cross's corner): there the
+        stacked blend ``field`` applies."""
+        if not self._affine:
+            return None
+        hs = np.asarray(H).tolist()  # a few values: Python floats beat array calls
+        active = [k for k, v in enumerate(hs) if abs(v) <= self._edge]
+        if len(active) != 1:
+            return None
+        k = active[0]
+        key = (k, *(v > 0.0 for j, v in enumerate(hs) if j != k))
+        band = self._bands.get(key)
+        if band is None:
+            signs = np.where(np.asarray(H) > 0.0, 1.0, -1.0)
+            signs[k] = 1.0
+            above = self._weights(signs)
+            signs[k] = -1.0
+            below = self._weights(signs)
+            c, d = self.base.manifolds[k].affine
+            band = self._bands[key] = _Band(k, 0.5 * (above + below), 0.5 * (above - below),
+                                            self._As, self._bs, c, d, self.eps)
+        return band
 
 
 def _band_edges(man: Manifold, eps: float) -> tuple:
@@ -218,16 +326,93 @@ def _band_edges(man: Manifold, eps: float) -> tuple:
             Manifold.from_handles(f"{man.label}-", lambda x: man.h(x) + eps, man.grad))
 
 
+def _substeps(f, x, delta: float, ns: int):
+    sub = delta / ns
+    for _ in range(ns):
+        x = _rk4(f, x, sub)
+    return x
+
+
+def _run_bands(reg: RegularizedSystem, x, t: float, t_stop: float, H, opts,
+               builder, seg_id):
+    """Substep the blend from (t, x), with manifold values H in a band, one
+    grid step at a time until a step ends outside every band or at t_stop;
+    returns (t, x, H) there.
+
+    A step in the band of one manifold k of an affine system substeps its
+    ``_Band``; if it ends in another band it is taken again with the stacked
+    blend, which any other step takes. An affine band advances its aligned
+    stretches inside |H_k| <= eps in chained blocks of exact RK4 steps, each
+    grid step its substeps composed into one map, and keeps the rows before
+    the first grid step that ends outside that slab or in another band: the
+    stepwise code takes that step again.
+    """
+    h = opts.step
+    eps, edge = reg.eps, reg._edge
+    h_band = min(h, eps / 10.0)
+    rules = {}  # the step rule of each non-affine field this stretch uses
+
+    def rule_of(band, x):
+        if band is not None and band.rule is not None:
+            return band.rule
+        rule = rules.get(band)
+        if rule is None:
+            J = reg.jacobian(x) if band is None else band.jac(x)
+            rule = rules[band] = _StepRule(np.linalg.eigvals(J))
+        return rule
+
+    def least_substeps(delta):
+        return max(1, int(math.ceil(delta / h_band - 1e-12)))
+
+    chain = 1  # blocks in the next chain: doubles while no row is marked
+    while t < t_stop - 1e-14:
+        band = reg.band(H)
+        if band is None and not (np.abs(H) <= edge).any():
+            break
+        if band is not None and band.affine is not None and abs(H[band.k]) <= eps:
+            what = f"band of {reg.base.manifolds[band.k].label}"
+            block = _advance_blocks(band.affine, what, x, t, h, t_stop, chain,
+                                    band.rule.substeps(h, least_substeps(h)))
+            if block is not None:
+                ts, X = block
+                HX = X @ reg._surfaces.C.T - reg._surfaces.d
+                marked = np.abs(HX) <= edge
+                marked[:, band.k] = np.abs(HX[:, band.k]) > eps
+                marked = marked.any(axis=1)
+                idx = int(np.argmax(marked)) if marked.any() else len(ts)
+                if idx:
+                    builder.add_block(ts[:idx], X[:idx], seg_id)
+                    t, x, H = float(ts[idx - 1]), X[idx - 1], HX[idx - 1]
+                if idx == len(ts):
+                    chain = min(2 * chain, MAX_CHAIN)
+                    continue
+                chain = 1
+        tn = _next_grid(t, h, t_stop)
+        delta = tn - t
+        ns = rule_of(band, x).substeps(delta, least_substeps(delta))
+        x1 = _substeps(reg.field if band is None else band.field, x, delta, ns)
+        H1 = reg._H(x1)
+        if band is not None and any(abs(v) <= edge for j, v in enumerate(H1.tolist())
+                                    if j != band.k):
+            # the step entered another band
+            x1 = _substeps(reg.field, x, delta, ns)
+            H1 = reg._H(x1)
+        t, x, H = tn, x1, H1
+        builder.add_point(t, x, seg_id)
+    return t, x, H
+
+
 def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
                           opts: Optional[SolverOptions] = None) -> Trajectory:
     """RK4 trajectory of the regularized (continuous) dynamics.
 
-    No event logic is needed inside a regularization band, where the step is
-    clamped to min(step, eps/10) to control the stiffness of the blend.
-    Outside the bands the blend coincides with a single mode, which the
-    Filippov flow engine advances until it reaches a band edge H = +-eps,
-    from where the blend is substepped again (raising StiffStepError as in
-    ``integrate`` when the step grows a decaying direction of that mode).
+    No event logic is needed inside a regularization band, where each grid
+    step is split into substeps of at most eps/10, more where the blend is
+    stiffer (``_run_bands``). Outside the bands the blend coincides with a
+    single mode, which the Filippov flow engine advances until it reaches a
+    band edge H = +-eps, from where the blend is substepped again (raising
+    StiffStepError as in ``integrate`` when the step grows a decaying
+    direction of that mode).
     """
     opts = opts or SolverOptions()
     reg = RegularizedSystem(system, eps)
@@ -239,35 +424,23 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     if t_f == 0.0:
         return builder.finish()
 
-    h_band = min(opts.step, eps / 10.0)
     events = _EventSurfaces(system, [e for m in system.manifolds
                                      for e in _band_edges(m, eps)])
-    # a point within TOL_EVENT of an edge counts as in the band: the flow
-    # engine never flags a surface it starts on, so a stretch started there
-    # would cross the band with the plain mode's field
-    edge = eps + TOL_EVENT
     t, x = 0.0, x0.copy()
+    H = reg._H(x)
     guard = 0
     while t < t_f - 1e-14:
         guard += 1
         if guard > MAX_TRANSITIONS:
             raise RuntimeError("regularized integration stalled")
-        if reg.min_h_abs(x) <= edge:
-            # inside a band or on its edge: substep the blend
-            while t < t_f - 1e-14 and reg.min_h_abs(x) <= edge:
-                tn = _next_grid(t, opts.step, t_f)
-                delta = tn - t
-                ns = max(1, int(math.ceil(delta / h_band - 1e-12)))
-                sub = delta / ns
-                for _ in range(ns):
-                    x = _rk4(reg.field, x, sub)
-                t = tn
-                builder.add_point(t, x, sid)
+        if np.min(np.abs(H), initial=math.inf) <= reg._edge:
+            t, x, H = _run_bands(reg, x, t, t_f, H, opts, builder, sid)
         else:
             mode = system.mode(locate(system, x, tol_boundary=0.0).mode)
             kind, _, t, x = _run_flow(events, mode, x, t, t_f, opts, builder, sid)
             if kind == "hit":
                 builder.add_point(t, x, sid)
+            H = reg._H(x)
     builder.close_segment(sid, t)
     return builder.finish()
 

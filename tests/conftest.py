@@ -10,6 +10,7 @@ from pwscontract.model import (
     Manifold,
     Mode,
     PwsSystem,
+    TopologyError,
     builtin_config_path,
     load_system,
     load_system_file,
@@ -66,6 +67,41 @@ def with_entry(doc: dict, path: tuple, value) -> dict:
         target = target[key]
     target[path[-1]] = value
     return doc
+
+
+def regularized_field_chain(system, eps, x):
+    """The clamp blend of a chain system as a plain per-mode loop: mode i
+    weighted by (phi_(i-1) - phi_i) / 2 of the clamps phi_k = phi(H_k(x)/eps)
+    of its bounding manifolds, with phi_0 = 1 below the first manifold and
+    phi_N = -1 above the last. The oracle the blends of
+    ``RegularizedSystem`` are tested against."""
+    if system.topology != "chain":
+        raise TopologyError("chain regularization needs a chain system")
+    x = np.asarray(x, dtype=float)
+    phis = [1.0] + [min(max(m.h(x) / eps, -1.0), 1.0) for m in system.manifolds] + [-1.0]
+    out = np.zeros(system.dimension)
+    for i, mode in enumerate(system.modes):
+        w = 0.5 * (phis[i] - phis[i + 1])
+        if w != 0.0:
+            out += w * mode.f(x)
+    return out
+
+
+def regularized_field_cross(system, eps, x):
+    """The clamp blend of a planar cross as a plain per-mode loop: mode i
+    weighted by (1 + s1 phi_1)(1 + s2 phi_2) / 4 with (s1, s2) the signs of
+    its sector. The oracle the blends of ``RegularizedSystem`` are tested
+    against."""
+    if system.topology != "planar_cross":
+        raise TopologyError("cross regularization needs a planar_cross system")
+    x = np.asarray(x, dtype=float)
+    p1, p2 = (min(max(m.h(x) / eps, -1.0), 1.0) for m in system.manifolds)
+    out = np.zeros(2)
+    for mode, (s1, s2) in zip(system.modes, [(1, -1), (1, 1), (-1, 1), (-1, -1)]):
+        w = 0.25 * (1.0 + s1 * p1) * (1.0 + s2 * p2)
+        if w != 0.0:
+            out += w * mode.f(x)
+    return out
 
 
 def handle_copy(system):
@@ -214,13 +250,13 @@ def circle():
 
 @pytest.fixture
 def stack_builds(monkeypatch):
-    """Counts of block-stack builds keyed by (id(field), h, block)."""
+    """Counts of block-stack builds keyed by (id(field), h, block, substeps)."""
     counts = collections.Counter()
     build = AffineField._build_stacks
 
-    def counting(field, h, block):
-        counts[(id(field), h, block)] += 1
-        return build(field, h, block)
+    def counting(field, h, block, substeps):
+        counts[(id(field), h, block, substeps)] += 1
+        return build(field, h, block, substeps)
 
     monkeypatch.setattr(AffineField, "_build_stacks", counting)
     return counts

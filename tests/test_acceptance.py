@@ -14,10 +14,10 @@ from pwscontract import filippov
 from pwscontract.model import AffineField, AnalysisBox, Manifold, Mode, PwsSystem
 from pwscontract.filippov import SolverOptions, integrate, sliding_field
 from pwscontract.regularize import (
+    RegularizedSystem,
     convergence_study,
+    integrate_regularized,
     reduced_sliding_field,
-    regularized_field_chain,
-    regularized_field_cross,
     regularized_jacobian_chain,
     regularized_jacobian_cross,
 )
@@ -27,6 +27,8 @@ from pwscontract.certify import (
     condition_table,
     pairwise_contraction_test,
 )
+
+from conftest import regularized_field_chain, regularized_field_cross
 
 EX1_MU_GOLDEN = [-0.50, -0.80, -0.88]
 EX2_MU_GOLDEN = [-3.76, -1.88, -1.87, -7.88]
@@ -321,3 +323,27 @@ def test_criterion_12_one_step_map_per_localization(ex2, monkeypatch):
           and crossings[0][1] == (1, 2) and len(calls) == 1)
     report(12, ok, f"example2 from (-5, 5): crossings {crossings}; step-map "
                    f"builds while localizing: {len(calls)} (must be 1)")
+
+
+def test_criterion_13_band_closures(ex1, chain4, monkeypatch):
+    # inside a band the regularized run steps the band's closed-form field,
+    # so example1's study never evaluates the stacked blend; the 4-mode
+    # chain's bands are affine and advance in exact RK4 blocks
+    calls = []
+    field = RegularizedSystem.field
+    monkeypatch.setattr(RegularizedSystem, "field",
+                        lambda self, x: calls.append(1) or field(self, x))
+    table = convergence_study(ex1, [-3.0, -4.0], 20.0, EPS_SWEEP)
+    system = PwsSystem(2, "chain", [Mode.from_affine(m.index, m.affine.A, m.affine.b)
+                                    for m in chain4.modes],
+                       chain4.manifolds, chain4.box)
+    t0 = time.perf_counter()
+    traj = integrate_regularized(system, 1e-3, np.array([-5.0, -5.0]), 20.0)
+    elapsed = time.perf_counter() - t0
+    dist = float(np.linalg.norm(traj.final_state))
+    ok = (not calls and table.is_monotone_decreasing() and dist <= 1e-4
+          and elapsed < 2.0)
+    report(13, ok, f"stacked-blend calls in example1's study: {len(calls)} "
+                   f"(must be 0); 4-mode chain at eps 1e-3 from (-5, -5) to "
+                   f"T = 20: final distance {dist:.2e} (<= 1e-4), runtime "
+                   f"{elapsed * 1e3:.1f} ms (< 2 s)")

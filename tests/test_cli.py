@@ -160,6 +160,30 @@ class TestRegularize:
         gaps = [float(line.split(",")[1]) for line in lines[1:]]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_stiff_band_table_falls_at_the_filippov_slope(self, tmp_path):
+        # two modes -I x + (+-50, 1) split by x1 = 0: at eps <= 1e-2 substeps
+        # of eps/10 left the blend unstable in the band, and the gaps stalled
+        # at eps (0.0333, 0.00878, 0.0100, 0.00300, 0.00100; slope 0.70)
+        cfg = tmp_path / "stiff.json"
+        cfg.write_text(json.dumps({
+            "dimension": 2, "topology": "chain",
+            "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [50.0, 1.0]},
+                      {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [-50.0, 1.0]}],
+            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
+            "box": {"lower": [-5, -5], "upper": [5, 5]},
+        }))
+        out = tmp_path / "conv.csv"
+        rc = main(["regularize", "--config", str(cfg), "--x0", "1,0",
+                   "--t-final", "1", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        eps = np.array([float(r[0]) for r in rows])
+        gaps = np.array([float(r[1]) for r in rows])
+        assert len(gaps) == 5 and np.all(np.diff(gaps) < 0)
+        assert 0.8 <= np.polyfit(np.log(eps), np.log(gaps), 1)[0] <= 1.2
+        manifest = json.loads((tmp_path / "conv.csv.manifest.json").read_text())
+        assert manifest["results"] == {"monotone_decreasing": True}
+
     def test_single_mode_noise_floor(self, tmp_path):
         cfg = tmp_path / "single.json"
         cfg.write_text(json.dumps({
@@ -480,7 +504,7 @@ class TestLazyImports:
 
         import pwscontract
 
-        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 61
+        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 59
         for name in pwscontract.__all__:
             home = pwscontract._HOMES[name]
             module = importlib.import_module(f"pwscontract.{home}")

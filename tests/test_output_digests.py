@@ -35,7 +35,7 @@ CASES = {
                  "0f85915f844432cbebef1bc96250c66952ca4d8ff11f8767b230f0cfbbb4d511"),
     "regularize": (["regularize", "--config", "example1", "--x0", "-3,-4",
                     "--t-final", "20", "--eps", README_SWEEP],
-                   "732c80587c9a6ce81c3b1965be4ae7da8dbb81d8352a1f88f41b0916bcf2e6b7"),
+                   "8aa852e028aa676322e3393cae1b1b1565f2ce9252cb2e3601754e10ea88df23"),
     "certify-1-vertex": (["certify", "--config", "example1", "--Q", "identity",
                           "--c", "0.5"],
                          "ad9122743e69cd2e3954b474c469ab3040ba6b46f64b42975ef63993c6a55992"),
@@ -103,22 +103,22 @@ TRAJECTORY_CASES = {
         "bf7102310f5e453d83faad0aee5a2fb6600d129c2a1b53dbabb8d033dfb4244a"),
     "regularized-example1-1e-2": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
-        "6f93cd293fc291158ad198dc29df64e358d7a0fa13995f7b2e8cdcd5e7470953"),
+        "c7aa70fc119561f148919a21add2c0da0f5fa01ae1b2d6c3c503a0d9decfe7b0"),
     "regularized-example2-1e-2": (
         "ex2", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
-        "44680749fb096bd4c3304a40f17f02b34802d9777b8f320b439b52a76e043f01"),
+        "762973e3edc934f8507d7785df63bf481f40a90c97e1381a084a59919a8de3d3"),
     "integrate-chain4": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0),
         "c77babc0eca41a7e3994ad5b47803dde3a39f0bf9e0d9819caf66b46a7af4301"),
     "regularized-chain4-1e-2": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
-        "ce01505fe79ebd50cf3552bf33db50285e989829f18f8e89fee8493b8e662b9f"),
+        "72c9e3a3d2973871999f58fd4092d1b6f7230d425d012a0c959b731eceaf24d6"),
     "integrate-chain3d": (
         "chain3d", STARTS_3D, lambda s, x: integrate(s, x, 3.0),
         "e2a191d8ea93ef74b8edf7ec29429f633d8ff56a24a773f45f364fc93d5d31b1"),
     "regularized-chain3d-1e-2": (
         "chain3d", STARTS_3D, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
-        "c42f49e1a57abee9d8377966698d1e273f425636e8fb6545436c279f90017b6e"),
+        "61da8808558cf4eb97df065f88a648e42f1c9e2176f4349e68b325b7c4e9b278"),
     # the handle copies take the stepwise code of every mode or surface that
     # is not affine; by T = 1.5 the eight runs hold 4 slides and 4 crossings
     # on example1 and 2 slides and 7 crossings on example2

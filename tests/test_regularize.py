@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract.filippov import SolverOptions, _rk4, integrate, sliding_field
+from pwscontract import regularize
+from pwscontract.filippov import TOL_EVENT, _rk4, integrate, sliding_field
 from pwscontract.model import (
     AnalysisBox,
     Manifold,
     Mode,
     PwsSystem,
+    StiffStepError,
     TopologyError,
+    _check_rk4_step,
     builtin_config_path,
 )
 from pwscontract.regularize import (
@@ -22,14 +25,18 @@ from pwscontract.regularize import (
     phi,
     phi_prime,
     reduced_sliding_field,
-    regularized_field_chain,
-    regularized_field_cross,
     regularized_jacobian_chain,
     regularized_jacobian_cross,
     write_convergence_csv,
 )
 
-from conftest import handle_copy, handle_manifold_copy, make_system
+from conftest import (
+    handle_copy,
+    handle_manifold_copy,
+    make_system,
+    regularized_field_chain,
+    regularized_field_cross,
+)
 
 
 def fd_jacobian(fn, x, d=1e-6):
@@ -67,6 +74,11 @@ def substepped_blend(system, eps, x0, t_f, step=1e-2):
     return np.array(out)
 
 
+def blend(system, eps, x):
+    """The stacked blend of ``RegularizedSystem``, the one in the package."""
+    return RegularizedSystem(system, eps).field(x)
+
+
 class TestPhi:
     def test_branches(self):
         assert phi(2.0) == 1.0
@@ -85,18 +97,17 @@ class TestChainField:
     def test_band_center_is_midpoint(self, ex1):
         x = np.array([0.0, 5.0])
         expected = 0.5 * (ex1.f(1, x) + ex1.f(2, x))
-        assert np.array_equal(regularized_field_chain(ex1, 0.1, x), expected)
+        assert np.array_equal(blend(ex1, 0.1, x), expected)
 
     def test_outside_band_is_exact(self, ex1):
         x = np.array([1.0, 0.0])
-        out = regularized_field_chain(ex1, 0.1, x)
+        out = blend(ex1, 0.1, x)
         assert np.array_equal(out, ex1.f(2, x))
 
     def test_partial_weights(self, ex1):
         x = np.array([0.05, 0.0])
         expected = 0.25 * ex1.f(1, x) + 0.75 * ex1.f(2, x)
-        assert np.allclose(regularized_field_chain(ex1, 0.1, x), expected,
-                           atol=1e-15)
+        assert np.allclose(blend(ex1, 0.1, x), expected, atol=1e-15)
 
     def test_outside_band_identity_property(self, ex1):
         rng = np.random.default_rng(21)
@@ -108,8 +119,7 @@ class TestChainField:
             if hmin <= eps:
                 continue
             i = 1 + sum(m.h(x) > 0 for m in ex1.manifolds)
-            assert np.array_equal(regularized_field_chain(ex1, eps, x),
-                                  ex1.f(i, x))
+            assert np.array_equal(blend(ex1, eps, x), ex1.f(i, x))
             count += 1
 
     def test_continuity_at_band_edges(self, ex1):
@@ -118,37 +128,34 @@ class TestChainField:
         for _ in range(50):
             y = rng.uniform(-5, 5)
             for edge in (-eps, eps, 2.0 - eps, 2.0 + eps):
-                a = regularized_field_chain(ex1, eps, [edge - 1e-12, y])
-                b = regularized_field_chain(ex1, eps, [edge + 1e-12, y])
+                a = blend(ex1, eps, [edge - 1e-12, y])
+                b = blend(ex1, eps, [edge + 1e-12, y])
                 assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_single_mode_is_plain_field(self, single_mode):
         x = np.array([0.3, -0.7])
-        assert np.array_equal(regularized_field_chain(single_mode, 0.1, x),
-                              single_mode.f(1, x))
+        assert np.array_equal(blend(single_mode, 0.1, x), single_mode.f(1, x))
 
     def test_rejects_cross(self, ex2):
         with pytest.raises(TopologyError):
-            regularized_field_chain(ex2, 0.1, [0.0, 0.0])
+            regularized_jacobian_chain(ex2, 0.1, [0.0, 0.0])
 
 
 class TestCrossField:
     def test_intersection_is_mean(self, ex2):
         x = np.zeros(2)
         expected = 0.25 * sum(ex2.f(i, x) for i in (1, 2, 3, 4))
-        assert np.allclose(regularized_field_cross(ex2, 0.1, x), expected,
-                           atol=1e-15)
+        assert np.allclose(blend(ex2, 0.1, x), expected, atol=1e-15)
 
     def test_deep_in_mode2_is_exact(self, ex2):
         x = np.array([2.0, 2.0])
-        assert np.array_equal(regularized_field_cross(ex2, 0.1, x), ex2.f(2, x))
+        assert np.array_equal(blend(ex2, 0.1, x), ex2.f(2, x))
 
     def test_product_weights(self, ex2):
         x = np.array([0.05, 0.0])
         w = [0.125, 0.375, 0.375, 0.125]
         expected = sum(wi * ex2.f(i + 1, x) for i, wi in enumerate(w))
-        assert np.allclose(regularized_field_cross(ex2, 0.1, x), expected,
-                           atol=1e-15)
+        assert np.allclose(blend(ex2, 0.1, x), expected, atol=1e-15)
 
 
 class TestJacobians:
@@ -312,6 +319,229 @@ class TestIntegrateRegularized:
             ref = substepped_blend(circle, eps, x0, 2.0)
             assert len(x) == len(ref)
             assert np.max(np.linalg.norm(x - ref, axis=1)) < 5e-5
+
+
+# a chain whose bands at eps 0.1 are 0.05 apart: moving at x1' ~ 100, one
+# grid step of 1e-3 runs from the band of x1 = 0 into the band of x1 = 0.25
+NEAR_BANDS = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": b}
+              for b in ([100.0, 0.0], [100.0, 0.0], [-100.0, 0.0])],
+    "manifolds": [{"c": [1.0, 0.0], "d": 0.0}, {"c": [1.0, 0.0], "d": 0.25}],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
+# a certified pair -I x + (+-50, 1) split by x1 = 0. The blend's normal
+# eigenvalue is -1 - 50/eps, so at eps 1e-2 a step of eps/10 = 1e-3 has
+# h lambda = -5, outside RK4's real stability interval (about [-2.79, 0])
+STIFF_BAND = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [50.0, 1.0]},
+              {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [-50.0, 1.0]}],
+    "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
+
+def band_points(system, eps, k, rng, count, past=False):
+    """Seeded box points with H_k inside the closed band |H_k| <= eps, or
+    with past=True just past one of its edges (eps < |H_k| <= 1.5 eps, where
+    the clamp is clipped), and every other |H_j| above 2 eps."""
+    c, d = system.manifolds[k].affine
+    pts = []
+    while len(pts) < count:
+        x = rng.uniform(system.box.lower + 0.2, system.box.upper - 0.2)
+        target = rng.uniform(-eps, eps)
+        if past:
+            target = math.copysign(eps * (1.0 + rng.uniform(1e-9, 0.5)), target)
+        x = x + (target - (c @ x - d)) * c / (c @ c)
+        if all(abs(m.h(x)) > 2 * eps for j, m in enumerate(system.manifolds) if j != k):
+            pts.append(x)
+    return pts
+
+
+class TestBandClosure:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
+    @pytest.mark.parametrize("past", [False, True], ids=["inside", "past-edge"])
+    def test_equals_stacked_blend(self, request, name, past):
+        # every band of each system, its closure selected at the band's edge;
+        # past the edge the clip of the band's own clamp is active, and the
+        # closure still is the blend there (a substep may leave the band)
+        system = request.getfixturevalue(name)
+        rng = np.random.default_rng(31)
+        for eps in (1e-1, 1e-3):
+            reg = RegularizedSystem(system, eps)
+            for k in range(len(system.manifolds)):
+                for x in band_points(system, eps, k, rng, 50, past):
+                    band = reg.band(np.array([eps if j == k else m.h(x)
+                                              for j, m in enumerate(system.manifolds)]))
+                    assert band is not None and band.k == k
+                    assert np.allclose(band.field(x), reg.field(x), rtol=1e-14, atol=1e-14)
+
+    def test_equals_reference_loop(self, ex1, ex2):
+        rng = np.random.default_rng(32)
+        for system, ref in ((ex1, regularized_field_chain), (ex2, regularized_field_cross)):
+            reg = RegularizedSystem(system, 0.05)
+            for k in range(len(system.manifolds)):
+                for x in band_points(system, 0.05, k, rng, 50):
+                    band = reg.band(system.h_values(x))
+                    assert np.allclose(band.field(x), ref(system, 0.05, x), atol=1e-13)
+
+    def test_built_once_per_band(self, chain4):
+        reg = RegularizedSystem(chain4, 1e-2)
+        rng = np.random.default_rng(33)
+        for k in range(3):
+            bands = {id(reg.band(chain4.h_values(x)))
+                     for x in band_points(chain4, 1e-2, k, rng, 10)}
+            assert len(bands) == 1
+
+    def test_affine_where_the_matrices_agree(self, ex1, ex2, chain4, chain3d):
+        # equal matrices on both sides (the chains) make the band's blend
+        # affine; example1's rank-one jumps and example2's do not
+        for system, affine in ((chain4, True), (chain3d, True), (ex1, False), (ex2, False)):
+            reg = RegularizedSystem(system, 1e-2)
+            rng = np.random.default_rng(34)
+            for k in range(len(system.manifolds)):
+                x = band_points(system, 1e-2, k, rng, 1)[0]
+                assert (reg.band(system.h_values(x)).affine is not None) == affine
+
+    def test_affine_band_field(self, chain4):
+        # the band of x1 = 0 between -I x + (1, 0) and -I x + (-1, 0):
+        # x1' = -x1 - x1/eps inside it
+        band = RegularizedSystem(chain4, 1e-2).band(np.array([2.0, 0.0, -2.0]))
+        assert np.allclose(band.affine.A, [[-101.0, 0.0], [0.0, -1.0]], rtol=1e-15)
+        assert np.allclose(band.affine.b, [0.0, 0.0], atol=1e-15)
+
+    def test_corner_and_handle_copies_take_stacked_blend(self, ex1, ex2):
+        eps = 1e-2
+        corner = RegularizedSystem(ex2, eps)
+        for H in ([0.0, 0.0], [eps, -eps], [0.5 * eps, eps + 0.5 * TOL_EVENT]):
+            assert corner.band(np.array(H)) is None
+        assert corner.band(np.array([0.0, 2.0])) is not None
+        for copy in (handle_copy(ex1), handle_copy(ex2), handle_manifold_copy(ex2)):
+            assert RegularizedSystem(copy, eps).band(np.array([0.0, 1.0])) is None
+
+    def test_no_band_outside_the_bands(self, ex1):
+        assert RegularizedSystem(ex1, 1e-2).band(np.array([0.5, -1.5])) is None
+
+
+class TestBandStepping:
+    def test_step_into_another_band_is_redone_with_stacked_blend(self):
+        # a closure holds the other clamps at +-1, so the step that ends in
+        # the second band is taken again with the stacked blend
+        system = make_system(NEAR_BANDS)
+        eps = 0.1
+        reg = RegularizedSystem(system, eps)
+        traj = integrate_regularized(system, eps, [-0.95, 1.0], 0.05)
+        entered = 0
+        for k in range(len(traj.times) - 1):
+            x0, x1 = traj.states[k], traj.states[k + 1]
+            h0, h1 = system.h_values(x0), system.h_values(x1)
+            if abs(h0[0]) <= eps < abs(h0[1]) and abs(h1[1]) <= eps:
+                delta = traj.times[k + 1] - traj.times[k]
+                stacked = _rk4(reg.field, x0, delta)
+                closure = _rk4(reg.band(h0).field, x0, delta)
+                assert np.allclose(x1, stacked, rtol=0.0, atol=1e-12)
+                assert np.max(np.abs(closure - stacked)) > 1e-4
+                entered += 1
+        assert entered == 1
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_block_path_matches_closure_substeps(self, chain4, monkeypatch, eps):
+        # every kept row of every block against the band closure's own RK4
+        # substeps from the block's first state
+        blocks = []
+        advance = regularize._advance_blocks
+
+        def recording(field, what, x, t, h, t_stop, count, substeps=1):
+            out = advance(field, what, x, t, h, t_stop, count, substeps)
+            if out is not None:
+                blocks.append((x.copy(), h, substeps, out[0], out[1].copy()))
+            return out
+
+        monkeypatch.setattr(regularize, "_advance_blocks", recording)
+        traj = integrate_regularized(chain4, eps, [-0.5, 1.0], 2.0)
+        reg = RegularizedSystem(chain4, eps)
+        kept = 0
+        for x, h, ns, ts, X in blocks:
+            band = reg.band(chain4.h_values(x))
+            for t, row in zip(ts, X):
+                if abs(chain4.manifolds[band.k].h(row)) > eps:
+                    break
+                for _ in range(ns):
+                    x = _rk4(band.field, x, h / ns)
+                assert np.allclose(row, x, rtol=0.0, atol=1e-12)
+                assert np.array_equal(row, traj.states[traj.times == t][0])
+                kept += 1
+        assert kept >= 1000
+
+    def test_field_not_called_on_affine_bands(self, chain4, monkeypatch):
+        calls = []
+        field = RegularizedSystem.field
+        monkeypatch.setattr(RegularizedSystem, "field",
+                            lambda self, x: calls.append(1) or field(self, x))
+        integrate_regularized(chain4, 1e-3, [-5.0, -5.0], 5.0)
+        assert not calls
+
+
+class TestStiffBands:
+    def test_least_stable_substeps(self):
+        # lambda = -50001 at delta = 1e-3: ten substeps give h lambda = -5,
+        # and eighteen are the fewest inside the stability interval
+        rule = regularize._StepRule(np.array([-50001.0, -1.0]))
+        assert rule.substeps(1e-3, 10) == 18
+        for ns in range(10, 18):
+            with pytest.raises(StiffStepError):
+                _check_rk4_step(rule.eigs, 1e-3 / ns)
+        assert rule.substeps(1e-3, 10) == 18  # from the kept bound
+        assert rule.substeps(1e-3, 40) == 40
+        assert regularize._StepRule(np.array([-1.0])).substeps(1e-3, 3) == 3
+
+    @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
+    def test_stiff_band_reaches_the_blend_equilibrium(self, eps):
+        # the blend's own equilibrium is x1 = 0, where the Filippov solution
+        # slides; with eps/10 substeps the run ended on the band edge, one
+        # eps away
+        system = make_system(STIFF_BAND)
+        traj = integrate_regularized(system, eps, [1.0, 0.0], 1.0)
+        assert abs(traj.final_state[0]) <= 1e-12
+        assert traj.final_state[1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("copy", [lambda s: s, handle_copy],
+                             ids=["affine", "handle-modes"])
+    def test_stiff_band_matches_fine_step(self, copy):
+        # the stacked blend of a handle system gets the same substeps, from
+        # the eigenvalues of its Jacobian where the stretch enters the band
+        system = copy(make_system(STIFF_BAND))
+        eps = 1e-2
+        t, x = integrate_regularized(system, eps, [1.0, 0.0], 0.2).grid_samples(1e-2)
+        ref = substepped_blend(system, eps, [1.0, 0.0], 0.2, step=1e-2)
+        assert len(x) == len(ref)
+        assert np.max(np.abs(x[-5:] - ref[-5:])) <= 1e-9
+
+    def test_shipped_systems_keep_the_least_substeps(self, ex1, ex2, chain4, chain3d,
+                                                     monkeypatch):
+        # the stability rule adds no substep to any band of the shipped
+        # examples or of the extended chains
+        raised = []
+        substeps = regularize._StepRule.substeps
+
+        def recording(self, delta, ns):
+            out = substeps(self, delta, ns)
+            if out != ns:
+                raised.append((delta, ns, out))
+            return out
+
+        monkeypatch.setattr(regularize._StepRule, "substeps", recording)
+        sweep = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        convergence_study(ex1, [-3.0, -4.0], 20.0, sweep)
+        convergence_study(ex2, [-2.0, -2.0], 20.0, sweep)
+        convergence_study(chain4, [-4.0, 2.0], 4.0, sweep)
+        convergence_study(chain3d, [-2.0, 1.0, 0.0], 3.0, sweep)
+        for x0 in ([-3.0, -4.0], [4.0, -3.0]):
+            integrate_regularized(handle_copy(ex1), 1e-2, x0, 1.5)
+            integrate_regularized(handle_manifold_copy(ex2), 1e-2, x0, 1.5)
+        assert not raised
 
 
 class TestReducedSlidingField:
