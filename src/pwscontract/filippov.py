@@ -463,10 +463,9 @@ class _Builder:
 # flow engine
 
 
-def _advance_blocks(field, what, x, t, h, t_stop, count, substeps=1):
+def _advance_blocks(field, what, x, t, h, t_stop, count):
     """Up to ``count`` chained blocks of exact RK4 steps of an affine field
-    from (t, x) on the time grid k*h: (ts, X) with X[k] the state at ts[k],
-    each grid step ``substeps`` RK4 steps composed into one map.
+    from (t, x) on the time grid k*h: (ts, X) with X[k] the state at ts[k].
     Each block starts from the last row of the one before, and its grid
     index and step count come from the same scalar arithmetic as a lone
     block's, so a chain has the bits of its blocks advanced one at a time;
@@ -482,7 +481,7 @@ def _advance_blocks(field, what, x, t, h, t_stop, count, substeps=1):
             break
         if X is None:
             try:
-                Rs, rs = field.stacks(h, BLOCK, substeps)
+                Rs, rs = field.stacks(h, BLOCK)
             except StiffStepError as exc:
                 raise StiffStepError(f"{what}: {exc}") from None
             n = x.shape[0]

@@ -130,8 +130,8 @@ class AffineField:
     One RK4 step of x' = Ax + b with step h is exactly x -> R(h) x + r(h),
     R the degree-4 truncated exponential of hA. The powers of A behind it are
     formed at construction; the block stacks of ``stacks`` are built on first
-    use, one entry per (step, block, substeps) for the life of the field, and
-    shared, read-only, by every integration that uses it.
+    use, one entry per (step, block) for the life of the field, and shared,
+    read-only, by every integration that uses it.
     """
 
     A: np.ndarray
@@ -177,29 +177,23 @@ class AffineField:
         polynomial as ``step_map``."""
         return (self._taylor @ (self.A @ x + self.b)).reshape(4, -1)
 
-    def stacks(self, h: float, block: int, substeps: int = 1):
+    def stacks(self, h: float, block: int):
         """Read-only (Rs, rs) with Rs[k] = R^(k+1) and rs[k] the offset of k+1
-        steps, for k < block, built once per (h, block, substeps) by
-        sequential products. Each step of size h is ``substeps`` RK4 steps
-        of size h / substeps composed into one map.
+        steps, for k < block, built once per (h, block) by sequential products.
 
-        Raises StiffStepError when building them for a substep at which a
+        Raises StiffStepError when building them for a step h at which a
         decaying eigenvalue of A has an RK4 growth factor of at least 1.
         """
-        key = (h, block, substeps)
+        key = (h, block)
         entry = self._stacks.get(key)
         if entry is None:
             # two threads may both build an entry; both get the first stored
-            entry = self._stacks.setdefault(key, self._build_stacks(h, block, substeps))
+            entry = self._stacks.setdefault(key, self._build_stacks(h, block))
         return entry
 
-    def _build_stacks(self, h: float, block: int, substeps: int):
-        sub = h / substeps
-        _check_rk4_step(np.linalg.eigvals(self.A), sub)
-        R1, r1 = self.step_map(sub)
-        R, r = R1, r1
-        for _ in range(substeps - 1):
-            R, r = R1 @ R, R1 @ r + r1
+    def _build_stacks(self, h: float, block: int):
+        _check_rk4_step(np.linalg.eigvals(self.A), h)
+        R, r = self.step_map(h)
         n = self.A.shape[0]
         Rs = np.empty((block, n, n))
         rs = np.empty((block, n))

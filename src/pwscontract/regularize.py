@@ -9,16 +9,12 @@ in the band. Inside the band of one manifold k every other clamp sits at
 +-1, and the blend weights are affine in each clamp, so for an affine system
 the blend there is one closed form, ``_Band``: f = M0 x + m0 + p (M1 x + m1)
 with p the clamp of H_k / eps, built once per (band, signs of the other
-clamps). Where M1 = 0 (equal matrices on both sides of the manifold) the
-band's blend is an affine field, and its stretches advance in the exact RK4
-blocks of the flow engine, each grid step the band's substeps composed into
-one map. A grid step that ends in another band is taken again with the
+clamps). A grid step that ends in another band is taken again with the
 stacked blend ``RegularizedSystem.field``, the one formula that also serves
 handle systems and the cross's corner, where both bands are active. A grid
 step delta takes the fewest equal substeps, at least
 ceil(delta / min(step, eps/10)), at which RK4 grows no decaying direction
-of the blend: checked once on the matrix of an affine band, and otherwise
-on the blend's Jacobian where a stretch enters it.
+of the blend's Jacobian where the step starts.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    AffineField,
     Manifold,
     PwsSystem,
     StiffStepError,
@@ -40,12 +35,10 @@ from .model import (
     locate,
 )
 from .filippov import (
-    MAX_CHAIN,
     MAX_TRANSITIONS,
     TOL_EVENT,
     SolverOptions,
     Trajectory,
-    _advance_blocks,
     _Builder,
     _EventSurfaces,
     _check_start,
@@ -159,41 +152,36 @@ def regularized_jacobian_cross(system: PwsSystem, eps: float, x) -> np.ndarray:
     return J
 
 
-class _StepRule:
-    """Substep counts for the RK4 steps of one field: the smallest count
-    n >= ns at which a substep delta / n passes ``_check_rk4_step`` on the
-    eigenvalues ``eigs`` of the field's Jacobian. RK4's stability region is
-    star-shaped, so a substep no longer than one that passed passes too; the
-    longest such substep is kept, and a step that fits under it costs no
-    check."""
+# RK4 grows no decaying direction of a step h lam with |h lam| <= 2.5: its
+# stability region holds the left half-disk of radius 2.61
+RK4_DISK = 2.5
 
-    def __init__(self, eigs):
-        self.eigs = eigs
-        self.h_ok = 0.0
 
-    def _passes(self, h: float) -> bool:
+def _stable_substeps(eigs, delta: float, ns: int) -> int:
+    """The smallest count n >= ns at which a substep delta / n passes
+    ``_check_rk4_step`` on the eigenvalues ``eigs`` of the field's Jacobian.
+    RK4's stability region is star-shaped, so the count is bracketed by
+    doubling and then bisected."""
+
+    def passes(n):
         try:
-            _check_rk4_step(self.eigs, h)
+            _check_rk4_step(eigs, delta / n)
         except StiffStepError:
             return False
-        self.h_ok = max(self.h_ok, h)
         return True
 
-    def substeps(self, delta: float, ns: int) -> int:
-        if delta / ns <= self.h_ok or self._passes(delta / ns):
-            return ns
-        if not np.isfinite(self.eigs).all():
-            return ns  # no count passes; ``_Builder.finish`` reports the state
-        lo, hi = ns, 2 * ns  # a failing count and its double
-        while not self._passes(delta / hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._passes(delta / mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    if passes(ns) or not np.isfinite(eigs).all():
+        return ns  # where no count passes, ``_Builder.finish`` reports the state
+    lo, hi = ns, 2 * ns  # a failing count and its double
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class _Band:
@@ -203,11 +191,9 @@ class _Band:
     one product y = S x + s, S = [M0; M1; c^T], s = [m0; m1; -d], and the
     clip of p = y[-1] / eps.
 
-    Where M1 = 0 the blend inside the band is the affine field
-    (M0 + m1 c^T / eps) x + m0 - m1 d / eps: ``affine``, with its ``rule``
-    taken once on its matrix. Otherwise both are None, and ``jac`` gives the
-    Jacobian M0 + p M1 + (M1 x + m1) c^T / eps (the inner closure at the
-    band's edges)."""
+    Its Jacobian ``jac`` is M0 + p M1 + u c^T / eps with u = M1 x + m1 (the
+    inner closure at the band's edges), and ``radius`` bounds that
+    Jacobian's spectral radius by ||M0|| + ||M1|| + ||u|| ||c|| / eps."""
 
     def __init__(self, k: int, w0, w1, As, bs, c, d: float, eps: float):
         n = c.shape[0]
@@ -216,6 +202,9 @@ class _Band:
         S = np.vstack((M0, M1, c))
         s = np.concatenate((m0, m1, [-d]))
         n2 = 2 * n
+        fixed = np.linalg.norm(M0, 2) + np.linalg.norm(M1, 2)
+        c_eps = c / eps
+        slope = float(np.linalg.norm(c_eps))
 
         def field(x):
             y = S @ x
@@ -229,15 +218,16 @@ class _Band:
 
         def jac(x):
             y = S @ x + s
-            return M0 + min(max(y[n2] / eps, -1.0), 1.0) * M1 + np.outer(y[n:n2], c / eps)
+            return M0 + min(max(y[n2] / eps, -1.0), 1.0) * M1 + np.outer(y[n:n2], c_eps)
+
+        def radius(x):
+            u = M1 @ x + m1
+            return fixed + math.sqrt(u @ u) * slope
 
         self.k = k
         self.field = field
         self.jac = jac
-        self.affine = self.rule = None
-        if not M1.any():
-            self.affine = AffineField(M0 + np.outer(m1, c / eps), m0 - m1 * (d / eps))
-            self.rule = _StepRule(np.linalg.eigvals(self.affine.A))
+        self.radius = radius
 
 
 @dataclass
@@ -256,7 +246,9 @@ class RegularizedSystem:
                 and not _chain_bands_disjoint(base, self.eps, base.box)):
             raise ValueError(
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
-        self._weights = _chain_weights if base.topology == "chain" else _cross_weights
+        chain = base.topology == "chain"
+        self._weights = _chain_weights if chain else _cross_weights
+        self._jac = regularized_jacobian_chain if chain else regularized_jacobian_cross
         # a point within TOL_EVENT of an edge counts as in the band: the flow
         # engine never flags a surface it starts on, so a stretch started
         # there would cross the band with the plain mode's field
@@ -278,12 +270,6 @@ class RegularizedSystem:
         x = np.asarray(x, dtype=float)
         return (self._weights(np.clip(self._H(x) / self.eps, -1.0, 1.0))
                 @ self._fields(x))
-
-    def jacobian(self, x) -> np.ndarray:
-        """The Jacobian of ``field``, inner closure at the clamp kinks."""
-        if self.base.topology == "chain":
-            return regularized_jacobian_chain(self.base, self.eps, x)
-        return regularized_jacobian_cross(self.base, self.eps, x)
 
     def in_band(self, x) -> bool:
         return bool(np.min(np.abs(self._H(np.asarray(x, dtype=float))),
@@ -341,55 +327,26 @@ def _run_bands(reg: RegularizedSystem, x, t: float, t_stop: float, H, opts,
 
     A step in the band of one manifold k of an affine system substeps its
     ``_Band``; if it ends in another band it is taken again with the stacked
-    blend, which any other step takes. An affine band advances its aligned
-    stretches inside |H_k| <= eps in chained blocks of exact RK4 steps, each
-    grid step its substeps composed into one map, and keeps the rows before
-    the first grid step that ends outside that slab or in another band: the
-    stepwise code takes that step again.
+    blend, which any other step takes. Each step takes the fewest substeps,
+    at least ceil(delta / min(step, eps/10)), that pass the RK4 stability
+    check on the blend's Jacobian where the step starts; a band step whose
+    substep times the band's spectral-radius bound lies in ``RK4_DISK``
+    passes without it.
     """
     h = opts.step
     eps, edge = reg.eps, reg._edge
     h_band = min(h, eps / 10.0)
-    rules = {}  # the step rule of each non-affine field this stretch uses
-
-    def rule_of(band, x):
-        if band is not None and band.rule is not None:
-            return band.rule
-        rule = rules.get(band)
-        if rule is None:
-            J = reg.jacobian(x) if band is None else band.jac(x)
-            rule = rules[band] = _StepRule(np.linalg.eigvals(J))
-        return rule
-
-    def least_substeps(delta):
-        return max(1, int(math.ceil(delta / h_band - 1e-12)))
-
-    chain = 1  # blocks in the next chain: doubles while no row is marked
     while t < t_stop - 1e-14:
         band = reg.band(H)
         if band is None and not (np.abs(H) <= edge).any():
             break
-        if band is not None and band.affine is not None and abs(H[band.k]) <= eps:
-            what = f"band of {reg.base.manifolds[band.k].label}"
-            block = _advance_blocks(band.affine, what, x, t, h, t_stop, chain,
-                                    band.rule.substeps(h, least_substeps(h)))
-            if block is not None:
-                ts, X = block
-                HX = X @ reg._surfaces.C.T - reg._surfaces.d
-                marked = np.abs(HX) <= edge
-                marked[:, band.k] = np.abs(HX[:, band.k]) > eps
-                marked = marked.any(axis=1)
-                idx = int(np.argmax(marked)) if marked.any() else len(ts)
-                if idx:
-                    builder.add_block(ts[:idx], X[:idx], seg_id)
-                    t, x, H = float(ts[idx - 1]), X[idx - 1], HX[idx - 1]
-                if idx == len(ts):
-                    chain = min(2 * chain, MAX_CHAIN)
-                    continue
-                chain = 1
         tn = _next_grid(t, h, t_stop)
         delta = tn - t
-        ns = rule_of(band, x).substeps(delta, least_substeps(delta))
+        ns = max(1, int(math.ceil(delta / h_band - 1e-12)))
+        if band is None:
+            ns = _stable_substeps(np.linalg.eigvals(reg._jac(reg.base, eps, x)), delta, ns)
+        elif delta / ns * band.radius(x) > RK4_DISK:
+            ns = _stable_substeps(np.linalg.eigvals(band.jac(x)), delta, ns)
         x1 = _substeps(reg.field if band is None else band.field, x, delta, ns)
         H1 = reg._H(x1)
         if band is not None and any(abs(v) <= edge for j, v in enumerate(H1.tolist())

@@ -250,13 +250,13 @@ def circle():
 
 @pytest.fixture
 def stack_builds(monkeypatch):
-    """Counts of block-stack builds keyed by (id(field), h, block, substeps)."""
+    """Counts of block-stack builds keyed by (id(field), h, block)."""
     counts = collections.Counter()
     build = AffineField._build_stacks
 
-    def counting(field, h, block, substeps):
-        counts[(id(field), h, block, substeps)] += 1
-        return build(field, h, block, substeps)
+    def counting(field, h, block):
+        counts[(id(field), h, block)] += 1
+        return build(field, h, block)
 
     monkeypatch.setattr(AffineField, "_build_stacks", counting)
     return counts

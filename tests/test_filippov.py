@@ -472,7 +472,7 @@ class TestBlockMapCache:
         assert stack_builds and set(stack_builds.values()) == {1}
         fields = {id(m.affine) for m in system.modes}
         assert {key[0] for key in stack_builds} <= fields
-        assert {key[1:] for key in stack_builds} == {(1e-3, 256, 1)}
+        assert {key[1:] for key in stack_builds} == {(1e-3, 256)}
 
     def test_interleaved_options_match_fresh_system(self):
         shared = fresh("example1")

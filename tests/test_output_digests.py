@@ -112,13 +112,13 @@ TRAJECTORY_CASES = {
         "c77babc0eca41a7e3994ad5b47803dde3a39f0bf9e0d9819caf66b46a7af4301"),
     "regularized-chain4-1e-2": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
-        "72c9e3a3d2973871999f58fd4092d1b6f7230d425d012a0c959b731eceaf24d6"),
+        "0a3c080f14848397afa6d7acfe475adf1fd4fe78445528efac044f12ecf17fa2"),
     "integrate-chain3d": (
         "chain3d", STARTS_3D, lambda s, x: integrate(s, x, 3.0),
         "e2a191d8ea93ef74b8edf7ec29429f633d8ff56a24a773f45f364fc93d5d31b1"),
     "regularized-chain3d-1e-2": (
         "chain3d", STARTS_3D, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
-        "61da8808558cf4eb97df065f88a648e42f1c9e2176f4349e68b325b7c4e9b278"),
+        "e958206ad052d2f376c926d771565ef7127c9db1b921fab794700adec85b529c"),
     # the handle copies take the stepwise code of every mode or surface that
     # is not affine; by T = 1.5 the eight runs hold 4 slides and 4 crossings
     # on example1 and 2 slides and 7 crossings on example2
