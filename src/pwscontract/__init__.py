@@ -23,8 +23,8 @@ _HOMES = {
     **dict.fromkeys(("BoundaryClass", "EscapingRegionError",
                      "IntersectionAssumptionError", "Segment", "SolverOptions",
                      "StepUnderflowError", "Trajectory", "classify_boundary",
-                     "integrate", "lie_derivative", "sliding_coefficient",
-                     "sliding_field", "write_trajectory_csv"), "filippov"),
+                     "integrate", "sliding_field", "write_trajectory_csv"),
+                    "filippov"),
     **dict.fromkeys(("ConvergenceTable", "RegularizedSystem", "convergence_study",
                      "integrate_regularized", "phi", "phi_prime",
                      "reduced_sliding_field", "regularized_jacobian_chain",

@@ -3,15 +3,18 @@ event localization, crossing, and sliding motion on switching manifolds.
 
 Flow segments use classical RK4 with a fixed base step; boundary hits are
 localized by bisection on the sign change of each manifold function, one
-routine (``_bisect``) for every engine that takes H as a function of the
-step fraction. For a mode of an affine system that function is the quartic
+routine (``model._bisect``, through ``_first_hit``) for every engine that
+takes H as a function of the step fraction. For a mode of an affine system that function is the quartic
 in tau of the exact RK4 step from x0, H_k(x0) + sum_m tau^m/m! C[k].A^(m-1)
 (A x0 + b), built once per hit (``_step_quartics``), so the step map is
 built only for the state at the located root; a handle mode and the slides
 bisect H of the stepped state. Sliding
 segments integrate the convex-combination sliding field along the manifold
 with post-step projection back onto it, and exit when the combination weight
-reaches 0 or 1. One flow entry point, ``_run_flow``, serves this solver and
+reaches 0 or 1: the weight's margin inside its bounds is one more event
+surface of the slide step, located with the other manifolds. The Filippov
+pair of fields and Lie derivatives is computed in one place, ``_pair``, and
+the weight in one, ``_lambda_raw``. One flow entry point, ``_run_flow``, serves this solver and
 the regularized one: it watches the event surfaces it is handed and, for
 affine systems, advances the smooth flow in vectorized blocks through the
 exact single-step RK4 transition map; each mode's block maps are built once
@@ -22,9 +25,9 @@ event scan and one append for the whole chain; the chain doubles from one
 block while no event is flagged, and a chained run has the bits of one
 block at a time. ``_EventSurfaces`` is the one evaluator of a set of
 surfaces: the flow, the slide (for the other manifolds) and the regularized
-blend read their H values from it. The slide engine evaluates an affine mode
-through its ``AffineField`` and an affine manifold through its constant
-normal, the same arithmetic as ``Mode.f`` and ``Manifold.grad``.
+blend read their H values from it. ``_pair`` evaluates an affine mode through its
+``AffineField`` and an affine manifold through its constant normal, the
+same arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
 When two affine modes i | j on an affine manifold c.x = d have a jump that
 is rank-one in the normal, A_j - A_i = u c^T (equal matrices included), the
@@ -33,7 +36,7 @@ and so is the sliding field Pi (A_i x + b_i), Pi = I - w c^T / c.w. That
 field is built once per (manifold, pair), cached on the system, and its
 slides advance in the same exact RK4 blocks as a flow, each row projected
 onto the manifold; the step at which lambda leaves its bounds or another
-surface is flagged is taken by the stepwise slide, with its exit bisection
+surface is flagged is taken by the stepwise slide, with its event location
 and persistence probe. Every other pair (a handle mode or manifold, a jump
 that is not rank-one in the normal, c.w = 0) keeps the stepwise slide.
 
@@ -56,12 +59,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .model import (
+    TOL_EVENT,
     TOL_LIE,
     AffineField,
     PwsSystem,
     Manifold,
     StiffStepError,
     TopologyError,
+    _bisect,
     _check_rk4_step,
     _fd_jacobian,
     check_intersection_assumption,
@@ -78,9 +83,7 @@ __all__ = [
     "StepUnderflowError",
     "NonFiniteStateError",
     "StiffStepError",
-    "lie_derivative",
     "classify_boundary",
-    "sliding_coefficient",
     "sliding_field",
     "integrate",
     "write_trajectory_csv",
@@ -91,8 +94,6 @@ SLIDING = "sliding"
 ESCAPING = "escaping"
 TANGENTIAL = "tangential"
 
-TOL_EVENT = 1e-10  # |H| at which a bisected boundary hit is accepted
-MAX_BISECT = 80
 TOL_LAMBDA = 1e-10  # a slide exits once its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]
 BLOCK = 256  # exact RK4 steps per affine block
 MAX_CHAIN = 64  # most affine blocks a flow advances between two event scans
@@ -196,9 +197,37 @@ class Trajectory:
         return any(s.kind == "slide" for s in self.segments)
 
 
-def lie_derivative(manifold: Manifold, field_value, x) -> float:
-    """Directional derivative of H along a field value: grad H(x) . f."""
-    return float(np.dot(manifold.grad(x), np.asarray(field_value, dtype=float)))
+def _pair(system: PwsSystem, man_idx: int, i: int, j: int):
+    """x -> (f_i, f_j, sigma_i, sigma_j): the fields of modes i and j and
+    their Lie derivatives grad H . f along manifold ``man_idx``, the pair
+    behind every Filippov classification, weight and sliding vector. An
+    affine mode is evaluated through its ``AffineField`` and an affine
+    manifold through its constant normal, the values of ``Mode.f`` and
+    ``Manifold.grad`` without their array coercions."""
+    fi_fn, fj_fn = (m.affine if m.is_affine else m.f
+                    for m in (system.mode(i), system.mode(j)))
+    man = system.manifolds[man_idx]
+    if man.is_affine:
+        normal = man.affine[0]
+        grad = lambda x: normal
+    else:
+        grad = man.grad
+
+    def pair(x):
+        fi = fi_fn(x)
+        fj = fj_fn(x)
+        g = grad(x)
+        return fi, fj, float(np.dot(g, fi)), float(np.dot(g, fj))
+    return pair
+
+
+def _lambda_raw(si: float, sj: float) -> float:
+    """The Filippov weight lambda = sigma_i / (sigma_i - sigma_j), at which
+    (1 - lambda) sigma_i + lambda sigma_j = 0; 0.5 for equal sigmas."""
+    den = si - sj
+    if den == 0.0:
+        return 0.5
+    return si / den
 
 
 def classify_boundary(system: PwsSystem, manifold_idx: int, x,
@@ -211,15 +240,12 @@ def classify_boundary(system: PwsSystem, manifold_idx: int, x,
     """
     x = np.asarray(x, dtype=float)
     i, j = system.adjacent_modes(manifold_idx, x)
-    man = system.manifolds[manifold_idx]
-    g = man.grad(x)
-    si = float(np.dot(g, system.f(i, x)))
-    sj = float(np.dot(g, system.f(j, x)))
+    _, _, si, sj = _pair(system, manifold_idx, i, j)(x)
     zi, zj = abs(si) <= TOL_LIE, abs(sj) <= TOL_LIE
     if zi and zj:
         raise TopologyError(
-            f"both Lie derivatives vanish on {man.label} at x={x}; "
-            "transversality (Assumption on switching data) is violated")
+            f"both Lie derivatives vanish on {system.manifolds[manifold_idx].label} "
+            f"at x={x}; transversality (Assumption on switching data) is violated")
     if zi or zj:
         kind = SLIDING if resolve_tangential else TANGENTIAL
     elif si * sj > 0:
@@ -231,26 +257,6 @@ def classify_boundary(system: PwsSystem, manifold_idx: int, x,
     return BoundaryClass(kind, si, sj, (i, j))
 
 
-def sliding_coefficient(sigma_i: float, sigma_j: float) -> float:
-    """Filippov combination weight lambda = sigma_i / (sigma_i - sigma_j).
-
-    Requires the strict sliding configuration sigma_i > 0 > sigma_j, which
-    makes (1 - lambda) sigma_i + lambda sigma_j = 0 with lambda in (0, 1).
-    """
-    if not (sigma_i > 0.0 and sigma_j < 0.0):
-        raise ValueError(
-            f"not a sliding configuration: sigma_i={sigma_i:.6g}, "
-            f"sigma_j={sigma_j:.6g} (need sigma_i > 0 > sigma_j)")
-    return sigma_i / (sigma_i - sigma_j)
-
-
-def _lambda_raw(si: float, sj: float) -> float:
-    den = si - sj
-    if den == 0.0:
-        return 0.5
-    return si / den
-
-
 def sliding_field(system: PwsSystem, i: int, j: int, x) -> np.ndarray:
     """Sliding vector (1-lambda) f_i + lambda f_j, tangent to the manifold.
 
@@ -260,17 +266,12 @@ def sliding_field(system: PwsSystem, i: int, j: int, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     man_idx = system.manifold_between(i, j)
-    man = system.manifolds[man_idx]
     neg, pos = system.adjacent_modes(man_idx, x)
     if (i, j) != (neg, pos):
         raise ValueError(
             f"mode order ({i}, {j}) does not match the (negative, positive) "
-            f"sides ({neg}, {pos}) of {man.label}")
-    fi = system.f(i, x)
-    fj = system.f(j, x)
-    g = man.grad(x)
-    si = float(np.dot(g, fi))
-    sj = float(np.dot(g, fj))
+            f"sides ({neg}, {pos}) of {system.manifolds[man_idx].label}")
+    fi, fj, si, sj = _pair(system, man_idx, i, j)(x)
     if si < 0.0 and sj > 0.0:
         raise ValueError("escaping configuration has no sliding vector")
     lam = _lambda_raw(si, sj)
@@ -329,26 +330,6 @@ def _event_flags(h0, h1, tol):
     tol) never triggers, which lets trajectories leave a boundary cleanly.
     From |h0| > tol both cases read h1 * sign(h0) <= tol."""
     return (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol)
-
-
-def _bisect(H, h0: float) -> float:
-    """The fraction theta in (0, 1] of a step at which H(theta), the value of
-    one surface along the step, is located: H changes sign over the step, or
-    lands on the surface from |h0| > TOL_EVENT (``_event_flags``). Dyadic
-    midpoints until |H| <= TOL_EVENT, else the upper end after MAX_BISECT
-    halvings."""
-    pos0 = h0 > 0
-    lo, hi = 0.0, 1.0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        hm = H(mid)
-        if abs(hm) <= TOL_EVENT:
-            return mid
-        if (hm > 0) == pos0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def _first_hit(along, flagged, h0):
@@ -635,7 +616,11 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     onto the manifold; the first step of a block at which lambda leaves
     [TOL_LAMBDA, 1 - TOL_LAMBDA] or another surface is flagged, and every
     step off the grid or of any other slide, is one step of the sliding
-    field, with the exit bisection, the persistence probe and ``_first_hit``.
+    field, located by ``_first_hit`` and followed by the persistence probe.
+    Surface 0 of that step is the weight's margin min(lambda - TOL_LAMBDA,
+    1 - TOL_LAMBDA - lambda), positive inside and flagged when lambda ends
+    the step outside (a slide entered at a tangency starts on a bound), so
+    an exit wins a tie with the other manifolds, surfaces 1, 2, ...
 
     Returns ("t_stop", None, t, x), ("exit", mode, t_e, x_e), or
     ("hit", other_manifold_idx, t_e, x_e) when the slide reaches another
@@ -650,31 +635,31 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     if affine is not None:
         c, d = man.affine
         cc = float(c @ c)
-    # The cheapest exact primitives, bound once per segment: an affine mode's
-    # AffineField and an affine manifold's constant normal give the values of
-    # Mode.f and Manifold.grad without their array coercions.
-    fi_fn, fj_fn = (m.affine if m.is_affine else m.f
-                    for m in (system.mode(i), system.mode(j)))
-    if man.is_affine:
-        normal = man.affine[0]
-        grad = lambda xq: normal
-    else:
-        grad = man.grad
+    pair = _pair(system, man_idx, i, j)
     project = man.project
 
     def lam_at(xq):
-        g = grad(xq)
-        return _lambda_raw(float(np.dot(g, fi_fn(xq))), float(np.dot(g, fj_fn(xq))))
+        return _lambda_raw(*pair(xq)[2:])
 
     def fs(xq):
-        fi = fi_fn(xq)
-        fj = fj_fn(xq)
-        g = grad(xq)
-        lam = _lambda_raw(float(np.dot(g, fi)), float(np.dot(g, fj)))
-        return fi + lam * (fj - fi)
+        fi, fj, si, sj = pair(xq)
+        return fi + _lambda_raw(si, sj) * (fj - fi)
 
     def slide_step(x0, d):
         return project(_rk4(fs, x0, d))
+
+    lo_bound = TOL_LAMBDA
+    hi_bound = 1.0 - TOL_LAMBDA
+
+    def along(x0, delta):
+        """``_first_hit``'s ``along`` for one slide step from x0: the
+        weight's margin, then the other manifolds."""
+        manifolds = _along_step(slide_step, surfaces, x0, delta)
+
+        def margin(theta):
+            lam = lam_at(slide_step(x0, theta * delta))
+            return min(lam - lo_bound, hi_bound - lam)
+        return lambda k: manifolds(k - 1) if k else margin
 
     if affine is None:  # an affine slide's block maps check their own step
         try:
@@ -682,9 +667,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
         except StiffStepError as exc:
             raise StiffStepError(f"{what}: {exc}") from None
     builder.add_point(t, x, seg_id, lam=min(max(lam_at(x), 0.0), 1.0))
-    lo_bound = TOL_LAMBDA
-    hi_bound = 1.0 - TOL_LAMBDA
-    h0 = h1 = events.values(x)
+    h0 = events.values(x)
     while t < t_stop - 1e-14:
         block = None if affine is None else _advance_blocks(
             affine.field, what, x, t, opts.step, t_stop, 1)
@@ -708,41 +691,21 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
         if delta < 1e-15:
             raise StepUnderflowError(f"sliding step underflow at t={t}")
         x1 = slide_step(x, delta)
-        # another manifold reached mid-slide (planar cross: the intersection)
-        hit = None
-        if surfaces:
-            h1 = events.values(x1)
-            flags = _event_flags(h0, h1, TOL_EVENT)
-            if flags.any():
-                hit = _first_hit(_along_step(slide_step, surfaces, x, delta),
-                                 flags, h0)
-        # combination weight leaving [0, 1] marks a candidate exit
         lam1 = lam_at(x1)
-        lam_exit = None
-        if not (lo_bound <= lam1 <= hi_bound):
-            lo_th, hi_th = 0.0, 1.0
-            xe = x
-            for _ in range(MAX_BISECT):
-                mid = 0.5 * (lo_th + hi_th)
-                xm = slide_step(x, mid * delta)
-                if lo_bound <= lam_at(xm) <= hi_bound:
-                    lo_th, xe = mid, xm
-                else:
-                    hi_th = mid
-                if hi_th - lo_th <= 1e-12:
-                    break
-            lam_exit = (lo_th, xe)
-        if hit is not None and (lam_exit is None or hit[0] < lam_exit[0]):
-            theta, k = hit
-            xe = slide_step(x, theta * delta)
-            te = t + theta * delta
-            builder.add_point(te, xe, seg_id, lam=min(max(lam_at(xe), 0.0), 1.0))
-            return "hit", others[k], te, xe
-        if lam_exit is None:
+        h1 = events.values(x1)
+        exits = not lo_bound <= lam1 <= hi_bound
+        flags = _event_flags(h0, h1, TOL_EVENT)
+        if not (exits or flags.any()):
             t, x, h0 = tn, x1, h1
             builder.add_point(t, x, seg_id, lam=lam1)
             continue
-        theta, xe = lam_exit
+        theta, k = _first_hit(along(x, delta), np.concatenate(([exits], flags)),
+                              np.concatenate(([1.0], h0)))
+        te = t + theta * delta
+        xe = slide_step(x, theta * delta)
+        if k:  # another manifold reached mid-slide (planar cross: the intersection)
+            builder.add_point(te, xe, seg_id, lam=min(max(lam_at(xe), 0.0), 1.0))
+            return "hit", others[k - 1], te, xe
         # persistence probe: finish the interval; only a sustained excursion
         # beyond the threshold leaves the manifold (anti-chattering)
         rest = (1.0 - theta) * delta
@@ -752,9 +715,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             t, x, h0 = tn, x_probe, events.values(x_probe)
             builder.add_point(t, x, seg_id, lam=lam_probe)
             continue
-        te = t + theta * delta
-        lam_e = min(max(lam_at(xe), 0.0), 1.0)
-        builder.add_point(te, xe, seg_id, lam=lam_e)
+        builder.add_point(te, xe, seg_id, lam=min(max(lam_at(xe), 0.0), 1.0))
         exit_mode = i if lam_probe < lo_bound else j
         return "exit", exit_mode, te, xe
     return "t_stop", None, t, x

@@ -47,6 +47,8 @@ __all__ = [
 
 TOL_BOUNDARY = 1e-9
 TOL_LIE = 1e-10
+TOL_EVENT = 1e-10  # |H| at which a bisected root of a surface is accepted
+MAX_BISECT = 80
 
 # planar cross sign table: mode index -> (sign of H1, sign of H2)
 _CROSS_SIGNS = {1: (1, -1), 2: (1, 1), 3: (-1, 1), 4: (-1, -1)}
@@ -687,6 +689,25 @@ def _chain_bands_disjoint(system: PwsSystem, eps: float,
     return True
 
 
+def _bisect(H, h0: float) -> float:
+    """The fraction theta in (0, 1] at which H(theta), the value of one
+    surface along a step or a segment, is located: H changes sign over it,
+    or lands on the surface from |h0| > TOL_EVENT. Dyadic midpoints until
+    |H| <= TOL_EVENT, else the upper end after MAX_BISECT halvings."""
+    pos0 = h0 > 0
+    lo, hi = 0.0, 1.0
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        hm = H(mid)
+        if abs(hm) <= TOL_EVENT:
+            return mid
+        if (hm > 0) == pos0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
     """Mesh of points on {H = 0} inside the box, as the rows of an array."""
     if manifold.is_affine:
@@ -698,7 +719,8 @@ def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
         inside = (pts >= box.lower - 1e-12) & (pts <= box.upper + 1e-12)
         return pts[inside.all(axis=1)]
     # smooth manifold: every root of H along each grid line of the first axis,
-    # from the sign changes of a scan at the grid points, each bisected
+    # from the sign changes of a scan at the grid points, each located by
+    # ``_bisect`` to |H| <= TOL_EVENT
     lines = box_grid(box, points_per_axis, skip=0)
     ts = np.linspace(box.lower[0], box.upper[0], points_per_axis)
 
@@ -712,19 +734,9 @@ def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
         hs = np.array([manifold.h(on_line(line, t)) for t in ts])
         pts += [on_line(line, t) for t in ts[hs == 0.0]]
         for k in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
-            lo, hi, h_lo = ts[k], ts[k + 1], hs[k]
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
-                h_mid = manifold.h(on_line(line, mid))
-                if h_mid == 0.0:
-                    lo = hi = mid
-                elif (h_mid > 0.0) == (h_lo > 0.0):
-                    lo, h_lo = mid, h_mid
-                else:
-                    hi = mid
-            pts.append(on_line(line, 0.5 * (lo + hi)))
+            t0, dt = ts[k], ts[k + 1] - ts[k]
+            theta = _bisect(lambda th: manifold.h(on_line(line, t0 + th * dt)), hs[k])
+            pts.append(on_line(line, t0 + theta * dt))
     return np.array(pts).reshape(-1, box.dimension)
 
 

@@ -4,8 +4,8 @@ sliding field, and band-width convergence studies against the Filippov solver.
 
 The regularized integrator hands every stretch outside the bands |H| <= eps
 to the Filippov solver's flow engine, which stops at the band edges
-H = +-eps, and substeps the blend inside them; a point on an edge counts as
-in the band. Inside the band of one manifold k every other clamp sits at
+H = +-eps, and substeps the blend inside them; a point on an edge, or
+within TOL_EVENT past it, counts as in the band (``_bands_of``). Inside the band of one manifold k every other clamp sits at
 +-1, and the blend weights are affine in each clamp, so for an affine system
 the blend there is one closed form, ``_Band``: f = M0 x + m0 + p (M1 x + m1)
 with p the clamp of H_k / eps, built once per (band, signs of the other
@@ -272,23 +272,28 @@ class RegularizedSystem:
                 @ self._fields(x))
 
     def in_band(self, x) -> bool:
-        return bool(np.min(np.abs(self._H(np.asarray(x, dtype=float))),
-                           initial=math.inf) <= self.eps)
+        """Whether a band holds x (``_bands_of``)."""
+        return bool(self._bands_of(self._H(np.asarray(x, dtype=float))))
+
+    def _bands_of(self, H) -> list:
+        """The manifolds k whose band holds the manifold values H, the one
+        band test: |H_k| <= eps + TOL_EVENT."""
+        # a few values: Python floats beat array calls
+        return [k for k, v in enumerate(np.asarray(H).tolist()) if abs(v) <= self._edge]
 
     def band(self, H) -> Optional[_Band]:
         """The ``_Band`` of the one manifold k whose band holds the manifold
-        values H (|H_k| <= eps + TOL_EVENT), built once per (k, signs of the
-        other H) for the life of this system; None for a handle system, or
-        where no band or two bands hold H (the cross's corner): there the
-        stacked blend ``field`` applies."""
+        values H (``_bands_of``), built once per (k, signs of the other H)
+        for the life of this system; None for a handle system, or where no
+        band or two bands hold H (the cross's corner): there the stacked
+        blend ``field`` applies."""
         if not self._affine:
             return None
-        hs = np.asarray(H).tolist()  # a few values: Python floats beat array calls
-        active = [k for k, v in enumerate(hs) if abs(v) <= self._edge]
+        active = self._bands_of(H)
         if len(active) != 1:
             return None
         k = active[0]
-        key = (k, *(v > 0.0 for j, v in enumerate(hs) if j != k))
+        key = (k, *(v > 0.0 for j, v in enumerate(np.asarray(H).tolist()) if j != k))
         band = self._bands.get(key)
         if band is None:
             signs = np.where(np.asarray(H) > 0.0, 1.0, -1.0)
@@ -334,23 +339,23 @@ def _run_bands(reg: RegularizedSystem, x, t: float, t_stop: float, H, opts,
     passes without it.
     """
     h = opts.step
-    eps, edge = reg.eps, reg._edge
+    eps = reg.eps
     h_band = min(h, eps / 10.0)
     while t < t_stop - 1e-14:
         band = reg.band(H)
-        if band is None and not (np.abs(H) <= edge).any():
+        if band is None and not reg._bands_of(H):
             break
         tn = _next_grid(t, h, t_stop)
         delta = tn - t
-        ns = max(1, int(math.ceil(delta / h_band - 1e-12)))
+        # a relative slack: delta = tn - t carries the rounding of t
+        ns = max(1, int(math.ceil(delta / h_band * (1.0 - 1e-9))))
         if band is None:
             ns = _stable_substeps(np.linalg.eigvals(reg._jac(reg.base, eps, x)), delta, ns)
         elif delta / ns * band.radius(x) > RK4_DISK:
             ns = _stable_substeps(np.linalg.eigvals(band.jac(x)), delta, ns)
         x1 = _substeps(reg.field if band is None else band.field, x, delta, ns)
         H1 = reg._H(x1)
-        if band is not None and any(abs(v) <= edge for j, v in enumerate(H1.tolist())
-                                    if j != band.k):
+        if band is not None and any(k != band.k for k in reg._bands_of(H1)):
             # the step entered another band
             x1 = _substeps(reg.field, x, delta, ns)
             H1 = reg._H(x1)
@@ -390,7 +395,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
         guard += 1
         if guard > MAX_TRANSITIONS:
             raise RuntimeError("regularized integration stalled")
-        if np.min(np.abs(H), initial=math.inf) <= reg._edge:
+        if reg._bands_of(H):
             t, x, H = _run_bands(reg, x, t, t_f, H, opts, builder, sid)
         else:
             mode = system.mode(locate(system, x, tol_boundary=0.0).mode)

@@ -153,34 +153,38 @@ def swapped_ex1():
     })
 
 
+# four contracting modes pushing toward the middle manifold x1 = 0, which
+# therefore carries a sliding segment ending in a Filippov equilibrium
+_EYE = [[-1.0, 0.0], [0.0, -1.0]]
+CHAIN4 = {
+    "dimension": 2, "topology": "chain",
+    "modes": [{"A": _EYE, "b": [3.0, 0.0]},
+              {"A": _EYE, "b": [1.0, 0.0]},
+              {"A": _EYE, "b": [-1.0, 0.0]},
+              {"A": _EYE, "b": [-3.0, 0.0]}],
+    "manifolds": [{"c": [1.0, 0.0], "d": -2.0},
+                  {"c": [1.0, 0.0], "d": 0.0},
+                  {"c": [1.0, 0.0], "d": 2.0}],
+    "box": {"lower": [-6, -6], "upper": [6, 6]},
+}
+_EYE3 = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+CHAIN3D = {
+    "dimension": 3, "topology": "chain",
+    "modes": [{"A": _EYE3, "b": [1.0, 0.0, 1.0]},
+              {"A": _EYE3, "b": [-1.0, 0.0, 1.0]}],
+    "manifolds": [{"c": [1.0, 0.0, 0.0], "d": 0.0}],
+    "box": {"lower": [-5, -5, -5], "upper": [5, 5, 5]},
+}
+
+
 @pytest.fixture(scope="session")
 def chain4():
-    # four contracting modes pushing toward the middle manifold x1 = 0, which
-    # therefore carries a sliding segment ending in a Filippov equilibrium
-    eye = [[-1.0, 0.0], [0.0, -1.0]]
-    return make_system({
-        "dimension": 2, "topology": "chain",
-        "modes": [{"A": eye, "b": [3.0, 0.0]},
-                  {"A": eye, "b": [1.0, 0.0]},
-                  {"A": eye, "b": [-1.0, 0.0]},
-                  {"A": eye, "b": [-3.0, 0.0]}],
-        "manifolds": [{"c": [1.0, 0.0], "d": -2.0},
-                      {"c": [1.0, 0.0], "d": 0.0},
-                      {"c": [1.0, 0.0], "d": 2.0}],
-        "box": {"lower": [-6, -6], "upper": [6, 6]},
-    })
+    return make_system(CHAIN4)
 
 
 @pytest.fixture(scope="session")
 def chain3d():
-    eye3 = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
-    return make_system({
-        "dimension": 3, "topology": "chain",
-        "modes": [{"A": eye3, "b": [1.0, 0.0, 1.0]},
-                  {"A": eye3, "b": [-1.0, 0.0, 1.0]}],
-        "manifolds": [{"c": [1.0, 0.0, 0.0], "d": 0.0}],
-        "box": {"lower": [-5, -5, -5], "upper": [5, 5, 5]},
-    })
+    return make_system(CHAIN3D)
 
 
 # one mode whose fast eigenvalue -5000 puts h lambda = -5 outside RK4's real

@@ -504,7 +504,7 @@ class TestLazyImports:
 
         import pwscontract
 
-        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 59
+        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 57
         for name in pwscontract.__all__:
             home = pwscontract._HOMES[name]
             module = importlib.import_module(f"pwscontract.{home}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pwscontract.model import (
+    MAX_BISECT,
     AffineField,
     AnalysisBox,
     Manifold,
@@ -25,10 +26,9 @@ from pwscontract.filippov import (
     StiffStepError,
     classify_boundary,
     integrate,
-    lie_derivative,
-    sliding_coefficient,
     sliding_field,
     write_trajectory_csv,
+    _lambda_raw,
     _slide_field,
 )
 from pwscontract import filippov
@@ -54,19 +54,6 @@ def fresh(name):
 def same_trajectory(a, b):
     return all(np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
                for k in ("times", "states", "lambdas", "seg_index"))
-
-
-class TestLieDerivative:
-    def test_example1_field1_at_origin(self, ex1):
-        assert lie_derivative(ex1.manifolds[0], ex1.f(1, [0.0, 0.0]),
-                              [0.0, 0.0]) == 3.0
-
-    def test_orthogonal_field(self, ex1):
-        assert lie_derivative(ex1.manifolds[0], [0.0, 7.0], [0.0, 1.0]) == 0.0
-
-    def test_unit_normal_field(self, ex1):
-        g = ex1.manifolds[0].grad([0.0, 0.0])  # unit normal (1, 0)
-        assert lie_derivative(ex1.manifolds[0], g, [0.0, 0.0]) == 1.0
 
 
 class TestClassifyBoundary:
@@ -102,22 +89,20 @@ class TestClassifyBoundary:
 
 
 class TestSlidingCoefficient:
+    """The one Filippov weight, lambda = sigma_i / (sigma_i - sigma_j)."""
+
     def test_symmetric(self):
-        assert sliding_coefficient(1.0, -1.0) == 0.5
+        assert _lambda_raw(1.0, -1.0) == 0.5
 
     def test_asymmetric(self):
-        assert sliding_coefficient(2.0, -6.0) == 0.25
-
-    def test_rejects_crossing_configuration(self):
-        with pytest.raises(ValueError, match="sliding configuration"):
-            sliding_coefficient(3.0, 3.0)
+        assert _lambda_raw(2.0, -6.0) == 0.25
 
     def test_zero_residual(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             si = float(rng.uniform(0.01, 10))
             sj = float(-rng.uniform(0.01, 10))
-            lam = sliding_coefficient(si, sj)
+            lam = _lambda_raw(si, sj)
             assert 0.0 < lam < 1.0
             scale = max(abs(si), abs(sj))
             assert (1 - lam) * si + lam * sj == pytest.approx(0.0, abs=1e-14 * scale)
@@ -158,6 +143,11 @@ class TestSlidingField:
     def test_escaping_raises(self, swapped_ex1):
         with pytest.raises(ValueError, match="escaping"):
             sliding_field(swapped_ex1, 1, 2, [0.0, -2.0])
+
+    def test_crossing_point_raises(self, ex1):
+        # sigma = (3, 1) at the origin: lambda = 1.5 lies outside [0, 1]
+        with pytest.raises(ValueError, match="sliding region"):
+            sliding_field(ex1, 1, 2, [0.0, 0.0])
 
 
 class TestIntegrateExample1:
@@ -597,8 +587,8 @@ class TestAffineSlide:
             x = np.array([0.0, x2])
             assert np.allclose(slide.field(x), sliding_field(ex1, 1, 2, x),
                                rtol=0, atol=1e-14)
-            si = lie_derivative(ex1.manifolds[0], ex1.f(1, x), x)
-            sj = lie_derivative(ex1.manifolds[0], ex1.f(2, x), x)
+            cls = classify_boundary(ex1, 0, x)
+            si, sj = cls.sigma_i, cls.sigma_j
             assert abs(slide.lam_x @ x + slide.lam_0 - si / (si - sj)) <= 1e-15
 
     def test_non_rank_one_jump_is_stepwise(self):
@@ -714,7 +704,7 @@ def step_map_bisection(field, surfaces, flagged, x0, delta, h0):
     for k in np.flatnonzero(flagged):
         pos0 = h0[k] > 0
         lo, hi = 0.0, 1.0
-        for _ in range(filippov.MAX_BISECT):
+        for _ in range(MAX_BISECT):
             mid = 0.5 * (lo + hi)
             R, r = field.step_map(mid * delta)
             xm = R @ x0 + r
@@ -847,3 +837,63 @@ class TestStepQuartic:
         assert same_trajectory(traj, reference)
         assert ([(s.kind, s.t_start, s.t_end, s.pair) for s in traj.segments]
                 == [(s.kind, s.t_start, s.t_end, s.pair) for s in reference.segments])
+
+
+class TestSlideExit:
+    """A slide leaves when its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]:
+    the weight's margin is surface 0 of ``_first_hit``, ahead of the other
+    manifolds, located by the one bisection."""
+
+    # a cross whose slide on x2 = 0 (modes 4 | 1) moves at unit speed to
+    # x1 = 0, the other manifold, where sigma_1 = x1 - 1e-10 puts lambda =
+    # 1 / (1 + 1e-10 - x1) on its upper bound: the margin 1 - TOL_LAMBDA -
+    # lambda and H_2 = x1 share their root and their sign pattern
+    TIE = {
+        "dimension": 2, "topology": "planar_cross",
+        "modes": [{"A": [[0.0, 0.0], [1.0, 0.0]], "b": [1.0, -1e-10]},
+                  {"A": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, -1.0]},
+                  {"A": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]},
+                  {"A": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}],
+        "manifolds": [{"c": [0.0, 1.0], "d": 0.0}, {"c": [1.0, 0.0], "d": 0.0}],
+        "box": {"lower": [-1, -1], "upper": [1, 1]},
+    }
+
+    def test_exit_wins_a_tie_with_another_manifold(self, monkeypatch):
+        system = make_system(self.TIE)
+        assert _slide_field(system, 0, 4, 1) is None  # the stepwise slide
+        located = []
+        bisect = filippov._bisect
+
+        def recording(H, h0):
+            located.append(bisect(H, h0))
+            return located[-1]
+
+        monkeypatch.setattr(filippov, "_bisect", recording)
+        builder = filippov._Builder(2)
+        sid = builder.open_segment("slide", 0.0)
+        # one step of 1e-3 from x1 = -5e-4 flags both surfaces
+        kind, mode, t, x = filippov._run_slide(
+            system, 0, 4, 1, np.array([-5e-4, 0.0]), 0.0, 1.0, SolverOptions(),
+            builder, sid)
+        assert len(located) == 2 and located[0] == located[1]
+        assert (kind, mode) == ("exit", 1)
+        assert t == pytest.approx(5e-4, abs=1e-12)
+
+    @pytest.mark.parametrize("step", [1e-3, 7.3e-3])
+    def test_unit_weight_exit_steps(self, ex1, monkeypatch, step):
+        # from (-3, -4) the one stepwise slide step of the run is the one
+        # that holds the exit near t = ln 4; locating the exit took 43
+        # sliding RK4 steps when the weight had its own bisection to 1e-12
+        # in the step fraction
+        calls = []
+        rk4 = filippov._rk4
+        monkeypatch.setattr(filippov, "_rk4",
+                            lambda f, x, h: calls.append(h) or rk4(f, x, h))
+        traj = integrate(rebuilt(ex1), (-3.0, -4.0), 2.0, SolverOptions(step=step))
+        k = next(k for k, s in enumerate(traj.segments) if s.kind == "slide")
+        assert traj.segments[k + 1].kind == "flow"
+        assert len(calls) <= 30
+        xe = traj.states[traj.seg_index == k][-1]
+        _, _, si, sj = filippov._pair(ex1, 0, 1, 2)(xe)
+        lam = _lambda_raw(si, sj)
+        assert abs(min(lam - TOL_LAMBDA, 1.0 - TOL_LAMBDA - lam)) <= filippov.TOL_EVENT

@@ -6,7 +6,14 @@ on the shipped examples, their handle-mode and handle-manifold copies, and
 the extended chains. A refactor that keeps
 behaviour keeps these bytes. The digests were taken with numpy 2.4 on
 x86-64; another BLAS or CPU may round a matrix product differently and
-change them."""
+change them.
+
+Run as a script, with the package importable (installed, or with
+PYTHONPATH=src), the file prints the current digest of every case and marks
+the ones that differ from the recorded digest:
+
+    python tests/test_output_digests.py
+"""
 
 import contextlib
 import hashlib
@@ -17,14 +24,18 @@ import pytest
 
 from pwscontract.cli import main
 from pwscontract.filippov import SolverOptions, integrate
+from pwscontract.model import builtin_config_path, load_system_file
 from pwscontract.regularize import integrate_regularized
 
 from conftest import (
+    CHAIN3D,
+    CHAIN4,
     CHAIN_STARTS,
     GOLDEN_STARTS,
     STARTS_3D,
     handle_copy,
     handle_manifold_copy,
+    make_system,
 )
 
 README_SWEEP = "1e-1,3e-2,1e-2,3e-3,1e-3"
@@ -32,10 +43,10 @@ README_SWEEP = "1e-1,3e-2,1e-2,3e-3,1e-3"
 CASES = {
     "simulate": (["simulate", "--config", "example1", "--x0", "-3,-4",
                   "--t-final", "20"],
-                 "0f85915f844432cbebef1bc96250c66952ca4d8ff11f8767b230f0cfbbb4d511"),
+                 "0deb992d3f1728870fce419439026fd8c8f48bd36b17dd22648c327ac154b794"),
     "regularize": (["regularize", "--config", "example1", "--x0", "-3,-4",
                     "--t-final", "20", "--eps", README_SWEEP],
-                   "8aa852e028aa676322e3393cae1b1b1565f2ce9252cb2e3601754e10ea88df23"),
+                   "28906328b1bc814b2ed7a4f95f5fdc2169e538cb5c6a110eb463eb6d6f28989e"),
     "certify-1-vertex": (["certify", "--config", "example1", "--Q", "identity",
                           "--c", "0.5"],
                          "ad9122743e69cd2e3954b474c469ab3040ba6b46f64b42975ef63993c6a55992"),
@@ -55,13 +66,16 @@ CASES = {
 }
 
 
+def data_output_digest(name, out) -> str:
+    """SHA-256 of the data output of CASES[name], written to the path out."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*CASES[name][0], "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_data_output_digest(tmp_path, name):
-    argv, digest = CASES[name]
-    out = tmp_path / "out"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert data_output_digest(name, tmp_path / "out") == CASES[name][1]
 
 
 def _pool(system, seed=2024, size=20):
@@ -86,21 +100,21 @@ def handle_manifold_ex2(ex2):
 TRAJECTORY_CASES = {
     "integrate-example1-1e-3": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
-        "7186a0bc3b1451ccee5395c117afc1aa70399cb7a95de1431c355b48c079721e"),
+        "192033576905a0143d4667ee199ca276a1878cf974da04eb90716e9b65f5ded5"),
     "integrate-example1-7.3e-3": (
         "ex1", GOLDEN_STARTS,
         lambda s, x: integrate(s, x, 20.0, SolverOptions(step=7.3e-3)),
-        "990f4458d1c57855df5091131dab48f1f7b998c3da6142f056b15bf8b559c361"),
+        "c6ae6b0822d85909e0ea93a81242f992ad8c6e387c93ea388a5fc31f13b234b5"),
     "integrate-example2-1e-3": (
         "ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
-        "eff82d239f473ef8d40eaf1159fc5f303abadd13cdd02d09a66ea74caea054a9"),
+        "08b5c5025c7c905e800e8fecc033e7711ee60900bb8fbd305e054315758a597a"),
     "integrate-example2-7.3e-3": (
         "ex2", GOLDEN_STARTS,
         lambda s, x: integrate(s, x, 20.0, SolverOptions(step=7.3e-3)),
-        "db5c1b7c98dc76606bcf6f75d8c5a286ae94087daf672418ada1e1f283906bff"),
+        "028a9dec6d81e088302b604eba435fa0651797032d0c4c5462557e714f23af87"),
     "pairwise-pool-example1": (
         "ex1", _pool, lambda s, x: integrate(s, x, 10.0),
-        "bf7102310f5e453d83faad0aee5a2fb6600d129c2a1b53dbabb8d033dfb4244a"),
+        "f63b4f336d1ceaedbff82654de0fefb11929ef0668a6356274c70b7684964c03"),
     "regularized-example1-1e-2": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
         "c7aa70fc119561f148919a21add2c0da0f5fa01ae1b2d6c3c503a0d9decfe7b0"),
@@ -124,14 +138,14 @@ TRAJECTORY_CASES = {
     # on example1 and 2 slides and 7 crossings on example2
     "integrate-handle-example1": (
         "handle_ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 1.5),
-        "ad14433bda3591198f6987ad9ebdfdcb2126336376b91148d41ba6515c18fcec"),
+        "e40cf988c3cdf37b907da0c17df1bde02aecae86d67a8f8204f976e9045579ea"),
     "regularized-handle-example1-1e-2": (
         "handle_ex1", GOLDEN_STARTS,
         lambda s, x: integrate_regularized(s, 1e-2, x, 1.5),
         "8e7f93fb42a5c08271d839097d4c76810d01ecf3da936e46f890344facf8dfbc"),
     "integrate-handle-manifold-example2": (
         "handle_manifold_ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 1.5),
-        "932812cfec62190ea854b822275a796bc629d65c68bbefb683a4caae75e11fac"),
+        "e9f2de518a8055376b6bcf6b99253d138853759795db25e23baaeeb64546fe7b"),
     "regularized-handle-manifold-example2-1e-2": (
         "handle_manifold_ex2", GOLDEN_STARTS,
         lambda s, x: integrate_regularized(s, 1e-2, x, 1.5),
@@ -147,10 +161,38 @@ def trajectory_digest(trajs) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", list(TRAJECTORY_CASES))
-def test_trajectory_digest(request, name):
-    fixture, starts, run, digest = TRAJECTORY_CASES[name]
-    system = request.getfixturevalue(fixture)
+def case_digest(name, system) -> str:
+    """The trajectory digest of TRAJECTORY_CASES[name] run on system."""
+    _, starts, run, _ = TRAJECTORY_CASES[name]
     if callable(starts):
         starts = starts(system)
-    assert trajectory_digest(run(system, np.array(x0)) for x0 in starts) == digest
+    return trajectory_digest(run(system, np.array(x0)) for x0 in starts)
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_CASES))
+def test_trajectory_digest(request, name):
+    fixture, _, _, digest = TRAJECTORY_CASES[name]
+    assert case_digest(name, request.getfixturevalue(fixture)) == digest
+
+
+def print_digests():
+    """Print every case's current digest, "changed" where it differs from
+    the recorded one."""
+    import tempfile
+    from pathlib import Path
+
+    ex1, ex2 = (load_system_file(builtin_config_path(f"example{k}")) for k in (1, 2))
+    systems = {"ex1": ex1, "ex2": ex2, "chain4": make_system(CHAIN4),
+               "chain3d": make_system(CHAIN3D), "handle_ex1": handle_copy(ex1),
+               "handle_manifold_ex2": handle_manifold_copy(ex2)}
+    with tempfile.TemporaryDirectory() as tmp:
+        current = {name: (data_output_digest(name, Path(tmp) / "out"), digest)
+                   for name, (_, digest) in CASES.items()}
+    current.update((name, (case_digest(name, systems[fixture]), digest))
+                   for name, (fixture, _, _, digest) in TRAJECTORY_CASES.items())
+    for name, (now, recorded) in current.items():
+        print(f"{name:44s} {now}{'' if now == recorded else '  changed'}")
+
+
+if __name__ == "__main__":
+    print_digests()

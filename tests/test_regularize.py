@@ -231,6 +231,22 @@ class TestRegularizedSystem:
         assert reg.in_band([0.05, 0.0])
         assert not reg.in_band([1.0, 0.0])
 
+    @pytest.mark.parametrize("past, inside", [(0.5, True), (2.0, False)])
+    def test_band_membership_is_the_integrators(self, ex1, monkeypatch, past, inside):
+        # a point within TOL_EVENT past the edge x1 = eps is in the band for
+        # in_band and for the integrator, which substeps the blend from it;
+        # in_band used to test |H| <= eps there
+        eps = 1e-2
+        x0 = np.array([eps + past * TOL_EVENT, -2.0])
+        assert RegularizedSystem(ex1, eps).in_band(x0) is inside
+        starts = []
+        run_bands = regularize._run_bands
+        monkeypatch.setattr(regularize, "_run_bands",
+                            lambda reg, x, t, *rest: starts.append(t)
+                            or run_bands(reg, x, t, *rest))
+        integrate_regularized(ex1, eps, x0, 0.01)
+        assert (starts[:1] == [0.0]) is inside
+
     def test_rejects_nonpositive_eps(self, ex1):
         with pytest.raises(ValueError):
             RegularizedSystem(ex1, 0.0)
@@ -459,6 +475,23 @@ class TestBandStepping:
                 assert np.max(np.abs(closure - stacked)) > 1e-4
                 entered += 1
         assert entered == 1
+
+    def test_full_grid_steps_take_ten_substeps(self, chain4, monkeypatch):
+        # at eps 1e-3 a grid step of 1e-3 takes ten substeps of eps/10. The
+        # rounding of delta = tn - t beat an absolute slack of 1e-12 on
+        # delta / h_band from t ~ 0.5 on, and a third of this run's steps in
+        # the band of x1 = 0 took eleven
+        counts = []
+        substeps = regularize._substeps
+
+        def recording(f, x, delta, ns):
+            if abs(delta - 1e-3) <= 1e-12:
+                counts.append(ns)
+            return substeps(f, x, delta, ns)
+
+        monkeypatch.setattr(regularize, "_substeps", recording)
+        integrate_regularized(chain4, 1e-3, [-5.0, -5.0], 2.0)
+        assert len(counts) > 300 and set(counts) == {10}
 
     def test_field_not_called_in_one_band(self, chain4, monkeypatch):
         # from (-5, -5) the run crosses the band of x1 = -2 and slides in the
