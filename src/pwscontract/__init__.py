@@ -14,21 +14,19 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOMES = {
     **dict.fromkeys(("Metric", "is_positive_definite", "matrix_measure",
-                     "measure_many", "sym_eig_max"), "measure"),
-    **dict.fromkeys(("AnalysisBox", "AffineField", "ConfigError", "Manifold",
-                     "Mode", "PwsSystem", "RegionLocation", "TopologyError",
-                     "builtin_config_path", "check_box_invariance",
-                     "check_intersection_assumption", "check_transversality",
+                     "measure_many"), "measure"),
+    **dict.fromkeys(("AnalysisBox", "AffineField", "ConfigError", "IntersectionCheck",
+                     "Manifold", "Mode", "PwsSystem", "RegionLocation",
+                     "StiffStepError", "TopologyError", "builtin_config_path",
+                     "check_box_invariance", "check_intersection_assumption",
                      "load_system", "load_system_file", "locate"), "model"),
     **dict.fromkeys(("BoundaryClass", "EscapingRegionError",
-                     "IntersectionAssumptionError", "Segment", "SolverOptions",
-                     "StepUnderflowError", "Trajectory", "classify_boundary",
-                     "integrate", "sliding_field", "write_trajectory_csv"),
-                    "filippov"),
+                     "IntersectionAssumptionError", "NonFiniteStateError", "Segment",
+                     "SolverOptions", "StepUnderflowError", "Trajectory",
+                     "classify_boundary", "integrate", "sliding_field",
+                     "write_trajectory_csv"), "filippov"),
     **dict.fromkeys(("ConvergenceTable", "RegularizedSystem", "convergence_study",
-                     "integrate_regularized", "phi", "phi_prime",
-                     "reduced_sliding_field", "regularized_jacobian_chain",
-                     "regularized_jacobian_cross", "write_convergence_csv"),
+                     "integrate_regularized", "sweep_widths", "write_convergence_csv"),
                     "regularize"),
     **dict.fromkeys(("CertificateError", "CertificateReport", "Condition",
                      "ConditionResult", "ConditionTable", "PairwiseReport",

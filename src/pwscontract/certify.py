@@ -218,7 +218,10 @@ def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
                     strategy: str = "vertex",
                     eps: Optional[float] = None) -> ConditionTable:
     """The conditions of the limit certificate of ``system`` over ``box``, or
-    of its eps-regularized certificate when ``eps`` is given."""
+    of its eps-regularized certificate when ``eps`` is given, a finite
+    positive band half-width."""
+    if eps is not None and not 0.0 < eps < math.inf:
+        raise CertificateError("eps must be a finite positive number")
     box = box or system.box
     if system.topology == "chain":
         return _chain_table(system, box, strategy, eps)
@@ -298,8 +301,6 @@ def _chain_table(system, box, strategy, eps):
         region = "closure(S_{i}) in box"
         band = "{label} in box"
     else:
-        if eps <= 0:
-            raise CertificateError("eps must be positive")
         if not system.is_affine:
             raise CertificateError("band disjointness check requires affine manifolds")
         if not _chain_bands_disjoint(system, eps, box):
@@ -370,12 +371,9 @@ def _cross_table(system, box, strategy, eps=None):
     manifolds become closed eps-bands, the half-manifolds the band arms
     outside the central square, and the intersection point that square."""
     lim = eps is None
-    if not lim:
-        if eps <= 0:
-            raise CertificateError("eps must be positive")
-        if strategy != "vertex" or not system.is_affine:
-            raise CertificateError(
-                "the regularized cross checker evaluates affine data by vertices")
+    if not lim and (strategy != "vertex" or not system.is_affine):
+        raise CertificateError(
+            "the regularized cross checker evaluates affine data by vertices")
     chk = check_intersection_assumption(system)
     if not chk.ok:
         raise CertificateError(

@@ -10,8 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Metric", "sym_eig_max", "is_positive_definite", "matrix_measure",
-           "measure_many"]
+__all__ = ["Metric", "is_positive_definite", "matrix_measure", "measure_many"]
 
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e12
@@ -54,18 +53,6 @@ def _eig_range(S: np.ndarray) -> tuple:
         return float((S[0, 0] * S[1, 1] - b * b) / hi), hi
     eig = np.linalg.eigvalsh(0.5 * (S + S.T))
     return float(eig[0]), float(eig[-1])
-
-
-def sym_eig_max(S) -> float:
-    """Largest eigenvalue of a symmetric matrix.
-
-    Uses the closed form for n <= 2 and ``numpy.linalg.eigvalsh`` above that.
-    Raises ValueError if S is not symmetric within 1e-12 relative tolerance.
-    """
-    S = _as_square(S, "S")
-    if not _is_symmetric(S):
-        raise ValueError("matrix is not symmetric within tolerance")
-    return _eig_max(S)
 
 
 def is_positive_definite(Q) -> bool:

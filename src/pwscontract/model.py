@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -32,17 +32,13 @@ __all__ = [
     "AnalysisBox",
     "PwsSystem",
     "RegionLocation",
-    "TransversalityReport",
     "IntersectionCheck",
     "load_system",
     "load_system_file",
     "builtin_config_path",
     "locate",
-    "check_transversality",
     "check_intersection_assumption",
     "check_box_invariance",
-    "box_grid",
-    "polytope_vertices",
 ]
 
 TOL_BOUNDARY = 1e-9
@@ -738,40 +734,6 @@ def _manifold_grid(box: AnalysisBox, manifold: Manifold, points_per_axis: int):
             theta = _bisect(lambda th: manifold.h(on_line(line, t0 + th * dt)), hs[k])
             pts.append(on_line(line, t0 + theta * dt))
     return np.array(pts).reshape(-1, box.dimension)
-
-
-@dataclass
-class TransversalityReport:
-    """Samples on each manifold where both adjacent Lie derivatives vanish."""
-
-    violations: list = field(default_factory=list)
-    samples_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_transversality(system: PwsSystem, box: Optional[AnalysisBox] = None,
-                         points_per_axis: int = 101) -> TransversalityReport:
-    """Sampled check that on every manifold at least one adjacent Lie
-    derivative is nonzero (transversal switching data)."""
-    if points_per_axis < 2:
-        raise ValueError("grid needs at least 2 points per axis")
-    report = TransversalityReport()
-    for k, manifold in enumerate(system.manifolds):
-        for x in _manifold_grid(box or system.box, manifold, points_per_axis):
-            try:
-                i, j = system.adjacent_modes(k, x)
-            except TopologyError:
-                continue  # intersection point: pair ambiguous, skip sample
-            g = manifold.grad(x)
-            si = float(np.dot(g, system.f(i, x)))
-            sj = float(np.dot(g, system.f(j, x)))
-            report.samples_checked += 1
-            if abs(si) <= TOL_LIE and abs(sj) <= TOL_LIE:
-                report.violations.append((manifold.label, x.copy(), si, sj))
-    return report
 
 
 @dataclass(frozen=True)

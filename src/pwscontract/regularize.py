@@ -1,18 +1,24 @@
-"""Clamp-function regularization of the piecewise-smooth field, regularized
-Jacobians, stiffness-aware integration of the regularized ODE, the reduced
-sliding field, and band-width convergence studies against the Filippov solver.
+"""Clamp-function regularization of the piecewise-smooth field, its one
+Jacobian, stiffness-aware integration of the regularized ODE, and band-width
+convergence studies against the Filippov solver.
+
+The blend weights the modes by tables W(p) of the clamps p_k = clip(H_k / eps,
+-1, 1) (``_chain_weights``, ``_cross_weights``). W is affine in each clamp, so
+its slope in p_k is half the difference of W at p_k = +1 and p_k = -1; both
+the band closures ``_Band`` and the Jacobian ``RegularizedSystem.jacobian``
+are built from that one fact.
 
 The regularized integrator hands every stretch outside the bands |H| <= eps
 to the Filippov solver's flow engine, which stops at the band edges
 H = +-eps, and substeps the blend inside them; a point on an edge, or
-within TOL_EVENT past it, counts as in the band (``_bands_of``). Inside the band of one manifold k every other clamp sits at
-+-1, and the blend weights are affine in each clamp, so for an affine system
-the blend there is one closed form, ``_Band``: f = M0 x + m0 + p (M1 x + m1)
-with p the clamp of H_k / eps, built once per (band, signs of the other
-clamps). A grid step that ends in another band is taken again with the
-stacked blend ``RegularizedSystem.field``, the one formula that also serves
-handle systems and the cross's corner, where both bands are active. A grid
-step delta takes the fewest equal substeps, at least
+within TOL_EVENT past it, counts as in the band (``_bands_of``). Inside the
+band of one manifold k every other clamp sits at +-1, so for an affine
+system the blend there is one closed form, ``_Band``: f = M0 x + m0 +
+p (M1 x + m1) with p the clamp of H_k / eps, built once per (band, signs of
+the other clamps). A grid step that ends in another band is taken again with
+the stacked blend ``RegularizedSystem.field``, the one formula that also
+serves handle systems and the cross's corner, where both bands are active.
+A grid step delta takes the fewest equal substeps, at least
 ceil(delta / min(step, eps/10)), at which RK4 grows no decaying direction
 of the blend's Jacobian where the step starts.
 """
@@ -29,7 +35,6 @@ from .model import (
     Manifold,
     PwsSystem,
     StiffStepError,
-    TopologyError,
     _chain_bands_disjoint,
     _check_rk4_step,
     locate,
@@ -49,107 +54,31 @@ from .filippov import (
 )
 
 __all__ = [
-    "phi",
-    "phi_prime",
     "RegularizedSystem",
     "ConvergenceTable",
-    "regularized_jacobian_chain",
-    "regularized_jacobian_cross",
     "integrate_regularized",
-    "reduced_sliding_field",
     "convergence_study",
     "sweep_widths",
     "write_convergence_csv",
 ]
 
 
-def phi(s: float) -> float:
-    """Transition clamp: 1 for s >= 1, s on (-1, 1), -1 for s <= -1."""
-    if s >= 1.0:
-        return 1.0
-    if s <= -1.0:
-        return -1.0
-    return float(s)
+def _chain_weights(p: np.ndarray) -> np.ndarray:
+    """Mode weights of the chain blend for the clamps p_k of its manifolds:
+    mode i between manifolds i - 1 and i weighs (p_(i-1) - p_i) / 2, with
+    p_0 = 1 below the first manifold and p_N = -1 above the last."""
+    return 0.5 * (np.concatenate(([1.0], p)) - np.concatenate((p, [-1.0])))
 
 
-def phi_prime(s: float) -> float:
-    """Derivative of the clamp; at the kinks |s| = 1 the inner-closure value 1."""
-    return 1.0 if abs(s) <= 1.0 else 0.0
-
-
-def _chain_weights(phis: np.ndarray) -> np.ndarray:
-    """Mode weights of the chain blend for given phi(H_k / eps) values."""
-    nman = phis.shape[0]
-    if nman == 0:
-        return np.ones(1)
-    w = np.empty(nman + 1)
-    w[0] = 0.5 * (1.0 - phis[0])
-    for i in range(1, nman):
-        w[i] = 0.5 * (phis[i - 1] - phis[i])
-    w[nman] = 0.5 * (1.0 + phis[nman - 1])
-    return w
-
-
-def _cross_weights(phis) -> np.ndarray:
-    """Mode weights of the planar-cross blend for phi(H_1/eps), phi(H_2/eps)."""
-    p1, p2 = phis
+def _cross_weights(p) -> np.ndarray:
+    """Mode weights of the planar-cross blend for the clamps (p1, p2)."""
+    p1, p2 = p
     return 0.25 * np.array([
         (1.0 + p1) * (1.0 - p2),
         (1.0 + p1) * (1.0 + p2),
         (1.0 - p1) * (1.0 + p2),
         (1.0 - p1) * (1.0 - p2),
     ])
-
-
-def regularized_jacobian_chain(system: PwsSystem, eps: float, x) -> np.ndarray:
-    """Jacobian of the chain blend: weighted mode Jacobians plus one rank-one
-    clamp-slope term per manifold band. At clamp kinks the inner-closure slope
-    value 1 is used."""
-    if system.topology != "chain":
-        raise TopologyError("chain regularization needs a chain system")
-    x = np.asarray(x, dtype=float)
-    n = system.dimension
-    if not system.manifolds:
-        return system.modes[0].jac(x)
-    hvals = system.h_values(x)
-    phis = np.clip(hvals / eps, -1.0, 1.0)
-    w = _chain_weights(phis)
-    J = np.zeros((n, n))
-    for i, wi in enumerate(w):
-        if wi != 0.0:
-            J += wi * system.modes[i].jac(x)
-    for k, man in enumerate(system.manifolds):
-        slope = phi_prime(hvals[k] / eps)
-        if slope != 0.0:
-            df = system.f(k + 2, x) - system.f(k + 1, x)
-            J += (slope / (2.0 * eps)) * np.outer(df, man.grad(x))
-    return J
-
-
-def regularized_jacobian_cross(system: PwsSystem, eps: float, x) -> np.ndarray:
-    """Jacobian of the cross blend: four weighted mode Jacobians plus the four
-    clamp-slope rank-one terms (two plain, two mixed with the other clamp)."""
-    if system.topology != "planar_cross":
-        raise TopologyError("cross regularization needs a planar_cross system")
-    x = np.asarray(x, dtype=float)
-    h1, h2 = system.h_values(x)
-    p1, p2 = phi(h1 / eps), phi(h2 / eps)
-    dp1, dp2 = phi_prime(h1 / eps), phi_prime(h2 / eps)
-    f1, f2, f3, f4 = (system.f(i, x) for i in (1, 2, 3, 4))
-    g1 = system.manifolds[0].grad(x)
-    g2 = system.manifolds[1].grad(x)
-    J = np.zeros((2, 2))
-    if dp1 != 0.0:
-        J += dp1 * np.outer(f1 + f2 - f3 - f4, g1)
-        J += dp1 * p2 * np.outer(f2 + f4 - f3 - f1, g1)
-    if dp2 != 0.0:
-        J += dp2 * np.outer(f2 + f3 - f1 - f4, g2)
-        J += dp2 * p1 * np.outer(f2 + f4 - f3 - f1, g2)
-    J /= 4.0 * eps
-    for i, wi in enumerate(_cross_weights((p1, p2))):
-        if wi != 0.0:
-            J += wi * system.modes[i].jac(x)
-    return J
 
 
 # RK4 grows no decaying direction of a step h lam with |h lam| <= 2.5: its
@@ -186,14 +115,13 @@ def _stable_substeps(eigs, delta: float, ns: int) -> int:
 
 class _Band:
     """The blend inside the band of manifold k of an affine system, every
-    other clamp fixed at +-1. Its weights are w0 + p w1, p = phi(H_k / eps),
-    so f(x) = M0 x + m0 + p (M1 x + m1), with M0 = sum w0_i A_i and so on:
-    one product y = S x + s, S = [M0; M1; c^T], s = [m0; m1; -d], and the
-    clip of p = y[-1] / eps.
+    other clamp fixed at +-1. Its weights are w0 + p w1, p the clamp of
+    H_k / eps, so f(x) = M0 x + m0 + p (M1 x + m1), with M0 = sum w0_i A_i and
+    so on: one product y = S x + s, S = [M0; M1; c^T], s = [m0; m1; -d], and
+    the clip of p = y[-1] / eps.
 
-    Its Jacobian ``jac`` is M0 + p M1 + u c^T / eps with u = M1 x + m1 (the
-    inner closure at the band's edges), and ``radius`` bounds that
-    Jacobian's spectral radius by ||M0|| + ||M1|| + ||u|| ||c|| / eps."""
+    Its Jacobian M0 + p M1 + u c^T / eps, u = M1 x + m1, has a spectral
+    radius that ``radius`` bounds by ||M0|| + ||M1|| + ||u|| ||c|| / eps."""
 
     def __init__(self, k: int, w0, w1, As, bs, c, d: float, eps: float):
         n = c.shape[0]
@@ -203,8 +131,7 @@ class _Band:
         s = np.concatenate((m0, m1, [-d]))
         n2 = 2 * n
         fixed = np.linalg.norm(M0, 2) + np.linalg.norm(M1, 2)
-        c_eps = c / eps
-        slope = float(np.linalg.norm(c_eps))
+        slope = float(np.linalg.norm(c / eps))
 
         def field(x):
             y = S @ x
@@ -216,17 +143,12 @@ class _Band:
                 p = -1.0
             return y[:n] + p * y[n:n2]
 
-        def jac(x):
-            y = S @ x + s
-            return M0 + min(max(y[n2] / eps, -1.0), 1.0) * M1 + np.outer(y[n:n2], c_eps)
-
         def radius(x):
             u = M1 @ x + m1
             return fixed + math.sqrt(u @ u) * slope
 
         self.k = k
         self.field = field
-        self.jac = jac
         self.radius = radius
 
 
@@ -246,9 +168,7 @@ class RegularizedSystem:
                 and not _chain_bands_disjoint(base, self.eps, base.box)):
             raise ValueError(
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
-        chain = base.topology == "chain"
-        self._weights = _chain_weights if chain else _cross_weights
-        self._jac = regularized_jacobian_chain if chain else regularized_jacobian_cross
+        self._weights = _chain_weights if base.topology == "chain" else _cross_weights
         # a point within TOL_EVENT of an edge counts as in the band: the flow
         # engine never flags a surface it starts on, so a stretch started
         # there would cross the band with the plain mode's field
@@ -263,13 +183,41 @@ class RegularizedSystem:
             bs = np.stack([m.affine.b for m in base.modes])
             self._As, self._bs = As, bs
             self._fields = lambda x: As @ x + bs
+            self._jacs = lambda x: As
         else:
             self._fields = lambda x: np.array([m.f(x) for m in base.modes])
+            self._jacs = lambda x: np.array([m.jac(x) for m in base.modes])
 
     def field(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (self._weights(np.clip(self._H(x) / self.eps, -1.0, 1.0))
                 @ self._fields(x))
+
+    def jacobian(self, x) -> np.ndarray:
+        """Jacobian of the blend ``field`` at x: sum_i w_i J_i, plus one
+        rank-one term (dW_k . F) g_k^T / eps per manifold k with
+        |H_k| <= eps, where F stacks the mode fields, g_k is the gradient of
+        H_k and dW_k = (W(p_k = 1) - W(p_k = -1)) / 2 is the slope of the
+        weights, affine in each clamp p_k. At the band's edges the clamp's
+        inner slope 1 is taken."""
+        x = np.asarray(x, dtype=float)
+        s = self._H(x) / self.eps
+        p = np.clip(s, -1.0, 1.0)
+        J = np.tensordot(self._weights(p), self._jacs(x), 1)
+        F = self._fields(x)
+        for k in np.flatnonzero(np.abs(s) <= 1.0):
+            above, below = self._edge_weights(p, k)
+            J += np.outer(0.5 * (above - below) @ F,
+                          self.base.manifolds[k].grad(x) / self.eps)
+        return J
+
+    def _edge_weights(self, p, k: int) -> tuple:
+        """The weights at the clamps p with p_k set to +1 and to -1. The
+        weights are affine in p_k: their mean and half difference give them
+        at any p_k."""
+        above, below = p.copy(), p.copy()
+        above[k], below[k] = 1.0, -1.0
+        return self._weights(above), self._weights(below)
 
     def in_band(self, x) -> bool:
         """Whether a band holds x (``_bands_of``)."""
@@ -296,11 +244,7 @@ class RegularizedSystem:
         key = (k, *(v > 0.0 for j, v in enumerate(np.asarray(H).tolist()) if j != k))
         band = self._bands.get(key)
         if band is None:
-            signs = np.where(np.asarray(H) > 0.0, 1.0, -1.0)
-            signs[k] = 1.0
-            above = self._weights(signs)
-            signs[k] = -1.0
-            below = self._weights(signs)
+            above, below = self._edge_weights(np.where(np.asarray(H) > 0.0, 1.0, -1.0), k)
             c, d = self.base.manifolds[k].affine
             band = self._bands[key] = _Band(k, 0.5 * (above + below), 0.5 * (above - below),
                                             self._As, self._bs, c, d, self.eps)
@@ -334,13 +278,13 @@ def _run_bands(reg: RegularizedSystem, x, t: float, t_stop: float, H, opts,
     ``_Band``; if it ends in another band it is taken again with the stacked
     blend, which any other step takes. Each step takes the fewest substeps,
     at least ceil(delta / min(step, eps/10)), that pass the RK4 stability
-    check on the blend's Jacobian where the step starts; a band step whose
+    check on the blend's Jacobian (``RegularizedSystem.jacobian``) where the
+    step starts; a band step whose
     substep times the band's spectral-radius bound lies in ``RK4_DISK``
     passes without it.
     """
     h = opts.step
-    eps = reg.eps
-    h_band = min(h, eps / 10.0)
+    h_band = min(h, reg.eps / 10.0)
     while t < t_stop - 1e-14:
         band = reg.band(H)
         if band is None and not reg._bands_of(H):
@@ -349,10 +293,8 @@ def _run_bands(reg: RegularizedSystem, x, t: float, t_stop: float, H, opts,
         delta = tn - t
         # a relative slack: delta = tn - t carries the rounding of t
         ns = max(1, int(math.ceil(delta / h_band * (1.0 - 1e-9))))
-        if band is None:
-            ns = _stable_substeps(np.linalg.eigvals(reg._jac(reg.base, eps, x)), delta, ns)
-        elif delta / ns * band.radius(x) > RK4_DISK:
-            ns = _stable_substeps(np.linalg.eigvals(band.jac(x)), delta, ns)
+        if band is None or delta / ns * band.radius(x) > RK4_DISK:
+            ns = _stable_substeps(np.linalg.eigvals(reg.jacobian(x)), delta, ns)
         x1 = _substeps(reg.field if band is None else band.field, x, delta, ns)
         H1 = reg._H(x1)
         if band is not None and any(k != band.k for k in reg._bands_of(H1)):
@@ -405,38 +347,6 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
             H = reg._H(x)
     builder.close_segment(sid, t)
     return builder.finish()
-
-
-def reduced_sliding_field(system: PwsSystem, i: int, x) -> np.ndarray:
-    """Slow components of the sliding motion on the manifold between modes
-    i and i+1, computed with the critical-manifold weight
-    sigma_{i+1} / (sigma_{i+1} - sigma_i) on f_i.
-
-    For an axis-aligned manifold normal the weight reduces to the ratio of the
-    fast field components; the component along the dominant normal axis is
-    dropped and the remaining n-1 slow rates are returned.
-    """
-    if system.topology != "chain":
-        raise TopologyError("reduced sliding dynamics applies to chain systems")
-    x = np.asarray(x, dtype=float)
-    man = system.manifolds[i - 1]
-    fi = system.f(i, x)
-    fj = system.f(i + 1, x)
-    g = man.grad(x)
-    si = float(np.dot(g, fi))
-    sj = float(np.dot(g, fj))
-    den = sj - si
-    pivot = int(np.argmax(np.abs(g)))
-    keep = [k for k in range(system.dimension) if k != pivot]
-    if abs(den) <= 1e-14 * max(1.0, abs(si), abs(sj)):
-        if np.allclose(fi, fj, rtol=0.0, atol=1e-12):
-            return fi[keep]
-        raise ValueError(
-            "degenerate sliding configuration: equal Lie derivatives for "
-            "distinct fields (transversality violated)")
-    w = sj / den
-    fred = w * fi + (1.0 - w) * fj
-    return fred[keep]
 
 
 @dataclass

@@ -1,16 +1,19 @@
 import collections
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from pwscontract.model import (
+    TOL_LIE,
     AffineField,
     AnalysisBox,
     Manifold,
     Mode,
     PwsSystem,
     TopologyError,
+    _manifold_grid,
     builtin_config_path,
     load_system,
     load_system_file,
@@ -102,6 +105,74 @@ def regularized_field_cross(system, eps, x):
         if w != 0.0:
             out += w * mode.f(x)
     return out
+
+
+def reduced_sliding_field(system, i, x):
+    """Slow components of the sliding motion on the manifold between modes
+    i and i+1 of a chain, computed with the critical-manifold weight
+    sigma_{i+1} / (sigma_{i+1} - sigma_i) on f_i: the reduced field of the
+    singular-perturbation limit of the blend, the oracle ``sliding_field`` is
+    tested against.
+
+    For an axis-aligned manifold normal the weight reduces to the ratio of the
+    fast field components; the component along the dominant normal axis is
+    dropped and the remaining n-1 slow rates are returned.
+    """
+    if system.topology != "chain":
+        raise TopologyError("reduced sliding dynamics applies to chain systems")
+    x = np.asarray(x, dtype=float)
+    man = system.manifolds[i - 1]
+    fi = system.f(i, x)
+    fj = system.f(i + 1, x)
+    g = man.grad(x)
+    si = float(np.dot(g, fi))
+    sj = float(np.dot(g, fj))
+    den = sj - si
+    pivot = int(np.argmax(np.abs(g)))
+    keep = [k for k in range(system.dimension) if k != pivot]
+    if abs(den) <= 1e-14 * max(1.0, abs(si), abs(sj)):
+        if np.allclose(fi, fj, rtol=0.0, atol=1e-12):
+            return fi[keep]
+        raise ValueError(
+            "degenerate sliding configuration: equal Lie derivatives for "
+            "distinct fields (transversality violated)")
+    w = sj / den
+    fred = w * fi + (1.0 - w) * fj
+    return fred[keep]
+
+
+@dataclass
+class TransversalityReport:
+    """Samples on each manifold where both adjacent Lie derivatives vanish."""
+
+    violations: list = field(default_factory=list)
+    samples_checked: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_transversality(system, box=None, points_per_axis=101):
+    """Sampled check of the paper's transversality assumption: on every
+    manifold at least one adjacent Lie derivative is nonzero. The samples are
+    the roots of ``model._manifold_grid`` on the grid lines of the box."""
+    if points_per_axis < 2:
+        raise ValueError("grid needs at least 2 points per axis")
+    report = TransversalityReport()
+    for k, manifold in enumerate(system.manifolds):
+        for x in _manifold_grid(box or system.box, manifold, points_per_axis):
+            try:
+                i, j = system.adjacent_modes(k, x)
+            except TopologyError:
+                continue  # intersection point: pair ambiguous, skip sample
+            g = manifold.grad(x)
+            si = float(np.dot(g, system.f(i, x)))
+            sj = float(np.dot(g, system.f(j, x)))
+            report.samples_checked += 1
+            if abs(si) <= TOL_LIE and abs(sj) <= TOL_LIE:
+                report.violations.append((manifold.label, x.copy(), si, sj))
+    return report
 
 
 def handle_copy(system):

@@ -13,13 +13,7 @@ from pwscontract.measure import Metric, matrix_measure
 from pwscontract import filippov
 from pwscontract.model import AffineField, AnalysisBox, Manifold, Mode, PwsSystem
 from pwscontract.filippov import SolverOptions, integrate, sliding_field
-from pwscontract.regularize import (
-    RegularizedSystem,
-    convergence_study,
-    reduced_sliding_field,
-    regularized_jacobian_chain,
-    regularized_jacobian_cross,
-)
+from pwscontract.regularize import RegularizedSystem, convergence_study
 from pwscontract.certify import (
     check_chain_certificate,
     check_cross_certificate,
@@ -27,7 +21,11 @@ from pwscontract.certify import (
     pairwise_contraction_test,
 )
 
-from conftest import regularized_field_chain, regularized_field_cross
+from conftest import (
+    reduced_sliding_field,
+    regularized_field_chain,
+    regularized_field_cross,
+)
 
 EX1_MU_GOLDEN = [-0.50, -0.80, -0.88]
 EX2_MU_GOLDEN = [-3.76, -1.88, -1.87, -7.88]
@@ -234,13 +232,12 @@ def test_criterion_9_jacobian_oracle(ex1, ex2):
     pts1 = interior(ex1, 100)
     pts2 = interior(ex2, 100)
     t0 = time.perf_counter()
+    reg1, reg2 = RegularizedSystem(ex1, eps), RegularizedSystem(ex2, eps)
     worst1 = max(float(np.max(np.abs(
-        regularized_jacobian_chain(ex1, eps, x)
-        - fd(lambda y: regularized_field_chain(ex1, eps, y), x))))
+        reg1.jacobian(x) - fd(lambda y: regularized_field_chain(ex1, eps, y), x))))
         for x in pts1)
     worst2 = max(float(np.max(np.abs(
-        regularized_jacobian_cross(ex2, eps, x)
-        - fd(lambda y: regularized_field_cross(ex2, eps, y), x))))
+        reg2.jacobian(x) - fd(lambda y: regularized_field_cross(ex2, eps, y), x))))
         for x in pts2)
     elapsed = time.perf_counter() - t0
     ok = worst1 <= 1e-6 and worst2 <= 1e-6 and elapsed < 0.1

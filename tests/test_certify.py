@@ -175,6 +175,13 @@ class TestRegularizedChain:
         report = check_regularized_chain(ex1, Metric.identity(2, 0.9), 0.05)
         assert not report.passed
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.05])
+    def test_rejects_eps_that_is_not_finite_positive(self, ex1, eps):
+        # at nan every band test was false: both jump conditions read "empty"
+        # and the certificate passed
+        with pytest.raises(CertificateError, match="finite positive"):
+            check_regularized_chain(ex1, Metric.identity(2, 0.5), eps)
+
     def test_band_domain_covers_offset_worst_case(self):
         # a jump field growing away from the manifold is caught on the band
         # even though it vanishes on the manifold itself
@@ -220,6 +227,15 @@ class TestRegularizedCross:
         system = perturbed_ex2([7.0, -1.3])
         report = check_regularized_cross(system, Metric.identity(2, 1.0), 0.05)
         assert report.condition("square-eq").margin < 0
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.05])
+    def test_rejects_eps_that_is_not_finite_positive(self, ex2, eps):
+        # nan raised a numpy matmul ValueError on the empty central square,
+        # and inf reported the four band arms "empty"
+        with pytest.raises(CertificateError, match="finite positive"):
+            check_regularized_cross(ex2, Metric.identity(2, 1.87), eps)
+        with pytest.raises(CertificateError, match="finite positive"):
+            condition_table(ex2, eps=eps)
 
 
 class TestConditionsWithoutPoints:

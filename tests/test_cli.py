@@ -501,10 +501,17 @@ class TestLazyImports:
 
     def test_every_public_name_resolves_to_its_module(self):
         import importlib
+        import pkgutil
 
         import pwscontract
 
-        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 57
+        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 54
+        # the package exports exactly what its modules declare public
+        declared = set()
+        for info in pkgutil.iter_modules(pwscontract.__path__):
+            module = importlib.import_module(f"pwscontract.{info.name}")
+            declared.update(getattr(module, "__all__", ()))
+        assert set(pwscontract._HOMES) == declared
         for name in pwscontract.__all__:
             home = pwscontract._HOMES[name]
             module = importlib.import_module(f"pwscontract.{home}")

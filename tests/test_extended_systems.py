@@ -7,9 +7,11 @@ import pytest
 from pwscontract.measure import Metric
 from pwscontract.model import locate
 from pwscontract.filippov import integrate
-from pwscontract.regularize import convergence_study, reduced_sliding_field
+from pwscontract.regularize import convergence_study
 from pwscontract.certify import check_chain_certificate, check_regularized_chain
 from pwscontract.qsearch import margin
+
+from conftest import reduced_sliding_field
 
 
 class TestFourModeChain:

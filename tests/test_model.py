@@ -19,7 +19,6 @@ from pwscontract.model import (
     builtin_config_path,
     check_box_invariance,
     check_intersection_assumption,
-    check_transversality,
     load_system,
     load_system_file,
     locate,
@@ -27,7 +26,7 @@ from pwscontract.model import (
 )
 from pwscontract.model import _manifold_grid
 
-from conftest import WRONG_TYPES, make_system, with_entry
+from conftest import WRONG_TYPES, check_transversality, make_system, with_entry
 
 
 class TestLoadSystem:

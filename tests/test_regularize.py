@@ -13,7 +13,6 @@ from pwscontract.model import (
     Mode,
     PwsSystem,
     StiffStepError,
-    TopologyError,
     _check_rk4_step,
     builtin_config_path,
 )
@@ -22,11 +21,6 @@ from pwscontract.regularize import (
     RegularizedSystem,
     convergence_study,
     integrate_regularized,
-    phi,
-    phi_prime,
-    reduced_sliding_field,
-    regularized_jacobian_chain,
-    regularized_jacobian_cross,
     write_convergence_csv,
 )
 
@@ -34,6 +28,7 @@ from conftest import (
     handle_copy,
     handle_manifold_copy,
     make_system,
+    reduced_sliding_field,
     regularized_field_chain,
     regularized_field_cross,
 )
@@ -80,17 +75,28 @@ def blend(system, eps, x):
 
 
 class TestPhi:
-    def test_branches(self):
-        assert phi(2.0) == 1.0
-        assert phi(0.3) == 0.3
-        assert phi(-5.0) == -1.0
-        assert phi(1.0) == 1.0 and phi(-1.0) == -1.0
+    # the clamp p = clip(H / eps, -1, 1) of example1's manifold x1 = 0, read
+    # through the blend and, for its slope, through the Jacobian; the
+    # manifold x1 = 2 stays clamped at -1
+    def test_branches(self, ex1):
+        eps = 0.1
+        reg = RegularizedSystem(ex1, eps)
+        for s, p in ((2.0, 1.0), (0.3, 0.3), (-5.0, -1.0), (1.0, 1.0), (-1.0, -1.0)):
+            x = np.array([s * eps, 0.5])
+            expected = 0.5 * (1.0 - p) * ex1.f(1, x) + 0.5 * (1.0 + p) * ex1.f(2, x)
+            assert np.allclose(reg.field(x), expected, rtol=0.0, atol=1e-15)
 
-    def test_prime_branches(self):
-        assert phi_prime(0.0) == 1.0
-        assert phi_prime(3.0) == 0.0
-        assert phi_prime(1.0) == 1.0  # inner-closure value at the kink
-        assert phi_prime(-1.0) == 1.0
+    def test_prime_branches(self, ex1):
+        eps = 0.1
+        reg = RegularizedSystem(ex1, eps)
+        for s, slope in ((0.0, 1.0), (3.0, 0.0), (1.0, 1.0), (-1.0, 1.0)):
+            x = np.array([s * eps, 0.5])
+            p = min(max(s, -1.0), 1.0)
+            df = ex1.f(2, x) - ex1.f(1, x)
+            expected = (0.5 * (1.0 - p) * ex1.modes[0].affine.A
+                        + 0.5 * (1.0 + p) * ex1.modes[1].affine.A
+                        + slope / (2.0 * eps) * np.outer(df, [1.0, 0.0]))
+            assert np.allclose(reg.jacobian(x), expected, rtol=0.0, atol=1e-12)
 
 
 class TestChainField:
@@ -136,10 +142,6 @@ class TestChainField:
         x = np.array([0.3, -0.7])
         assert np.array_equal(blend(single_mode, 0.1, x), single_mode.f(1, x))
 
-    def test_rejects_cross(self, ex2):
-        with pytest.raises(TopologyError):
-            regularized_jacobian_chain(ex2, 0.1, [0.0, 0.0])
-
 
 class TestCrossField:
     def test_intersection_is_mean(self, ex2):
@@ -158,9 +160,23 @@ class TestCrossField:
         assert np.allclose(blend(ex2, 0.1, x), expected, atol=1e-15)
 
 
+def jacobian(system, eps, x):
+    """The one Jacobian of the blend, ``RegularizedSystem.jacobian``."""
+    return RegularizedSystem(system, eps).jacobian(x)
+
+
+def corner_points(system, eps, rng, count):
+    """Seeded points of a planar cross with both |H_k| <= 0.9 eps: the
+    corner where both bands are active."""
+    C = np.array([m.affine[0] for m in system.manifolds])
+    d = np.array([m.affine[1] for m in system.manifolds])
+    return [np.linalg.solve(C, d + rng.uniform(-0.9 * eps, 0.9 * eps, 2))
+            for _ in range(count)]
+
+
 class TestJacobians:
     def test_chain_outside_band_is_mode_matrix(self, ex1):
-        J = regularized_jacobian_chain(ex1, 0.1, [1.0, 0.0])
+        J = jacobian(ex1, 0.1, [1.0, 0.0])
         assert np.array_equal(J, ex1.modes[1].affine.A)
 
     def test_chain_band_center_closed_form(self, ex1):
@@ -168,19 +184,18 @@ class TestJacobians:
         A1, A2 = ex1.modes[0].affine.A, ex1.modes[1].affine.A
         df = ex1.f(2, x) - ex1.f(1, x)
         expected = 0.5 * (A1 + A2) + (1.0 / 0.2) * np.outer(df, [1.0, 0.0])
-        assert np.allclose(regularized_jacobian_chain(ex1, 0.1, x), expected,
-                           atol=1e-13)
+        assert np.allclose(jacobian(ex1, 0.1, x), expected, atol=1e-13)
 
     def test_chain_matches_finite_differences(self, ex1):
         rng = np.random.default_rng(23)
         eps = 0.1
         for x in interior_points(ex1, eps, rng, 100):
-            J = regularized_jacobian_chain(ex1, eps, x)
+            J = jacobian(ex1, eps, x)
             Jfd = fd_jacobian(lambda y: regularized_field_chain(ex1, eps, y), x)
             assert np.max(np.abs(J - Jfd)) <= 1e-6
 
     def test_cross_outside_bands_is_mode_matrix(self, ex2):
-        J = regularized_jacobian_cross(ex2, 0.1, [2.0, 2.0])
+        J = jacobian(ex2, 0.1, [2.0, 2.0])
         assert np.array_equal(J, ex2.modes[1].affine.A)
 
     def test_cross_at_intersection_closed_form(self, ex2):
@@ -191,25 +206,53 @@ class TestJacobians:
         expected = (np.outer(f[0] + f[1] - f[2] - f[3], g1)
                     + np.outer(f[1] + f[2] - f[0] - f[3], g2)) / (4 * eps)
         expected += 0.25 * sum(m.affine.A for m in ex2.modes)
-        assert np.allclose(regularized_jacobian_cross(ex2, eps, x), expected,
-                           atol=1e-13)
+        assert np.allclose(jacobian(ex2, eps, x), expected, atol=1e-13)
 
     def test_cross_matches_finite_differences(self, ex2):
         rng = np.random.default_rng(24)
         eps = 0.1
         for x in interior_points(ex2, eps, rng, 100):
-            J = regularized_jacobian_cross(ex2, eps, x)
+            J = jacobian(ex2, eps, x)
             Jfd = fd_jacobian(lambda y: regularized_field_cross(ex2, eps, y), x)
             assert np.max(np.abs(J - Jfd)) <= 1e-6
 
-    def test_kink_uses_inner_closure_slope(self, ex1):
-        # exactly on |H| = eps the rank-one band term is included
+    def test_kink_uses_inner_closure_slope(self, ex1, ex2):
+        # exactly on |H| = eps the rank-one band term is included, at both
+        # edges; just past an edge it is gone
         eps = 0.1
-        x = np.array([eps, 0.0])
-        df = ex1.f(2, x) - ex1.f(1, x)
-        expected = ex1.modes[1].affine.A + (1.0 / (2 * eps)) * np.outer(df, [1, 0])
-        assert np.allclose(regularized_jacobian_chain(ex1, eps, x), expected,
-                           atol=1e-13)
+        g = np.array([1.0, 0.0])
+        for edge, mode in ((1.0, 2), (-1.0, 1)):
+            x = np.array([edge * eps, 0.0])
+            df = ex1.f(2, x) - ex1.f(1, x)
+            expected = ex1.modes[mode - 1].affine.A + (1.0 / (2 * eps)) * np.outer(df, g)
+            assert np.allclose(jacobian(ex1, eps, x), expected, atol=1e-13)
+            past = np.array([edge * eps * (1.0 + 1e-9), 0.0])
+            assert np.array_equal(jacobian(ex1, eps, past), ex1.modes[mode - 1].affine.A)
+            # the cross's band of H2 = x1 where H1 = x2 > eps: modes 1 and 2
+            x = np.array([edge * eps, 2.0])
+            df = ex2.f(2, x) - ex2.f(1, x)
+            expected = ex2.modes[mode - 1].affine.A + (1.0 / (2 * eps)) * np.outer(df, g)
+            assert np.allclose(jacobian(ex2, eps, x), expected, atol=1e-13)
+
+    def test_matches_field_differences_on_the_stacked_paths(self, ex1, ex2):
+        # the paths the stacked blend serves: handle systems in every band,
+        # and the cross's corner, where both bands and both rank-one terms
+        # are active
+        rng = np.random.default_rng(27)
+        for eps in (1e-1, 1e-2, 1e-3):
+            for system in (ex1, ex2):
+                for copy in (handle_copy, handle_manifold_copy):
+                    reg = RegularizedSystem(copy(system), eps)
+                    for k, man in enumerate(system.manifolds):
+                        for x in band_points(system, eps, k, rng, 20):
+                            if abs(abs(man.h(x)) - eps) > 0.1 * eps:
+                                assert np.allclose(reg.jacobian(x), fd_jacobian(reg.field, x),
+                                                   rtol=1e-6, atol=1e-6)
+            for system in (ex2, handle_copy(ex2)):
+                reg = RegularizedSystem(system, eps)
+                for x in corner_points(ex2, eps, rng, 30):
+                    assert np.allclose(reg.jacobian(x), fd_jacobian(reg.field, x),
+                                       rtol=1e-6, atol=1e-6)
 
 
 class TestRegularizedSystem:
@@ -426,10 +469,12 @@ class TestBandClosure:
     def test_jacobian_and_radius(self, ex1, chain4):
         # the band of x1 = 0 between -I x + (1, 0) and -I x + (-1, 0) of the
         # 4-mode chain: x1' = -x1 - x1/eps inside it; every band's radius
-        # bounds its Jacobian's spectral radius
-        band = RegularizedSystem(chain4, 1e-2).band(np.array([2.0, 0.0, -2.0]))
+        # bounds the spectral radius of the blend's Jacobian there, which is
+        # the closure's
+        reg = RegularizedSystem(chain4, 1e-2)
+        band = reg.band(np.array([2.0, 0.0, -2.0]))
         x = np.array([0.003, 0.5])
-        assert np.allclose(band.jac(x), [[-101.0, 0.0], [0.0, -1.0]], rtol=1e-15)
+        assert np.allclose(reg.jacobian(x), [[-101.0, 0.0], [0.0, -1.0]], rtol=1e-15)
         assert band.radius(x) == pytest.approx(101.0, rel=1e-15)
         rng = np.random.default_rng(34)
         for system in (ex1, chain4):
@@ -437,9 +482,10 @@ class TestBandClosure:
             for k in range(len(system.manifolds)):
                 for x in band_points(system, 1e-2, k, rng, 20):
                     band = reg.band(system.h_values(x))
-                    rho = np.max(np.abs(np.linalg.eigvals(band.jac(x))))
+                    J = reg.jacobian(x)
+                    rho = np.max(np.abs(np.linalg.eigvals(J)))
                     assert rho <= band.radius(x) * (1.0 + 1e-12)
-                    assert np.allclose(band.jac(x), fd_jacobian(band.field, x),
+                    assert np.allclose(J, fd_jacobian(band.field, x),
                                        rtol=1e-6, atol=1e-4)
 
     def test_corner_and_handle_copies_take_stacked_blend(self, ex1, ex2):
