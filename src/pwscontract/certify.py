@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import Metric
+from .measure import Metric, _column_norms
 from .model import (
     AnalysisBox,
     Manifold,
@@ -488,7 +488,7 @@ def pairwise_contraction_test(system: PwsSystem, metric: Metric, pairs,
         tg_a, xs_a = ta.grid_samples(opts.step)
         tg_b, xs_b = tb.grid_samples(opts.step)
         m = min(len(tg_a), len(tg_b))
-        d = np.linalg.norm((xs_a[:m] - xs_b[:m]) @ metric.Q.T, axis=1)
+        d = _column_norms(metric.Q @ (xs_a[:m] - xs_b[:m]).T)
         entry = {"xa0": list(np.asarray(xa0, dtype=float)),
                  "xb0": list(np.asarray(xb0, dtype=float))}
         if d[0] <= 0.0:

@@ -6,7 +6,10 @@ Exit codes: 0 success/pass, 1 analytic fail, 2 escaping-region halt,
 3 numerical refusal, 64 usage error. All floating-point output uses 17
 significant digits so that identical command lines produce identical files.
 Each output gets a ``*.manifest.json`` with the options, the import time
-``import_s`` and the wall time ``wall_time_s``. A run from the shell counts
+``import_s`` and the wall time ``wall_time_s``; the ``simulate`` and
+``reproduce`` manifests record under ``results`` the first sample of a
+trajectory outside the box (``box_exit``, ``box_exits`` per golden start),
+which changes no exit code and no data output. A run from the shell counts
 both from the first statement of the package import: ``import_s`` ends where
 this module's own imports end (numpy, ``measure``, ``model`` and
 ``filippov``), and ``wall_time_s`` when the manifest is written. The modules
@@ -185,6 +188,14 @@ def _check_certificate(system: PwsSystem, metric: Metric, strategy: str):
     return check_cross_certificate(system, metric, strategy=strategy)
 
 
+def _box_exit(traj) -> dict | None:
+    """A trajectory's first sample outside the box, for a manifest."""
+    if traj.box_exit is None:
+        return None
+    t, x = traj.box_exit
+    return {"t": t, "state": x.tolist()}
+
+
 def cmd_simulate(args) -> int:
     system, config = _load_config(args.config)
     x0 = _parse_vector(args.x0, system.dimension)
@@ -199,7 +210,7 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(traj, fh)
     _write_manifest(out, args, "simulate", config,
                     {"x0": list(x0), "t_final": args.t_final, "step": args.step},
-                    [out])
+                    [out], {"box_exit": _box_exit(traj)})
     print(f"wrote {out} ({len(traj.times)} samples, "
           f"{sum(1 for s in traj.segments if s.kind == 'slide')} sliding segments)")
     return EXIT_OK
@@ -336,10 +347,13 @@ def cmd_reproduce(args) -> int:
     opts = SolverOptions()
     worst = 0.0
     n_slide = 0
+    box_exits = []
     for x0 in _GOLDEN_STARTS:
         traj = integrate(system, np.array(x0), 20.0, opts)
         worst = max(worst, float(np.linalg.norm(traj.final_state - eq)))
         n_slide += bool(traj.has_sliding())
+        if traj.box_exit is not None:
+            box_exits.append({"x0": list(x0), **_box_exit(traj)})
     record("equilibrium", worst <= _EQ_TOL,
            f"worst final distance {worst:.3g} to {eq.tolist()} (tol {_EQ_TOL})")
     record("sliding", n_slide >= 1,
@@ -359,7 +373,7 @@ def cmd_reproduce(args) -> int:
                       "verdict": "pass" if not diffs else "fail",
                       "checks": checks})
     _write_manifest(out, args, "reproduce", config, {"example": example_id},
-                    [out])
+                    [out], {"box_exits": box_exits})
     if diffs:
         print("golden mismatches:")
         for d in diffs:

@@ -25,9 +25,17 @@ event scan and one append for the whole chain; the chain doubles from one
 block while no event is flagged, and a chained run has the bits of one
 block at a time. ``_EventSurfaces`` is the one evaluator of a set of
 surfaces: the flow, the slide (for the other manifolds) and the regularized
-blend read their H values from it. ``_pair`` evaluates an affine mode through its
+blend read their H values from it. ``_pair`` evaluates two affine modes as
+one product of their stacked (A, b), a lone affine mode through its
 ``AffineField`` and an affine manifold through its constant normal, the
 same arithmetic as ``Mode.f`` and ``Manifold.grad``.
+
+Every pass over a whole block or trajectory runs along its long axis: a
+block's surface values are (C X^T)^T, its first flagged step is found in the
+flattened flag table (``_first_row``), and the assembled trajectory is
+checked by one bounds test on the flattened states. A reduction over the
+few columns of an (N, n) array, or a row-major product with an n-column
+matrix, costs several times more per row for the same values.
 
 When two affine modes i | j on an affine manifold c.x = d have a jump that
 is rank-one in the normal, A_j - A_i = u c^T (equal matrices included), the
@@ -47,7 +55,9 @@ system at its Jacobian at the start of each flow segment, for a stepwise
 slide at the central-difference Jacobian of its sliding field at each slide
 entry), and a trajectory with a NaN or infinite state raises
 ``NonFiniteStateError`` instead of being returned. A start outside the box,
-or a final time that is negative or not finite, raises ``ValueError``.
+or a final time that is negative or not finite, raises ``ValueError``. A
+trajectory that leaves the box is returned, with its first sample outside
+it (tolerance 1e-9) as ``Trajectory.box_exit``.
 """
 
 from __future__ import annotations
@@ -165,7 +175,9 @@ class Trajectory:
     """Timestamped states with per-sample segment annotation.
 
     ``lambdas[k]`` holds the sliding weight at sample k and is NaN outside
-    slide segments. ``seg_index[k]`` points into ``segments``.
+    slide segments. ``seg_index[k]`` points into ``segments``. ``box_exit``
+    is the first sample (t, state) outside the system's box by more than
+    1e-9, or None when every sample stays inside.
     """
 
     times: np.ndarray
@@ -173,6 +185,7 @@ class Trajectory:
     lambdas: np.ndarray
     seg_index: np.ndarray
     segments: list
+    box_exit: Optional[tuple] = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -200,22 +213,34 @@ class Trajectory:
 def _pair(system: PwsSystem, man_idx: int, i: int, j: int):
     """x -> (f_i, f_j, sigma_i, sigma_j): the fields of modes i and j and
     their Lie derivatives grad H . f along manifold ``man_idx``, the pair
-    behind every Filippov classification, weight and sliding vector. An
-    affine mode is evaluated through its ``AffineField`` and an affine
-    manifold through its constant normal, the values of ``Mode.f`` and
+    behind every Filippov classification, weight and sliding vector. Two
+    affine modes are evaluated as one product of their stacked (A, b), a
+    lone affine mode through its ``AffineField`` and an affine manifold
+    through its constant normal, the values of ``Mode.f`` and
     ``Manifold.grad`` without their array coercions."""
-    fi_fn, fj_fn = (m.affine if m.is_affine else m.f
-                    for m in (system.mode(i), system.mode(j)))
+    mi, mj = system.mode(i), system.mode(j)
     man = system.manifolds[man_idx]
     if man.is_affine:
         normal = man.affine[0]
         grad = lambda x: normal
     else:
         grad = man.grad
+    if mi.is_affine and mj.is_affine:
+        n = system.dimension
+        A = np.concatenate((mi.affine.A, mj.affine.A))
+        b = np.concatenate((mi.affine.b, mj.affine.b))
+
+        def fields(x):
+            F = A @ x + b
+            return F[:n], F[n:]
+    else:
+        fi_fn, fj_fn = (m.affine if m.is_affine else m.f for m in (mi, mj))
+
+        def fields(x):
+            return fi_fn(x), fj_fn(x)
 
     def pair(x):
-        fi = fi_fn(x)
-        fj = fj_fn(x)
+        fi, fj = fields(x)
         g = grad(x)
         return fi, fj, float(np.dot(g, fi)), float(np.dot(g, fj))
     return pair
@@ -319,8 +344,18 @@ class _EventSurfaces:
         flags each surface over step k."""
         Hs = np.empty((len(X) + 1, len(self.surfaces)))
         Hs[0] = self.C @ x - self.d
-        Hs[1:] = X @ self.C.T - self.d
+        # (C X^T)^T along the rows of X: a row-major X @ C.T with its few
+        # columns costs several times more per row, for the same values
+        Hs[1:] = (self.C @ X.T).T - self.d
         return Hs, _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
+
+
+def _first_row(flags) -> int:
+    """The first row of a 2-D flag table with a flag set, or its length when
+    none is: np.flatnonzero(flags.any(axis=1))[0] by one pass along the long
+    axis of the flattened table."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) // flags.shape[1] if hits.size else len(flags)
 
 
 def _event_flags(h0, h1, tol):
@@ -328,8 +363,9 @@ def _event_flags(h0, h1, tol):
     values at the step's start and end: strict sign change, or landing on the
     surface from a point clearly off it. Starting on the surface (|H| within
     tol) never triggers, which lets trajectories leave a boundary cleanly.
-    From |h0| > tol both cases read h1 * sign(h0) <= tol."""
-    return (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol)
+    From |h0| > tol both cases read h1 * sign(h0) <= tol, written as four
+    comparisons: a product with sign(h0) costs several times more."""
+    return ((h0 > tol) & (h1 <= tol)) | ((h0 < -tol) & (h1 >= -tol))
 
 
 def _first_hit(along, flagged, h0):
@@ -383,8 +419,9 @@ def _next_grid(t: float, h: float, t_stop: float) -> float:
 class _Builder:
     """Accumulates samples and segments while the state machine runs."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, box):
+        self.box = box
+        self.n = box.dimension
         self._t = []
         self._x = []
         self._lam = []
@@ -423,21 +460,33 @@ class _Builder:
         self._seg.append(np.full(k, seg_id, dtype=int))
 
     def finish(self) -> Trajectory:
-        """The trajectory; raises NonFiniteStateError if any sample is not
-        finite, so no engine hands out a state that blew up."""
+        """The trajectory, with its first sample outside the box (within
+        1e-9) as ``box_exit``; raises NonFiniteStateError if any sample is
+        not finite, so no engine hands out a state that blew up. One bounds
+        test, which a NaN fails too, serves both: first the extremes of the
+        flattened states against the cube inside the box, two passes along
+        the long axis that settle every trajectory inside that cube, then,
+        only when they fail, the states against the box and the rows."""
         self._stack_points()
         times = np.concatenate(self._t)
-        states = np.vstack(self._x)
+        states = np.concatenate(self._x)
         lams = np.concatenate(self._lam)
-        segs = np.concatenate(self._seg).astype(int)
-        bad = ~np.isfinite(states).all(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NonFiniteStateError(
-                f"the state is not finite from t={times[k]:.6g} on: the step is "
-                "too large for the dynamics, or a field returned a non-finite "
-                "value; use a smaller --step")
-        return Trajectory(times, states, lams, segs, self.segments)
+        segs = np.concatenate(self._seg)
+        box_exit = None
+        lo, hi = self.box.lower - 1e-9, self.box.upper + 1e-9
+        if not (states.min() >= lo.max() and states.max() <= hi.min()):
+            outside = ~((states >= lo) & (states <= hi))
+            if outside.any():
+                finite = np.isfinite(states)
+                if not finite.all():
+                    k = int(np.flatnonzero(~finite)[0]) // self.n
+                    raise NonFiniteStateError(
+                        f"the state is not finite from t={times[k]:.6g} on: the "
+                        "step is too large for the dynamics, or a field returned "
+                        "a non-finite value; use a smaller --step")
+                k = int(np.flatnonzero(outside)[0]) // self.n
+                box_exit = (float(times[k]), states[k].copy())
+        return Trajectory(times, states, lams, segs, self.segments, box_exit)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +592,8 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
             continue
         ts, X = block
         Hs, ev = events.scan_block(x, X)
-        rows = np.flatnonzero(ev.any(axis=1))
-        if rows.size:
-            idx = int(rows[0])
+        idx = _first_row(ev)
+        if idx < len(ev):
             builder.add_block(ts[:idx], X[:idx], seg_id)
             # the hit's time counts from the start of its own block, as a
             # lone block would
@@ -678,8 +726,9 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             X -= np.outer((X @ c - d) / cc, c)
             lams = X @ affine.lam_x + affine.lam_0
             ev = events.scan_block(x, X)[1]
-            marked = ev.any(axis=1) | ~((lo_bound <= lams) & (lams <= hi_bound))
-            idx = int(np.argmax(marked)) if marked.any() else len(ts)
+            outside = ~((lo_bound <= lams) & (lams <= hi_bound))
+            idx = min(_first_row(ev),
+                      int(np.argmax(outside)) if outside.any() else len(ts))
             if idx:
                 builder.add_block(ts[:idx], X[:idx], seg_id, lams[:idx])
                 t, x = float(ts[idx - 1]), X[idx - 1]
@@ -759,7 +808,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
     opts = opts or SolverOptions()
     x0 = _check_start(system, x0, t_f)
 
-    builder = _Builder(system.dimension)
+    builder = _Builder(system.box)
     events = _EventSurfaces(system, system.manifolds)
     sector_cache: dict = {}
 

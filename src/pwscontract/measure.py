@@ -55,6 +55,17 @@ def _eig_range(S: np.ndarray) -> tuple:
     return float(eig[0]), float(eig[-1])
 
 
+def _column_norms(P: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every column of an (n, N) array, its squares
+    summed row by row along the long axis: for n < 8 the same sums in the
+    same order as np.linalg.norm(P.T, axis=1), at a fraction of the cost
+    per column of that reduction over the short axis."""
+    sq = P[0] * P[0]
+    for row in P[1:]:
+        sq += row * row
+    return np.sqrt(sq)
+
+
 def is_positive_definite(Q) -> bool:
     """True iff Q is finite, symmetric and has a Cholesky factor."""
     Q = _as_square(Q, "Q")

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .measure import _column_norms
 from .model import (
     Manifold,
     PwsSystem,
@@ -322,7 +323,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     reg = RegularizedSystem(system, eps)
     x0 = _check_start(system, x0, t_f)
 
-    builder = _Builder(system.dimension)
+    builder = _Builder(system.box)
     sid = builder.open_segment("flow", 0.0, mode=None, manifold="regularized")
     builder.add_point(0.0, x0, sid)
     if t_f == 0.0:
@@ -407,7 +408,7 @@ def convergence_study(system: PwsSystem, x0, t_f: float, eps_list,
         m = min(len(t_ref), len(t_reg))
         if not np.allclose(t_ref[:m], t_reg[:m], atol=1e-9):
             raise RuntimeError("solvers disagree on the shared time grid")
-        gap = float(np.max(np.linalg.norm(x_ref[:m] - x_reg[:m], axis=1)))
+        gap = float(np.max(_column_norms((x_ref[:m] - x_reg[:m]).T)))
         if prev is None or gap <= 0 or prev[1] <= 0:
             slope = math.nan
         else:

@@ -208,6 +208,17 @@ def single_mode():
     })
 
 
+# one mode that grows along x1: from (1, 0) the state leaves the box
+# [-5, 5]^2 at t = 10 ln 5 = 16.094...
+LEAVES_BOX = {
+    "dimension": 2,
+    "topology": "chain",
+    "modes": [{"A": [[0.1, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}],
+    "manifolds": [],
+    "box": {"lower": [-5, -5], "upper": [5, 5]},
+}
+
+
 @pytest.fixture(scope="session")
 def swapped_ex1():
     # modes 1 and 2 of the first example exchanged: the sliding band of the

@@ -348,3 +348,27 @@ class TestPairwise:
         doc = report.to_dict()
         assert doc["verdict"] == "pass"
         assert doc["metric"]["Q"] == [[1.2, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_distance_is_the_row_norm(self, name):
+        # the separations summed along the long axis have the bits of
+        # np.linalg.norm over the rows of D Q^T, for identity and a full Q
+        from pwscontract.filippov import integrate
+        from pwscontract.measure import _column_norms
+        from pwscontract.model import load_system_file
+
+        system = load_system_file(builtin_config_path(name))
+        ta = integrate(system, [-3.0, -4.0], 5.0).grid_samples(1e-3)[1]
+        tb = integrate(system, [4.0, 2.5], 5.0).grid_samples(1e-3)[1]
+        m = min(len(ta), len(tb))
+        D = ta[:m] - tb[:m]
+        full = np.array([[1.3, 0.4], [0.4, 0.9]])
+        for Q in (np.eye(2), full):
+            assert np.array_equal(_column_norms(Q @ D.T),
+                                  np.linalg.norm(D @ Q.T, axis=1))
+        rng = np.random.default_rng(3)
+        for n in (1, 3, 7):
+            D = rng.standard_normal((500, n))
+            Q = rng.standard_normal((n, n))
+            assert np.array_equal(_column_norms(Q @ D.T),
+                                  np.linalg.norm(D @ Q.T, axis=1))

@@ -11,6 +11,7 @@ from pwscontract.cli import EXIT_NUMERICAL, main
 from pwscontract.model import builtin_config_path
 
 from conftest import (
+    LEAVES_BOX,
     OUTSIDE_MANIFOLD,
     SLIDE_TO_INTERSECTION,
     STIFF,
@@ -44,6 +45,19 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["outputs"] == [str(out)]
         assert "tool_version" in manifest and "wall_time_s" in manifest
+        assert manifest["results"] == {"box_exit": None}
+
+    def test_box_exit_is_reported_not_refused(self, tmp_path):
+        config = tmp_path / "leaves.json"
+        config.write_text(json.dumps(LEAVES_BOX))
+        out = tmp_path / "traj.csv"
+        rc = main(["simulate", "--config", str(config), "--x0", "1,0",
+                   "--t-final", "30", "--out", str(out)])
+        assert rc == 0
+        assert final_state(out)[0] > 20.0
+        exit_ = json.loads((tmp_path / "traj.csv.manifest.json").read_text())[
+            "results"]["box_exit"]
+        assert exit_["t"] == pytest.approx(16.095, abs=1e-9) and exit_["state"][0] > 5.0
 
     def test_example2_reaches_equilibrium(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -259,11 +273,19 @@ class TestReproduce:
         assert "FAIL" not in out
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["verdict"] == "pass"
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["results"] == {"box_exits": []}
 
     def test_example2(self, tmp_path, capsys):
         rc = main(["reproduce", "2", "--out", str(tmp_path / "r.json")])
         assert rc == 0
         assert "FAIL" not in capsys.readouterr().out
+        # the golden start (5, -5) leaves the box at the first step: reported,
+        # with the verdict and the exit code unchanged
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        (exit_,) = manifest["results"]["box_exits"]
+        assert exit_["x0"] == [5.0, -5.0] and exit_["t"] == 0.001
+        assert exit_["state"][0] > 5.0
 
     def test_unknown_example_usage_error(self):
         assert main(["reproduce", "3"]) == 64

@@ -37,6 +37,7 @@ from pwscontract.regularize import integrate_regularized
 from conftest import (
     CHAIN_STARTS,
     GOLDEN_STARTS,
+    LEAVES_BOX,
     STARTS_3D,
     STIFF,
     STIFF_SLIDE,
@@ -869,7 +870,7 @@ class TestSlideExit:
             return located[-1]
 
         monkeypatch.setattr(filippov, "_bisect", recording)
-        builder = filippov._Builder(2)
+        builder = filippov._Builder(system.box)
         sid = builder.open_segment("slide", 0.0)
         # one step of 1e-3 from x1 = -5e-4 flags both surfaces
         kind, mode, t, x = filippov._run_slide(
@@ -897,3 +898,119 @@ class TestSlideExit:
         _, _, si, sj = filippov._pair(ex1, 0, 1, 2)(xe)
         lam = _lambda_raw(si, sj)
         assert abs(min(lam - TOL_LAMBDA, 1.0 - TOL_LAMBDA - lam)) <= filippov.TOL_EVENT
+
+
+class TestBoxExit:
+    def test_first_sample_outside_the_box(self):
+        traj = integrate(make_system(LEAVES_BOX), [1.0, 0.0], 30.0)
+        t, x = traj.box_exit
+        assert t == pytest.approx(16.095, abs=1e-9)
+        assert x[0] > 5.0 + 1e-9 and np.array_equal(x, traj.states[traj.times == t][0])
+        before = traj.states[traj.times < t]
+        assert np.all(np.abs(before) <= 5.0 + 1e-9)
+        assert traj.states[-1, 0] > 20.0  # reported, not refused
+
+    def test_example2_corner_start_leaves_at_once(self, ex2):
+        t, x = integrate(ex2, [5.0, -5.0], 20.0).box_exit
+        assert t == 0.001 and x[0] > 5.0
+
+    def test_golden_starts_of_example1_stay_inside(self, ex1):
+        for x0 in GOLDEN_STARTS:
+            assert integrate(ex1, x0, 20.0).box_exit is None
+
+    def test_regularized_trajectory_reports_it_too(self):
+        t, _ = integrate_regularized(make_system(LEAVES_BOX), 1e-2, [1.0, 0.0],
+                                     30.0).box_exit
+        assert t == pytest.approx(16.095, abs=1e-9)
+
+    def test_non_cube_box(self):
+        # the cube inside [-5, 5] x [-1, 20] is [-1, 5]^2 and its hull is
+        # [-5, 20]^2: x = (t/2, t) leaves the cube at t = 5 and the box at
+        # t = 10, inside the hull
+        doc = {**LEAVES_BOX, "modes": [{"A": [[0.0, 0.0], [0.0, 0.0]],
+                                        "b": [0.5, 1.0]}],
+               "box": {"lower": [-5, -1], "upper": [5, 20]}}
+        system = make_system(doc)
+        assert integrate(system, [0.0, 0.0], 9.0).box_exit is None
+        t, x = integrate(system, [0.0, 0.0], 11.0).box_exit
+        assert t == pytest.approx(10.001) and x[0] > 5.0
+
+
+class TestLongAxisScan:
+    """The whole-trajectory passes along the long axis give the results of
+    the per-row reductions they replace."""
+
+    MESSAGE = ("the state is not finite from t={t:.6g} on: the step is too large "
+               "for the dynamics, or a field returned a non-finite value; use a "
+               "smaller --step")
+
+    @pytest.mark.parametrize("row", [0, 517, 999])
+    @pytest.mark.parametrize("col", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_finish_names_the_first_non_finite_row(self, row, col, value):
+        builder = filippov._Builder(AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+        sid = builder.open_segment("flow", 0.0)
+        ts = 1e-3 * np.arange(1000)
+        X = np.zeros((1000, 2))
+        X[row, col] = value
+        X[row + 1:, 1 - col] = math.nan  # later rows do not count
+        X[:row, 0] = 7.0  # nor do earlier rows outside the box
+        builder.add_block(ts, X, sid)
+        with pytest.raises(NonFiniteStateError) as info:
+            builder.finish()
+        assert str(info.value) == self.MESSAGE.format(t=ts[row])
+
+    def test_event_flags_are_the_sign_product_rule(self):
+        tol = filippov.TOL_EVENT
+        edge = np.array([0.0, -0.0, tol, -tol, 2 * tol, -2 * tol, tol / 2, -tol / 2,
+                         math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300])
+        h0, h1 = (a.ravel() for a in np.meshgrid(edge, edge))
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            H = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-12, 2, (2000, 3))
+            h0 = np.concatenate((h0, H[:-1].ravel()))
+            h1 = np.concatenate((h1, H[1:].ravel()))
+        assert np.array_equal(filippov._event_flags(h0, h1, tol),
+                              (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol))
+
+    def test_first_row_rule(self):
+        rng = np.random.default_rng(20)
+        for m in (1, 2, 3, 4):
+            for density in (0.0, 1e-3, 0.05, 0.5):
+                ev = rng.random((4096, m)) < density
+                if density:  # every surface flagged on one row: a tie
+                    ev[rng.integers(4096)] = True
+                rows = np.flatnonzero(ev.any(axis=1))
+                expected = int(rows[0]) if rows.size else len(ev)
+                assert filippov._first_row(ev) == expected
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "chain3d"])
+    def test_scan_block_values(self, name, chain3d):
+        system = chain3d if name == "chain3d" else fresh(name)
+        events = filippov._EventSurfaces(system, system.manifolds)
+        rng = np.random.default_rng(5)
+        box = system.box
+        for mode in system.modes:
+            for _ in range(4):
+                x = rng.uniform(box.lower, box.upper)
+                _, X = filippov._advance_blocks(mode.affine, "", x, 0.0, 1e-3, 20.0,
+                                                filippov.MAX_CHAIN)
+                Hs, ev = events.scan_block(x, X)
+                assert np.array_equal(Hs[1:], X @ events.C.T - events.d)
+                assert np.array_equal(
+                    ev, filippov._event_flags(Hs[:-1], Hs[1:], filippov.TOL_EVENT))
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_stacked_pair_is_the_mode_fields(self, name):
+        system = fresh(name)
+        rng = np.random.default_rng(6)
+        for k, man in enumerate(system.manifolds):
+            for i in range(1, system.n_modes + 1):
+                for j in range(1, system.n_modes + 1):
+                    pair = filippov._pair(system, k, i, j)
+                    for x in rng.uniform(-5.0, 5.0, (20, 2)):
+                        fi, fj, si, sj = pair(x)
+                        g = man.grad(x)
+                        assert np.array_equal(fi, system.mode(i).f(x))
+                        assert np.array_equal(fj, system.mode(j).f(x))
+                        assert (si, sj) == (float(np.dot(g, fi)), float(np.dot(g, fj)))

@@ -9,8 +9,8 @@ x86-64; another BLAS or CPU may round a matrix product differently and
 change them.
 
 Run as a script, with the package importable (installed, or with
-PYTHONPATH=src), the file prints the current digest of every case and marks
-the ones that differ from the recorded digest:
+PYTHONPATH=src), the file prints the current digest of every case, marks
+the ones that differ from the recorded digest, and exits 1 when any does:
 
     python tests/test_output_digests.py
 """
@@ -18,6 +18,7 @@ the ones that differ from the recorded digest:
 import contextlib
 import hashlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -175,9 +176,9 @@ def test_trajectory_digest(request, name):
     assert case_digest(name, request.getfixturevalue(fixture)) == digest
 
 
-def print_digests():
+def print_digests() -> int:
     """Print every case's current digest, "changed" where it differs from
-    the recorded one."""
+    the recorded one; the number of changed cases."""
     import tempfile
     from pathlib import Path
 
@@ -192,7 +193,8 @@ def print_digests():
                    for name, (fixture, _, _, digest) in TRAJECTORY_CASES.items())
     for name, (now, recorded) in current.items():
         print(f"{name:44s} {now}{'' if now == recorded else '  changed'}")
+    return sum(now != recorded for now, recorded in current.values())
 
 
 if __name__ == "__main__":
-    print_digests()
+    sys.exit(1 if print_digests() else 0)
