@@ -457,11 +457,14 @@ class PairwiseReport:
         return all(e["passed"] for e in self.entries)
 
     def to_dict(self) -> dict:
+        """As JSON data: a non-finite ratio (NaN where a later distance is 0,
+        -inf where d(0) = 0) becomes null, as in the certificate report."""
         return {
             "verdict": "pass" if self.passed else "fail",
             "tol_decay": self.tol_decay,
             "metric": {"Q": self.metric.Q.tolist(), "c": self.metric.c},
-            "pairs": self.entries,
+            "pairs": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in e.items()} for e in self.entries],
         }
 
 

@@ -171,12 +171,14 @@ def _write_manifest(out_path: Path, args, command: str, config: str,
     if results is not None:
         manifest["results"] = results
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    """Write a data output; a non-finite number is refused, not written as the
+    invalid JSON tokens NaN or Infinity."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -274,14 +276,15 @@ def cmd_search_q(args) -> int:
     result = search_certificate(system, opts=opts)
     out = Path(args.out)
     doc = {"found": result.found, "reason": result.reason,
-           "trace": [{"c": c, "margin": m} for c, m in result.trace]}
+           "trace": [{"c": c, "margin": m if math.isfinite(m) else None}
+                     for c, m in result.trace]}
     if result.found:
         doc["metric"] = {"Q": result.metric.Q.tolist(), "c": result.metric.c}
         doc["report"] = result.report.to_dict()
     _write_json(out, doc)
     _write_manifest(out, args, "search-q", config,
                     {"c_lo": args.c_lo, "c_hi": args.c_hi},
-                    [out])
+                    [out], result.stats)
     if result.found:
         print(f"found certificate with c={result.metric.c:.6g}")
         return EXIT_OK

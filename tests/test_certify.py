@@ -323,6 +323,27 @@ class TestPairwise:
         assert report.passed
         assert report.entries[0]["max_log_ratio"] == -math.inf
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_report_writes_no_non_finite_number(self):
+        # both runs stay on x2 = 0 and reach the same float equilibrium, so a
+        # later distance is exactly 0 (worst_violation NaN); the second pair
+        # starts at d(0) = 0 (max_log_ratio -inf). JSON has null for both.
+        system = make_system({
+            "dimension": 2, "topology": "chain",
+            "modes": [{"A": [[-15.0, 0.0], [0.0, -15.0]], "b": [15.0, 0.0]}],
+            "manifolds": [],
+            "box": {"lower": [-5, -5], "upper": [5, 5]},
+        })
+        pairs = [(np.array([-3.0, 0.0]), np.array([4.0, 0.0])),
+                 (np.array([1.0, 2.0]), np.array([1.0, 2.0]))]
+        report = pairwise_contraction_test(system, Metric.identity(2, 0.5), pairs, 5.0)
+        assert math.isnan(report.entries[0]["worst_violation"])
+        assert report.entries[1]["max_log_ratio"] == -math.inf
+        doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert doc["pairs"][0]["worst_violation"] is None
+        assert doc["pairs"][1]["max_log_ratio"] is None
+        assert doc["pairs"][0]["max_log_ratio"] == 0.0
+
     def test_uncertified_rate_fails(self, ex1):
         # rate far above the certified one: the bound must be violated
         pairs = [(np.array([-3.0, -4.0]), np.array([3.0, 4.0]))]

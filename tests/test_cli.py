@@ -255,6 +255,36 @@ class TestPairwiseAndSearch:
         doc = json.loads((tmp_path / "s.json").read_text())
         assert not doc["found"] and "certifies c = " in doc["reason"]
 
+    def test_search_q_manifest_holds_the_search_statistics(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["search-q", "--config", "example2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"found", "reason", "trace", "metric", "report"}
+        stats = json.loads((tmp_path / "s.json.manifest.json").read_text())["results"]
+        assert stats["centres"] == len(stats["newton_steps_per_centre"]) > 0
+        assert stats["newton_steps"] == sum(stats["newton_steps_per_centre"])
+        assert doc["metric"]["c"] <= stats["upper_bound"] <= doc["metric"]["c"] + 1e-3
+        assert stats["cond_q"] == pytest.approx(np.linalg.cond(doc["metric"]["Q"]))
+
+    def test_search_q_refused_metric_writes_null_margin(self, tmp_path, monkeypatch):
+        # a Q that measure refuses has margin -inf, once written as -Infinity
+        import pwscontract.qsearch as qsearch
+
+        def refuse(Q, mats):
+            raise ValueError("Q is singular or too ill-conditioned (cond > 1e12)")
+
+        monkeypatch.setattr(qsearch, "measure_many", refuse)
+        out = tmp_path / "s.json"
+        assert main(["search-q", "--config", "example2", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert doc["trace"] and all(e["margin"] is None for e in doc["trace"])
+
+    def test_json_writers_refuse_non_finite_numbers(self, tmp_path):
+        from pwscontract.cli import _write_json
+
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"x": float("nan")})
+
     @pytest.mark.parametrize("flags", [
         ["--c-lo", "2", "--c-hi", "1"], ["--c-hi", "nan"], ["--c-lo", "-1"],
     ])

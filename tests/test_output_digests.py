@@ -1,5 +1,6 @@
 """SHA-256 of the data outputs (CSV and report JSON, not manifests) of the
-README commands, of `certify` on both examples with both strategies, and of
+README commands, of `certify` on both examples with both strategies, of
+`search-q` on both examples with the default bracket, and of
 `reproduce 1/2`, run in-process; and of the raw trajectory arrays (times,
 states, lambdas, seg_index) of `integrate` and `integrate_regularized` runs
 on the shipped examples, their handle-mode and handle-manifold copies, and
@@ -64,6 +65,10 @@ CASES = {
                     "50ef66fde2060d50258eefba9a4bb7d02a54c7701d9c43b1c402ef615d099ed3"),
     "reproduce-2": (["reproduce", "2"],
                     "88af8afe5fb554fd6263fbcb33455e4df76b6e8f8c0f18d8acf84d25d436d514"),
+    "search-q-1": (["search-q", "--config", "example1"],
+                   "e38a9ac5820583c1cd1465899bd75aa2b550f6c68ee72983bf4789899216dc24"),
+    "search-q-2": (["search-q", "--config", "example2"],
+                   "54f1e969c116111534eb363f70e142ca4fbe684b4890faed5b49a1af82541a17"),
 }
 
 

@@ -94,17 +94,23 @@ class TestSearch:
         assert a.metric.c == b.metric.c
         assert np.array_equal(a.metric.Q, b.metric.Q)
 
-    def test_returned_rate_tracks_trace(self, ex1):
+    def test_returned_rate_tracks_trace(self, ex1, ex2):
+        # one trace entry per point (the start, then each centre): the returned
+        # rate is the best accepted one, within c_tol of the duality bound
         opts = SearchOptions(c_tol=1e-3, c_hi=2.0)
-        result = search_certificate(ex1, opts=opts)
-        feasible = [c for c, m in result.trace if m >= -1e-12]
-        assert result.metric.c == max(feasible)
-        infeasible = [c for c, m in result.trace if m < -1e-12]
-        if infeasible:
-            assert min(infeasible) - result.metric.c <= opts.c_tol + 1e-12
+        for system in (ex1, ex2):
+            result = search_certificate(system, opts=opts)
+            accepted = [c for c, m in result.trace if m >= -1e-12]
+            assert result.metric.c == max(accepted)
+            assert len(result.trace) == result.stats["centres"] + 1
+            upper = result.stats["upper_bound"]
+            assert result.metric.c <= upper
+            if result.metric.c < opts.c_hi:
+                assert upper - result.metric.c <= opts.c_tol
 
     def test_known_rate_single_mode(self):
-        # mu_Q(-I) = -1 for every metric: the best certifiable rate is 1
+        # mu_Q(-I) = -1 for every metric: the best certifiable rate is 1, and
+        # the duality bound holds it from above
         system = make_system({
             "dimension": 2, "topology": "chain",
             "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}],
@@ -113,7 +119,17 @@ class TestSearch:
         })
         result = search_certificate(system)
         assert result.found
+        assert result.metric.c <= 1.0 <= result.stats["upper_bound"]
         assert result.metric.c == pytest.approx(1.0, abs=2e-3)
+
+    def test_statistics(self, ex1):
+        result = search_certificate(ex1, opts=SearchOptions(c_lo=0.99, c_hi=1.01))
+        stats = result.stats
+        assert stats["centres"] == len(stats["newton_steps_per_centre"])
+        assert stats["newton_steps"] == sum(stats["newton_steps_per_centre"])
+        assert stats["cond_q"] == result.metric.cond()
+        # each centre warm-starts from the last: a handful of Newton steps each
+        assert stats["newton_steps"] <= 8 * stats["centres"] <= 8 * 120
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"c_hi": math.inf}, "finite 0 <= c_lo < c_hi"),
@@ -125,7 +141,7 @@ class TestSearch:
         ({"c_tol": math.nan}, "c_tol"),
     ])
     def test_options_must_be_finite(self, kwargs, match):
-        # an infinite c_hi, or a c_tol <= 0, once made the bisection endless
+        # an infinite c_hi, or a c_tol <= 0, once made the search endless
         with pytest.raises(ValueError, match=match):
             SearchOptions(**kwargs)
 
@@ -154,7 +170,7 @@ class TestSearchMargin:
 
 class TestExactSynthesis:
     # rates found by the earlier simplex search with default options; the
-    # exact synthesis must find at least these, less the bisection tolerance
+    # exact synthesis must find at least these, less the stopping gap c_tol
     EARLIER = {"ex1": 0.9994353027343749, "ex2": 1.8782536621093748,
                "chain4": 0.9994353027343749, "chain3d": 0.9994353027343749,
                "ex1_transformed": 0.9994353027343749}
@@ -180,6 +196,22 @@ class TestExactSynthesis:
     def test_transformed_example_reference_metric(self, ex1_transformed):
         assert margin(ex1_transformed, Metric(np.linalg.inv(T), 0.5)) >= -1e-12
         assert margin(ex1_transformed, Metric.identity(2, 0.5)) < 0.0
+
+    # rates the bisection on c returned before the method of centres replaced
+    # it; the search must not fall below them
+    BISECTION = {("ex1", None): 0.999435, ("ex2", None): 1.878254,
+                 ("ex1", (0.99, 1.01)): 0.999375, ("ex2", (1.87, 1.89)): 1.878125}
+
+    @pytest.mark.parametrize("name, bracket", sorted(BISECTION, key=str))
+    def test_rate_at_least_the_bisection(self, name, bracket, request):
+        system = request.getfixturevalue(name)
+        opts = SearchOptions(*bracket) if bracket else SearchOptions()
+        result = search_certificate(system, opts=opts)
+        assert result.found and result.report.passed
+        assert result.metric.c >= self.BISECTION[name, bracket]
+        # no metric beats the slowest mode's decay rate
+        bound = min(-np.linalg.eigvals(m.affine.A).real.max() for m in system.modes)
+        assert result.metric.c <= bound + 1e-12
 
     def test_example1_bench_bracket_stays_below_the_supremum(self, ex1):
         # c = 1 is the supremum over metrics, attained only as cond(Q) -> inf
