@@ -15,14 +15,14 @@ __version__ = "0.1.0"
 _HOMES = {
     **dict.fromkeys(("Metric", "is_positive_definite", "matrix_measure",
                      "measure_many"), "measure"),
-    **dict.fromkeys(("AnalysisBox", "AffineField", "ConfigError", "IntersectionCheck",
-                     "Manifold", "Mode", "PwsSystem", "RegionLocation",
-                     "StiffStepError", "TopologyError", "builtin_config_path",
-                     "check_box_invariance", "check_intersection_assumption",
-                     "load_system", "load_system_file", "locate"), "model"),
-    **dict.fromkeys(("BoundaryClass", "EscapingRegionError",
-                     "IntersectionAssumptionError", "NonFiniteStateError", "Segment",
-                     "SolverOptions", "StepUnderflowError", "Trajectory",
+    **dict.fromkeys(("AnalysisBox", "AffineField", "ConfigError", "EscapingRegionError",
+                     "IntersectionAssumptionError", "IntersectionCheck", "Manifold",
+                     "Mode", "NonFiniteStateError", "PwsSystem", "RegionLocation",
+                     "StepUnderflowError", "StiffStepError", "TopologyError",
+                     "builtin_config_path", "check_box_invariance",
+                     "check_intersection_assumption", "load_system", "load_system_file",
+                     "locate"), "model"),
+    **dict.fromkeys(("BoundaryClass", "Segment", "SolverOptions", "Trajectory",
                      "classify_boundary", "integrate", "sliding_field",
                      "write_trajectory_csv"), "filippov"),
     **dict.fromkeys(("ConvergenceTable", "RegularizedSystem", "convergence_study",

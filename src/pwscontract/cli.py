@@ -11,11 +11,11 @@ Each output gets a ``*.manifest.json`` with the options, the import time
 trajectory outside the box (``box_exit``, ``box_exits`` per golden start),
 which changes no exit code and no data output. A run from the shell counts
 both from the first statement of the package import: ``import_s`` ends where
-this module's own imports end (numpy, ``measure``, ``model`` and
-``filippov``), and ``wall_time_s`` when the manifest is written. The modules
-that only some commands use (``regularize``, ``certify``, ``qsearch``) are
+this module's own imports end (numpy, ``measure`` and ``model``), and
+``wall_time_s`` when the manifest is written. The modules that only some
+commands use (``filippov``, ``regularize``, ``certify``, ``qsearch``) are
 imported inside those commands, so their import counts in the wall time
-only.
+only; ``certify`` and ``search-q`` never load the Filippov solver.
 """
 
 from __future__ import annotations
@@ -34,24 +34,20 @@ from . import _IMPORT_T0, __version__
 from .measure import Metric, matrix_measure
 from .model import (
     ConfigError,
+    EscapingRegionError,
+    IntersectionAssumptionError,
+    NonFiniteStateError,
     PwsSystem,
+    StepUnderflowError,
     StiffStepError,
     TopologyError,
     builtin_config_path,
     load_system_file,
 )
-from .filippov import (
-    EscapingRegionError,
-    IntersectionAssumptionError,
-    NonFiniteStateError,
-    SolverOptions,
-    StepUnderflowError,
-    integrate,
-    write_trajectory_csv,
-)
 
 # a run from the shell counts the package import from its stamp to here; the
-# modules of other commands (regularize, certify, qsearch) load in the command
+# modules of the commands (filippov, regularize, certify, qsearch) load in
+# the command
 _IMPORT_S = time.perf_counter() - _IMPORT_T0
 
 EXIT_OK = 0
@@ -199,6 +195,8 @@ def _box_exit(traj) -> dict | None:
 
 
 def cmd_simulate(args) -> int:
+    from .filippov import SolverOptions, integrate, write_trajectory_csv
+
     system, config = _load_config(args.config)
     x0 = _parse_vector(args.x0, system.dimension)
     opts = SolverOptions(step=args.step)
@@ -242,6 +240,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_regularize(args) -> int:
+    from .filippov import SolverOptions
     from .regularize import convergence_study, sweep_widths, write_convergence_csv
 
     system, config = _load_config(args.config)
@@ -294,6 +293,7 @@ def cmd_search_q(args) -> int:
 
 def cmd_pairwise(args) -> int:
     from .certify import pairwise_contraction_test
+    from .filippov import SolverOptions
 
     system, config = _load_config(args.config)
     metric = _parse_metric(system, args.Q, args.c)
@@ -319,6 +319,7 @@ def cmd_pairwise(args) -> int:
 
 def cmd_reproduce(args) -> int:
     from .certify import pairwise_contraction_test
+    from .filippov import SolverOptions, integrate
 
     example_id = args.example
     golden = _GOLDEN[example_id]

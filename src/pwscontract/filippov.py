@@ -72,8 +72,12 @@ from .model import (
     TOL_EVENT,
     TOL_LIE,
     AffineField,
+    EscapingRegionError,
+    IntersectionAssumptionError,
     PwsSystem,
     Manifold,
+    NonFiniteStateError,
+    StepUnderflowError,
     StiffStepError,
     TopologyError,
     _bisect,
@@ -109,34 +113,6 @@ BLOCK = 256  # exact RK4 steps per affine block
 MAX_CHAIN = 64  # most affine blocks a flow advances between two event scans
 TOL_RANK_ONE = 1e-12  # relative residual of a mode jump from u c^T for an affine slide
 MAX_TRANSITIONS = 200_000
-
-
-class EscapingRegionError(RuntimeError):
-    """Trajectory reached an escaping region where the solution is not unique."""
-
-    def __init__(self, t, x, manifold, sigma_i, sigma_j):
-        super().__init__(
-            f"escaping region on {manifold} at t={t:.6g}, x={np.asarray(x)}: "
-            f"sigma_i={sigma_i:.6g} < 0 < sigma_j={sigma_j:.6g}; "
-            "the Filippov solution is not unique here")
-        self.t = t
-        self.x = np.asarray(x, dtype=float)
-        self.manifold = manifold
-        self.sigma_i = sigma_i
-        self.sigma_j = sigma_j
-
-
-class IntersectionAssumptionError(RuntimeError):
-    """Trajectory reached the manifold intersection but the common-sector
-    assumption does not hold."""
-
-
-class StepUnderflowError(RuntimeError):
-    pass
-
-
-class NonFiniteStateError(RuntimeError):
-    """An integration produced a NaN or infinite state."""
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ __all__ = [
     "ConfigError",
     "TopologyError",
     "StiffStepError",
+    "EscapingRegionError",
+    "IntersectionAssumptionError",
+    "StepUnderflowError",
+    "NonFiniteStateError",
     "AffineField",
     "Mode",
     "Manifold",
@@ -101,6 +105,34 @@ def _vec(v, n: Optional[int] = None, name: str = "vector") -> np.ndarray:
 class StiffStepError(RuntimeError):
     """Raised when an RK4 step is outside the stability region of a decaying
     mode, so the discrete flow would grow where the true flow decays."""
+
+
+class EscapingRegionError(RuntimeError):
+    """Trajectory reached an escaping region where the solution is not unique."""
+
+    def __init__(self, t, x, manifold, sigma_i, sigma_j):
+        super().__init__(
+            f"escaping region on {manifold} at t={t:.6g}, x={np.asarray(x)}: "
+            f"sigma_i={sigma_i:.6g} < 0 < sigma_j={sigma_j:.6g}; "
+            "the Filippov solution is not unique here")
+        self.t = t
+        self.x = np.asarray(x, dtype=float)
+        self.manifold = manifold
+        self.sigma_i = sigma_i
+        self.sigma_j = sigma_j
+
+
+class IntersectionAssumptionError(RuntimeError):
+    """Trajectory reached the manifold intersection but the common-sector
+    assumption does not hold."""
+
+
+class StepUnderflowError(RuntimeError):
+    pass
+
+
+class NonFiniteStateError(RuntimeError):
+    """An integration produced a NaN or infinite state."""
 
 
 def _check_rk4_step(eigenvalues, h: float) -> None:

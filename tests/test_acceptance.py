@@ -13,7 +13,7 @@ from pwscontract.measure import Metric, matrix_measure
 from pwscontract import filippov
 from pwscontract.model import AffineField, AnalysisBox, Manifold, Mode, PwsSystem
 from pwscontract.filippov import SolverOptions, integrate, sliding_field
-from pwscontract.regularize import RegularizedSystem, convergence_study
+from pwscontract.regularize import RegularizedSystem, convergence_study, integrate_regularized
 from pwscontract.certify import (
     check_chain_certificate,
     check_cross_certificate,
@@ -332,3 +332,17 @@ def test_criterion_13_band_closures(ex1, monkeypatch):
     ok = not calls and table.is_monotone_decreasing()
     report(13, ok, f"stacked-blend calls in example1's study: {len(calls)} "
                    f"(must be 0); gaps monotone: {table.is_monotone_decreasing()}")
+
+
+def test_criterion_14_regularized_chain_runtime(chain4):
+    # the 4-mode chain slides in the band of x1 = 0 from about t = 1.6 on:
+    # band steps sized by their error estimate, not at most eps/10 (6.6 s)
+    integrate_regularized(chain4, 1e-3, np.array([-5.0, -5.0]), 0.01)  # block maps
+    t0 = time.perf_counter()
+    traj = integrate_regularized(chain4, 1e-3, np.array([-5.0, -5.0]), 20.0)
+    elapsed = time.perf_counter() - t0
+    dist = float(np.linalg.norm(traj.final_state))
+    ok = dist <= 1e-3 and elapsed < 1.0
+    report(14, ok, f"4-mode chain at eps 1e-3 from (-5, -5) to T = 20: final "
+                   f"distance {dist:.2e} to the equilibrium (<= eps), runtime "
+                   f"{elapsed * 1e3:.1f} ms (< 1 s)")

@@ -323,11 +323,11 @@ class TestPairwise:
         assert report.passed
         assert report.entries[0]["max_log_ratio"] == -math.inf
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_report_writes_no_non_finite_number(self):
         # both runs stay on x2 = 0 and reach the same float equilibrium, so a
-        # later distance is exactly 0 (worst_violation NaN); the second pair
-        # starts at d(0) = 0 (max_log_ratio -inf). JSON has null for both.
+        # later distance is exactly 0: the ratio test ends at the resolution
+        # before that (it read log 0 - log 0 = NaN there). The second pair
+        # starts at d(0) = 0 (max_log_ratio -inf, null in JSON)
         system = make_system({
             "dimension": 2, "topology": "chain",
             "modes": [{"A": [[-15.0, 0.0], [0.0, -15.0]], "b": [15.0, 0.0]}],
@@ -337,12 +337,22 @@ class TestPairwise:
         pairs = [(np.array([-3.0, 0.0]), np.array([4.0, 0.0])),
                  (np.array([1.0, 2.0]), np.array([1.0, 2.0]))]
         report = pairwise_contraction_test(system, Metric.identity(2, 0.5), pairs, 5.0)
-        assert math.isnan(report.entries[0]["worst_violation"])
-        assert report.entries[1]["max_log_ratio"] == -math.inf
+        first, second = report.entries
+        assert first["passed"] and 0.0 < first["resolved_from"] < 5.0
+        assert first["worst_violation"] == 0.0
+        assert second["passed"] and second["resolved_from"] == 0.0
+        assert second["max_log_ratio"] == -math.inf
         doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
-        assert doc["pairs"][0]["worst_violation"] is None
-        assert doc["pairs"][1]["max_log_ratio"] is None
         assert doc["pairs"][0]["max_log_ratio"] == 0.0
+        assert doc["pairs"][1]["max_log_ratio"] is None
+
+    def test_decay_test_ends_at_the_resolution(self, ex2):
+        # a pair that never reaches the resolution keeps the whole ratio
+        # test: resolved_from is None, in the report and in JSON
+        pairs = [(np.array([-4.0, 3.0]), np.array([3.0, -4.0]))]
+        report = pairwise_contraction_test(ex2, Metric.identity(2, 1.87), pairs, 5.0)
+        assert report.passed and report.entries[0]["resolved_from"] is None
+        assert report.to_dict()["pairs"][0]["resolved_from"] is None
 
     def test_uncertified_rate_fails(self, ex1):
         # rate far above the certified one: the bound must be violated

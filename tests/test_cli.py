@@ -226,6 +226,27 @@ class TestPairwiseAndSearch:
         assert doc["verdict"] == "pass"
         assert len(doc["pairs"]) == 4
 
+    @pytest.mark.parametrize("t_final", ["3", "5", "10", "20"])
+    def test_pairs_at_the_equilibrium_pass(self, tmp_path, t_final):
+        # one certified mode -15 (x - (1, 0)): both runs of a pair reach the
+        # equilibrium to rounding by t ~ 2.5, and from there d is noise of
+        # about 1e-17 that rises as often as it falls. The ratio test ends
+        # where d falls to the resolution; it failed 0/10 pairs from T = 3 on
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({
+            "dimension": 2, "topology": "chain",
+            "modes": [{"A": [[-15.0, 0.0], [0.0, -15.0]], "b": [15.0, 0.0]}],
+            "manifolds": [],
+            "box": {"lower": [-5, -5], "upper": [5, 5]},
+        }))
+        out = tmp_path / "pw.json"
+        rc = main(["pairwise", "--config", str(cfg), "--Q", "identity", "--c", "0.5",
+                   "--pairs", "10", "--t-final", t_final, "--out", str(out)])
+        assert rc == 0
+        pairs = json.loads(out.read_text())["pairs"]
+        assert all(p["passed"] and 2.0 <= p["resolved_from"] <= 2.5 for p in pairs)
+        assert all(p["worst_violation"] <= 1e-12 for p in pairs)
+
     def test_search_q_found(self, tmp_path):
         cfg = tmp_path / "single.json"
         cfg.write_text(json.dumps({
@@ -550,6 +571,30 @@ class TestLazyImports:
             assert f"pwscontract.{name}" not in loaded
         manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
         assert manifest["wall_time_s"] >= manifest["import_s"] > 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--config", "example2", "--c", "1.87", "--out", "cert.json"],
+        ["search-q", "--config", "example2", "--out", "search.json"]],
+        ids=["certify", "search-q"])
+    def test_certificate_commands_load_no_solver(self, tmp_path, argv):
+        # checking or searching a certificate integrates nothing, so neither
+        # the Filippov solver nor the regularization is imported
+        code = (
+            "import json, runpy, sys\n"
+            f"sys.argv = ['pwscontract', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('pwscontract.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('pwscontract')]))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert "pwscontract.certify" in loaded
+        for name in ("filippov", "regularize"):
+            assert f"pwscontract.{name}" not in loaded
 
     def test_every_public_name_resolves_to_its_module(self):
         import importlib

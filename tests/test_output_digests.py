@@ -48,7 +48,7 @@ CASES = {
                  "0deb992d3f1728870fce419439026fd8c8f48bd36b17dd22648c327ac154b794"),
     "regularize": (["regularize", "--config", "example1", "--x0", "-3,-4",
                     "--t-final", "20", "--eps", README_SWEEP],
-                   "28906328b1bc814b2ed7a4f95f5fdc2169e538cb5c6a110eb463eb6d6f28989e"),
+                   "ae72a2ffd5686adcb02e4081de05b9fe7a36853a0fc012bed58f8b397bf7442c"),
     "certify-1-vertex": (["certify", "--config", "example1", "--Q", "identity",
                           "--c", "0.5"],
                          "ad9122743e69cd2e3954b474c469ab3040ba6b46f64b42975ef63993c6a55992"),
@@ -123,22 +123,22 @@ TRAJECTORY_CASES = {
         "f63b4f336d1ceaedbff82654de0fefb11929ef0668a6356274c70b7684964c03"),
     "regularized-example1-1e-2": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
-        "c7aa70fc119561f148919a21add2c0da0f5fa01ae1b2d6c3c503a0d9decfe7b0"),
+        "b99db9fb0041b75d294f26fb645f23f2cbc5c06daf493a7979779033b46fb679"),
     "regularized-example2-1e-2": (
         "ex2", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
-        "762973e3edc934f8507d7785df63bf481f40a90c97e1381a084a59919a8de3d3"),
+        "f2fdf658b3d50406451995450832f38f8ffe4bf7f777dff494ec80448f4fd239"),
     "integrate-chain4": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0),
         "c77babc0eca41a7e3994ad5b47803dde3a39f0bf9e0d9819caf66b46a7af4301"),
     "regularized-chain4-1e-2": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
-        "0a3c080f14848397afa6d7acfe475adf1fd4fe78445528efac044f12ecf17fa2"),
+        "e303d2e00949ca3df24af50183a2ee183396e1f4e8f0cddea0a762f949c434eb"),
     "integrate-chain3d": (
         "chain3d", STARTS_3D, lambda s, x: integrate(s, x, 3.0),
         "e2a191d8ea93ef74b8edf7ec29429f633d8ff56a24a773f45f364fc93d5d31b1"),
     "regularized-chain3d-1e-2": (
         "chain3d", STARTS_3D, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
-        "e958206ad052d2f376c926d771565ef7127c9db1b921fab794700adec85b529c"),
+        "609e5054820b8ce1d93e0602ee99e40b87efe3821079876151dca45389d482a7"),
     # the handle copies take the stepwise code of every mode or surface that
     # is not affine; by T = 1.5 the eight runs hold 4 slides and 4 crossings
     # on example1 and 2 slides and 7 crossings on example2
@@ -148,14 +148,14 @@ TRAJECTORY_CASES = {
     "regularized-handle-example1-1e-2": (
         "handle_ex1", GOLDEN_STARTS,
         lambda s, x: integrate_regularized(s, 1e-2, x, 1.5),
-        "8e7f93fb42a5c08271d839097d4c76810d01ecf3da936e46f890344facf8dfbc"),
+        "c3b27c01b47bea9121a54837046fbc23309e498c1cf3b7ab5408dcdf88e32a7b"),
     "integrate-handle-manifold-example2": (
         "handle_manifold_ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 1.5),
         "e9f2de518a8055376b6bcf6b99253d138853759795db25e23baaeeb64546fe7b"),
     "regularized-handle-manifold-example2-1e-2": (
         "handle_manifold_ex2", GOLDEN_STARTS,
         lambda s, x: integrate_regularized(s, 1e-2, x, 1.5),
-        "663b9a637dd632e46ad8ad54711000b16d47f94a2d208571c79886596cfcdec0"),
+        "692a1db2a83c6904354f64a53ca7a53925c9c9f35f90a7071f24012de92b2a31"),
 }
 
 

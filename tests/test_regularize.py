@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pwscontract import regularize
-from pwscontract.filippov import TOL_EVENT, _rk4, integrate, sliding_field
+from pwscontract.filippov import TOL_EVENT, SolverOptions, _rk4, integrate, sliding_field
 from pwscontract.model import (
     AnalysisBox,
     Manifold,
@@ -475,7 +475,7 @@ class TestBandClosure:
         band = reg.band(np.array([2.0, 0.0, -2.0]))
         x = np.array([0.003, 0.5])
         assert np.allclose(reg.jacobian(x), [[-101.0, 0.0], [0.0, -1.0]], rtol=1e-15)
-        assert band.radius(x) == pytest.approx(101.0, rel=1e-15)
+        assert band.bound(band.stage(x)[2]) == pytest.approx(101.0, rel=1e-15)
         rng = np.random.default_rng(34)
         for system in (ex1, chain4):
             reg = RegularizedSystem(system, 1e-2)
@@ -484,7 +484,7 @@ class TestBandClosure:
                     band = reg.band(system.h_values(x))
                     J = reg.jacobian(x)
                     rho = np.max(np.abs(np.linalg.eigvals(J)))
-                    assert rho <= band.radius(x) * (1.0 + 1e-12)
+                    assert rho <= band.bound(band.stage(x)[2]) * (1.0 + 1e-12)
                     assert np.allclose(J, fd_jacobian(band.field, x),
                                        rtol=1e-6, atol=1e-4)
 
@@ -502,42 +502,51 @@ class TestBandClosure:
 
 
 class TestBandStepping:
-    def test_step_into_another_band_is_redone_with_stacked_blend(self):
-        # a closure holds the other clamps at +-1, so the step that ends in
-        # the second band is taken again with the stacked blend
+    def test_step_into_another_band_is_cut_at_each_edge(self):
+        # one grid step of 1e-3 at x1' ~ 100 runs from the band of x1 = 0
+        # through the gap into the band of x1 = 0.25. The band step is cut
+        # where it leaves its band, the flow engine crosses the gap and stops
+        # at the next band's edge, so both edges are samples. A closure holds
+        # the other clamps at +-1, and used to step into the second band
         system = make_system(NEAR_BANDS)
         eps = 0.1
-        reg = RegularizedSystem(system, eps)
-        traj = integrate_regularized(system, eps, [-0.95, 1.0], 0.05)
-        entered = 0
-        for k in range(len(traj.times) - 1):
-            x0, x1 = traj.states[k], traj.states[k + 1]
-            h0, h1 = system.h_values(x0), system.h_values(x1)
-            if abs(h0[0]) <= eps < abs(h0[1]) and abs(h1[1]) <= eps:
-                delta = traj.times[k + 1] - traj.times[k]
-                stacked = _rk4(reg.field, x0, delta)
-                closure = _rk4(reg.band(h0).field, x0, delta)
-                assert np.allclose(x1, stacked, rtol=0.0, atol=1e-12)
-                assert np.max(np.abs(closure - stacked)) > 1e-4
-                entered += 1
-        assert entered == 1
+        x0 = [-0.95, 1.0]
+        traj = integrate_regularized(system, eps, x0, 0.05)
+        H = np.array([system.h_values(x) for x in traj.states])
+        assert np.min(np.abs(H[:, 0] - eps)) <= 1e-9  # left the band of x1 = 0
+        assert np.min(np.abs(H[:, 1] + eps)) <= 1e-9  # entered the band of x1 = 0.25
+        t, x = traj.grid_samples(1e-3)
+        tr, xr = integrate_regularized(system, eps, x0, 0.05,
+                                       SolverOptions(step=1e-5)).grid_samples(1e-3)
+        assert np.allclose(t, tr, rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(x - xr)) <= 1e-3 * eps
 
-    def test_full_grid_steps_take_ten_substeps(self, chain4, monkeypatch):
-        # at eps 1e-3 a grid step of 1e-3 takes ten substeps of eps/10. The
-        # rounding of delta = tn - t beat an absolute slack of 1e-12 on
-        # delta / h_band from t ~ 0.5 on, and a third of this run's steps in
-        # the band of x1 = 0 took eleven
-        counts = []
-        substeps = regularize._substeps
+    @pytest.mark.parametrize("name, x0, t_f", [
+        ("ex1", [-3.0, -4.0], 5.0), ("ex1", [4.0, -3.0], 2.0),
+        ("ex2", [-2.0, -2.0], 5.0), ("chain4", [-5.0, -5.0], 3.0)])
+    def test_no_step_crosses_a_band_edge(self, request, name, x0, t_f):
+        # every band entry and exit is a sample on its edge: no two
+        # consecutive samples lie on opposite sides of an edge, so no RK4
+        # step crosses the clamp's kink, where its error estimate fails
+        system = request.getfixturevalue(name)
+        for eps in (1e-1, 1e-2, 1e-3):
+            traj = integrate_regularized(system, eps, x0, t_f)
+            side = np.array([[abs(m.h(x)) - eps for m in system.manifolds]
+                             for x in traj.states])
+            side[np.abs(side) <= 1e-9] = 0.0  # on an edge
+            assert not np.any(side[:-1] * side[1:] < 0.0)
 
-        def recording(f, x, delta, ns):
-            if abs(delta - 1e-3) <= 1e-12:
-                counts.append(ns)
-            return substeps(f, x, delta, ns)
-
-        monkeypatch.setattr(regularize, "_substeps", recording)
-        integrate_regularized(chain4, 1e-3, [-5.0, -5.0], 2.0)
-        assert len(counts) > 300 and set(counts) == {10}
+    def test_chain_band_crossing_is_accurate(self, chain4):
+        # the 4-mode chain crosses the band of x1 = -2 at t ~ 0.47; without
+        # the cut at the band's edges the step's error estimate missed the
+        # kink, and the grid states were 1.9e-5 (2 % of eps) off from this
+        # crossing on
+        eps = 1e-3
+        t, x = integrate_regularized(chain4, eps, [-5.0, -5.0], 1.0).grid_samples(1e-3)
+        tr, xr = integrate_regularized(chain4, eps, [-5.0, -5.0], 1.0,
+                                       SolverOptions(step=1e-4)).grid_samples(1e-3)
+        assert np.allclose(t, tr, rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(x - xr)) <= 1e-2 * eps
 
     def test_field_not_called_in_one_band(self, chain4, monkeypatch):
         # from (-5, -5) the run crosses the band of x1 = -2 and slides in the
@@ -590,6 +599,31 @@ class TestStiffBands:
         assert len(x) == len(ref)
         assert np.max(np.abs(x[-5:] - ref[-5:])) <= 1e-9
 
+    @pytest.mark.parametrize("eps", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
+    def test_stiff_band_grid_states_meet_the_tolerance(self, eps):
+        # the band is entered at t ~ 0.0198, and its transient (time scale
+        # eps/50) is over by T = 0.05; the largest error to T = 1 is the
+        # same. Substeps that kept RK4 stable but not accurate left the grid
+        # states up to 0.21 eps off a step-1e-5 run
+        system = make_system(STIFF_BAND)
+        t, x = integrate_regularized(system, eps, [1.0, 0.0], 0.05).grid_samples(1e-3)
+        tr, xr = integrate_regularized(system, eps, [1.0, 0.0], 0.05,
+                                       SolverOptions(step=1e-5)).grid_samples(1e-3)
+        assert np.allclose(t, tr, rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(x - xr)) <= 1e-3 * eps
+
+    def test_stiff_band_gap_peaks_at_the_slide_entry(self):
+        # the Filippov run reaches x1 = 0 at t_F = ln(51/50); the regularized
+        # one entered its band eps/50 earlier and decays there at rate about
+        # 50/eps, so at t_F it is still about eps/e away. The grid misses
+        # that peak once eps/50 is near the step: with accurate band steps a
+        # grid-sampled gap reads 1.2e-4 eps at eps 1e-3 (slope 2.6), and
+        # 0.29 eps even at step 1e-5
+        system = make_system(STIFF_BAND)
+        sweep = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        table = convergence_study(system, [1.0, 0.0], 0.1, sweep)
+        assert np.allclose(table.gaps / table.eps, math.exp(-1.0), rtol=5e-3)
+
     @pytest.mark.parametrize("eps", [1e-2, 3e-3])
     def test_rechecked_along_a_slide(self, eps):
         # the blend's normal eigenvalue -(1 + 20 x2) / eps grows as the slide
@@ -604,8 +638,10 @@ class TestStiffBands:
 
     def test_shipped_systems_keep_the_least_substeps(self, ex1, ex2, chain4, chain3d,
                                                      monkeypatch):
-        # the stability rule adds no substep to any band of the shipped
-        # examples or of the extended chains
+        # the stability rule caps no step in any band of the shipped examples
+        # or of the extended chains: wherever the radius bound does not pass
+        # a grid step, its eigenvalues do, so the error estimate alone sizes
+        # the steps
         raised = []
         substeps = regularize._stable_substeps
 
@@ -708,6 +744,23 @@ class TestConvergenceStudy:
             table = convergence_study(system, x0, 5.0, [1e-2, 1e-4])
             L = table.gaps[0] / table.eps[0]
             assert table.gaps[1] <= 5.0 * 1e-4 * L
+
+    @pytest.mark.parametrize("name, x0", [
+        ("ex1", [-3.0, -4.0]), ("ex2", [-5.0, 5.0]), ("chain4", [-5.0, -5.0]),
+        ("handle_ex1", [-3.0, -4.0])], ids=["slide", "crossing", "chain", "handle-slide"])
+    def test_filippov_states_between_samples(self, request, name, x0):
+        # the study takes a Filippov run's state at a time between its
+        # samples by a partial step of the segment there: a flow, a slide
+        # (affine, or stepwise for handle modes) or the mode after a crossing
+        system = (handle_copy(request.getfixturevalue("ex1")) if name == "handle_ex1"
+                  else request.getfixturevalue(name))
+        ref = integrate(system, x0, 2.0)
+        tf, xf = integrate(system, x0, 2.0, SolverOptions(step=1e-4)).grid_samples(1e-4)
+        times = np.arange(1, 2000) * 1e-3 - 4e-4
+        idx = np.searchsorted(ref.times, times, side="right") - 1
+        X = regularize._states_at(ref, idx, times,
+                                  lambda seg: regularize._filippov_rows(system, seg))
+        assert np.max(np.abs(X - xf[np.round(times / 1e-4).astype(int)])) <= 1e-9
 
     def test_rejects_non_decreasing(self, ex1):
         with pytest.raises(ValueError, match="decreasing"):
