@@ -21,9 +21,11 @@ exact single-step RK4 transition map; each mode's block maps are built once
 per (step, block) on its ``AffineField`` and shared by every integration of
 the system. An event-free stretch advances as a chain of up to ``MAX_CHAIN``
 such blocks, each started from the last row of the one before, with one
-event scan and one append for the whole chain; the chain doubles from one
+event scan and one commit for the whole chain; the chain doubles from one
 block while no event is flagged, and a chained run has the bits of one
-block at a time. ``_EventSurfaces`` is the one evaluator of a set of
+block at a time. A chain's states are written once, into rows of the
+trajectory's own buffers (``_Builder``), which the trajectory then holds
+slices of. ``_EventSurfaces`` is the one evaluator of a set of
 surfaces: the flow, the slide (for the other manifolds) and the regularized
 blend read their H values from it. ``_pair`` evaluates two affine modes as
 one product of their stacked (A, b), a lone affine mode through its
@@ -32,7 +34,7 @@ same arithmetic as ``Mode.f`` and ``Manifold.grad``.
 
 Every pass over a whole block or trajectory runs along its long axis: a
 block's surface values are (C X^T)^T, its first flagged step is found in the
-flattened flag table (``_first_row``), and the assembled trajectory is
+flattened flag table (``_first_row``), and the finished trajectory is
 checked by one bounds test on the flattened states. A reduction over the
 few columns of an (N, n) array, or a row-major product with an n-column
 matrix, costs several times more per row for the same values.
@@ -44,9 +46,11 @@ and so is the sliding field Pi (A_i x + b_i), Pi = I - w c^T / c.w. That
 field is built once per (manifold, pair), cached on the system, and its
 slides advance in the same exact RK4 blocks as a flow, each row projected
 onto the manifold; the step at which lambda leaves its bounds or another
-surface is flagged is taken by the stepwise slide, with its event location
-and persistence probe. Every other pair (a handle mode or manifold, a jump
-that is not rank-one in the normal, c.w = 0) keeps the stepwise slide.
+surface is flagged is retaken as a single step, with its event location
+and persistence probe, through the field's exact step map and the same
+projection and affine weight. Every other pair (a handle mode or manifold,
+a jump that is not rank-one in the normal, c.w = 0) steps RK4 on the
+sliding field of ``_pair``.
 
 Two numerical refusals guard the output: a step at which RK4 grows a
 decaying direction of a mode or of a sliding field raises ``StiffStepError``
@@ -113,6 +117,8 @@ BLOCK = 256  # exact RK4 steps per affine block
 MAX_CHAIN = 64  # most affine blocks a flow advances between two event scans
 TOL_RANK_ONE = 1e-12  # relative residual of a mode jump from u c^T for an affine slide
 MAX_TRANSITIONS = 200_000
+SAMPLE_SLACK = 64  # rows a trajectory reserves past one per grid step
+MAX_RESERVE = 1 << 20  # most rows a trajectory reserves before its samples need them
 
 
 @dataclass(frozen=True)
@@ -393,16 +399,30 @@ def _next_grid(t: float, h: float, t_stop: float) -> float:
 
 
 class _Builder:
-    """Accumulates samples and segments while the state machine runs."""
+    """Accumulates samples and segments while the state machine runs.
 
-    def __init__(self, box):
+    The samples go into one buffer per column (times, states, weights,
+    segment indices), each sized from the caller's estimate of the row
+    count, at most ``MAX_RESERVE`` rows, and grown geometrically past it by
+    copying the rows in use. A block of samples is written in place: the
+    engine writes its states into the rows that ``reserve`` hands out and
+    ``commit`` makes samples of the first of them, writing every other
+    column, so a row is touched only once it holds a sample. Single samples
+    wait in a list until the next ``reserve`` or ``finish``, which keeps
+    the samples in their order. Every builder owns its buffers, so no two
+    trajectories share memory.
+    """
+
+    def __init__(self, box, rows: float):
         self.box = box
         self.n = box.dimension
-        self._t = []
-        self._x = []
-        self._lam = []
-        self._seg = []
-        self._points = []  # single samples not yet stacked into the arrays
+        cap = max(1, int(min(rows, MAX_RESERVE)))
+        self._t = np.empty(cap)
+        self._x = np.empty((cap, self.n))
+        self._lam = np.empty(cap)
+        self._seg = np.empty(cap, dtype=int)
+        self._len = 0  # rows holding samples
+        self._points = []  # single samples not yet written to the buffers
         self.segments: list = []
 
     def open_segment(self, kind, t, mode=None, manifold=None, pair=None) -> int:
@@ -415,39 +435,61 @@ class _Builder:
     def add_point(self, t, x, seg_id, lam=math.nan):
         self._points.append((t, x, lam, seg_id))
 
-    def _stack_points(self):
+    def _room(self, k: int):
+        """Room for k rows past those in use: a buffer too short is replaced
+        by one of at least twice its length, holding a copy of the used rows."""
+        used = self._len
+        need = used + k
+        if need > len(self._t):
+            cap = max(need, 2 * len(self._t))
+
+            def grown(a):
+                b = np.empty((cap, *a.shape[1:]), dtype=a.dtype)
+                b[:used] = a[:used]
+                return b
+            self._t, self._x, self._lam, self._seg = (
+                grown(a) for a in (self._t, self._x, self._lam, self._seg))
+
+    def _write_points(self):
         if self._points:
             ts, xs, lams, segs = zip(*self._points)
             self._points = []
-            self._t.append(np.array(ts, dtype=float))
-            self._x.append(np.array(xs, dtype=float).reshape(len(ts), self.n))
-            self._lam.append(np.array(lams, dtype=float))
-            self._seg.append(np.array(segs, dtype=int))
+            self._room(len(ts))
+            rows = slice(self._len, self._len + len(ts))
+            self._t[rows] = ts
+            self._x[rows] = xs
+            self._lam[rows] = lams
+            self._seg[rows] = segs
+            self._len = rows.stop
 
-    def add_block(self, ts, X, seg_id, lams=None):
-        k = len(ts)
-        if k == 0:
-            return
-        self._stack_points()
-        self._t.append(np.asarray(ts, dtype=float))
-        self._x.append(np.asarray(X, dtype=float))
-        self._lam.append(np.full(k, math.nan) if lams is None
-                         else np.asarray(lams, dtype=float))
-        self._seg.append(np.full(k, seg_id, dtype=int))
+    def reserve(self, k: int) -> np.ndarray:
+        """The next k free rows of the state buffer, a (k, n) view for an
+        engine to write states into; ``commit`` makes samples of them."""
+        self._write_points()
+        self._room(k)
+        return self._x[self._len:self._len + k]
+
+    def commit(self, ts, seg_id, lams=math.nan):
+        """Make the first len(ts) reserved rows samples at the times ts of
+        segment seg_id, with the weights lams (NaN outside slides)."""
+        rows = slice(self._len, self._len + len(ts))
+        self._t[rows] = ts
+        self._lam[rows] = lams
+        self._seg[rows] = seg_id
+        self._len = rows.stop
 
     def finish(self) -> Trajectory:
-        """The trajectory, with its first sample outside the box (within
-        1e-9) as ``box_exit``; raises NonFiniteStateError if any sample is
+        """The trajectory, whose arrays are the used rows of the buffers,
+        with its first sample outside the box (within 1e-9) as
+        ``box_exit``; raises NonFiniteStateError if any sample is
         not finite, so no engine hands out a state that blew up. One bounds
         test, which a NaN fails too, serves both: first the extremes of the
         flattened states against the cube inside the box, two passes along
         the long axis that settle every trajectory inside that cube, then,
         only when they fail, the states against the box and the rows."""
-        self._stack_points()
-        times = np.concatenate(self._t)
-        states = np.concatenate(self._x)
-        lams = np.concatenate(self._lam)
-        segs = np.concatenate(self._seg)
+        self._write_points()
+        k = self._len
+        times, states, lams, segs = self._t[:k], self._x[:k], self._lam[:k], self._seg[:k]
         box_exit = None
         lo, hi = self.box.lower - 1e-9, self.box.upper + 1e-9
         if not (states.min() >= lo.max() and states.max() <= hi.min()):
@@ -469,9 +511,10 @@ class _Builder:
 # flow engine
 
 
-def _advance_blocks(field, what, x, t, h, t_stop, count):
+def _advance_blocks(field, what, x, t, h, t_stop, count, builder):
     """Up to ``count`` chained blocks of exact RK4 steps of an affine field
-    from (t, x) on the time grid k*h: (ts, X) with X[k] the state at ts[k].
+    from (t, x) on the time grid k*h, written into rows that ``builder``
+    reserves: (ts, X) with X[k] the state at ts[k], not yet committed.
     Each block starts from the last row of the one before, and its grid
     index and step count come from the same scalar arithmetic as a lone
     block's, so a chain has the bits of its blocks advanced one at a time;
@@ -479,29 +522,34 @@ def _advance_blocks(field, what, x, t, h, t_stop, count):
     or no full step fits before t_stop; the caller then takes one step. A
     StiffStepError from building the block maps names ``what``."""
     k0 = math.floor(t / h + 1e-9)
-    X, row = None, 0
+    sizes = []  # the rows of each block, from the scalar arithmetic alone
+    row = 0
     while row < count * BLOCK and t < t_stop - 1e-14:
         k = math.floor(t / h + 1e-9)
         m = min(BLOCK, int(math.floor((t_stop - t) / h + 1e-12)))
         if k != k0 + row or abs(t - k * h) > 1e-12 * max(h, 1.0) or m == 0:
             break
-        if X is None:
-            try:
-                Rs, rs = field.stacks(h, BLOCK)
-            except StiffStepError as exc:
-                raise StiffStepError(f"{what}: {exc}") from None
-            n = x.shape[0]
-            R2 = Rs.reshape(-1, n)
-            X = np.empty((count * BLOCK, n))
-        # one 2-D product: a batched (m, n, n) @ (n,) matmul is several times slower
-        np.add((R2[:m * n] @ x).reshape(m, n), rs[:m], out=X[row:row + m])
+        sizes.append(m)
         row += m
         if m < BLOCK:
             break
-        t, x = (k + m) * h, X[row - 1]
-    if X is None:
+        t = (k + m) * h
+    if not sizes:
         return None
-    return (k0 + 1 + np.arange(row)) * h, X[:row]
+    try:
+        Rs, rs = field.stacks(h, BLOCK)
+    except StiffStepError as exc:
+        raise StiffStepError(f"{what}: {exc}") from None
+    n = x.shape[0]
+    R2 = Rs.reshape(-1, n)
+    X = builder.reserve(row)
+    row = 0
+    for m in sizes:
+        # one 2-D product: a batched (m, n, n) @ (n,) matmul is several times slower
+        np.add((R2[:m * n] @ x).reshape(m, n), rs[:m], out=X[row:row + m])
+        row += m
+        x = X[row - 1]
+    return (k0 + 1 + np.arange(row)) * h, X
 
 
 def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
@@ -553,7 +601,7 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
     chain = 1  # blocks in the next chain: doubles while no event is flagged
     while t < t_stop - 1e-14:
         block = None if field is None else _advance_blocks(
-            field, what, x, t, h, t_stop, chain)
+            field, what, x, t, h, t_stop, chain, builder)
         if block is None:
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
@@ -570,14 +618,14 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
         Hs, ev = events.scan_block(x, X)
         idx = _first_row(ev)
         if idx < len(ev):
-            builder.add_block(ts[:idx], X[:idx], seg_id)
+            builder.commit(ts[:idx], seg_id)
             # the hit's time counts from the start of its own block, as a
             # lone block would
             row = idx - idx % BLOCK
             t0 = t if row == 0 else ts[row - 1]
             return hit(x if idx == 0 else X[idx - 1], t0 + (idx - row) * h, h,
                        Hs[idx], ev[idx])
-        builder.add_block(ts, X, seg_id)
+        builder.commit(ts, seg_id)
         x, t, h0 = X[-1], ts[-1], None
         chain = min(2 * chain, MAX_CHAIN)
     return "t_stop", None, t, x
@@ -639,12 +687,19 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     advances its aligned stretches in blocks of exact RK4 steps, projected
     onto the manifold; the first step of a block at which lambda leaves
     [TOL_LAMBDA, 1 - TOL_LAMBDA] or another surface is flagged, and every
-    step off the grid or of any other slide, is one step of the sliding
-    field, located by ``_first_hit`` and followed by the persistence probe.
-    Surface 0 of that step is the weight's margin min(lambda - TOL_LAMBDA,
-    1 - TOL_LAMBDA - lambda), positive inside and flagged when lambda ends
-    the step outside (a slide entered at a tangency starts on a bound), so
-    an exit wins a tie with the other manifolds, surfaces 1, 2, ...
+    step off the grid, is one step of the sliding field, located by
+    ``_first_hit`` and followed by the persistence probe. Surface 0 of that
+    step is the weight's margin min(lambda - TOL_LAMBDA, 1 - TOL_LAMBDA -
+    lambda), positive inside and flagged when lambda ends the step outside
+    (a slide entered at a tangency starts on a bound), so an exit wins a tie
+    with the other manifolds, surfaces 1, 2, ...
+
+    An affine slide has one step map: each of its single steps (the step to
+    the grid after entry, the retaken flagged step, every ``_first_hit``
+    probe and the persistence probe) is the exact RK4 map of its field,
+    ``AffineField.step_map``, followed by the projection, and its weight is
+    lam_x . x + lam_0 at every sample, block row or single. Any other slide
+    steps RK4 on the sliding field of ``_pair``.
 
     Returns ("t_stop", None, t, x), ("exit", mode, t_e, x_e), or
     ("hit", other_manifold_idx, t_e, x_e) when the slide reaches another
@@ -656,21 +711,35 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     surfaces = events.surfaces
     affine = _slide_field(system, man_idx, i, j)
     what = f"sliding field on {man.label}, pair ({i}, {j})"
+    project = man.project
     if affine is not None:
         c, d = man.affine
         cc = float(c @ c)
-    pair = _pair(system, man_idx, i, j)
-    project = man.project
+        step_map = affine.field.step_map
+        lam_x, lam_0 = affine.lam_x, affine.lam_0
+        # a product of one row runs numpy's dot kernel, which rounds
+        # differently from the matrix-vector product of the block rows; two
+        # equal rows give each state the bits of its block row's weight
+        lam_rows = np.array((lam_x, lam_x))
 
-    def lam_at(xq):
-        return _lambda_raw(*pair(xq)[2:])
+        def lam_at(xq):
+            return float((lam_rows @ xq)[0]) + lam_0
 
-    def fs(xq):
-        fi, fj, si, sj = pair(xq)
-        return fi + _lambda_raw(si, sj) * (fj - fi)
+        def slide_step(x0, dt):
+            R, r = step_map(dt)
+            return project(R @ x0 + r)
+    else:
+        pair = _pair(system, man_idx, i, j)
 
-    def slide_step(x0, d):
-        return project(_rk4(fs, x0, d))
+        def lam_at(xq):
+            return _lambda_raw(*pair(xq)[2:])
+
+        def fs(xq):
+            fi, fj, si, sj = pair(xq)
+            return fi + _lambda_raw(si, sj) * (fj - fi)
+
+        def slide_step(x0, dt):
+            return project(_rk4(fs, x0, dt))
 
     lo_bound = TOL_LAMBDA
     hi_bound = 1.0 - TOL_LAMBDA
@@ -694,19 +763,19 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     h0 = events.values(x)
     while t < t_stop - 1e-14:
         block = None if affine is None else _advance_blocks(
-            affine.field, what, x, t, opts.step, t_stop, 1)
+            affine.field, what, x, t, opts.step, t_stop, 1, builder)
         if block is not None:
-            # keep the rows before the first marked step; the stepwise code
+            # keep the rows before the first marked step; the single step
             # below takes that step again
             ts, X = block
             X -= np.outer((X @ c - d) / cc, c)
-            lams = X @ affine.lam_x + affine.lam_0
+            lams = X @ lam_x + lam_0
             ev = events.scan_block(x, X)[1]
             outside = ~((lo_bound <= lams) & (lams <= hi_bound))
             idx = min(_first_row(ev),
                       int(np.argmax(outside)) if outside.any() else len(ts))
             if idx:
-                builder.add_block(ts[:idx], X[:idx], seg_id, lams[:idx])
+                builder.commit(ts[:idx], seg_id, lams[:idx])
                 t, x = float(ts[idx - 1]), X[idx - 1]
                 h0 = events.values(x)
             if idx == len(ts):
@@ -784,7 +853,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
     opts = opts or SolverOptions()
     x0 = _check_start(system, x0, t_f)
 
-    builder = _Builder(system.box)
+    builder = _Builder(system.box, t_f / opts.step + SAMPLE_SLACK)
     events = _EventSurfaces(system, system.manifolds)
     sector_cache: dict = {}
 

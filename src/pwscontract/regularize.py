@@ -52,6 +52,7 @@ from .model import (
 )
 from .filippov import (
     MAX_TRANSITIONS,
+    SAMPLE_SLACK,
     TOL_EVENT,
     SolverOptions,
     Trajectory,
@@ -418,7 +419,8 @@ def _cut(reg, stage, edges, x, t, d, f0, H0, H1):
 
 
 def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
-                          opts: Optional[SolverOptions] = None) -> Trajectory:
+                          opts: Optional[SolverOptions] = None, *,
+                          reg: Optional[RegularizedSystem] = None) -> Trajectory:
     """RK4 trajectory of the regularized (continuous) dynamics.
 
     No event logic is needed inside a regularization band, where the blend
@@ -430,12 +432,20 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     H = +-eps, from where the blend is stepped again (raising
     StiffStepError as in ``integrate`` when the step grows a decaying
     direction of that mode).
+
+    ``reg`` is the ``RegularizedSystem(system, eps)`` to step, for a caller
+    that holds one already; it is built when not given.
     """
     opts = opts or SolverOptions()
-    reg = RegularizedSystem(system, eps)
+    if reg is None:
+        reg = RegularizedSystem(system, eps)
+    elif reg.base is not system or reg.eps != eps:
+        raise ValueError("reg is not the regularization of system at eps")
     x0 = _check_start(system, x0, t_f)
 
-    builder = _Builder(system.box)
+    # a sample per grid step, a few for the band cuts and edge hits; a run
+    # whose band steps are shorter than the grid step grows the buffers
+    builder = _Builder(system.box, t_f / opts.step + SAMPLE_SLACK)
     sid = builder.open_segment("flow", 0.0, mode=None, manifold="regularized")
     builder.add_point(0.0, x0, sid)
     if t_f == 0.0:
@@ -496,28 +506,34 @@ def sweep_widths(system: PwsSystem, eps_list) -> list:
     ValueError unless they are positive, finite and strictly decreasing, and
     each gives a valid ``RegularizedSystem`` (for an affine chain: bands that
     stay apart inside the box)."""
+    return [reg.eps for reg in _regularizations(system, eps_list)]
+
+
+def _regularizations(system: PwsSystem, eps_list) -> list:
+    """The ``RegularizedSystem`` of each band half-width, validated as
+    ``sweep_widths`` states."""
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr or any(not e > 0 for e in eps_arr):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    for eps in eps_arr:
-        RegularizedSystem(system, eps)
-    return eps_arr
+    return [RegularizedSystem(system, eps) for eps in eps_arr]
 
 
 def convergence_study(system: PwsSystem, x0, t_f: float, eps_list,
                       opts: Optional[SolverOptions] = None) -> ConvergenceTable:
     """Integrate the Filippov solution and the regularized one for each band
-    width, and tabulate the sup-norm gaps (``_peak_gap``)."""
-    eps_arr = sweep_widths(system, eps_list)
+    width, and tabulate the sup-norm gaps (``_peak_gap``). One
+    ``RegularizedSystem`` per width serves its run and its gap."""
+    regs = _regularizations(system, eps_list)
     opts = opts or SolverOptions()
     ref = integrate(system, x0, t_f, opts)
     rows = []
     prev = None
-    for eps in eps_arr:
-        traj = integrate_regularized(system, eps, x0, t_f, opts)
-        gap = _peak_gap(system, RegularizedSystem(system, eps), ref, traj)
+    for reg in regs:
+        eps = reg.eps
+        traj = integrate_regularized(system, eps, x0, t_f, opts, reg=reg)
+        gap = _peak_gap(system, reg, ref, traj)
         if prev is None or gap <= 0 or prev[1] <= 0:
             slope = math.nan
         else:

@@ -255,8 +255,8 @@ class TestIntegrateExample2:
         builders = []
 
         class Recording(filippov._Builder):
-            def __init__(self, n):
-                super().__init__(n)
+            def __init__(self, box, rows):
+                super().__init__(box, rows)
                 builders.append(self)
 
         monkeypatch.setattr(filippov, "_Builder", Recording)
@@ -574,6 +574,27 @@ class TestAffineSlide:
         assert abs(exits[0] - exits[1]) <= 1e-12
         assert abs(exits[0] - math.log(4.0)) <= 1e-6
 
+    @pytest.mark.parametrize("step", [1e-3, 7.3e-3])
+    @pytest.mark.parametrize("x0", [(-3.0, -4.0), (5.0, -5.0), (5.0, 5.0), (2.0, 4.0)])
+    def test_every_sample_has_the_affine_weight(self, ex1, x0, step):
+        # block rows and single steps (entry, the step to the grid, the
+        # located exit) alike hold lam_x . x + lam_0, bit for bit; the
+        # weights of _pair missed it by an ulp at single steps from (5, 5)
+        # and (2, 4)
+        traj = integrate(ex1, x0, 20.0, SolverOptions(step=step))
+        on = ~np.isnan(traj.lambdas)
+        slides = [k for k, s in enumerate(traj.segments) if s.kind == "slide"]
+        assert slides and set(traj.seg_index[on].tolist()) == set(slides)
+        labels = [m.label for m in ex1.manifolds]
+        for k in slides:
+            seg = traj.segments[k]
+            slide = _slide_field(ex1, labels.index(seg.manifold), *seg.pair)
+            rows = traj.seg_index == k
+            assert np.array_equal(traj.lambdas[rows],
+                                  traj.states[rows] @ slide.lam_x + slide.lam_0)
+        off = np.abs(traj.times[on] / step - np.round(traj.times[on] / step)) > 1e-6
+        assert off.any()  # the located exit, a single step
+
     def test_pairs_on_the_block_path(self, ex1, ex2, chain4, chain3d, oblique):
         for system in (ex1, chain4, chain3d, oblique):
             for k in range(len(system.manifolds)):
@@ -870,7 +891,7 @@ class TestSlideExit:
             return located[-1]
 
         monkeypatch.setattr(filippov, "_bisect", recording)
-        builder = filippov._Builder(system.box)
+        builder = filippov._Builder(system.box, 1000)
         sid = builder.open_segment("slide", 0.0)
         # one step of 1e-3 from x1 = -5e-4 flags both surfaces
         kind, mode, t, x = filippov._run_slide(
@@ -885,15 +906,23 @@ class TestSlideExit:
         # from (-3, -4) the one stepwise slide step of the run is the one
         # that holds the exit near t = ln 4; locating the exit took 43
         # sliding RK4 steps when the weight had its own bisection to 1e-12
-        # in the step fraction
+        # in the step fraction. The slide is affine, so each of its single
+        # steps is one evaluation of its field's step map
+        system = rebuilt(ex1)
+        field = _slide_field(system, 0, 1, 2).field
         calls = []
-        rk4 = filippov._rk4
-        monkeypatch.setattr(filippov, "_rk4",
-                            lambda f, x, h: calls.append(h) or rk4(f, x, h))
-        traj = integrate(rebuilt(ex1), (-3.0, -4.0), 2.0, SolverOptions(step=step))
+        step_map = AffineField.step_map
+
+        def counting(self, h):
+            if self is field:
+                calls.append(h)
+            return step_map(self, h)
+
+        monkeypatch.setattr(AffineField, "step_map", counting)
+        traj = integrate(system, (-3.0, -4.0), 2.0, SolverOptions(step=step))
         k = next(k for k, s in enumerate(traj.segments) if s.kind == "slide")
         assert traj.segments[k + 1].kind == "flow"
-        assert len(calls) <= 30
+        assert 0 < len(calls) <= 30
         xe = traj.states[traj.seg_index == k][-1]
         _, _, si, sj = filippov._pair(ex1, 0, 1, 2)(xe)
         lam = _lambda_raw(si, sj)
@@ -936,6 +965,65 @@ class TestBoxExit:
         assert t == pytest.approx(10.001) and x[0] > 5.0
 
 
+class TestSampleBuffers:
+    """A trajectory's samples go into buffers that its builder owns, sized
+    from t_f / step and grown past that by copying the rows in use."""
+
+    COLUMNS = ("times", "states", "lambdas", "seg_index")
+
+    @pytest.mark.parametrize("name, x0", [("example2", (-5.0, -5.0)),
+                                          ("example1", (5.0, -5.0)),
+                                          ("example1", (-3.0, -4.0))])
+    def test_growth_from_one_row_keeps_the_arrays(self, monkeypatch, name, x0):
+        system = fresh(name)
+        runs = [lambda: integrate(system, x0, 20.0),
+                lambda: integrate(system, x0, 20.0, SolverOptions(step=7.3e-3)),
+                lambda: integrate_regularized(system, 1e-2, x0, 5.0)]
+        default = [run() for run in runs]
+        monkeypatch.setattr(filippov, "MAX_RESERVE", 1)
+        grown = []
+
+        def watching(self, k):
+            grown.append(self._len + k > len(self._t))
+            room(self, k)
+
+        room = filippov._Builder._room
+        monkeypatch.setattr(filippov._Builder, "_room", watching)
+        for run, ref in zip(runs, default):
+            traj = run()
+            assert same_trajectory(traj, ref)
+            assert [(s.kind, s.t_start, s.t_end) for s in traj.segments] == [
+                (s.kind, s.t_start, s.t_end) for s in ref.segments]
+        assert sum(grown) >= 10
+
+    def test_trajectories_share_no_memory(self, ex1):
+        a = integrate(ex1, (5.0, -5.0), 2.0)
+        b = integrate(ex1, (5.0, -5.0), 2.0)
+        c = integrate_regularized(ex1, 1e-2, (5.0, -5.0), 2.0)
+        for u, v in ((a, b), (a, c), (b, c)):
+            for p in self.COLUMNS:
+                for q in self.COLUMNS:
+                    assert not np.shares_memory(getattr(u, p), getattr(v, q))
+        for p in self.COLUMNS:  # nor do the columns of one trajectory
+            for q in self.COLUMNS:
+                assert p == q or not np.shares_memory(getattr(a, p), getattr(a, q))
+
+    def test_reserved_rows_are_sized_from_the_horizon(self, ex1, monkeypatch):
+        sizes = []
+        init = filippov._Builder.__init__
+
+        def recording(self, box, rows):
+            init(self, box, rows)
+            sizes.append(len(self._t))
+
+        monkeypatch.setattr(filippov._Builder, "__init__", recording)
+        traj = integrate(ex1, (-3.0, -4.0), 20.0)
+        assert sizes == [20_000 + filippov.SAMPLE_SLACK] and len(traj.times) <= sizes[0]
+        monkeypatch.setattr(filippov, "MAX_RESERVE", 4096)
+        integrate(ex1, (-3.0, -4.0), 20.0)
+        assert sizes[-1] == 4096
+
+
 class TestLongAxisScan:
     """The whole-trajectory passes along the long axis give the results of
     the per-row reductions they replace."""
@@ -948,14 +1036,15 @@ class TestLongAxisScan:
     @pytest.mark.parametrize("col", [0, 1])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_finish_names_the_first_non_finite_row(self, row, col, value):
-        builder = filippov._Builder(AnalysisBox([-5.0, -5.0], [5.0, 5.0]))
+        builder = filippov._Builder(AnalysisBox([-5.0, -5.0], [5.0, 5.0]), 1000)
         sid = builder.open_segment("flow", 0.0)
         ts = 1e-3 * np.arange(1000)
         X = np.zeros((1000, 2))
         X[row, col] = value
         X[row + 1:, 1 - col] = math.nan  # later rows do not count
         X[:row, 0] = 7.0  # nor do earlier rows outside the box
-        builder.add_block(ts, X, sid)
+        builder.reserve(1000)[:] = X
+        builder.commit(ts, sid)
         with pytest.raises(NonFiniteStateError) as info:
             builder.finish()
         assert str(info.value) == self.MESSAGE.format(t=ts[row])
@@ -994,7 +1083,8 @@ class TestLongAxisScan:
             for _ in range(4):
                 x = rng.uniform(box.lower, box.upper)
                 _, X = filippov._advance_blocks(mode.affine, "", x, 0.0, 1e-3, 20.0,
-                                                filippov.MAX_CHAIN)
+                                                filippov.MAX_CHAIN,
+                                                filippov._Builder(box, 0))
                 Hs, ev = events.scan_block(x, X)
                 assert np.array_equal(Hs[1:], X @ events.C.T - events.d)
                 assert np.array_equal(

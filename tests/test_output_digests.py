@@ -106,11 +106,11 @@ def handle_manifold_ex2(ex2):
 TRAJECTORY_CASES = {
     "integrate-example1-1e-3": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
-        "192033576905a0143d4667ee199ca276a1878cf974da04eb90716e9b65f5ded5"),
+        "dadb19c485976aa3507161169daaee10a871c5b36d22bf0e5f6b98025ff46943"),
     "integrate-example1-7.3e-3": (
         "ex1", GOLDEN_STARTS,
         lambda s, x: integrate(s, x, 20.0, SolverOptions(step=7.3e-3)),
-        "c6ae6b0822d85909e0ea93a81242f992ad8c6e387c93ea388a5fc31f13b234b5"),
+        "8eda74423a6a030fc22b417147c7d68db7e4921fa2ca7979019356d014befe71"),
     "integrate-example2-1e-3": (
         "ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0),
         "08b5c5025c7c905e800e8fecc033e7711ee60900bb8fbd305e054315758a597a"),
@@ -120,7 +120,7 @@ TRAJECTORY_CASES = {
         "028a9dec6d81e088302b604eba435fa0651797032d0c4c5462557e714f23af87"),
     "pairwise-pool-example1": (
         "ex1", _pool, lambda s, x: integrate(s, x, 10.0),
-        "f63b4f336d1ceaedbff82654de0fefb11929ef0668a6356274c70b7684964c03"),
+        "19f9d78a2dc50d05eb91c91edb4919b6e5c386af13dae9f2bc7571afd681fd90"),
     "regularized-example1-1e-2": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
         "b99db9fb0041b75d294f26fb645f23f2cbc5c06daf493a7979779033b46fb679"),
@@ -129,7 +129,7 @@ TRAJECTORY_CASES = {
         "f2fdf658b3d50406451995450832f38f8ffe4bf7f777dff494ec80448f4fd239"),
     "integrate-chain4": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0),
-        "c77babc0eca41a7e3994ad5b47803dde3a39f0bf9e0d9819caf66b46a7af4301"),
+        "310f2d8de3edc51b397b8ff4d5f3fc91b71116938e5a0c820b0572b725bd2e00"),
     "regularized-chain4-1e-2": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
         "e303d2e00949ca3df24af50183a2ee183396e1f4e8f0cddea0a762f949c434eb"),

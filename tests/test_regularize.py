@@ -733,6 +733,33 @@ class TestConvergenceStudy:
         assert table.is_monotone_decreasing()
         assert table.fitted_slope >= 0.8
 
+    def test_one_regularized_system_per_width(self, ex1, monkeypatch):
+        # each width's system serves its run and its gap, so the study
+        # validates each width's bands once
+        built = []
+        post_init = RegularizedSystem.__post_init__
+
+        def counting(self):
+            built.append(self.eps)
+            post_init(self)
+
+        sweep = [1e-1, 1e-2, 1e-3]
+        ref = convergence_study(ex1, [-3.0, -4.0], 2.0, sweep)
+        monkeypatch.setattr(RegularizedSystem, "__post_init__", counting)
+        table = convergence_study(ex1, [-3.0, -4.0], 2.0, sweep)
+        assert built == sweep
+        assert table.rows == ref.rows
+
+    def test_given_regularization_must_match(self, ex1, ex2):
+        reg = RegularizedSystem(ex1, 1e-2)
+        a = integrate_regularized(ex1, 1e-2, [-3.0, -4.0], 1.0, reg=reg)
+        b = integrate_regularized(ex1, 1e-2, [-3.0, -4.0], 1.0)
+        for k in ("times", "states", "lambdas", "seg_index"):
+            assert np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
+        for system, eps in ((ex1, 1e-3), (ex2, 1e-2)):
+            with pytest.raises(ValueError, match="not the regularization"):
+                integrate_regularized(system, eps, [-3.0, -4.0], 1.0, reg=reg)
+
     def test_single_mode_gaps_at_noise_floor(self, single_mode):
         table = convergence_study(single_mode, [1.0, 1.0], 5.0, [1e-1, 1e-2])
         assert np.all(table.gaps <= 1e-12)
