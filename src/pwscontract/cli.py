@@ -102,7 +102,7 @@ def _bounded(cast, low, strict: bool, what: str):
     return parse
 
 
-_STEP = _bounded(float, 0.0, True, "step must be a finite positive number")
+_POSITIVE = _bounded(float, 0.0, True, "must be a finite positive number")
 _T_FINAL = _bounded(float, 0.0, False, "final time must be a finite number >= 0")
 _PAIRS = _bounded(int, 1, False, "pair count must be a positive integer")
 _TOL_DECAY = _bounded(float, 0.0, False, "decay tolerance must be a finite number >= 0")
@@ -129,6 +129,17 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
     if v.shape != (n,):
         raise UsageError(f"vector {text!r} must have {n} components")
     return v
+
+
+def _parse_start(system: PwsSystem, text: str, t_final: float) -> np.ndarray:
+    """x0 of a run; a usage error unless ``_check_start`` accepts it."""
+    from .filippov import _check_start
+
+    x0 = _parse_vector(text, system.dimension)
+    try:
+        return _check_start(system, x0, t_final)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_metric(system: PwsSystem, q_arg: str, c_value) -> Metric:
@@ -198,14 +209,10 @@ def cmd_simulate(args) -> int:
     from .filippov import SolverOptions, integrate, write_trajectory_csv
 
     system, config = _load_config(args.config)
-    x0 = _parse_vector(args.x0, system.dimension)
+    x0 = _parse_start(system, args.x0, args.t_final)
     opts = SolverOptions(step=args.step)
     out = Path(args.out)
-    try:
-        traj = integrate(system, x0, args.t_final, opts)
-    except EscapingRegionError as exc:
-        print(f"escaping-region halt: {exc}", file=sys.stderr)
-        return EXIT_ESCAPING
+    traj = integrate(system, x0, args.t_final, opts)
     with open(out, "w", encoding="utf-8") as fh:
         write_trajectory_csv(traj, fh)
     _write_manifest(out, args, "simulate", config,
@@ -244,7 +251,7 @@ def cmd_regularize(args) -> int:
     from .regularize import convergence_study, sweep_widths, write_convergence_csv
 
     system, config = _load_config(args.config)
-    x0 = _parse_vector(args.x0, system.dimension)
+    x0 = _parse_start(system, args.x0, args.t_final)
     try:
         eps_list = sweep_widths(system, args.eps.split(","))
     except ValueError as exc:
@@ -398,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config file path or builtin name (example1, example2)")
     p.add_argument("--x0", required=True, help="initial state, e.g. -3,-4")
     p.add_argument("--t-final", type=_T_FINAL, required=True, dest="t_final")
-    p.add_argument("--step", type=_STEP, default=1e-3)
+    p.add_argument("--step", type=_POSITIVE, default=1e-3)
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -414,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regularize", help="band-width convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--t-final", type=_T_FINAL, required=True, dest="t_final")
+    p.add_argument("--t-final", type=_POSITIVE, required=True, dest="t_final")
     p.add_argument("--eps", default="1e-1,3e-2,1e-2,3e-3,1e-3",
                    help="strictly decreasing band half-widths")
-    p.add_argument("--step", type=_STEP, default=1e-3)
+    p.add_argument("--step", type=_POSITIVE, default=1e-3)
     p.add_argument("--out", default="convergence.csv")
     p.set_defaults(func=cmd_regularize)
 
@@ -434,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--pairs", type=_PAIRS, default=10)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--t-final", type=_T_FINAL, default=10.0, dest="t_final")
+    p.add_argument("--t-final", type=_POSITIVE, default=10.0, dest="t_final")
     p.add_argument("--tol-decay", type=_TOL_DECAY, default=1e-2, dest="tol_decay")
-    p.add_argument("--step", type=_STEP, default=1e-3)
+    p.add_argument("--step", type=_POSITIVE, default=1e-3)
     p.add_argument("--out", default="pairwise.json")
     p.set_defaults(func=cmd_pairwise)
 

@@ -4,18 +4,18 @@ event localization, crossing, and sliding motion on switching manifolds.
 Flow segments use classical RK4 with a fixed base step; boundary hits are
 localized by bisection on the sign change of each manifold function, one
 routine (``model._bisect``, through ``_first_hit``) for every engine that
-takes H as a function of the step fraction. For a mode of an affine system that function is the quartic
-in tau of the exact RK4 step from x0, H_k(x0) + sum_m tau^m/m! C[k].A^(m-1)
-(A x0 + b), built once per hit (``_step_quartics``), so the step map is
-built only for the state at the located root; a handle mode and the slides
-bisect H of the stepped state. Sliding
-segments integrate the convex-combination sliding field along the manifold
-with post-step projection back onto it, and exit when the combination weight
-reaches 0 or 1: the weight's margin inside its bounds is one more event
-surface of the slide step, located with the other manifolds. The Filippov
-pair of fields and Lie derivatives is computed in one place, ``_pair``, and
-the weight in one, ``_lambda_raw``. One flow entry point, ``_run_flow``, serves this solver and
-the regularized one: it watches the event surfaces it is handed and, for
+takes H as a function of the step fraction. For a mode of an affine system
+that function is the quartic in tau of the exact RK4 step from x0,
+H_k(x0) + sum_m tau^m/m! C[k].A^(m-1) (A x0 + b), built once per hit
+(``_step_quartics``), so the step map is built only for the state at the
+located root; a handle mode and the slides bisect H of the stepped state.
+Sliding segments integrate the convex-combination sliding field along the
+manifold with post-step projection back onto it, and exit when the
+combination weight reaches 0 or 1: the weight's margin inside its bounds is
+one more event surface of the slide step, located with the other manifolds.
+The Filippov pair of fields and Lie derivatives is computed in one place,
+``_pair``, and the weight in one, ``_lambda_raw``. One flow entry point,
+``_run_flow``, serves this solver and the regularized one: it watches the event surfaces it is handed and, for
 affine systems, advances the smooth flow in vectorized blocks through the
 exact single-step RK4 transition map; each mode's block maps are built once
 per (step, block) on its ``AffineField`` and shared by every integration of
@@ -27,10 +27,9 @@ block at a time. A chain's states are written once, into rows of the
 trajectory's own buffers (``_Builder``), which the trajectory then holds
 slices of. ``_EventSurfaces`` is the one evaluator of a set of
 surfaces: the flow, the slide (for the other manifolds) and the regularized
-blend read their H values from it. ``_pair`` evaluates two affine modes as
-one product of their stacked (A, b), a lone affine mode through its
-``AffineField`` and an affine manifold through its constant normal, the
-same arithmetic as ``Mode.f`` and ``Manifold.grad``.
+blend read their H values from it. The single step of a flow is built in one
+place, ``_flow_step``, and that of a slide in one, ``_slide_steps``: the
+engines and the convergence gap of ``regularize`` step through them.
 
 Every pass over a whole block or trajectory runs along its long axis: a
 block's surface values are (C X^T)^T, its first flagged step is found in the
@@ -407,10 +406,9 @@ class _Builder:
     copying the rows in use. A block of samples is written in place: the
     engine writes its states into the rows that ``reserve`` hands out and
     ``commit`` makes samples of the first of them, writing every other
-    column, so a row is touched only once it holds a sample. Single samples
-    wait in a list until the next ``reserve`` or ``finish``, which keeps
-    the samples in their order. Every builder owns its buffers, so no two
-    trajectories share memory.
+    column, so a row is touched only once it holds a sample. A single
+    sample is written into the next row at once. Every builder owns its
+    buffers, so no two trajectories share memory.
     """
 
     def __init__(self, box, rows: float):
@@ -422,7 +420,6 @@ class _Builder:
         self._lam = np.empty(cap)
         self._seg = np.empty(cap, dtype=int)
         self._len = 0  # rows holding samples
-        self._points = []  # single samples not yet written to the buffers
         self.segments: list = []
 
     def open_segment(self, kind, t, mode=None, manifold=None, pair=None) -> int:
@@ -433,7 +430,13 @@ class _Builder:
         self.segments[seg_id].t_end = t_end
 
     def add_point(self, t, x, seg_id, lam=math.nan):
-        self._points.append((t, x, lam, seg_id))
+        self._room(1)
+        k = self._len
+        self._t[k] = t
+        self._x[k] = x
+        self._lam[k] = lam
+        self._seg[k] = seg_id
+        self._len = k + 1
 
     def _room(self, k: int):
         """Room for k rows past those in use: a buffer too short is replaced
@@ -450,22 +453,9 @@ class _Builder:
             self._t, self._x, self._lam, self._seg = (
                 grown(a) for a in (self._t, self._x, self._lam, self._seg))
 
-    def _write_points(self):
-        if self._points:
-            ts, xs, lams, segs = zip(*self._points)
-            self._points = []
-            self._room(len(ts))
-            rows = slice(self._len, self._len + len(ts))
-            self._t[rows] = ts
-            self._x[rows] = xs
-            self._lam[rows] = lams
-            self._seg[rows] = segs
-            self._len = rows.stop
-
     def reserve(self, k: int) -> np.ndarray:
         """The next k free rows of the state buffer, a (k, n) view for an
         engine to write states into; ``commit`` makes samples of them."""
-        self._write_points()
         self._room(k)
         return self._x[self._len:self._len + k]
 
@@ -487,7 +477,6 @@ class _Builder:
         flattened states against the cube inside the box, two passes along
         the long axis that settle every trajectory inside that cube, then,
         only when they fail, the states against the box and the rows."""
-        self._write_points()
         k = self._len
         times, states, lams, segs = self._t[:k], self._x[:k], self._lam[:k], self._seg[:k]
         box_exit = None
@@ -552,13 +541,28 @@ def _advance_blocks(field, what, x, t, h, t_stop, count, builder):
     return (k0 + 1 + np.arange(row)) * h, X
 
 
+def _flow_step(mode, affine: bool):
+    """The single step (x0, dt) -> x1 of a flow of ``mode``: the exact RK4
+    map ``AffineField.step_map`` of an affine mode when ``affine`` (a mode
+    of an affine system), else one RK4 step of the mode's field."""
+    if affine:
+        step_map = mode.affine.step_map
+
+        def step(x0, dt):
+            R, r = step_map(dt)
+            return R @ x0 + r
+        return step
+    f = mode.f
+    return lambda x0, dt: _rk4(f, x0, dt)
+
+
 def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
     """Flow one mode from (t, x) until t_stop or a hit of one of the event
     surfaces; returns ("t_stop", None, t, x) or ("hit", surface_idx, t_e, x_e)
     with x_e projected onto that surface.
 
     A mode of an affine system advances its aligned stretches in blocks of
-    exact RK4 steps and takes every other step through its exact step map.
+    exact RK4 steps and takes every other step through ``_flow_step``.
     The blocks come in chains (``_advance_blocks``) scanned for events as
     one array: the first chain of a call is one block, and each chain with
     no event flagged doubles the next, up to ``MAX_CHAIN`` blocks. A hit's
@@ -581,14 +585,7 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
             _check_rk4_step(np.linalg.eigvals(mode.jac(x)), h)
         except StiffStepError as exc:
             raise StiffStepError(f"{what}: {exc}") from None
-        f = mode.f
-
-        def step_fn(x0, dt):
-            return _rk4(f, x0, dt)
-    else:
-        def step_fn(x0, dt):
-            R, r = field.step_map(dt)
-            return R @ x0 + r
+    step_fn = _flow_step(mode, field is not None)
 
     def hit(x0, t0, delta, h0, flags):
         along = (_along_step(step_fn, events.surfaces, x0, delta) if field is None
@@ -681,6 +678,41 @@ def _build_slide_field(system, man_idx, i, j):
                         -(fi.A.T @ c) / cw, -float(c @ fi.b) / cw)
 
 
+def _slide_steps(system: PwsSystem, man_idx: int, i: int, j: int):
+    """(step, lam_at, affine, fs) of a slide of the pair (i, j) on manifold
+    ``man_idx``: its single step (x0, dt) -> x1 onto the manifold, its
+    weight x -> lambda, its ``_AffineSlide`` and, for a stepwise slide, its
+    sliding field. An affine slide steps by the exact RK4 map of its field
+    and weighs by lam_x . x + lam_0 (affine set, fs None); any other steps
+    RK4 on the sliding field of ``_pair`` (affine None)."""
+    project = system.manifolds[man_idx].project
+    affine = _slide_field(system, man_idx, i, j)
+    if affine is not None:
+        step_map = affine.field.step_map
+        lam_0 = affine.lam_0
+        # a product of one row runs numpy's dot kernel, which rounds
+        # differently from the matrix-vector product of the block rows; two
+        # equal rows give each state the bits of its block row's weight
+        lam_rows = np.array((affine.lam_x, affine.lam_x))
+
+        def lam_at(xq):
+            return float((lam_rows @ xq)[0]) + lam_0
+
+        def step(x0, dt):
+            R, r = step_map(dt)
+            return project(R @ x0 + r)
+        return step, lam_at, affine, None
+    pair = _pair(system, man_idx, i, j)
+
+    def lam_at(xq):
+        return _lambda_raw(*pair(xq)[2:])
+
+    def fs(xq):
+        fi, fj, si, sj = pair(xq)
+        return fi + _lambda_raw(si, sj) * (fj - fi)
+    return (lambda x0, dt: project(_rk4(fs, x0, dt))), lam_at, None, fs
+
+
 def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     """Integrate the sliding field along one manifold, starting with the
     sample at the entry point (t, x). An affine slide (``_slide_field``)
@@ -694,12 +726,9 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     (a slide entered at a tangency starts on a bound), so an exit wins a tie
     with the other manifolds, surfaces 1, 2, ...
 
-    An affine slide has one step map: each of its single steps (the step to
-    the grid after entry, the retaken flagged step, every ``_first_hit``
-    probe and the persistence probe) is the exact RK4 map of its field,
-    ``AffineField.step_map``, followed by the projection, and its weight is
-    lam_x . x + lam_0 at every sample, block row or single. Any other slide
-    steps RK4 on the sliding field of ``_pair``.
+    Every single step (the step to the grid after entry, the retaken
+    flagged step, every ``_first_hit`` probe and the persistence probe) and
+    every weight off the blocks is that of ``_slide_steps``.
 
     Returns ("t_stop", None, t, x), ("exit", mode, t_e, x_e), or
     ("hit", other_manifold_idx, t_e, x_e) when the slide reaches another
@@ -709,37 +738,11 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
     events = _EventSurfaces(system, [system.manifolds[k] for k in others])
     surfaces = events.surfaces
-    affine = _slide_field(system, man_idx, i, j)
+    slide_step, lam_at, affine, fs = _slide_steps(system, man_idx, i, j)
     what = f"sliding field on {man.label}, pair ({i}, {j})"
-    project = man.project
     if affine is not None:
         c, d = man.affine
         cc = float(c @ c)
-        step_map = affine.field.step_map
-        lam_x, lam_0 = affine.lam_x, affine.lam_0
-        # a product of one row runs numpy's dot kernel, which rounds
-        # differently from the matrix-vector product of the block rows; two
-        # equal rows give each state the bits of its block row's weight
-        lam_rows = np.array((lam_x, lam_x))
-
-        def lam_at(xq):
-            return float((lam_rows @ xq)[0]) + lam_0
-
-        def slide_step(x0, dt):
-            R, r = step_map(dt)
-            return project(R @ x0 + r)
-    else:
-        pair = _pair(system, man_idx, i, j)
-
-        def lam_at(xq):
-            return _lambda_raw(*pair(xq)[2:])
-
-        def fs(xq):
-            fi, fj, si, sj = pair(xq)
-            return fi + _lambda_raw(si, sj) * (fj - fi)
-
-        def slide_step(x0, dt):
-            return project(_rk4(fs, x0, dt))
 
     lo_bound = TOL_LAMBDA
     hi_bound = 1.0 - TOL_LAMBDA
@@ -769,7 +772,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
             # below takes that step again
             ts, X = block
             X -= np.outer((X @ c - d) / cc, c)
-            lams = X @ lam_x + lam_0
+            lams = X @ affine.lam_x + affine.lam_0
             ev = events.scan_block(x, X)[1]
             outside = ~((lo_bound <= lams) & (lams <= hi_bound))
             idx = min(_first_row(ev),

@@ -28,8 +28,10 @@ rest to the flow engine (``_run_bands``).
 A convergence study takes the gap between the Filippov and the regularized
 run where it peaks: over the samples of both runs, each run's state at the
 other's sample times taken by a partial step of its own field
-(``_peak_gap``). An in-band transient faster than the grid peaks between
-grid times.
+(``_peak_gap``). The Filippov run's partial step is the single step of its
+solver's engine on that segment (``filippov._flow_step``,
+``filippov._slide_steps``). An in-band transient faster than the grid peaks
+between grid times.
 """
 
 from __future__ import annotations
@@ -61,12 +63,11 @@ from .filippov import (
     _check_start,
     _event_flags,
     _first_hit,
-    _lambda_raw,
+    _flow_step,
     _next_grid,
-    _pair,
     _rk4,
     _run_flow,
-    _slide_field,
+    _slide_steps,
     integrate,
 )
 
@@ -459,7 +460,8 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     while t < t_f - 1e-14:
         guard += 1
         if guard > MAX_TRANSITIONS:
-            raise RuntimeError("regularized integration stalled")
+            raise StepUnderflowError(
+                "too many band transitions (chattering or step underflow)")
         if in_band:
             t, x = _run_bands(reg, x, t, t_f, events.surfaces, opts, builder, sid)
         else:
@@ -551,7 +553,7 @@ def _peak_gap(system: PwsSystem, reg: RegularizedSystem, ref: Trajectory,
     an in-band transient faster than the grid peaks. Each run's state at
     the other's sample times comes from ``_states_at``."""
     idx = np.searchsorted(ref.times, traj.times, side="right") - 1
-    at_reg = _states_at(ref, idx, traj.times, lambda seg: _filippov_rows(system, seg))
+    at_reg = _states_at(ref, idx, traj.times, lambda seg: _filippov_step(system, seg))
     gap = np.max(_column_norms((at_reg - traj.states).T))
     # the Filippov run's samples at times the regularized run has none
     seen = np.zeros(len(ref.times), dtype=bool)
@@ -559,18 +561,20 @@ def _peak_gap(system: PwsSystem, reg: RegularizedSystem, ref: Trajectory,
     own = np.flatnonzero(~seen)
     if own.size:
         times = ref.times[own]
+
+        def blend_step(x, dt):
+            return _rk4(reg._field_at(x), x, dt)
         at_ref = _states_at(traj, np.searchsorted(traj.times, times, side="right") - 1,
-                            times, lambda seg: lambda X, dt: np.array(
-                                [_rk4(reg._field_at(x), x, d) for x, d in zip(X, dt)]))
+                            times, lambda seg: blend_step)
         gap = max(gap, np.max(_column_norms((ref.states[own] - at_ref).T)))
     return float(gap)
 
 
-def _states_at(traj: Trajectory, idx, times, rows_of):
+def _states_at(traj: Trajectory, idx, times, step_of):
     """The run's states at the given times, from its samples idx, the last
     at or before each time: the sample at its own time, else a partial step
-    from it by ``rows_of(segment)`` for the segment that starts last at or
-    before the time, a map (X, dt) of stacked rows."""
+    from it by ``step_of(segment)``, a single step (x0, dt) -> x1, for the
+    segment that starts last at or before the time."""
     X = traj.states.take(idx, axis=0)
     dt = times - traj.times.take(idx)
     off = np.flatnonzero(dt > 0.0)
@@ -578,37 +582,21 @@ def _states_at(traj: Trajectory, idx, times, rows_of):
         starts = np.array([s.t_start for s in traj.segments])
         segs = np.searchsorted(starts, times[off], side="right") - 1
         for k in set(segs.tolist()):  # np.unique would import numpy.ma, 20 ms
-            rows = off[segs == k]
-            X[rows] = rows_of(traj.segments[k])(X[rows], dt[rows])
+            step = step_of(traj.segments[k])
+            for r in off[segs == k].tolist():
+                X[r] = step(X[r], dt[r])
     return X
 
 
-def _filippov_rows(system: PwsSystem, seg):
-    """The map (X, dt) of a partial step of the Filippov segment seg from
-    the rows of X: RK4 on the mode of a flow (on the target mode of a
-    crossing), and on the sliding field of a slide, projected onto its
-    manifold. An affine mode or slide steps all rows in one pass."""
+def _filippov_step(system: PwsSystem, seg):
+    """The single step of the Filippov engine on the segment seg: that of
+    its mode for a flow (of its target mode for a crossing), that of its
+    slide for a slide."""
     if seg.kind != "slide":
         mode = system.mode(seg.mode if seg.kind == "flow" else seg.pair[1])
-        return lambda X, dt: _rk4(mode.f_many, X, dt[:, None])
+        return _flow_step(mode, system.is_affine)
     k = next(k for k, m in enumerate(system.manifolds) if m.label == seg.manifold)
-    man = system.manifolds[k]
-    slide = _slide_field(system, k, *seg.pair)
-    if slide is not None:
-        A, b = slide.field.A, slide.field.b
-        c, d = man.affine
-
-        def rows(X, dt):
-            X = _rk4(lambda Y: Y @ A.T + b, X, dt[:, None])
-            return X - np.outer((X @ c - d) / float(c @ c), c)
-        return rows
-    pair = _pair(system, k, *seg.pair)
-
-    def fs(x):
-        fi, fj, si, sj = pair(x)
-        return fi + _lambda_raw(si, sj) * (fj - fi)
-    return lambda X, dt: np.array([man.project(x) for x in _rk4(
-        lambda Y: np.array([fs(y) for y in Y]), X, dt[:, None])])
+    return _slide_steps(system, k, *seg.pair)[0]
 
 
 def write_convergence_csv(table: ConvergenceTable, fh) -> None:

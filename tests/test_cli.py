@@ -360,14 +360,36 @@ class TestUsageErrors:
                        "--out", str(tmp_path / "o")])
             assert rc == 64, argv
 
-    @pytest.mark.parametrize("t_final", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("t_final", ["inf", "nan", "-1", "0"])
     def test_final_time_must_be_finite(self, tmp_path, t_final):
-        for argv in (["simulate", "--x0", "-3,-4"],
-                     ["regularize", "--x0", "-3,-4"],
-                     ["pairwise", "--c", "0.5", "--pairs", "1"]):
+        # a zero horizon is one sample for simulate, but a decay test or a
+        # convergence study over it would pass vacuously
+        commands = [["regularize", "--x0", "-3,-4"],
+                    ["pairwise", "--c", "0.5", "--pairs", "1"]]
+        if t_final != "0":
+            commands.append(["simulate", "--x0", "-3,-4"])
+        for argv in commands:
+            out = tmp_path / "o"
             rc = main([*argv, "--config", "example1", "--t-final", t_final,
-                       "--out", str(tmp_path / "o")])
+                       "--out", str(out)])
             assert rc == 64, argv
+            assert not out.exists()
+
+    @pytest.mark.parametrize("x0", ["100,100", "nan,1", "5.1,0"])
+    @pytest.mark.parametrize("command", ["simulate", "regularize"])
+    def test_start_must_be_a_finite_state_in_the_box(self, tmp_path, capsys, command, x0):
+        out = tmp_path / "o"
+        rc = main([command, "--config", "example1", "--x0", x0, "--t-final", "1",
+                   "--out", str(out)])
+        assert rc == 64
+        assert not out.exists()
+        assert "usage error: x0 " in capsys.readouterr().err
+
+    def test_start_on_the_box_within_tolerance_runs(self, tmp_path):
+        # the integrators accept a start up to 1e-9 outside the box
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", "example1", "--x0", "5.0000000005,0",
+                     "--t-final", "0.01", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--x0", "-3,-4", "--t-final", "1"],

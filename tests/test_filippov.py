@@ -271,7 +271,9 @@ class TestIntegrateExample2:
         assert (slide.kind, slide.manifold, slide.pair) == ("slide", "sigma_1", (4, 1))
         assert abs(slide.t_start - 0.5) <= 1e-9
         assert abs(slide.t_end - 2.0) <= 1e-9
-        t_last, x_last, lam_last, seg_last = builder._points[-1]
+        last = builder._len - 1
+        t_last, x_last, lam_last, seg_last = (builder._t[last], builder._x[last],
+                                              builder._lam[last], builder._seg[last])
         assert seg_last == 1 and abs(t_last - slide.t_end) <= 1e-15
         assert np.allclose(x_last, [0.0, 0.0], atol=1e-9)
         assert lam_last == 0.5

@@ -12,6 +12,7 @@ from pwscontract.model import (
     Manifold,
     Mode,
     PwsSystem,
+    StepUnderflowError,
     StiffStepError,
     _check_rk4_step,
     builtin_config_path,
@@ -786,8 +787,35 @@ class TestConvergenceStudy:
         times = np.arange(1, 2000) * 1e-3 - 4e-4
         idx = np.searchsorted(ref.times, times, side="right") - 1
         X = regularize._states_at(ref, idx, times,
-                                  lambda seg: regularize._filippov_rows(system, seg))
+                                  lambda seg: regularize._filippov_step(system, seg))
         assert np.max(np.abs(X - xf[np.round(times / 1e-4).astype(int)])) <= 1e-9
+
+    @pytest.mark.parametrize("name, x0, t_f, kind", [
+        ("ex1", [-3.0, -4.0], 0.7004, "flow"), ("ex1", [-3.0, -4.0], 1.3504, "slide"),
+        ("ex2", [-0.3, 2.0], 0.1004, "slide")],
+        ids=["flow", "affine-slide", "stepwise-slide"])
+    def test_filippov_partial_step_is_the_engines_step(self, request, name, x0, t_f, kind):
+        # a run that stops off the grid takes its last sample by one single
+        # step of its segment's engine from the sample before; the gap's
+        # partial step of that segment over the same interval has its bits
+        system = request.getfixturevalue(name)
+        ref = integrate(system, x0, t_f)
+        assert ref.segments[-1].kind == kind and ref.final_time == t_f
+        assert ref.seg_index[-2] == ref.seg_index[-1]
+        X = regularize._states_at(ref, np.array([len(ref.times) - 2]), np.array([t_f]),
+                                  lambda seg: regularize._filippov_step(system, seg))
+        assert np.array_equal(X[0], ref.final_state)
+
+    def test_transition_guard_is_a_numerical_refusal(self, monkeypatch, ex1, tmp_path):
+        # the regularized run's guard refuses as the Filippov run's does
+        from pwscontract.cli import main
+        monkeypatch.setattr(regularize, "MAX_TRANSITIONS", 2)
+        with pytest.raises(StepUnderflowError, match="transitions"):
+            integrate_regularized(ex1, 1e-2, [-3.0, -4.0], 20.0)
+        out = tmp_path / "conv.csv"
+        assert main(["regularize", "--config", "example1", "--x0", "-3,-4",
+                     "--t-final", "20", "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_rejects_non_decreasing(self, ex1):
         with pytest.raises(ValueError, match="decreasing"):
