@@ -26,7 +26,7 @@ _HOMES = {
                      "classify_boundary", "integrate", "sliding_field",
                      "write_trajectory_csv"), "filippov"),
     **dict.fromkeys(("ConvergenceTable", "RegularizedSystem", "convergence_study",
-                     "integrate_regularized", "sweep_widths", "write_convergence_csv"),
+                     "integrate_regularized", "write_convergence_csv"),
                     "regularize"),
     **dict.fromkeys(("CertificateError", "CertificateReport", "Condition",
                      "ConditionResult", "ConditionTable", "PairwiseReport",

@@ -154,7 +154,11 @@ class ConditionTable:
     strategy or band width) by ``condition_table``, with all quantified
     matrices stacked as (k, n, n) so that a metric is evaluated on the whole
     table in one batch. ``report`` and the search margin of ``qsearch`` are
-    reductions of that evaluation."""
+    reductions of that evaluation.
+
+    Forming the stack ``mats`` builds the table: from then on the stack and
+    the point arrays are read-only, ``conditions`` is a tuple, and ``add``
+    refuses, so that a table can be shared by every caller."""
 
     def __init__(self, dimension: int, strategy: str, notes: str = ""):
         self.dimension = dimension
@@ -164,6 +168,8 @@ class ConditionTable:
         self._blocks: list = []  # the (k, n, n) matrices of each condition
 
     def add(self, cond_id, kind, domain, method, mats, points, residual=0.0):
+        if "mats" in self.__dict__:
+            raise CertificateError("the table is built: it takes no more conditions")
         start = self.conditions[-1].rows.stop if self.conditions else 0
         self._blocks.append(np.reshape(mats, (-1, self.dimension, self.dimension)))
         self.conditions.append(Condition(cond_id, kind, domain, method,
@@ -172,7 +178,13 @@ class ConditionTable:
 
     @cached_property
     def mats(self) -> np.ndarray:
-        return np.concatenate(self._blocks)
+        mats = np.concatenate(self._blocks)
+        self._blocks = None
+        self.conditions = tuple(self.conditions)
+        for arr in [mats] + [c.points for c in self.conditions]:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return mats
 
     @cached_property
     def _starts(self) -> np.ndarray:
@@ -221,13 +233,32 @@ def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
                     eps: Optional[float] = None) -> ConditionTable:
     """The conditions of the limit certificate of ``system`` over ``box``, or
     of its eps-regularized certificate when ``eps`` is given, a finite
-    positive band half-width."""
-    if eps is not None and not 0.0 < eps < math.inf:
-        raise CertificateError("eps must be a finite positive number")
+    positive band half-width.
+
+    No condition depends on the metric, so each table is built once and kept
+    on the system, keyed by the values of the box (``box=None`` and an equal
+    ``AnalysisBox`` share a table), the strategy and ``float(eps)`` or None.
+    Every later call with an equal key returns that same table, read-only
+    (see ``ConditionTable``); this relies on a system not being changed after
+    construction. A build that raises is not kept."""
+    if eps is not None:
+        if not 0.0 < eps < math.inf:
+            raise CertificateError("eps must be a finite positive number")
+        eps = float(eps)
     box = box or system.box
-    if system.topology == "chain":
-        return _chain_table(system, box, strategy, eps)
-    return _cross_table(system, box, strategy, eps)
+    key = (box.lower.tobytes(), box.upper.tobytes(), strategy, eps)
+    table = system._tables.get(key)
+    if table is None:
+        # two threads may both build a table; both get the first stored
+        table = system._tables.setdefault(key, _build_table(system, box, strategy, eps))
+    return table
+
+
+def _build_table(system, box, strategy, eps):
+    table = (_chain_table if system.topology == "chain" else _cross_table)(
+        system, box, strategy, eps)
+    table.mats  # builds the table: read-only from here on
+    return table
 
 
 def _add_flow(table, system, box, i, domain):

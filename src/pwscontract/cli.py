@@ -248,16 +248,17 @@ def cmd_certify(args) -> int:
 
 def cmd_regularize(args) -> int:
     from .filippov import SolverOptions
-    from .regularize import convergence_study, sweep_widths, write_convergence_csv
+    from .regularize import _regularizations, convergence_study, write_convergence_csv
 
     system, config = _load_config(args.config)
     x0 = _parse_start(system, args.x0, args.t_final)
     try:
-        eps_list = sweep_widths(system, args.eps.split(","))
+        regs = _regularizations(system, args.eps.split(","))
     except ValueError as exc:
         raise UsageError(f"bad eps list {args.eps!r}: {exc}")
+    eps_list = [reg.eps for reg in regs]
     opts = SolverOptions(step=args.step)
-    table = convergence_study(system, x0, args.t_final, eps_list, opts)
+    table = convergence_study(system, x0, args.t_final, regs, opts)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         write_convergence_csv(table, fh)

@@ -416,20 +416,31 @@ class RegionLocation:
 
 
 class PwsSystem:
-    """A piecewise-smooth system: modes, manifolds, topology, analysis box."""
+    """A piecewise-smooth system: modes, manifolds, topology, analysis box.
+
+    A system is not changed after construction: its ``modes`` and
+    ``manifolds`` are tuples, and what is derived from them is built once
+    and kept on the system, read-only, for its life. That is each sliding
+    field of the Filippov slide engine, and each ``ConditionTable`` of
+    ``certify.condition_table``, keyed by the values of the box, the
+    strategy and the band half-width.
+    """
 
     def __init__(self, dimension: int, topology: str, modes: Sequence[Mode],
                  manifolds: Sequence[Manifold], box: AnalysisBox,
                  metric: Optional[Metric] = None):
         self.dimension = int(dimension)
         self.topology = topology
-        self.modes = list(modes)
-        self.manifolds = list(manifolds)
+        self.modes = tuple(modes)
+        self.manifolds = tuple(manifolds)
         self.box = box
         self.metric = metric
         # (manifold, i, j) -> the pair's affine sliding field or None, built
         # once by the Filippov slide engine and shared like the mode fields
         self._slide_fields: dict = {}
+        # (box lower bytes, box upper bytes, strategy, eps or None) -> the
+        # frozen ConditionTable, built once by certify.condition_table
+        self._tables: dict = {}
         self._validate()
 
     def _validate(self):

@@ -76,7 +76,6 @@ __all__ = [
     "ConvergenceTable",
     "integrate_regularized",
     "convergence_study",
-    "sweep_widths",
     "write_convergence_csv",
 ]
 
@@ -503,30 +502,30 @@ class ConvergenceTable:
         return bool(np.all(np.diff(g) < 0))
 
 
-def sweep_widths(system: PwsSystem, eps_list) -> list:
-    """The band half-widths of a convergence study as floats. Raises
-    ValueError unless they are positive, finite and strictly decreasing, and
-    each gives a valid ``RegularizedSystem`` (for an affine chain: bands that
-    stay apart inside the box)."""
-    return [reg.eps for reg in _regularizations(system, eps_list)]
-
-
 def _regularizations(system: PwsSystem, eps_list) -> list:
-    """The ``RegularizedSystem`` of each band half-width, validated as
-    ``sweep_widths`` states."""
-    eps_arr = [float(e) for e in eps_list]
+    """The ``RegularizedSystem`` of each band half-width of a convergence
+    study; an entry that is one already, of ``system``, is kept. Raises
+    ValueError unless the widths are positive, finite and strictly
+    decreasing, and each gives a valid ``RegularizedSystem`` (for an affine
+    chain: bands that stay apart inside the box)."""
+    eps_list = list(eps_list)
+    if any(isinstance(e, RegularizedSystem) and e.base is not system for e in eps_list):
+        raise ValueError("a given regularization is not of this system")
+    eps_arr = [e.eps if isinstance(e, RegularizedSystem) else float(e) for e in eps_list]
     if not eps_arr or any(not e > 0 for e in eps_arr):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    return [RegularizedSystem(system, eps) for eps in eps_arr]
+    return [e if isinstance(e, RegularizedSystem) else RegularizedSystem(system, eps)
+            for e, eps in zip(eps_list, eps_arr)]
 
 
 def convergence_study(system: PwsSystem, x0, t_f: float, eps_list,
                       opts: Optional[SolverOptions] = None) -> ConvergenceTable:
     """Integrate the Filippov solution and the regularized one for each band
-    width, and tabulate the sup-norm gaps (``_peak_gap``). One
-    ``RegularizedSystem`` per width serves its run and its gap."""
+    width, and tabulate the sup-norm gaps (``_peak_gap``). ``eps_list`` holds
+    the widths, each a number or its ``RegularizedSystem`` of ``system``;
+    one ``RegularizedSystem`` per width serves its run and its gap."""
     regs = _regularizations(system, eps_list)
     opts = opts or SolverOptions()
     ref = integrate(system, x0, t_f, opts)

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from pwscontract import certify
 from pwscontract.model import (
     TOL_LIE,
     AffineField,
@@ -345,4 +346,18 @@ def stack_builds(monkeypatch):
         return build(field, h, block)
 
     monkeypatch.setattr(AffineField, "_build_stacks", counting)
+    return counts
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts of condition-table builds keyed by (id(system), strategy, eps)."""
+    counts = collections.Counter()
+    build = certify._build_table
+
+    def counting(system, box, strategy, eps):
+        counts[(id(system), strategy, eps)] += 1
+        return build(system, box, strategy, eps)
+
+    monkeypatch.setattr(certify, "_build_table", counting)
     return counts

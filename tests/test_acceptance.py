@@ -11,7 +11,15 @@ import pytest
 
 from pwscontract.measure import Metric, matrix_measure
 from pwscontract import filippov
-from pwscontract.model import AffineField, AnalysisBox, Manifold, Mode, PwsSystem
+from pwscontract.model import (
+    AffineField,
+    AnalysisBox,
+    Manifold,
+    Mode,
+    PwsSystem,
+    builtin_config_path,
+    load_system_file,
+)
 from pwscontract.filippov import SolverOptions, integrate, sliding_field
 from pwscontract.regularize import RegularizedSystem, convergence_study, integrate_regularized
 from pwscontract.certify import (
@@ -22,6 +30,8 @@ from pwscontract.certify import (
 )
 
 from conftest import (
+    CHAIN3D,
+    make_system,
     reduced_sliding_field,
     regularized_field_chain,
     regularized_field_cross,
@@ -61,7 +71,11 @@ def test_criterion_2_matrix_measure_goldens_example2(ex2):
     report(2, ok, f"mu={[f'{m:.4f}' for m in mus]} vs {EX2_MU_GOLDEN}")
 
 
-def test_criterion_3_certificate_reproduction(ex1, ex2):
+def test_criterion_3_certificate_reproduction():
+    # systems of this test's own: each check times a cold table build, not a
+    # table that an earlier test left on a shared system
+    ex1, ex2 = (load_system_file(builtin_config_path(name))
+                for name in ("example1", "example2"))
     t0 = time.perf_counter()
     r1 = check_chain_certificate(ex1, Metric.identity(2, 0.5))
     t1 = time.perf_counter() - t0
@@ -262,9 +276,13 @@ def test_criterion_10_chain_slide_runtime(chain4):
                    f"equilibrium (<= 1e-4), runtime {elapsed * 1e3:.1f} ms (<= 0.6 s)")
 
 
-def test_criterion_11_batched_condition_tables(ex1, ex2, chain3d, monkeypatch):
+def test_criterion_11_batched_condition_tables(monkeypatch):
     # every affine table is built by array evaluations over each condition's
-    # point set: no per-point field or manifold call, whatever the build takes
+    # point set: no per-point field or manifold call, whatever the build takes;
+    # the systems are this test's own, so that every table is built here
+    ex1, ex2 = (load_system_file(builtin_config_path(name))
+                for name in ("example1", "example2"))
+    chain3d = make_system(CHAIN3D)
     calls = collections.Counter()
     for cls, name in ((Mode, "f"), (Manifold, "h")):
         def counting(self, x, method=getattr(cls, name), key=f"{cls.__name__}.{name}"):

@@ -6,7 +6,8 @@ import pytest
 
 from pwscontract.measure import Metric
 from pwscontract.model import (AnalysisBox, Manifold, Mode, PwsSystem,
-                               builtin_config_path)
+                               builtin_config_path, load_system_file)
+from pwscontract import qsearch
 from pwscontract.certify import (
     CertificateError,
     check_chain_certificate,
@@ -18,7 +19,7 @@ from pwscontract.certify import (
 )
 from pwscontract.qsearch import SearchOptions, _search_margin, search_certificate
 
-from conftest import OUTSIDE_MANIFOLD, make_system
+from conftest import CHAIN4, OUTSIDE_MANIFOLD, make_system
 
 
 def perturbed_ex2(b4):
@@ -236,6 +237,86 @@ class TestRegularizedCross:
             check_regularized_cross(ex2, Metric.identity(2, 1.87), eps)
         with pytest.raises(CertificateError, match="finite positive"):
             condition_table(ex2, eps=eps)
+
+
+def fresh(name):
+    """A system of the caller's own, with no table built yet."""
+    return load_system_file(builtin_config_path(name))
+
+
+class TestTableMemo:
+    @pytest.mark.parametrize("name, check, eps", [
+        ("example1", check_chain_certificate, None),
+        ("example1", check_regularized_chain, 1e-2),
+        ("example2", check_cross_certificate, None),
+        ("example2", check_regularized_cross, 1e-2),
+    ])
+    def test_second_check_builds_no_table(self, table_builds, name, check, eps):
+        system = fresh(name)
+        args = () if eps is None else (eps,)
+        first = check(system, Metric.identity(2, 0.5), *args)
+        second = check(system, Metric.identity(2, 0.5), *args, box=system.box)
+        third = check(system, Metric(np.diag([1.0, 0.5]), 1.0), *args)
+        assert list(table_builds.values()) == [1]
+        assert first.to_dict() == second.to_dict()
+        # a memoized table reports what a cold one reports
+        assert third.to_dict() == check(fresh(name), third.metric, *args).to_dict()
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_search_and_margin_after_a_check_build_none(self, table_builds, name):
+        system = fresh(name)
+        check = check_chain_certificate if name == "example1" else check_cross_certificate
+        check(system, Metric.identity(2, 0.5))
+        assert sum(table_builds.values()) == 1
+        qsearch.margin(system, Metric.identity(2, 0.5))
+        assert search_certificate(system).found
+        assert sum(table_builds.values()) == 1
+
+    def test_box_strategy_and_eps_never_share_a_table(self, table_builds):
+        system = fresh("example1")
+        small = AnalysisBox([-4.0, -5.0], [5.0, 5.0])
+        tables = [condition_table(system), condition_table(system, small),
+                  condition_table(system, strategy="grid"),
+                  condition_table(system, eps=1e-2), condition_table(system, eps=3e-2),
+                  condition_table(system, small, eps=1e-2)]
+        assert len({id(t) for t in tables}) == len(tables)
+        assert sum(table_builds.values()) == len(tables)
+        again = [condition_table(system), condition_table(system, small),
+                 condition_table(system, strategy="grid"),
+                 condition_table(system, eps=np.float64(1e-2)),
+                 condition_table(system, eps=3e-2),
+                 condition_table(system, small, eps=1e-2)]
+        assert all(a is t for a, t in zip(again, tables))
+        assert sum(table_builds.values()) == len(tables)
+
+    def test_equal_box_shares_the_table_of_box_none(self, table_builds):
+        system = fresh("example2")
+        box = AnalysisBox(system.box.lower.tolist(), system.box.upper.tolist())
+        assert box is not system.box
+        assert condition_table(system, box) is condition_table(system)
+        assert sum(table_builds.values()) == 1
+
+    def test_failing_build_raises_on_every_call(self, table_builds):
+        # the 1.5-bands of chain4's manifolds x1 = -2, 0, 2 overlap
+        system = make_system(CHAIN4)
+        for _ in range(2):
+            with pytest.raises(CertificateError, match="bands intersect"):
+                check_regularized_chain(system, Metric.identity(2, 0.5), 1.5)
+        assert sum(table_builds.values()) == 2
+        check_regularized_chain(system, Metric.identity(2, 0.5), 0.5)
+        assert sum(table_builds.values()) == 3
+
+    def test_memoized_table_is_read_only(self):
+        system = fresh("example1")
+        table = condition_table(system, eps=1e-2)
+        assert isinstance(system.modes, tuple) and isinstance(system.manifolds, tuple)
+        assert isinstance(table.conditions, tuple)
+        with pytest.raises(ValueError):
+            table.mats[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.conditions[-1].points[0, 0] = 1.0
+        with pytest.raises(CertificateError, match="built"):
+            table.add("flow[9]", "flow", "", "", np.eye(2), [None])
 
 
 class TestConditionsWithoutPoints:

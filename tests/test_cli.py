@@ -198,6 +198,26 @@ class TestRegularize:
         manifest = json.loads((tmp_path / "conv.csv.manifest.json").read_text())
         assert manifest["results"] == {"monotone_decreasing": True}
 
+    def test_one_regularized_system_per_width(self, tmp_path, monkeypatch):
+        # the eps list was validated by building every width's system, and the
+        # study then built them all again: 10 for the README's 5 widths
+        from pwscontract.regularize import RegularizedSystem
+
+        built = []
+        post_init = RegularizedSystem.__post_init__
+
+        def counting(self):
+            built.append(self.eps)
+            post_init(self)
+
+        monkeypatch.setattr(RegularizedSystem, "__post_init__", counting)
+        out = tmp_path / "conv.csv"
+        rc = main(["regularize", "--config", "example1", "--x0", "-3,-4",
+                   "--t-final", "1", "--eps", "1e-1,3e-2,1e-2,3e-3,1e-3",
+                   "--out", str(out)])
+        assert rc == 0
+        assert built == [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+
     def test_single_mode_noise_floor(self, tmp_path):
         cfg = tmp_path / "single.json"
         cfg.write_text(json.dumps({
@@ -624,7 +644,7 @@ class TestLazyImports:
 
         import pwscontract
 
-        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 54
+        assert len(pwscontract.__all__) == len(set(pwscontract.__all__)) == 53
         # the package exports exactly what its modules declare public
         declared = set()
         for info in pkgutil.iter_modules(pwscontract.__path__):

@@ -54,7 +54,7 @@ class TestLoadSystem:
 
     def test_single_mode_no_manifolds_is_valid(self, single_mode):
         assert single_mode.n_modes == 1
-        assert single_mode.manifolds == []
+        assert single_mode.manifolds == ()
 
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="missing"):

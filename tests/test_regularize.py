@@ -751,6 +751,23 @@ class TestConvergenceStudy:
         assert built == sweep
         assert table.rows == ref.rows
 
+    def test_given_regularizations_are_run_not_rebuilt(self, ex1, ex2, monkeypatch):
+        sweep = [1e-1, 1e-2]
+        regs = [RegularizedSystem(ex1, eps) for eps in sweep]
+        built = []
+        post_init = RegularizedSystem.__post_init__
+
+        def counting(self):
+            built.append(self.eps)
+            post_init(self)
+
+        monkeypatch.setattr(RegularizedSystem, "__post_init__", counting)
+        table = convergence_study(ex1, [-3.0, -4.0], 2.0, regs)
+        assert built == []
+        assert table.rows == convergence_study(ex1, [-3.0, -4.0], 2.0, sweep).rows
+        with pytest.raises(ValueError, match="not of this system"):
+            convergence_study(ex2, [-2.0, -2.0], 2.0, regs)
+
     def test_given_regularization_must_match(self, ex1, ex2):
         reg = RegularizedSystem(ex1, 1e-2)
         a = integrate_regularized(ex1, 1e-2, [-3.0, -4.0], 1.0, reg=reg)
