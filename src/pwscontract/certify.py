@@ -1,5 +1,6 @@
-"""Contraction certificate checks for a given metric over the analysis box,
-plus the empirical pairwise decay test.
+"""Contraction certificate checks for a given metric over the system's own
+analysis box, ``PwsSystem.box`` (to certify over another box, build the
+system with it; see ``PwsSystem``), plus the empirical pairwise decay test.
 
 The limit checkers quantify the flow conditions mu_Q(df_i/dx) <= -c over the
 closed mode regions and the manifold (jump) conditions over the switching
@@ -32,13 +33,12 @@ import numpy as np
 
 from .measure import Metric, _column_norms
 from .model import (
-    AnalysisBox,
     Manifold,
     PwsSystem,
     _chain_bands_disjoint,
+    _intersection_check,
     _manifold_grid,
     box_grid,
-    check_intersection_assumption,
     polytope_vertices,
 )
 
@@ -150,8 +150,8 @@ class Condition:
 
 
 class ConditionTable:
-    """Every condition of one certificate, built once per (system, box,
-    strategy or band width) by ``condition_table``, with all quantified
+    """Every condition of one certificate over the system's box, built once
+    per (system, strategy, band width) by ``condition_table``, with all quantified
     matrices stacked as (k, n, n) so that a metric is evaluated on the whole
     table in one batch. ``report`` and the search margin of ``qsearch`` are
     reductions of that evaluation.
@@ -228,40 +228,35 @@ class ConditionTable:
                                  notes=self.notes)
 
 
-def condition_table(system: PwsSystem, box: Optional[AnalysisBox] = None,
-                    strategy: str = "vertex",
+def condition_table(system: PwsSystem, strategy: str = "vertex",
                     eps: Optional[float] = None) -> ConditionTable:
-    """The conditions of the limit certificate of ``system`` over ``box``, or
+    """The conditions of the limit certificate of ``system`` over its box, or
     of its eps-regularized certificate when ``eps`` is given, a finite
-    positive band half-width.
+    positive band half-width. ``strategy`` is "vertex" or "grid".
 
     No condition depends on the metric, so each table is built once and kept
-    on the system, keyed by the values of the box (``box=None`` and an equal
-    ``AnalysisBox`` share a table), the strategy and ``float(eps)`` or None.
-    Every later call with an equal key returns that same table, read-only
-    (see ``ConditionTable``); this relies on a system not being changed after
-    construction. A build that raises is not kept."""
+    on the system (``PwsSystem._derived``), keyed by the strategy and
+    ``float(eps)`` or None. Every later call with an equal key returns that
+    same table, read-only (see ``ConditionTable``); this relies on a system
+    not being changed after construction. A build that raises is not kept."""
+    if strategy not in ("vertex", "grid"):
+        raise CertificateError(f"unknown strategy {strategy!r}: use 'vertex' or 'grid'")
     if eps is not None:
         if not 0.0 < eps < math.inf:
             raise CertificateError("eps must be a finite positive number")
         eps = float(eps)
-    box = box or system.box
-    key = (box.lower.tobytes(), box.upper.tobytes(), strategy, eps)
-    table = system._tables.get(key)
-    if table is None:
-        # two threads may both build a table; both get the first stored
-        table = system._tables.setdefault(key, _build_table(system, box, strategy, eps))
-    return table
+    return system._derived(("table", strategy, eps),
+                           lambda: _build_table(system, strategy, eps))
 
 
-def _build_table(system, box, strategy, eps):
+def _build_table(system, strategy, eps):
     table = (_chain_table if system.topology == "chain" else _cross_table)(
-        system, box, strategy, eps)
+        system, strategy, eps)
     table.mats  # builds the table: read-only from here on
     return table
 
 
-def _add_flow(table, system, box, i, domain):
+def _add_flow(table, system, i, domain):
     mode = system.modes[i - 1]
     if mode.is_affine:
         table.add(f"flow[{i}]", "flow", domain, "vertex (constant)",
@@ -269,26 +264,27 @@ def _add_flow(table, system, box, i, domain):
         return
     if table.strategy == "vertex":
         raise CertificateError("vertex strategy requires affine data")
-    pts = _region_mesh(system, box, i)
+    pts = _region_mesh(system, i)
     table.add(f"flow[{i}]", "flow", domain, f"grid({GRID_REGION})",
               [mode.jac(x) for x in pts], pts)
 
 
-def _region_mesh(system, box, i):
+def _region_mesh(system, i):
     """The grid points of mode i's closed region (never in a regularized
     table, whose modes are affine)."""
-    pts = box_grid(box, GRID_REGION)
+    pts = box_grid(system.box, GRID_REGION)
     out = np.zeros(len(pts), dtype=bool)
     for j, s in enumerate(system.region_signs(i)):
         out |= s * system.manifolds[j].h_many(pts) < -1e-12
     return pts[~out]
 
 
-def _jump_points(table, system, box, man, w, arm=None):
+def _jump_points(table, system, man, w, arm=None):
     """(method, points) of a jump condition across ``man``, over its closed
     w-band (w = 0: the manifold) cut by an ``arm`` (other, side) to
     side * H_other >= w: the vertices of that polytope (vertex strategy), or
     a mesh of the band's level sets H = -w, 0, +w masked by the arm (grid)."""
+    box = system.box
     if table.strategy == "vertex":
         if not system.is_affine:
             raise CertificateError("vertex strategy requires affine data")
@@ -328,7 +324,7 @@ def _require(system: PwsSystem, metric: Metric, topology: str):
 # chain conditions
 
 
-def _chain_table(system, box, strategy, eps):
+def _chain_table(system, strategy, eps):
     if eps is None:
         table = ConditionTable(system.dimension, strategy)
         region = "closure(S_{i}) in box"
@@ -336,16 +332,16 @@ def _chain_table(system, box, strategy, eps):
     else:
         if not system.is_affine:
             raise CertificateError("band disjointness check requires affine manifolds")
-        if not _chain_bands_disjoint(system, eps, box):
+        if not _chain_bands_disjoint(system, eps):
             raise CertificateError("bands intersect - chain regularization invalid")
         table = ConditionTable(system.dimension, strategy,
                                notes=f"band half-width eps={eps}")
         region = f"closure(S_{{i}}) + adjacent {eps}-bands in box"
         band = f"closed {eps}-band of {{label}} in box"
     for i in range(1, system.n_modes + 1):
-        _add_flow(table, system, box, i, region.format(i=i))
+        _add_flow(table, system, i, region.format(i=i))
     for k, man in enumerate(system.manifolds):
-        method, pts = _jump_points(table, system, box, man, eps or 0.0)
+        method, pts = _jump_points(table, system, man, eps or 0.0)
         _add_jump(table, f"jump[{k + 1}]", band.format(label=man.label), man,
                   method, pts,
                   system.modes[k + 1].f_many(pts) - system.modes[k].f_many(pts))
@@ -353,23 +349,21 @@ def _chain_table(system, box, strategy, eps):
 
 
 def check_chain_certificate(system: PwsSystem, metric: Metric,
-                            box: Optional[AnalysisBox] = None,
                             strategy: str = "vertex") -> CertificateReport:
     """Limit conditions for a chain: contracting flow in every closed mode
     region and nonpositive measure of the field-jump rank-one matrix on every
     manifold inside the box."""
     _require(system, metric, "chain")
-    return condition_table(system, box, strategy).report(metric)
+    return condition_table(system, strategy).report(metric)
 
 
 def check_regularized_chain(system: PwsSystem, metric: Metric, eps: float,
-                            box: Optional[AnalysisBox] = None,
                             strategy: str = "vertex") -> CertificateReport:
     """Band-inflated conditions for the regularized chain: flow conditions
     over each mode region united with the closures of its adjacent bands, and
     jump conditions over the closed bands."""
     _require(system, metric, "chain")
-    return condition_table(system, box, strategy, eps).report(metric)
+    return condition_table(system, strategy, eps).report(metric)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +393,7 @@ def _band(man, w):
     return [], [(c, d + w), (-c, -(d - w))]
 
 
-def _cross_table(system, box, strategy, eps=None):
+def _cross_table(system, strategy, eps=None):
     """The limit cross conditions (eps None), or the band-inflated ones: the
     manifolds become closed eps-bands, the half-manifolds the band arms
     outside the central square, and the intersection point that square."""
@@ -407,7 +401,7 @@ def _cross_table(system, box, strategy, eps=None):
     if not lim and (strategy != "vertex" or not system.is_affine):
         raise CertificateError(
             "the regularized cross checker evaluates affine data by vertices")
-    chk = check_intersection_assumption(system)
+    chk = _intersection_check(system)
     if not chk.ok:
         raise CertificateError(
             f"common-sector assumption fails at the intersection: {chk.detail}")
@@ -416,7 +410,7 @@ def _cross_table(system, box, strategy, eps=None):
     table = ConditionTable(2, strategy, notes=f"certified crossing sector S_{chk.sector}"
                            if lim else f"band half-width eps={eps}")
     for i in (1, 2, 3, 4):
-        _add_flow(table, system, box, i, f"closure(S_{i}) in box" if lim else
+        _add_flow(table, system, i, f"closure(S_{i}) in box" if lim else
                   f"{eps}-inflated quadrant of S_{i} in box")
     # (id, domain, manifold, field combination, (other manifold, side) of an arm)
     specs = [(f"manifold[{k}]" if lim else f"band[{k}]",
@@ -434,7 +428,7 @@ def _cross_table(system, box, strategy, eps=None):
             (arm_id, f"{man.label}-band arm with {other.label}{rel}= {side * eps}"))
         specs.append((cond_id, domain, man, signs, (other, side)))
     for cond_id, domain, man, signs, arm in specs:
-        method, pts = _jump_points(table, system, box, man, w, arm)
+        method, pts = _jump_points(table, system, man, w, arm)
         _add_jump(table, cond_id, domain, man, method, pts, _combo(system, signs, pts))
     if lim:
         x_tilde = chk.x_tilde
@@ -442,7 +436,7 @@ def _cross_table(system, box, strategy, eps=None):
                   "point", [], [x_tilde], residual=float(np.linalg.norm(
                       _combo(system, _COMBO_DIAG, x_tilde[None])[0])))
         return table
-    square = np.array(polytope_vertices([], _band(m1, w)[1] + _band(m2, w)[1], box))
+    square = np.array(polytope_vertices([], _band(m1, w)[1] + _band(m2, w)[1], system.box))
     diag = _combo(system, _COMBO_DIAG, square)
     # the stacked dot products give the bits of np.linalg.norm row by row
     norms = np.sqrt((diag[:, None] @ diag[..., None])[:, 0, 0])
@@ -454,25 +448,23 @@ def _cross_table(system, box, strategy, eps=None):
 
 
 def check_cross_certificate(system: PwsSystem, metric: Metric,
-                            box: Optional[AnalysisBox] = None,
                             strategy: str = "vertex") -> CertificateReport:
     """Limit conditions for a planar cross: contracting flow in the four
     closed quadrant regions, jump conditions on each full manifold, the four
     half-manifold diagonal conditions, and the field-sum equality at the
     intersection point."""
     _require(system, metric, "planar_cross")
-    return condition_table(system, box, strategy).report(metric)
+    return condition_table(system, strategy).report(metric)
 
 
 def check_regularized_cross(system: PwsSystem, metric: Metric, eps: float,
-                            box: Optional[AnalysisBox] = None,
                             strategy: str = "vertex") -> CertificateReport:
     """Band-inflated conditions for the regularized cross: flow conditions on
     the four inflated quadrants, jump conditions on the two closed bands, the
     diagonal conditions on the four band arms outside the central square, and
     the field-sum equality over the whole closed central square."""
     _require(system, metric, "planar_cross")
-    return condition_table(system, box, strategy, eps).report(metric)
+    return condition_table(system, strategy, eps).report(metric)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def cmd_regularize(args) -> int:
         raise UsageError(f"bad eps list {args.eps!r}: {exc}")
     eps_list = [reg.eps for reg in regs]
     opts = SolverOptions(step=args.step)
-    table = convergence_study(system, x0, args.t_final, regs, opts)
+    table = convergence_study(system, x0, args.t_final, eps_list, opts)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         write_convergence_csv(table, fh)

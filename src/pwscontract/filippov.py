@@ -86,7 +86,7 @@ from .model import (
     _bisect,
     _check_rk4_step,
     _fd_jacobian,
-    check_intersection_assumption,
+    _intersection_check,
     locate,
 )
 
@@ -653,11 +653,8 @@ def _slide_field(system: PwsSystem, man_idx: int, i: int, j: int):
     largest entry off u c^T exceeds ``TOL_RANK_ONE`` max(1, max |A_j - A_i|),
     or for c.w = 0.
     """
-    key = (man_idx, i, j)
-    cache = system._slide_fields
-    if key not in cache:
-        cache.setdefault(key, _build_slide_field(system, man_idx, i, j))
-    return cache[key]
+    return system._derived(("slide", man_idx, i, j),
+                           lambda: _build_slide_field(system, man_idx, i, j))
 
 
 def _build_slide_field(system, man_idx, i, j):
@@ -858,15 +855,12 @@ def integrate(system: PwsSystem, x0, t_f: float,
 
     builder = _Builder(system.box, t_f / opts.step + SAMPLE_SLACK)
     events = _EventSurfaces(system, system.manifolds)
-    sector_cache: dict = {}
 
     def certified_sector() -> int:
-        if "sector" not in sector_cache:
-            chk = check_intersection_assumption(system)
-            if not chk.ok:
-                raise IntersectionAssumptionError(chk.detail)
-            sector_cache["sector"] = chk.sector
-        return sector_cache["sector"]
+        chk = _intersection_check(system)
+        if not chk.ok:
+            raise IntersectionAssumptionError(chk.detail)
+        return chk.sector
 
     def classify_entry(man_idx, t, x, mode_from=None):
         """Decide what happens at a boundary point; returns the next state."""

@@ -418,12 +418,16 @@ class RegionLocation:
 class PwsSystem:
     """A piecewise-smooth system: modes, manifolds, topology, analysis box.
 
+    The box is the one set the system is analysed over: its chain order is
+    checked there, and every certificate condition quantified there. To
+    analyse another box, build ``PwsSystem(n, topology, system.modes,
+    system.manifolds, box)``, which is validated and derives its own objects.
+
     A system is not changed after construction: its ``modes`` and
     ``manifolds`` are tuples, and what is derived from them is built once
-    and kept on the system, read-only, for its life. That is each sliding
-    field of the Filippov slide engine, and each ``ConditionTable`` of
-    ``certify.condition_table``, keyed by the values of the box, the
-    strategy and the band half-width.
+    and kept, read-only, in one memo on the system (``_derived``): each
+    ``ConditionTable`` of ``certify.condition_table``, each sliding field of
+    the slide engine, the common-sector check and each ``RegularizedSystem``.
     """
 
     def __init__(self, dimension: int, topology: str, modes: Sequence[Mode],
@@ -435,12 +439,7 @@ class PwsSystem:
         self.manifolds = tuple(manifolds)
         self.box = box
         self.metric = metric
-        # (manifold, i, j) -> the pair's affine sliding field or None, built
-        # once by the Filippov slide engine and shared like the mode fields
-        self._slide_fields: dict = {}
-        # (box lower bytes, box upper bytes, strategy, eps or None) -> the
-        # frozen ConditionTable, built once by certify.condition_table
-        self._tables: dict = {}
+        self._memo: dict = {}  # see ``_derived``
         self._validate()
 
     def _validate(self):
@@ -462,10 +461,20 @@ class PwsSystem:
             if mode.index != k:
                 raise ConfigError(f"mode {k} carries index {mode.index}")
         if (self.topology == "chain" and all(m.is_affine for m in self.manifolds)
-                and not _chain_bands_disjoint(self, 0.0, self.box)):
+                and not _chain_bands_disjoint(self, 0.0)):
             raise ConfigError(
                 "chain manifolds are out of order: inside the box, H_k <= 0 "
                 "must imply H_k+1 < 0 for every consecutive pair")
+
+    def _derived(self, key, build):
+        """The object derived from this system under ``key``: ``build()`` on
+        the first call, kept and returned by every later one (it may be
+        None). A build that raises stores nothing and raises again."""
+        memo = self._memo
+        if key in memo:
+            return memo[key]
+        # two threads may both build; both get the first stored
+        return memo.setdefault(key, build())
 
     @property
     def n_modes(self) -> int:
@@ -714,12 +723,12 @@ def _independent_equalities(eqs, tol):
     return kept
 
 
-def _chain_bands_disjoint(system: PwsSystem, eps: float,
-                          box: AnalysisBox) -> bool:
+def _chain_bands_disjoint(system: PwsSystem, eps: float) -> bool:
     """Whether the closed eps-bands of consecutive affine chain manifolds are
-    disjoint and in chain order inside the box: {H_k <= eps} ∩ box must lie
-    in {H_k+1 < -eps}. Exact via the vertices of {H_k <= eps} ∩ box; at
-    eps = 0 this is the chain order of the manifolds themselves."""
+    disjoint and in chain order inside the system's box: {H_k <= eps} ∩ box
+    must lie in {H_k+1 < -eps}. Exact via the vertices of {H_k <= eps} ∩ box;
+    at eps = 0 this is the chain order of the manifolds themselves."""
+    box = system.box
     for k in range(len(system.manifolds) - 1):
         c0, d0 = system.manifolds[k].affine
         below = np.reshape(polytope_vertices([], [(c0, d0 + eps)], box), (-1, box.dimension))
@@ -796,7 +805,9 @@ def check_intersection_assumption(system: PwsSystem) -> IntersectionCheck:
 
     Returns the sector's mode index when the check passes. Raises for systems
     that are not planar crosses, and when the intersection is not a unique
-    point inside the analysis box or a Lie derivative vanishes there.
+    point inside the analysis box or a Lie derivative vanishes there. The
+    arrays of the result are read-only, so that it can be shared
+    (``_intersection_check``).
     """
     if system.topology != "planar_cross":
         raise TopologyError("intersection check applies to planar_cross systems")
@@ -813,6 +824,7 @@ def check_intersection_assumption(system: PwsSystem) -> IntersectionCheck:
         raise TopologyError("manifold intersection lies outside the analysis box")
     F = np.stack([m.f_many(x_tilde[None])[0] for m in system.modes])
     sig = np.stack([(c @ F[..., None])[..., 0] for c in (c1, c2)], axis=1)
+    x_tilde.flags.writeable = sig.flags.writeable = False
     if np.any(np.abs(sig) <= TOL_LIE):
         raise TopologyError(
             "a Lie derivative vanishes at the intersection; the common-sector "
@@ -826,6 +838,11 @@ def check_intersection_assumption(system: PwsSystem) -> IntersectionCheck:
     sector = next(m for m, pattern in _CROSS_SIGNS.items() if pattern == target)
     return IntersectionCheck(True, sector, x_tilde, sig,
                              f"all fields enter mode {sector}")
+
+
+def _intersection_check(system: PwsSystem) -> IntersectionCheck:
+    """``check_intersection_assumption(system)``, run once per system."""
+    return system._derived(("intersection",), lambda: check_intersection_assumption(system))
 
 
 def check_box_invariance(system: PwsSystem, points_per_face: int = 21) -> list:

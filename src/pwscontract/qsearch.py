@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .measure import Metric, measure_many
-from .model import AnalysisBox, PwsSystem
+from .model import PwsSystem
 from .certify import (CertificateError, CertificateReport, ConditionTable,
                       PASS_TOL, TOL_ZERO, condition_table)
 
@@ -70,8 +70,7 @@ def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
     return out
 
 
-def margin(system: PwsSystem, metric: Metric,
-           box: Optional[AnalysisBox] = None) -> float:
+def margin(system: PwsSystem, metric: Metric) -> float:
     """Smallest (required bound - worst case) over the certificate conditions,
     against the exact bounds; positive iff the certificate passes with slack.
     Zero-bound conditions (jump terms, the intersection equality) are hard
@@ -79,7 +78,7 @@ def margin(system: PwsSystem, metric: Metric,
     since no choice of c improves them; violated, they give their margin."""
     if metric.dimension != system.dimension:
         raise CertificateError("metric dimension does not match the system")
-    return _search_margin(condition_table(system, box), metric.Q, metric.c)
+    return _search_margin(condition_table(system), metric.Q, metric.c)
 
 
 def _admissible(table: ConditionTable, n: int):
@@ -136,7 +135,7 @@ def _root(P: np.ndarray) -> np.ndarray:
     return (Q + Q.T) / (Q + Q.T).diagonal().max()
 
 
-def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
+def search_certificate(system: PwsSystem,
                        opts: Optional[SearchOptions] = None) -> SearchResult:
     """The largest centre's rate over P >= I/_MAX_COND^2 of trace 1 meeting the
     jump equalities that the table accepts; else a ``reason``: a jump term or
@@ -150,7 +149,7 @@ def search_certificate(system: PwsSystem, box: Optional[AnalysisBox] = None,
             cond_q=metric and metric.cond()))
 
     try:
-        table = condition_table(system, box)
+        table = condition_table(system)
     except (ValueError, CertificateError) as exc:
         return done(reason=str(exc))
     if isinstance(space := _admissible(table, system.dimension), str):

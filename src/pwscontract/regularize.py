@@ -193,7 +193,7 @@ class RegularizedSystem:
         base = self.base
         if (base.topology == "chain"
                 and all(m.is_affine for m in base.manifolds)
-                and not _chain_bands_disjoint(base, self.eps, base.box)):
+                and not _chain_bands_disjoint(base, self.eps)):
             raise ValueError(
                 f"the {self.eps:g}-bands of consecutive manifolds meet inside the box")
         self._weights = _chain_weights if base.topology == "chain" else _cross_weights
@@ -292,6 +292,12 @@ class RegularizedSystem:
         """(f, H, None): the stacked blend ``field`` at x and the manifold
         values, the stage of a step that no ``_Band`` serves."""
         return self.field(x), self._H(x), None
+
+
+def _regularized(system: PwsSystem, eps) -> RegularizedSystem:
+    """``RegularizedSystem(system, eps)``, built once per ``float(eps)``."""
+    eps = float(eps)
+    return system._derived(("regularized", eps), lambda: RegularizedSystem(system, eps))
 
 
 def _band_edges(man: Manifold, eps: float) -> tuple:
@@ -419,8 +425,7 @@ def _cut(reg, stage, edges, x, t, d, f0, H0, H1):
 
 
 def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
-                          opts: Optional[SolverOptions] = None, *,
-                          reg: Optional[RegularizedSystem] = None) -> Trajectory:
+                          opts: Optional[SolverOptions] = None) -> Trajectory:
     """RK4 trajectory of the regularized (continuous) dynamics.
 
     No event logic is needed inside a regularization band, where the blend
@@ -433,14 +438,10 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     StiffStepError as in ``integrate`` when the step grows a decaying
     direction of that mode).
 
-    ``reg`` is the ``RegularizedSystem(system, eps)`` to step, for a caller
-    that holds one already; it is built when not given.
+    The ``RegularizedSystem`` stepped is kept on the system for later runs.
     """
     opts = opts or SolverOptions()
-    if reg is None:
-        reg = RegularizedSystem(system, eps)
-    elif reg.base is not system or reg.eps != eps:
-        raise ValueError("reg is not the regularization of system at eps")
+    reg = _regularized(system, eps)
     x0 = _check_start(system, x0, t_f)
 
     # a sample per grid step, a few for the band cuts and edge hits; a run
@@ -504,28 +505,24 @@ class ConvergenceTable:
 
 def _regularizations(system: PwsSystem, eps_list) -> list:
     """The ``RegularizedSystem`` of each band half-width of a convergence
-    study; an entry that is one already, of ``system``, is kept. Raises
-    ValueError unless the widths are positive, finite and strictly
-    decreasing, and each gives a valid ``RegularizedSystem`` (for an affine
-    chain: bands that stay apart inside the box)."""
-    eps_list = list(eps_list)
-    if any(isinstance(e, RegularizedSystem) and e.base is not system for e in eps_list):
-        raise ValueError("a given regularization is not of this system")
-    eps_arr = [e.eps if isinstance(e, RegularizedSystem) else float(e) for e in eps_list]
+    study, from the system's memo (``_regularized``). Raises ValueError
+    unless the widths are positive, finite and strictly decreasing, and
+    each gives a valid ``RegularizedSystem`` (for an affine chain: bands
+    that stay apart inside the box)."""
+    eps_arr = [float(e) for e in eps_list]
     if not eps_arr or any(not e > 0 for e in eps_arr):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    return [e if isinstance(e, RegularizedSystem) else RegularizedSystem(system, eps)
-            for e, eps in zip(eps_list, eps_arr)]
+    return [_regularized(system, eps) for eps in eps_arr]
 
 
 def convergence_study(system: PwsSystem, x0, t_f: float, eps_list,
                       opts: Optional[SolverOptions] = None) -> ConvergenceTable:
     """Integrate the Filippov solution and the regularized one for each band
-    width, and tabulate the sup-norm gaps (``_peak_gap``). ``eps_list`` holds
-    the widths, each a number or its ``RegularizedSystem`` of ``system``;
-    one ``RegularizedSystem`` per width serves its run and its gap."""
+    width in ``eps_list``, and tabulate the sup-norm gaps (``_peak_gap``).
+    One ``RegularizedSystem`` per width, kept on the system, serves its run
+    and its gap."""
     regs = _regularizations(system, eps_list)
     opts = opts or SolverOptions()
     ref = integrate(system, x0, t_f, opts)
@@ -533,7 +530,7 @@ def convergence_study(system: PwsSystem, x0, t_f: float, eps_list,
     prev = None
     for reg in regs:
         eps = reg.eps
-        traj = integrate_regularized(system, eps, x0, t_f, opts, reg=reg)
+        traj = integrate_regularized(system, eps, x0, t_f, opts)
         gap = _peak_gap(system, reg, ref, traj)
         if prev is None or gap <= 0 or prev[1] <= 0:
             slope = math.nan

@@ -355,9 +355,15 @@ def table_builds(monkeypatch):
     counts = collections.Counter()
     build = certify._build_table
 
-    def counting(system, box, strategy, eps):
+    def counting(system, strategy, eps):
         counts[(id(system), strategy, eps)] += 1
-        return build(system, box, strategy, eps)
+        return build(system, strategy, eps)
 
     monkeypatch.setattr(certify, "_build_table", counting)
     return counts
+
+
+def derived(system, kind):
+    """The objects of one kind ("table", "slide", "intersection" or
+    "regularized") that the system keeps in its memo."""
+    return [v for key, v in system._memo.items() if key[0] == kind]

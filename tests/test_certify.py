@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from pwscontract.measure import Metric
-from pwscontract.model import (AnalysisBox, Manifold, Mode, PwsSystem,
+from pwscontract.model import (AnalysisBox, ConfigError, Manifold, Mode, PwsSystem,
                                builtin_config_path, load_system_file)
-from pwscontract import qsearch
+from pwscontract import certify, qsearch, regularize
 from pwscontract.certify import (
     CertificateError,
     check_chain_certificate,
@@ -90,8 +91,10 @@ class TestChainCertificate:
             assert cond.worst <= rv.condition(cond.cond_id).worst + 1e-9
 
     def test_grid_meshes_the_callers_box(self, ex1):
+        # to certify over another box, the caller builds the system with it
         box = AnalysisBox([-1.0, -1.0], [1.0, 1.0])
-        report = check_chain_certificate(ex1, Metric.identity(2, 0.5), box=box,
+        small = PwsSystem(2, "chain", ex1.modes, ex1.manifolds, box)
+        report = check_chain_certificate(small, Metric.identity(2, 0.5),
                                          strategy="grid")
         assert report.condition("jump[1]").point is not None
         for cond_id in ("jump[1]", "jump[2]"):
@@ -244,18 +247,20 @@ def fresh(name):
     return load_system_file(builtin_config_path(name))
 
 
+# each certificate check, with the system it applies to and its band width
+CHECKS = [("example1", check_chain_certificate, None),
+          ("example1", check_regularized_chain, 1e-2),
+          ("example2", check_cross_certificate, None),
+          ("example2", check_regularized_cross, 1e-2)]
+
+
 class TestTableMemo:
-    @pytest.mark.parametrize("name, check, eps", [
-        ("example1", check_chain_certificate, None),
-        ("example1", check_regularized_chain, 1e-2),
-        ("example2", check_cross_certificate, None),
-        ("example2", check_regularized_cross, 1e-2),
-    ])
+    @pytest.mark.parametrize("name, check, eps", CHECKS)
     def test_second_check_builds_no_table(self, table_builds, name, check, eps):
         system = fresh(name)
         args = () if eps is None else (eps,)
         first = check(system, Metric.identity(2, 0.5), *args)
-        second = check(system, Metric.identity(2, 0.5), *args, box=system.box)
+        second = check(system, Metric.identity(2, 0.5), *args, strategy="vertex")
         third = check(system, Metric(np.diag([1.0, 0.5]), 1.0), *args)
         assert list(table_builds.values()) == [1]
         assert first.to_dict() == second.to_dict()
@@ -273,28 +278,22 @@ class TestTableMemo:
         assert sum(table_builds.values()) == 1
 
     def test_box_strategy_and_eps_never_share_a_table(self, table_builds):
+        # a smaller box is another system, with tables of its own
         system = fresh("example1")
-        small = AnalysisBox([-4.0, -5.0], [5.0, 5.0])
-        tables = [condition_table(system), condition_table(system, small),
-                  condition_table(system, strategy="grid"),
-                  condition_table(system, eps=1e-2), condition_table(system, eps=3e-2),
-                  condition_table(system, small, eps=1e-2)]
+        small = PwsSystem(2, "chain", system.modes, system.manifolds,
+                          AnalysisBox([-4.0, -5.0], [5.0, 5.0]))
+
+        def build_all(eps=1e-2):
+            return [condition_table(system), condition_table(small),
+                    condition_table(system, strategy="grid"),
+                    condition_table(system, eps=eps), condition_table(system, eps=3e-2),
+                    condition_table(small, eps=eps)]
+
+        tables = build_all()
         assert len({id(t) for t in tables}) == len(tables)
         assert sum(table_builds.values()) == len(tables)
-        again = [condition_table(system), condition_table(system, small),
-                 condition_table(system, strategy="grid"),
-                 condition_table(system, eps=np.float64(1e-2)),
-                 condition_table(system, eps=3e-2),
-                 condition_table(system, small, eps=1e-2)]
-        assert all(a is t for a, t in zip(again, tables))
+        assert all(a is t for a, t in zip(build_all(np.float64(1e-2)), tables))
         assert sum(table_builds.values()) == len(tables)
-
-    def test_equal_box_shares_the_table_of_box_none(self, table_builds):
-        system = fresh("example2")
-        box = AnalysisBox(system.box.lower.tolist(), system.box.upper.tolist())
-        assert box is not system.box
-        assert condition_table(system, box) is condition_table(system)
-        assert sum(table_builds.values()) == 1
 
     def test_failing_build_raises_on_every_call(self, table_builds):
         # the 1.5-bands of chain4's manifolds x1 = -2, 0, 2 overlap
@@ -317,6 +316,49 @@ class TestTableMemo:
             table.conditions[-1].points[0, 0] = 1.0
         with pytest.raises(CertificateError, match="built"):
             table.add("flow[9]", "flow", "", "", np.eye(2), [None])
+
+
+class TestOneBox:
+    """Every condition is quantified over the system's own box."""
+
+    @pytest.mark.parametrize("name, check, eps", CHECKS)
+    @pytest.mark.parametrize("strategy", ["Vertex", None])
+    def test_unknown_strategy_is_refused(self, table_builds, name, check, eps, strategy):
+        system = fresh(name)
+        args = () if eps is None else (eps,)
+        with pytest.raises(CertificateError, match="unknown strategy"):
+            check(system, Metric.identity(2, 0.5), *args, strategy=strategy)
+        assert not table_builds
+
+    def test_a_box_in_the_place_of_the_strategy_is_refused(self, ex1, table_builds):
+        # a call written for a condition_table that took a box second
+        with pytest.raises(CertificateError, match="unknown strategy"):
+            condition_table(ex1, AnalysisBox([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(CertificateError, match="unknown strategy"):
+            check_regularized_chain(ex1, Metric.identity(2, 0.5), 1e-2, ex1.box)
+        assert not table_builds
+
+    def test_a_box_that_breaks_the_chain_order_is_refused(self):
+        # manifolds x1 = 0 and x1 + 0.1 x2 = 1 are in chain order in [-1, 1]^2
+        # but meet inside [-1, 1] x [-50, 50]; a box of the caller's own once
+        # let the checks quantify this unordered chain over that tall box
+        modes = [Mode.from_affine(k, -np.eye(2), [0.0, 0.0]) for k in (1, 2, 3)]
+        manifolds = [Manifold.from_affine("sigma_1", [1.0, 0.0], 0.0),
+                     Manifold.from_affine("sigma_2", [1.0, 0.1], 1.0)]
+        system = PwsSystem(2, "chain", modes, manifolds,
+                           AnalysisBox([-1.0, -1.0], [1.0, 1.0]))
+        assert check_chain_certificate(system, Metric.identity(2, 0.5)).passed
+        with pytest.raises(ConfigError, match="out of order"):
+            PwsSystem(2, "chain", system.modes, system.manifolds,
+                      AnalysisBox([-1.0, -50.0], [1.0, 50.0]))
+
+    @pytest.mark.parametrize("module", [certify, qsearch, regularize])
+    def test_no_public_function_takes_a_box_or_a_regularization(self, module):
+        functions = [getattr(module, name) for name in module.__all__
+                     if inspect.isfunction(getattr(module, name))]
+        assert functions
+        for fn in functions:
+            assert not {"box", "reg"} & set(inspect.signature(fn).parameters), fn
 
 
 class TestConditionsWithoutPoints:

@@ -43,6 +43,7 @@ from conftest import (
     STIFF_SLIDE,
     STIFF_STEPWISE_SLIDE,
     SLIDE_TO_INTERSECTION,
+    derived,
     handle_copy,
     make_system,
 )
@@ -244,6 +245,48 @@ class TestIntegrateExample2:
         })
         with pytest.raises(IntersectionAssumptionError):
             integrate(system, [-1.0, -1.0], 3.0)
+
+    def test_common_sector_checked_once_per_system(self, monkeypatch):
+        # runs that reach the intersection, and the cross certificate, share
+        # the system's one common-sector check, whose arrays are read-only
+        from pwscontract import certify, model
+
+        calls = []
+        check = model.check_intersection_assumption
+        monkeypatch.setattr(model, "check_intersection_assumption",
+                            lambda system: calls.append(1) or check(system))
+        system = fresh("example2")
+        for _ in range(2):
+            traj = integrate(system, [0.0, 0.0], 1.0)
+            assert traj.segments[0].mode == 3
+        certify.condition_table(system)
+        assert len(calls) == 1
+        (chk,) = derived(system, "intersection")
+        with pytest.raises(ValueError):
+            chk.x_tilde[0] = 1.0
+        with pytest.raises(ValueError):
+            chk.lie_values[0, 0] = 1.0
+
+    def test_failing_common_sector_check_raises_on_every_call(self, monkeypatch):
+        # parallel manifolds have no unique intersection: the check raises,
+        # is not kept, and raises again
+        from pwscontract import certify, model
+
+        calls = []
+        check = model.check_intersection_assumption
+        monkeypatch.setattr(model, "check_intersection_assumption",
+                            lambda system: calls.append(1) or check(system))
+        system = make_system({
+            "dimension": 2, "topology": "planar_cross",
+            "modes": [{"A": [[-1, 0], [0, -1]], "b": [0.0, 0.0]}] * 4,
+            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}, {"c": [2.0, 0.0], "d": 1.0}],
+            "box": {"lower": [-5, -5], "upper": [5, 5]},
+        })
+        for k in (1, 2):
+            with pytest.raises(TopologyError, match="no unique intersection"):
+                certify.condition_table(system)
+            assert len(calls) == k
+        assert not derived(system, "intersection")
 
 
     def test_slide_into_the_intersection_halts(self, monkeypatch):
@@ -555,7 +598,7 @@ class TestAffineSlide:
         assert slid >= min(len(starts), 3)
         # the affine runs took the block path: a sliding field's block maps
         # were built
-        slides = [f.field for f in system._slide_fields.values()]
+        slides = [f.field for f in derived(system, "slide")]
         assert slides and all(f is not None for f in slides)
         assert {id(f) for f in slides} & {key[0] for key in stack_builds}
 

@@ -16,6 +16,7 @@ from pwscontract.model import (
     StiffStepError,
     _check_rk4_step,
     builtin_config_path,
+    load_system_file,
 )
 from pwscontract.regularize import (
     ConvergenceTable,
@@ -26,6 +27,8 @@ from pwscontract.regularize import (
 )
 
 from conftest import (
+    CHAIN4,
+    derived,
     handle_copy,
     handle_manifold_copy,
     make_system,
@@ -33,6 +36,25 @@ from conftest import (
     regularized_field_chain,
     regularized_field_cross,
 )
+
+
+def fresh_ex1():
+    """example1 as a system of the caller's own, with an empty memo."""
+    return load_system_file(builtin_config_path("example1"))
+
+
+@pytest.fixture
+def built_regularizations(monkeypatch):
+    """The eps of every ``RegularizedSystem`` built, in order."""
+    built = []
+    post_init = RegularizedSystem.__post_init__
+
+    def counting(self):
+        built.append(self.eps)
+        post_init(self)
+
+    monkeypatch.setattr(RegularizedSystem, "__post_init__", counting)
+    return built
 
 
 def fd_jacobian(fn, x, d=1e-6):
@@ -734,49 +756,41 @@ class TestConvergenceStudy:
         assert table.is_monotone_decreasing()
         assert table.fitted_slope >= 0.8
 
-    def test_one_regularized_system_per_width(self, ex1, monkeypatch):
+    def test_one_regularized_system_per_width(self, built_regularizations):
         # each width's system serves its run and its gap, so the study
         # validates each width's bands once
-        built = []
-        post_init = RegularizedSystem.__post_init__
-
-        def counting(self):
-            built.append(self.eps)
-            post_init(self)
-
         sweep = [1e-1, 1e-2, 1e-3]
-        ref = convergence_study(ex1, [-3.0, -4.0], 2.0, sweep)
-        monkeypatch.setattr(RegularizedSystem, "__post_init__", counting)
-        table = convergence_study(ex1, [-3.0, -4.0], 2.0, sweep)
-        assert built == sweep
-        assert table.rows == ref.rows
+        convergence_study(fresh_ex1(), [-3.0, -4.0], 2.0, sweep)
+        assert built_regularizations == sweep
 
-    def test_given_regularizations_are_run_not_rebuilt(self, ex1, ex2, monkeypatch):
+    def test_a_second_run_builds_no_regularized_system(self, built_regularizations):
+        # the system keeps one RegularizedSystem per float(eps): later
+        # studies and runs at those widths build none
         sweep = [1e-1, 1e-2]
-        regs = [RegularizedSystem(ex1, eps) for eps in sweep]
-        built = []
-        post_init = RegularizedSystem.__post_init__
-
-        def counting(self):
-            built.append(self.eps)
-            post_init(self)
-
-        monkeypatch.setattr(RegularizedSystem, "__post_init__", counting)
-        table = convergence_study(ex1, [-3.0, -4.0], 2.0, regs)
-        assert built == []
-        assert table.rows == convergence_study(ex1, [-3.0, -4.0], 2.0, sweep).rows
-        with pytest.raises(ValueError, match="not of this system"):
-            convergence_study(ex2, [-2.0, -2.0], 2.0, regs)
-
-    def test_given_regularization_must_match(self, ex1, ex2):
-        reg = RegularizedSystem(ex1, 1e-2)
-        a = integrate_regularized(ex1, 1e-2, [-3.0, -4.0], 1.0, reg=reg)
-        b = integrate_regularized(ex1, 1e-2, [-3.0, -4.0], 1.0)
+        system = fresh_ex1()
+        first = convergence_study(system, [-3.0, -4.0], 2.0, sweep)
+        regs = derived(system, "regularized")
+        assert built_regularizations == sweep and len(regs) == 2
+        again = convergence_study(system, [-3.0, -4.0], 2.0, [np.float64(1e-1), 1e-2])
+        runs = [integrate_regularized(system, eps, [-3.0, -4.0], 1.0)
+                for eps in (1e-2, 1e-2, np.float64(1e-1))]
+        assert built_regularizations == sweep
+        assert derived(system, "regularized") == regs
+        assert again.rows == first.rows
         for k in ("times", "states", "lambdas", "seg_index"):
-            assert np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
-        for system, eps in ((ex1, 1e-3), (ex2, 1e-2)):
-            with pytest.raises(ValueError, match="not the regularization"):
-                integrate_regularized(system, eps, [-3.0, -4.0], 1.0, reg=reg)
+            assert np.array_equal(getattr(runs[0], k), getattr(runs[1], k), equal_nan=True)
+
+    def test_bands_that_meet_raise_on_every_call(self, built_regularizations):
+        # chain4's 1.5-bands overlap: the build raises, is not kept, and
+        # raises again
+        system = make_system(CHAIN4)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="bands of consecutive manifolds meet"):
+                integrate_regularized(system, 1.5, [-5.0, -5.0], 1.0)
+            assert built_regularizations == [1.5] * k
+        with pytest.raises(ValueError, match="bands of consecutive manifolds meet"):
+            convergence_study(system, [-5.0, -5.0], 1.0, [1.5, 1e-2])
+        assert not derived(system, "regularized")
 
     def test_single_mode_gaps_at_noise_floor(self, single_mode):
         table = convergence_study(single_mode, [1.0, 1.0], 5.0, [1e-1, 1e-2])
@@ -844,7 +858,7 @@ class TestConvergenceStudy:
         system = make_system(json.loads(builtin_config_path("example1").read_text()))
         convergence_study(system, [-3.0, -4.0], 5.0, [1e-1, 1e-2, 1e-3])
         assert stack_builds and set(stack_builds.values()) == {1}
-        slides = {id(s.field) for s in system._slide_fields.values() if s is not None}
+        slides = {id(s.field) for s in derived(system, "slide") if s is not None}
         assert slides
         assert {key[0] for key in stack_builds} <= (
             {id(m.affine) for m in system.modes} | slides)
