@@ -418,16 +418,18 @@ class RegionLocation:
 class PwsSystem:
     """A piecewise-smooth system: modes, manifolds, topology, analysis box.
 
-    The box is the one set the system is analysed over: its chain order is
-    checked there, and every certificate condition quantified there. To
-    analyse another box, build ``PwsSystem(n, topology, system.modes,
-    system.manifolds, box)``, which is validated and derives its own objects.
+    The box is the one set the system is analysed over: a chain's order is
+    checked there, a planar cross's manifolds must meet in one point there,
+    and every certificate condition is quantified there. To analyse another
+    box, build ``PwsSystem(n, topology, system.modes, system.manifolds,
+    box)``, which is validated and derives its own objects.
 
     A system is not changed after construction: its ``modes`` and
     ``manifolds`` are tuples, and what is derived from them is built once
     and kept, read-only, in one memo on the system (``_derived``): each
     ``ConditionTable`` of ``certify.condition_table``, each sliding field of
-    the slide engine, the common-sector check and each ``RegularizedSystem``.
+    the slide engine, the common-sector check, each ``RegularizedSystem``
+    and the set-up of the metric search (``qsearch``).
     """
 
     def __init__(self, dimension: int, topology: str, modes: Sequence[Mode],
@@ -465,6 +467,8 @@ class PwsSystem:
             raise ConfigError(
                 "chain manifolds are out of order: inside the box, H_k <= 0 "
                 "must imply H_k+1 < 0 for every consecutive pair")
+        if self.topology == "planar_cross" and all(m.is_affine for m in self.manifolds):
+            _cross_point(self)
 
     def _derived(self, key, build):
         """The object derived from this system under ``key``: ``build()`` on
@@ -799,29 +803,36 @@ class IntersectionCheck:
     detail: str = ""
 
 
+def _cross_point(system: PwsSystem) -> np.ndarray:
+    """The intersection of the two affine manifolds of a planar cross; a
+    ConfigError unless it is one point inside the box."""
+    (c1, d1), (c2, d2) = (m.affine for m in system.manifolds)
+    M = np.vstack([c1, c2])
+    if abs(np.linalg.det(M)) < 1e-14:
+        raise ConfigError("manifolds have no unique intersection point")
+    x = np.linalg.solve(M, np.array([d1, d2]))
+    if not system.box.contains(x, tol=1e-12):
+        raise ConfigError("manifold intersection lies outside the analysis box")
+    return x
+
+
 def check_intersection_assumption(system: PwsSystem) -> IntersectionCheck:
     """Check that all four fields at the intersection point push strictly into
     one common sector (vertex test on the convex hull of the field values).
 
     Returns the sector's mode index when the check passes. Raises for systems
-    that are not planar crosses, and when the intersection is not a unique
-    point inside the analysis box or a Lie derivative vanishes there. The
-    arrays of the result are read-only, so that it can be shared
-    (``_intersection_check``).
+    that are not planar crosses, and when a Lie derivative vanishes at the
+    intersection (that it is one point inside the box is checked when the
+    system is built). The arrays of the result are read-only, so that it can
+    be shared (``_intersection_check``).
     """
     if system.topology != "planar_cross":
         raise TopologyError("intersection check applies to planar_cross systems")
     m1, m2 = system.manifolds
     if not (m1.is_affine and m2.is_affine):
         raise ConfigError("intersection solving requires affine manifolds")
-    c1, d1 = m1.affine
-    c2, d2 = m2.affine
-    M = np.vstack([c1, c2])
-    if abs(np.linalg.det(M)) < 1e-14:
-        raise TopologyError("manifolds have no unique intersection point")
-    x_tilde = np.linalg.solve(M, np.array([d1, d2]))
-    if not system.box.contains(x_tilde, tol=1e-12):
-        raise TopologyError("manifold intersection lies outside the analysis box")
+    (c1, _), (c2, _) = m1.affine, m2.affine
+    x_tilde = _cross_point(system)
     F = np.stack([m.f_many(x_tilde[None])[0] for m in system.modes])
     sig = np.stack([(c @ F[..., None])[..., 0] for c in (c1, c2)], axis=1)
     x_tilde.flags.writeable = sig.flags.writeable = False

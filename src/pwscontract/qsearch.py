@@ -8,17 +8,27 @@ method of centres (Boyd & El Ghaoui, Linear Algebra Appl. 188-189, 1993):
 centre P on the barrier of L_j(P) - 2 lam P, L_j(P) = -(P A_j + A_j^T P), and
 P - I/_MAX_COND^2, read c(P) = min_j lambda_min(L_j(P), 2P), move lam to
 _THETA lam + (1 - _THETA) c(P); stop on the centre's duality bound.
+
+Each centre pays for one eigh of P: it gives Q = P^(1/2), Q^-1 and (2P)^(-1/2),
+through which c(P) is read. For Q^2 proportional to P, mu_Q(A_j) equals
+-lambda_min(L_j(P), 2P), so the flow part of the centre's margin is c(P) - c
+with no measure taken; only the jump rows are measured, with that factor. The
+returned metric is the accepted Q of highest rate that passes a re-check on the
+whole table, Q validated. What does not depend on the metric (the admissible
+space, the flow blocks, the jump rows) is built once per system and kept in its
+memo.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .measure import Metric, measure_many
+from .measure import Metric, _measures, measure_many
 from .model import PwsSystem
 from .certify import (CertificateError, CertificateReport, ConditionTable,
                       PASS_TOL, TOL_ZERO, condition_table)
@@ -52,22 +62,27 @@ class SearchResult:
     found: bool
     metric: Optional[Metric]
     report: Optional[CertificateReport]
-    trace: list = field(default_factory=list)  # (c(P), margin of its Q) per centre
+    # (c(P), margin of its Q) for the start and each centre: the flow part of
+    # the margin is c(P) - c, the jump rows are measured with the centre's factor
+    trace: list = field(default_factory=list)
     reason: str = ""  # why nothing was found; empty when found
-    stats: dict = field(default_factory=dict)  # centres, Newton steps, bound, cond(Q)
+    # centres, Newton steps, bound, cond(Q), and the wall time of each phase
+    stats: dict = field(default_factory=dict)
+
+
+def _reduce(flow: float, jump_worsts) -> float:
+    """The search margin from the flow margin and the worst value of every
+    jump condition; see ``margin`` below for the convention."""
+    return min([flow] + [-w for w in jump_worsts if w > PASS_TOL + 1e-9])
 
 
 def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
     """Aggregate margin of a trial Q at rate c, from one batch evaluation of
-    the table; see ``margin`` below for the convention."""
-    out = math.inf
-    for cond, worst in zip(table.conditions,
-                           table.worsts(measure_many(Q, table.mats))):
-        if cond.kind == "flow":
-            out = min(out, -c - worst)
-        elif worst > PASS_TOL + 1e-9:
-            out = min(out, -worst)
-    return out
+    the table, Q validated."""
+    worsts = table.worsts(measure_many(Q, table.mats))
+    kinds = [cond.kind for cond in table.conditions]
+    return _reduce(min((-c - w for k, w in zip(kinds, worsts) if k == "flow"), default=math.inf),
+                   [w for k, w in zip(kinds, worsts) if k == "jump"])
 
 
 def margin(system: PwsSystem, metric: Metric) -> float:
@@ -110,15 +125,60 @@ def _admissible(table: ConditionTable, n: int):
     return np.tensordot(tau, B, 1) / (tau @ tau), np.tensordot(free, B, 1)
 
 
+@dataclass(frozen=True)
+class _Setup:
+    """The metric-independent part of a search on one system: the admissible
+    space P0 + sum_k z_k D[k], the flow blocks L_j(P) = L0[j] + sum_k z_k LD[j, k]
+    with L_j(P) = -(P A_j + A_j^T P), and the stacked jump rows with the first
+    row of every jump condition that has one. Its arrays are read-only."""
+
+    P0: np.ndarray
+    D: np.ndarray
+    L0: np.ndarray
+    LD: np.ndarray
+    jumps: np.ndarray
+    starts: np.ndarray
+
+    def margin(self, factor: tuple, rate: float, c: float) -> float:
+        """Margin at rate c of the Q of a centre of rate c(P) = ``rate``, for
+        its factor (Q, Q^-1): Q^2 is proportional to P, so the flow part is
+        rate - c, and only the jump rows are measured."""
+        mu = _measures(factor, self.jumps)
+        return _reduce(rate - c, np.maximum.reduceat(mu, self.starts).tolist()
+                       if mu.size else ())
+
+
+def _setup(table: ConditionTable, n: int):
+    """The search's ``_Setup`` of the table, or the reason of ``_admissible``."""
+    if isinstance(space := _admissible(table, n), str):
+        return space
+    P0, D = space
+    flows = [c.rows for c in table.conditions if c.kind == "flow"]
+    jumps = [c.rows for c in table.conditions if c.kind == "jump" and c.rows.stop > c.rows.start]
+    A = np.concatenate([table.mats[rows] for rows in flows])
+    PA0, PAD = P0 @ A, D[None] @ A[:, None]
+    setup = _Setup(P0, D, -(PA0 + PA0.swapaxes(1, 2)), -(PAD + PAD.swapaxes(2, 3)),
+                   np.concatenate([table.mats[rows] for rows in jumps] or [np.empty((0, n, n))]),
+                   np.cumsum([0] + [rows.stop - rows.start for rows in jumps[:-1]], dtype=np.intp))
+    for arr in vars(setup).values():
+        arr.flags.writeable = False
+    return setup
+
+
 def _centre(F0: np.ndarray, D: np.ndarray, z: np.ndarray, steps: list):
     """Damped Newton steps on -sum_j log det F_j(z), F_j = F0[j] + sum_k z_k D[j, k],
     from a strictly feasible z to a squared decrement below _CENTRED. Returns z,
     Z_j = F_j^-1 and nu >= sum_j tr(Z_j F_j(z')) for all feasible z': the block
-    size m, + delta (m + 2 sqrt(m) + 1) / (1 - 2 delta) off centre (Nesterov, 4.2)."""
+    size m, + delta (m + 2 sqrt(m) + 1) / (1 - 2 delta) off centre (Nesterov, 4.2).
+    Each D[j, k] is symmetric, so with Df, the rows D[:, k] flattened, F(z) is
+    z @ Df, and the gradient -tr(Z_j D_jk) and Hessian tr(Z_j D_jk Z_j D_jl),
+    summed over j, are products with Df."""
+    Df = D.swapaxes(0, 1).reshape(len(z), F0.size)
     for k in range(_MAX_STEPS):
-        Z = np.linalg.inv(F0 + np.einsum("k,jkab->jab", z, D))
-        grad = -np.einsum("jkaa->k", ZD := Z[:, None] @ D)
-        step = np.linalg.solve(np.einsum("jkab,jlba->kl", ZD, ZD), -grad)
+        Z = np.linalg.inv(F0 + (z @ Df).reshape(F0.shape))
+        grad = -(Df @ Z.reshape(-1))
+        ZDZ = (Z[:, None] @ D @ Z[:, None]).swapaxes(0, 1).reshape(Df.shape)
+        step = np.linalg.solve(ZDZ @ Df.T, -grad)
         dec = float(-grad @ step)  # squared Newton decrement
         if dec < _CENTRED:
             break
@@ -128,11 +188,15 @@ def _centre(F0: np.ndarray, D: np.ndarray, z: np.ndarray, steps: list):
     return z, Z, m + delta * (m + 2 * m ** 0.5 + 1) / (1 - 2 * delta) if delta < 0.1 else math.inf
 
 
-def _root(P: np.ndarray) -> np.ndarray:
-    """Q = P^(1/2) by eigh, eigenvalues floored to cond(Q) <= _MAX_COND, max diagonal 1."""
+def _root(P: np.ndarray) -> tuple:
+    """Q = P^(1/2) by eigh, eigenvalues floored to cond(Q) <= _MAX_COND, max
+    diagonal 1; with Q^-1 and R = (2P)^(-1/2), R 2P R^T = I, from the same eigh."""
     w, V = np.linalg.eigh(P)
-    Q = (V * np.sqrt(np.maximum(w, w[-1] / _MAX_COND ** 2))) @ V.T
-    return (Q + Q.T) / (Q + Q.T).diagonal().max()
+    s = np.sqrt(np.maximum(w, w[-1] / _MAX_COND ** 2))
+    Q = (V * s) @ V.T
+    Q = Q + Q.T
+    d = Q.diagonal().max()
+    return Q / d, (V * (0.5 * d / s)) @ V.T, (V / np.sqrt(2.0 * w)).T
 
 
 def search_certificate(system: PwsSystem,
@@ -141,20 +205,30 @@ def search_certificate(system: PwsSystem,
     jump equalities that the table accepts; else a ``reason``: a jump term or
     constraints no symmetric Q meets (a proof), or a bound below the clamps."""
     opts, trace, steps, upper = opts or SearchOptions(), [], [], math.inf
+    phase_ms = dict.fromkeys(("setup", "centring", "checks", "recheck"), 0.0)
+    mark = time.perf_counter()
+
+    def lap(name):  # charge the wall time since the last lap to a phase
+        nonlocal mark
+        now = time.perf_counter()
+        phase_ms[name] += 1e3 * (now - mark)
+        mark = now
 
     def done(metric=None, report=None, reason=""):
         return SearchResult(metric is not None, metric, report, trace, reason, dict(
             centres=len(steps), newton_steps=sum(steps), newton_steps_per_centre=steps,
             upper_bound=float(upper) if upper < math.inf else None,
-            cond_q=metric and metric.cond()))
+            cond_q=metric and metric.cond(), phase_ms=phase_ms))
 
     try:
         table = condition_table(system)
+        setup = system._derived(("search",), lambda: _setup(table, system.dimension))
     except (ValueError, CertificateError) as exc:
-        return done(reason=str(exc))
-    if isinstance(space := _admissible(table, system.dimension), str):
-        return done(reason=space)
-    P0, D = space
+        setup = str(exc)
+    lap("setup")
+    if isinstance(setup, str):
+        return done(reason=setup)
+    P0, D, L0, LD = setup.P0, setup.D, setup.L0, setup.LD
     n, floor, I = system.dimension, 1.0 / _MAX_COND ** 2, np.eye(system.dimension)
     z, P, t = np.zeros(len(D)), P0, np.linalg.eigvalsh(P0)[0] - 1.0
     # phase 1, centres of P - t I: every admissible P' has lambda_min <= t + nu/tr Z
@@ -163,39 +237,45 @@ def search_certificate(system: PwsSystem,
         z, Z, nu = _centre((P0 - t * I)[None], D[None], z, steps)
         P = P0 + np.einsum("k,kab->ab", z, D)
         if t + nu / np.trace(Z[0]) <= floor or len(steps) >= _MAX_CENTRES:
+            lap("centring")
             return done(reason="the jump conditions leave no positive definite "
                         f"P = Q^2 with cond(Q) <= {_MAX_COND:g}")
-    A = np.concatenate([table.mats[c.rows] for c in table.conditions if c.kind == "flow"])
-    PA0, PAD = P0 @ A, D[None] @ A[:, None]
-    L0, LD = -(PA0 + PA0.swapaxes(1, 2)), -(PAD + PAD.swapaxes(2, 3))
-    lo, k, best, lam = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None, None
+    lap("centring")
+    lo, k, accepted, lam = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, [], None
     for _ in range(_MAX_CENTRES):
-        Ri = np.linalg.inv(np.linalg.cholesky(2.0 * P))
+        Q, Qi, R = _root(P)
         rate = float(np.linalg.eigvalsh(  # c(P)
-            Ri @ (L0 + np.einsum("k,jkab->jab", z, LD)) @ Ri.T)[:, 0].min())
-        c, Q = min(rate, opts.c_hi), _root(P)
+            R @ (L0 + np.einsum("k,jkab->jab", z, LD)) @ R.T)[:, 0].min())
+        c = min(rate, opts.c_hi)
         try:
-            trace.append((c, _search_margin(table, Q, c)))
-        except ValueError:  # measure._factor refused Q
+            trace.append((c, setup.margin((Q, Qi), rate, c)))
+        except ValueError:  # Q A Q^-1 of a jump row is not finite
             trace.append((c, -math.inf))
-        if trace[-1][1] >= -PASS_TOL and c > 0.0 and (best is None or c > best[0]):
-            best = (c, Q)
+        if trace[-1][1] >= -PASS_TOL and c > 0.0:
+            accepted.append((c, Q))
         if lam is not None and nu < math.inf:
             # P' of rate c has M_j >= 2 (c - lam) P': X = 2 (c - lam) sum_flows Z_j
             # + Z_f has floor tr X + k lambda_min(X) <= tr(X P') <= nu + floor tr Z_f
             S = 2.0 * Z[:-1].sum(axis=0)
             Ri = np.linalg.inv(np.linalg.cholesky(S + floor * np.trace(S) / k * I))
             upper = min(upper, lam + np.linalg.eigvalsh(Ri @ (nu / k * I - Z[-1]) @ Ri.T)[-1])
+        lap("checks")
         if rate >= opts.c_hi or upper < lo or upper - c <= opts.c_tol:
             break
         lam = rate - 1.0 - abs(rate) if lam is None else _THETA * lam + (1.0 - _THETA) * rate
         z, Z, nu = _centre(np.concatenate([L0 - 2.0 * lam * P0, (P0 - floor * I)[None]]),
                            np.concatenate([LD - 2.0 * lam * D, D[None]]), z, steps)
         P = P0 + np.einsum("k,kab->ab", z, D)
-    if best is None or upper < lo:
+        lap("centring")
+    if not accepted or upper < lo:
         c = lo if upper < lo else trace[-1][0]
         return done(reason=f"no Q with cond(Q) <= {_MAX_COND:g} certifies c = {c:g}")
-    report = table.report(metric := Metric(best[1], best[0]))
-    if not report.passed:  # soundness guard: never return a failing metric
-        return done(reason="the synthesized metric failed its re-check")
-    return done(metric, report)
+    # soundness guard: never return a failing metric. The flow margin c(P) - c
+    # is exact only up to rounding, which grows with cond(Q); where the table's
+    # measure disagrees, the next best accepted Q is re-checked.
+    for c, Q in sorted(accepted, key=lambda entry: -entry[0]):
+        if (report := table.report(metric := Metric(Q, c))).passed:
+            lap("recheck")
+            return done(metric, report)
+    lap("recheck")
+    return done(reason="the synthesized metric failed its re-check")

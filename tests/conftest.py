@@ -320,6 +320,20 @@ OUTSIDE_MANIFOLD = {
     "box": {"lower": [-5, -5], "upper": [5, 5]},
 }
 
+# planar crosses whose manifolds have no intersection point in the box: x1 = 0
+# and 2 x1 = 1 are parallel, and x1 = 9 meets x2 = 0 at (9, 0); each is a
+# config error when the system is built
+BAD_CROSSES = {
+    name: {"dimension": 2, "topology": "planar_cross",
+           "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}] * 4,
+           "manifolds": manifolds,
+           "box": {"lower": [-5, -5], "upper": [5, 5]}}
+    for name, manifolds in (
+        ("parallel", [{"c": [1.0, 0.0], "d": 0.0}, {"c": [2.0, 0.0], "d": 1.0}]),
+        ("outside", [{"c": [1.0, 0.0], "d": 9.0}, {"c": [0.0, 1.0], "d": 0.0}]))
+}
+BAD_CROSS_ERRORS = {"parallel": "no unique intersection", "outside": "outside the analysis box"}
+
 
 @pytest.fixture(scope="session")
 def circle():
@@ -364,6 +378,6 @@ def table_builds(monkeypatch):
 
 
 def derived(system, kind):
-    """The objects of one kind ("table", "slide", "intersection" or
-    "regularized") that the system keeps in its memo."""
+    """The objects of one kind ("table", "slide", "intersection",
+    "regularized" or "search") that the system keeps in its memo."""
     return [v for key, v in system._memo.items() if key[0] == kind]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pwscontract.cli import EXIT_NUMERICAL, main
 from pwscontract.model import builtin_config_path
 
 from conftest import (
+    BAD_CROSS_ERRORS,
+    BAD_CROSSES,
     LEAVES_BOX,
     OUTSIDE_MANIFOLD,
     SLIDE_TO_INTERSECTION,
@@ -282,6 +285,18 @@ class TestPairwiseAndSearch:
         assert doc["found"] and doc["reason"] == ""
         assert doc["metric"]["c"] >= 0.9
 
+    @pytest.mark.parametrize("name", sorted(BAD_CROSSES))
+    @pytest.mark.parametrize("command", [["certify", "--c", "0.5"], ["search-q"]])
+    def test_cross_without_intersection_in_the_box_usage_error(self, tmp_path, capsys,
+                                                              name, command):
+        # once a numerical refusal (exit 3) when the conditions were built
+        cfg = tmp_path / "cross.json"
+        cfg.write_text(json.dumps(BAD_CROSSES[name]))
+        out = tmp_path / "o.json"
+        assert main([command[0], "--config", str(cfg), *command[1:], "--out", str(out)]) == 64
+        assert BAD_CROSS_ERRORS[name] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_search_q_not_found(self, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
@@ -306,15 +321,21 @@ class TestPairwiseAndSearch:
         assert stats["newton_steps"] == sum(stats["newton_steps_per_centre"])
         assert doc["metric"]["c"] <= stats["upper_bound"] <= doc["metric"]["c"] + 1e-3
         assert stats["cond_q"] == pytest.approx(np.linalg.cond(doc["metric"]["Q"]))
+        # wall times go to the manifest only
+        phases = stats["phase_ms"]
+        assert set(phases) == {"setup", "centring", "checks", "recheck"}
+        assert all(math.isfinite(ms) and ms >= 0.0 for ms in phases.values())
+        assert "phase_ms" not in out.read_text()
 
     def test_search_q_refused_metric_writes_null_margin(self, tmp_path, monkeypatch):
-        # a Q that measure refuses has margin -inf, once written as -Infinity
+        # a centre whose jump rows measure refuses has margin -inf, once
+        # written as -Infinity
         import pwscontract.qsearch as qsearch
 
-        def refuse(Q, mats):
-            raise ValueError("Q is singular or too ill-conditioned (cond > 1e12)")
+        def refuse(factor, mats):
+            raise ValueError("A must have finite entries (and Q A Q^-1 must not overflow)")
 
-        monkeypatch.setattr(qsearch, "measure_many", refuse)
+        monkeypatch.setattr(qsearch, "_measures", refuse)
         out = tmp_path / "s.json"
         assert main(["search-q", "--config", "example2", "--out", str(out)]) == 1
         doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))

@@ -268,8 +268,8 @@ class TestIntegrateExample2:
             chk.lie_values[0, 0] = 1.0
 
     def test_failing_common_sector_check_raises_on_every_call(self, monkeypatch):
-        # parallel manifolds have no unique intersection: the check raises,
-        # is not kept, and raises again
+        # every field vanishes at the intersection, so a Lie derivative does:
+        # the check raises, is not kept, and raises again
         from pwscontract import certify, model
 
         calls = []
@@ -279,11 +279,11 @@ class TestIntegrateExample2:
         system = make_system({
             "dimension": 2, "topology": "planar_cross",
             "modes": [{"A": [[-1, 0], [0, -1]], "b": [0.0, 0.0]}] * 4,
-            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}, {"c": [2.0, 0.0], "d": 1.0}],
+            "manifolds": [{"c": [0.0, 1.0], "d": 0.0}, {"c": [1.0, 0.0], "d": 0.0}],
             "box": {"lower": [-5, -5], "upper": [5, 5]},
         })
         for k in (1, 2):
-            with pytest.raises(TopologyError, match="no unique intersection"):
+            with pytest.raises(TopologyError, match="Lie derivative vanishes"):
                 certify.condition_table(system)
             assert len(calls) == k
         assert not derived(system, "intersection")

@@ -26,7 +26,14 @@ from pwscontract.model import (
 )
 from pwscontract.model import _manifold_grid
 
-from conftest import WRONG_TYPES, check_transversality, make_system, with_entry
+from conftest import (
+    BAD_CROSS_ERRORS,
+    BAD_CROSSES,
+    WRONG_TYPES,
+    check_transversality,
+    make_system,
+    with_entry,
+)
 
 
 class TestLoadSystem:
@@ -495,14 +502,28 @@ class TestIntersectionAssumption:
             check_intersection_assumption(system)
 
     def test_parallel_manifolds_rejected(self):
-        system = make_system({
-            "dimension": 2, "topology": "planar_cross",
-            "modes": [{"A": [[0, 0], [0, 0]], "b": [1.0, 1.0]}] * 4,
-            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}, {"c": [2.0, 0.0], "d": 1.0}],
-            "box": {"lower": [-5, -5], "upper": [5, 5]},
-        })
-        with pytest.raises(TopologyError, match="unique intersection"):
-            check_intersection_assumption(system)
+        # refused when the system is built, not when the check first runs
+        with pytest.raises(ConfigError, match="unique intersection"):
+            make_system({
+                "dimension": 2, "topology": "planar_cross",
+                "modes": [{"A": [[0, 0], [0, 0]], "b": [1.0, 1.0]}] * 4,
+                "manifolds": [{"c": [1.0, 0.0], "d": 0.0}, {"c": [2.0, 0.0], "d": 1.0}],
+                "box": {"lower": [-5, -5], "upper": [5, 5]},
+            })
+
+    @pytest.mark.parametrize("name", sorted(BAD_CROSSES))
+    def test_cross_without_intersection_in_the_box_is_a_config_error(self, name):
+        with pytest.raises(ConfigError, match=BAD_CROSS_ERRORS[name]):
+            load_system(json.dumps(BAD_CROSSES[name]))
+
+    def test_box_without_the_intersection_is_a_config_error(self, ex2):
+        # example2's manifolds meet at the origin
+        with pytest.raises(ConfigError, match="outside the analysis box"):
+            PwsSystem(2, "planar_cross", ex2.modes, ex2.manifolds,
+                      AnalysisBox([1.0, 1.0], [2.0, 2.0]))
+        inside = PwsSystem(2, "planar_cross", ex2.modes, ex2.manifolds,
+                           AnalysisBox([0.0, -1.0], [1.0, 1.0]))
+        assert check_intersection_assumption(inside).ok
 
     def test_chain_rejected(self, ex1):
         with pytest.raises(TopologyError):

@@ -7,7 +7,7 @@ import pytest
 from pwscontract.certify import condition_table
 from pwscontract import qsearch
 from pwscontract.measure import Metric
-from pwscontract.model import builtin_config_path
+from pwscontract.model import ConfigError, builtin_config_path, load_system_file
 from pwscontract.qsearch import (
     SearchOptions,
     _search_margin,
@@ -15,7 +15,7 @@ from pwscontract.qsearch import (
     search_certificate,
 )
 
-from conftest import make_system
+from conftest import BAD_CROSS_ERRORS, BAD_CROSSES, derived, make_system
 
 # example1 under x -> T x: Q = T^-1 certifies c = 0.5 there, identity does not
 T = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -166,6 +166,121 @@ class TestSearchMargin:
     def test_identity_values(self, ex1, ex2):
         assert _search_margin(condition_table(ex1), np.eye(2), 0.5) == 0.0
         assert _search_margin(condition_table(ex2), np.eye(2), 1.87) > 0.0
+
+
+def _recording_roots(monkeypatch):
+    """The Q of every centre of the searches run after the call, in order."""
+    roots, root = [], qsearch._root
+
+    def recording(P):
+        roots.append((out := root(P))[0])
+        return out
+
+    monkeypatch.setattr(qsearch, "_root", recording)
+    return roots
+
+
+def _counting(monkeypatch, module, name):
+    """Calls of module.name from now on, counted in a list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+class TestCentreMargin:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
+    def test_equals_the_validated_margin(self, name, request, monkeypatch):
+        # the flow part is c(P) - c, the jump rows are measured with the
+        # centre's own factor: the margin of every centre's Q all the same
+        system = request.getfixturevalue(name)
+        for opts in (SearchOptions(), SearchOptions(c_lo=0.99, c_hi=1.01)):
+            roots = _recording_roots(monkeypatch)
+            result = search_certificate(system, opts=opts)
+            monkeypatch.undo()
+            assert len(roots) == len(result.trace) > 0
+            table = condition_table(system)
+            for (c, m), Q in zip(result.trace, roots):
+                assert m == pytest.approx(_search_margin(table, Q, c), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
+    def test_one_validation_per_search(self, name, request, monkeypatch):
+        # only the re-check of the returned metric validates a Q
+        from pwscontract import measure
+
+        system = request.getfixturevalue(name)
+        factors = _counting(monkeypatch, measure, "_factor")
+        result = search_certificate(system)
+        assert result.found and result.report.passed
+        assert len(factors) == 1
+
+    def test_rounding_of_an_ill_conditioned_q_falls_back(self, ex1_transformed):
+        # the flow margin c(P) - c and the table's measure of the same Q
+        # differ by rounding; the re-check returns the best Q that passes
+        result = search_certificate(ex1_transformed)
+        accepted = sorted((c for c, m in result.trace if m >= -1e-12), reverse=True)
+        assert result.found and result.report.passed
+        assert result.metric.c in accepted
+        table = condition_table(ex1_transformed)
+        assert _search_margin(table, result.metric.Q, result.metric.c) >= -1e-12
+
+    def test_phase_times(self, ex1):
+        for system, opts in ((ex1, SearchOptions(c_lo=0.99, c_hi=1.01)),
+                             (ex1, SearchOptions(c_lo=5.0, c_hi=6.0))):
+            phases = search_certificate(system, opts=opts).stats["phase_ms"]
+            assert set(phases) == {"setup", "centring", "checks", "recheck"}
+            assert all(math.isfinite(ms) and ms >= 0.0 for ms in phases.values())
+
+
+def _counts(result):
+    stats = dict(result.stats)
+    del stats["phase_ms"]
+    return stats
+
+
+class TestSearchMemo:
+    def test_second_search_builds_no_set_up(self, monkeypatch):
+        system = load_system_file(builtin_config_path("example1"))
+        admissible = _counting(monkeypatch, qsearch, "_admissible")
+        opts = SearchOptions(c_lo=0.99, c_hi=1.01)
+        cold = search_certificate(system, opts=opts)
+        assert len(admissible) == 1
+        warm = search_certificate(system, opts=opts)
+        assert len(admissible) == 1
+        assert warm.trace == cold.trace and _counts(warm) == _counts(cold)
+        assert np.array_equal(warm.metric.Q, cold.metric.Q)
+        assert warm.metric.c == cold.metric.c
+        assert warm.report.to_dict() == cold.report.to_dict()
+
+    def test_memoized_arrays_are_read_only(self, ex2):
+        search_certificate(ex2)
+        (setup,) = derived(ex2, "search")
+        arrays = list(vars(setup).values())
+        assert len(arrays) == 6
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_a_set_up_reason_is_returned_again(self, monkeypatch):
+        system = make_system({
+            "dimension": 2, "topology": "chain",
+            "modes": [{"A": [[-5.0, 0.0], [0.0, -5.0]], "b": [1.0, 0.0]},
+                      {"A": [[-5.0, 0.0], [0.0, -5.0]], "b": [3.0, 0.0]}],
+            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
+            "box": {"lower": [-5, -5], "upper": [5, 5]},
+        })
+        admissible = _counting(monkeypatch, qsearch, "_admissible")
+        first, second = search_certificate(system), search_certificate(system)
+        assert len(admissible) == 1
+        assert not second.found and second.reason == first.reason
+        assert second.reason.startswith("jump[1]:")
+
+    @pytest.mark.parametrize("name", sorted(BAD_CROSSES))
+    def test_cross_without_intersection_in_the_box_never_reaches_a_search(self, name):
+        # such a cross once made the search raise TopologyError from its
+        # table; the system is now refused when it is built
+        with pytest.raises(ConfigError, match=BAD_CROSS_ERRORS[name]):
+            search_certificate(make_system(BAD_CROSSES[name]))
 
 
 class TestExactSynthesis:
