@@ -10,13 +10,10 @@ P - I/_MAX_COND^2, read c(P) = min_j lambda_min(L_j(P), 2P), move lam to
 _THETA lam + (1 - _THETA) c(P); stop on the centre's duality bound.
 
 Each centre pays for one eigh of P: it gives Q = P^(1/2), Q^-1 and (2P)^(-1/2),
-through which c(P) is read. For Q^2 proportional to P, mu_Q(A_j) equals
--lambda_min(L_j(P), 2P), so the flow part of the centre's margin is c(P) - c
-with no measure taken; only the jump rows are measured, with that factor. The
-returned metric is the accepted Q of highest rate that passes a re-check on the
-whole table, Q validated. What does not depend on the metric (the admissible
-space, the flow blocks, the jump rows) is built once per system and kept in its
-memo.
+through which c(P) is read. Its margin is one evaluation of the whole table
+with that factor, Q not re-validated; only the returned metric is, by a
+re-check on the table. What does not depend on the metric (the admissible
+space and the flow blocks) is built once per system and kept in its memo.
 """
 
 from __future__ import annotations
@@ -62,27 +59,30 @@ class SearchResult:
     found: bool
     metric: Optional[Metric]
     report: Optional[CertificateReport]
-    # (c(P), margin of its Q) for the start and each centre: the flow part of
-    # the margin is c(P) - c, the jump rows are measured with the centre's factor
+    # (c(P), margin of its Q) for the start and each centre, every condition
+    # of the table measured with the centre's factor (Q, Q^-1)
     trace: list = field(default_factory=list)
     reason: str = ""  # why nothing was found; empty when found
     # centres, Newton steps, bound, cond(Q), and the wall time of each phase
     stats: dict = field(default_factory=dict)
 
 
-def _reduce(flow: float, jump_worsts) -> float:
-    """The search margin from the flow margin and the worst value of every
-    jump condition; see ``margin`` below for the convention."""
-    return min([flow] + [-w for w in jump_worsts if w > PASS_TOL + 1e-9])
+def _table_margin(table: ConditionTable, mu: np.ndarray, c: float) -> float:
+    """Aggregate margin at rate c from the measures ``mu`` of the table's
+    stack; see ``margin`` below for the convention."""
+    out = math.inf
+    for cond, worst in zip(table.conditions, table.worsts(mu)):
+        if cond.kind == "flow":
+            out = min(out, -c - worst)
+        elif worst > PASS_TOL + 1e-9:
+            out = min(out, -worst)
+    return out
 
 
 def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
     """Aggregate margin of a trial Q at rate c, from one batch evaluation of
     the table, Q validated."""
-    worsts = table.worsts(measure_many(Q, table.mats))
-    kinds = [cond.kind for cond in table.conditions]
-    return _reduce(min((-c - w for k, w in zip(kinds, worsts) if k == "flow"), default=math.inf),
-                   [w for k, w in zip(kinds, worsts) if k == "jump"])
+    return _table_margin(table, measure_many(Q, table.mats), c)
 
 
 def margin(system: PwsSystem, metric: Metric) -> float:
@@ -128,24 +128,13 @@ def _admissible(table: ConditionTable, n: int):
 @dataclass(frozen=True)
 class _Setup:
     """The metric-independent part of a search on one system: the admissible
-    space P0 + sum_k z_k D[k], the flow blocks L_j(P) = L0[j] + sum_k z_k LD[j, k]
-    with L_j(P) = -(P A_j + A_j^T P), and the stacked jump rows with the first
-    row of every jump condition that has one. Its arrays are read-only."""
+    space P0 + sum_k z_k D[k] and the flow blocks L_j(P) = L0[j] + sum_k z_k LD[j, k],
+    L_j(P) = -(P A_j + A_j^T P). Its arrays are read-only."""
 
     P0: np.ndarray
     D: np.ndarray
     L0: np.ndarray
     LD: np.ndarray
-    jumps: np.ndarray
-    starts: np.ndarray
-
-    def margin(self, factor: tuple, rate: float, c: float) -> float:
-        """Margin at rate c of the Q of a centre of rate c(P) = ``rate``, for
-        its factor (Q, Q^-1): Q^2 is proportional to P, so the flow part is
-        rate - c, and only the jump rows are measured."""
-        mu = _measures(factor, self.jumps)
-        return _reduce(rate - c, np.maximum.reduceat(mu, self.starts).tolist()
-                       if mu.size else ())
 
 
 def _setup(table: ConditionTable, n: int):
@@ -153,13 +142,9 @@ def _setup(table: ConditionTable, n: int):
     if isinstance(space := _admissible(table, n), str):
         return space
     P0, D = space
-    flows = [c.rows for c in table.conditions if c.kind == "flow"]
-    jumps = [c.rows for c in table.conditions if c.kind == "jump" and c.rows.stop > c.rows.start]
-    A = np.concatenate([table.mats[rows] for rows in flows])
+    A = np.concatenate([table.mats[c.rows] for c in table.conditions if c.kind == "flow"])
     PA0, PAD = P0 @ A, D[None] @ A[:, None]
-    setup = _Setup(P0, D, -(PA0 + PA0.swapaxes(1, 2)), -(PAD + PAD.swapaxes(2, 3)),
-                   np.concatenate([table.mats[rows] for rows in jumps] or [np.empty((0, n, n))]),
-                   np.cumsum([0] + [rows.stop - rows.start for rows in jumps[:-1]], dtype=np.intp))
+    setup = _Setup(P0, D, -(PA0 + PA0.swapaxes(1, 2)), -(PAD + PAD.swapaxes(2, 3)))
     for arr in vars(setup).values():
         arr.flags.writeable = False
     return setup
@@ -241,18 +226,18 @@ def search_certificate(system: PwsSystem,
             return done(reason="the jump conditions leave no positive definite "
                         f"P = Q^2 with cond(Q) <= {_MAX_COND:g}")
     lap("centring")
-    lo, k, accepted, lam = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, [], None
+    lo, k, best, lam = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None, None
     for _ in range(_MAX_CENTRES):
         Q, Qi, R = _root(P)
         rate = float(np.linalg.eigvalsh(  # c(P)
             R @ (L0 + np.einsum("k,jkab->jab", z, LD)) @ R.T)[:, 0].min())
         c = min(rate, opts.c_hi)
         try:
-            trace.append((c, setup.margin((Q, Qi), rate, c)))
-        except ValueError:  # Q A Q^-1 of a jump row is not finite
+            trace.append((c, _table_margin(table, _measures((Q, Qi), table.mats), c)))
+        except ValueError:  # Q A Q^-1 of a table row is not finite
             trace.append((c, -math.inf))
-        if trace[-1][1] >= -PASS_TOL and c > 0.0:
-            accepted.append((c, Q))
+        if trace[-1][1] >= -PASS_TOL and c > 0.0 and (best is None or c > best[0]):
+            best = (c, Q)
         if lam is not None and nu < math.inf:
             # P' of rate c has M_j >= 2 (c - lam) P': X = 2 (c - lam) sum_flows Z_j
             # + Z_f has floor tr X + k lambda_min(X) <= tr(X P') <= nu + floor tr Z_f
@@ -267,15 +252,11 @@ def search_certificate(system: PwsSystem,
                            np.concatenate([LD - 2.0 * lam * D, D[None]]), z, steps)
         P = P0 + np.einsum("k,kab->ab", z, D)
         lap("centring")
-    if not accepted or upper < lo:
+    if best is None or upper < lo:
         c = lo if upper < lo else trace[-1][0]
         return done(reason=f"no Q with cond(Q) <= {_MAX_COND:g} certifies c = {c:g}")
-    # soundness guard: never return a failing metric. The flow margin c(P) - c
-    # is exact only up to rounding, which grows with cond(Q); where the table's
-    # measure disagrees, the next best accepted Q is re-checked.
-    for c, Q in sorted(accepted, key=lambda entry: -entry[0]):
-        if (report := table.report(metric := Metric(Q, c))).passed:
-            lap("recheck")
-            return done(metric, report)
+    report = table.report(metric := Metric(best[1], best[0]))
     lap("recheck")
-    return done(reason="the synthesized metric failed its re-check")
+    if not report.passed:  # soundness guard: never return a failing metric
+        return done(reason="the synthesized metric failed its re-check")
+    return done(metric, report)

@@ -328,7 +328,7 @@ class TestPairwiseAndSearch:
         assert "phase_ms" not in out.read_text()
 
     def test_search_q_refused_metric_writes_null_margin(self, tmp_path, monkeypatch):
-        # a centre whose jump rows measure refuses has margin -inf, once
+        # a centre whose table the measure refuses has margin -inf, once
         # written as -Infinity
         import pwscontract.qsearch as qsearch
 

@@ -66,9 +66,9 @@ CASES = {
     "reproduce-2": (["reproduce", "2"],
                     "88af8afe5fb554fd6263fbcb33455e4df76b6e8f8c0f18d8acf84d25d436d514"),
     "search-q-1": (["search-q", "--config", "example1"],
-                   "90ae805bbb5f80374067c7a7f340cd5a35a8388c0dab74446f91ef1c4acab240"),
+                   "e2f77cad0a3a284b273fbb6d900344444a3eee1c3b9ae31936fe5bb66492cbc8"),
     "search-q-2": (["search-q", "--config", "example2"],
-                   "e124e8bdfb3126e36ab0ce1ebb5731e335df127f34a6702bad882f2f86d01407"),
+                   "54f1e969c116111534eb363f70e142ca4fbe684b4890faed5b49a1af82541a17"),
 }
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract.certify import condition_table
+from pwscontract.certify import ConditionTable, condition_table
 from pwscontract import qsearch
 from pwscontract.measure import Metric
 from pwscontract.model import ConfigError, builtin_config_path, load_system_file
@@ -47,6 +47,21 @@ class TestMargin:
     def test_cross_example(self, ex2):
         assert margin(ex2, Metric.identity(2, 1.87)) > 0.0
         assert margin(ex2, Metric.identity(2, 1.88)) < 0.0
+
+    @pytest.mark.parametrize("b4, scale", [([6.05, -1.25], 1.0),
+                                           ([6.0 + 3.5e-8, -1.3 + 3.5e-8], 1e-2)])
+    def test_violated_intersection_equality_counts(self, b4, scale):
+        # a cross whose field combination f2 + f4 - f1 - f3 misses zero at the
+        # intersection: the residual caps the margin whatever the jump rows
+        # read (with normals of length 1e-2 they read about 1e-9)
+        doc = json.loads(builtin_config_path("example2").read_text())
+        doc["modes"][3]["b"] = b4
+        for man in doc["manifolds"]:
+            man["c"] = [scale * v for v in man["c"]]
+        system = make_system(doc)
+        (eq,) = [c for c in condition_table(system).conditions if c.kind == "equality"]
+        assert eq.residual > 1e-8
+        assert margin(system, Metric.identity(2, 0.5)) <= -eq.residual
 
     def test_violated_zero_bound_condition_counts(self):
         # jump matrix with positive measure on the manifold: hard gate
@@ -188,10 +203,12 @@ def _counting(monkeypatch, module, name):
 
 
 class TestCentreMargin:
-    @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d", "ex1_transformed"])
     def test_equals_the_validated_margin(self, name, request, monkeypatch):
-        # the flow part is c(P) - c, the jump rows are measured with the
-        # centre's own factor: the margin of every centre's Q all the same
+        # every condition is measured with the centre's own factor, Q not
+        # re-validated: the validated margin of every centre's Q, to the
+        # rounding of Q^-1, and never above it beyond PASS_TOL, also for the
+        # cond(Q) of about 4e3 of the transformed example1
         system = request.getfixturevalue(name)
         for opts in (SearchOptions(), SearchOptions(c_lo=0.99, c_hi=1.01)):
             roots = _recording_roots(monkeypatch)
@@ -200,7 +217,9 @@ class TestCentreMargin:
             assert len(roots) == len(result.trace) > 0
             table = condition_table(system)
             for (c, m), Q in zip(result.trace, roots):
-                assert m == pytest.approx(_search_margin(table, Q, c), abs=1e-12)
+                validated = _search_margin(table, Q, c)
+                assert m == pytest.approx(validated, abs=1e-12)
+                assert m <= validated + 1e-12
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
     def test_one_validation_per_search(self, name, request, monkeypatch):
@@ -213,15 +232,32 @@ class TestCentreMargin:
         assert result.found and result.report.passed
         assert len(factors) == 1
 
-    def test_rounding_of_an_ill_conditioned_q_falls_back(self, ex1_transformed):
-        # the flow margin c(P) - c and the table's measure of the same Q
-        # differ by rounding; the re-check returns the best Q that passes
-        result = search_certificate(ex1_transformed)
-        accepted = sorted((c for c, m in result.trace if m >= -1e-12), reverse=True)
-        assert result.found and result.report.passed
-        assert result.metric.c in accepted
-        table = condition_table(ex1_transformed)
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex1_transformed"])
+    def test_one_re_check_per_search(self, name, request, monkeypatch):
+        # the best accepted centre is the one metric the table re-checks
+        system = request.getfixturevalue(name)
+        reports = _counting(monkeypatch, ConditionTable, "report")
+        result = search_certificate(system)
+        assert result.found and result.report.passed and len(reports) == 1
+        assert result.metric.c == max(c for c, m in result.trace if m >= -1e-12)
+        table = condition_table(system)
         assert _search_margin(table, result.metric.Q, result.metric.c) >= -1e-12
+
+    def test_a_failing_equality_caps_every_centre(self, monkeypatch):
+        # the intersection equality does not depend on the metric: violated,
+        # it caps the margin of every centre, and no centre is re-checked
+        system = load_system_file(builtin_config_path("example2"))
+        table, residual = ConditionTable(2, "vertex"), 1e-6
+        for cond in condition_table(system).conditions:
+            table.add(cond.cond_id, cond.kind, cond.domain, cond.method,
+                      condition_table(system).mats[cond.rows], cond.points,
+                      residual if cond.kind == "equality" else cond.residual)
+        monkeypatch.setattr(qsearch, "condition_table", lambda system: table)
+        reports = _counting(monkeypatch, ConditionTable, "report")
+        result = search_certificate(system)
+        assert not result.found and result.reason.startswith("no Q with cond(Q) <= ")
+        assert result.trace and all(m <= -residual for c, m in result.trace)
+        assert reports == []
 
     def test_phase_times(self, ex1):
         for system, opts in ((ex1, SearchOptions(c_lo=0.99, c_hi=1.01)),
@@ -255,7 +291,7 @@ class TestSearchMemo:
         search_certificate(ex2)
         (setup,) = derived(ex2, "search")
         arrays = list(vars(setup).values())
-        assert len(arrays) == 6
+        assert len(arrays) == 4
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
