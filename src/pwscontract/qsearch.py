@@ -9,11 +9,18 @@ centre P on the barrier of L_j(P) - 2 lam P, L_j(P) = -(P A_j + A_j^T P), and
 P - I/_MAX_COND^2, read c(P) = min_j lambda_min(L_j(P), 2P), move lam to
 _THETA lam + (1 - _THETA) c(P); stop on the centre's duality bound.
 
-Each centre pays for one eigh of P: it gives Q = P^(1/2), Q^-1 and (2P)^(-1/2),
-through which c(P) is read. Its margin is one evaluation of the whole table
-with that factor, Q not re-validated; only the returned metric is, by a
-re-check on the table. What does not depend on the metric (the admissible
-space and the flow blocks) is built once per system and kept in its memo.
+The centres z*(lam) lie on a smooth path: each centring starts at the
+first-order prediction z + (lam' - lam) dz/dlam, H dz/dlam = -d(grad)/dlam
+with the barrier Hessian H of the last centre (Nesterov & Nemirovskii,
+Interior-Point Polynomial Algorithms in Convex Programming, 1994, ch. 3),
+its step halved while a block is not positive definite there, else at the
+last centre. Each centre pays for one eigh of P: it gives Q = P^(1/2), Q^-1
+and (2P)^(-1/2), through which c(P) is read. Its margin is one evaluation of
+the whole table with that factor, Q not re-validated, at no more than the
+rate the table's flow rows give that Q; only the returned metric is
+validated, by a re-check on the table. What does not depend on the metric
+(the admissible space and the flow blocks) is built once per system and kept
+in its memo.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .measure import Metric, _measures, measure_many
-from .model import PwsSystem
+from .model import PwsSystem, TopologyError
 from .certify import (CertificateError, CertificateReport, ConditionTable,
                       PASS_TOL, TOL_ZERO, condition_table)
 
@@ -36,6 +43,7 @@ _MAX_COND = 1e6  # every centre's Q has cond(Q) <= this; measure refuses > 1e12
 _ROUNDING = 1e-12  # a jump row this small relative to the largest is noise
 _THETA, _CENTRED = 0.2, 1e-2  # target's share of the last gap; centred decrement
 _MAX_CENTRES, _MAX_STEPS = 500, 200  # caps on the centres and on one centring
+_HALVINGS = 3  # halvings of a predicted start before a centring starts at the last centre
 
 
 @dataclass(frozen=True)
@@ -59,19 +67,21 @@ class SearchResult:
     found: bool
     metric: Optional[Metric]
     report: Optional[CertificateReport]
-    # (c(P), margin of its Q) for the start and each centre, every condition
-    # of the table measured with the centre's factor (Q, Q^-1)
+    # (c, margin of its Q) for the start and each centre, every condition of
+    # the table measured with the centre's factor (Q, Q^-1), and c = c(P) or
+    # c_hi, lowered to the rate the flow rows give Q where that is less
     trace: list = field(default_factory=list)
     reason: str = ""  # why nothing was found; empty when found
-    # centres, Newton steps, bound, cond(Q), and the wall time of each phase
+    # centres, Newton steps, bound, cond(Q), predictor outcomes, and the wall
+    # time of each phase
     stats: dict = field(default_factory=dict)
 
 
-def _table_margin(table: ConditionTable, mu: np.ndarray, c: float) -> float:
-    """Aggregate margin at rate c from the measures ``mu`` of the table's
-    stack; see ``margin`` below for the convention."""
+def _table_margin(table: ConditionTable, worsts: list, c: float) -> float:
+    """Aggregate margin at rate c from the ``worsts`` of the table's
+    conditions; see ``margin`` below for the convention."""
     out = math.inf
-    for cond, worst in zip(table.conditions, table.worsts(mu)):
+    for cond, worst in zip(table.conditions, worsts):
         if cond.kind == "flow":
             out = min(out, -c - worst)
         elif worst > PASS_TOL + 1e-9:
@@ -82,7 +92,7 @@ def _table_margin(table: ConditionTable, mu: np.ndarray, c: float) -> float:
 def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
     """Aggregate margin of a trial Q at rate c, from one batch evaluation of
     the table, Q validated."""
-    return _table_margin(table, measure_many(Q, table.mats), c)
+    return _table_margin(table, table.worsts(measure_many(Q, table.mats)), c)
 
 
 def margin(system: PwsSystem, metric: Metric) -> float:
@@ -150,27 +160,62 @@ def _setup(table: ConditionTable, n: int):
     return setup
 
 
-def _centre(F0: np.ndarray, D: np.ndarray, z: np.ndarray, steps: list):
-    """Damped Newton steps on -sum_j log det F_j(z), F_j = F0[j] + sum_k z_k D[j, k],
-    from a strictly feasible z to a squared decrement below _CENTRED. Returns z,
-    Z_j = F_j^-1 and nu >= sum_j tr(Z_j F_j(z')) for all feasible z': the block
-    size m, + delta (m + 2 sqrt(m) + 1) / (1 - 2 delta) off centre (Nesterov, 4.2).
-    Each D[j, k] is symmetric, so with Df, the rows D[:, k] flattened, F(z) is
-    z @ Df, and the gradient -tr(Z_j D_jk) and Hessian tr(Z_j D_jk Z_j D_jl),
+def _paths(setup: _Setup, floor: float) -> tuple:
+    """The centring paths (A0, B0, AD, BD) of a search, F_j(z, lam) = A0[j] +
+    lam B0[j] + sum_k z_k (AD[k, j] + lam BD[k, j]): phase 1's one block P - lam I,
+    and phase 2's flow blocks L_j(P) - 2 lam P with the floor block P - floor I."""
+    P0, D, L0, LD = setup.P0, setup.D[:, None], setup.L0, setup.LD.swapaxes(0, 1)
+    I, zero = np.eye(len(P0)), np.zeros(D.shape)
+    return ((P0[None], -I[None], D, zero),
+            (np.concatenate([L0, (P0 - floor * I)[None]]),
+             np.concatenate([np.broadcast_to(-2.0 * P0, L0.shape), 0.0 * I[None]]),
+             np.concatenate([LD, D], axis=1),
+             np.concatenate([np.broadcast_to(-2.0 * D, LD.shape), zero], axis=1)))
+
+
+def _centre(path: tuple, lam: float, z: np.ndarray, tangent, steps: list, predictor: dict):
+    """Damped Newton steps on -sum_j log det F_j(z), F_j = F0[j] + sum_k z_k D[k, j],
+    F0 = A0 + lam B0 and D = AD + lam BD for path = (A0, B0, AD, BD), to a squared
+    decrement below _CENTRED. ``tangent``, (lam', dz/dlam) at a centre z of the
+    same path at lam', predicts the start z + (lam - lam') dz/dlam, taken if every
+    F_j is positive definite there, else its step halved up to _HALVINGS times,
+    else z (strictly feasible); ``predictor`` counts these outcomes. Returns z,
+    Z_j = F_j^-1, nu >= sum_j tr(Z_j F_j(z')) for all feasible z' (the block size
+    m, + delta (m + 2 sqrt(m) + 1) / (1 - 2 delta) off centre; Nesterov, 4.2), and
+    the tangent (lam, dz/dlam) there, H dz/dlam = -d(grad)/dlam.
+    Each D[k, j] is symmetric, so with Df, the rows D[k] flattened, F(z) is
+    z @ Df, and the gradient -tr(Z_j D_kj), Hessian H_kl = tr(Z_j D_kj Z_j D_lj) and
+    d(grad_k)/dlam = tr(Z_j D_kj Z_j dF_j) - tr(Z_j BD_kj), dF = B0 + sum_k z_k BD_k,
     summed over j, are products with Df."""
-    Df = D.swapaxes(0, 1).reshape(len(z), F0.size)
-    for k in range(_MAX_STEPS):
+    A0, B0, AD, BD = path
+    F0, D = A0 + lam * B0, AD + lam * BD
+    Df, BDf = D.reshape(len(z), F0.size), BD.reshape(len(z), F0.size)
+    if tangent is not None:
+        dz = (lam - tangent[0]) * tangent[1]
+        for half in range(_HALVINGS + 1):
+            if np.linalg.eigvalsh(F0 + ((z + dz) @ Df).reshape(F0.shape))[:, 0].min() > 0.0:
+                z = z + dz
+                predictor["accepted"] += 1
+                break
+            dz = 0.5 * dz
+        else:
+            predictor["fallbacks"] += 1
+        predictor["halvings"] += half
+    for k in range(_MAX_STEPS + 1):
         Z = np.linalg.inv(F0 + (z @ Df).reshape(F0.shape))
         grad = -(Df @ Z.reshape(-1))
-        ZDZ = (Z[:, None] @ D @ Z[:, None]).swapaxes(0, 1).reshape(Df.shape)
-        step = np.linalg.solve(ZDZ @ Df.T, -grad)
+        ZDZ = (Z @ D @ Z).reshape(Df.shape)
+        H = ZDZ @ Df.T
+        step = np.linalg.solve(H, -grad)
         dec = float(-grad @ step)  # squared Newton decrement
-        if dec < _CENTRED:
+        if dec < _CENTRED or k == _MAX_STEPS:
             break
         z = z + step / (1.0 + math.sqrt(dec))  # stays strictly feasible
     steps.append(k)
-    m, delta = D.shape[0] * D.shape[2], math.sqrt(dec)
-    return z, Z, m + delta * (m + 2 * m ** 0.5 + 1) / (1 - 2 * delta) if delta < 0.1 else math.inf
+    dgrad = ZDZ @ (B0.reshape(-1) + z @ BDf) - BDf @ Z.reshape(-1)
+    m, delta = F0.shape[0] * F0.shape[1], math.sqrt(dec)
+    nu = m + delta * (m + 2 * m ** 0.5 + 1) / (1 - 2 * delta) if delta < 0.1 else math.inf
+    return z, Z, nu, (lam, -np.linalg.solve(H, dgrad))
 
 
 def _root(P: np.ndarray) -> tuple:
@@ -188,8 +233,11 @@ def search_certificate(system: PwsSystem,
                        opts: Optional[SearchOptions] = None) -> SearchResult:
     """The largest centre's rate over P >= I/_MAX_COND^2 of trace 1 meeting the
     jump equalities that the table accepts; else a ``reason``: a jump term or
-    constraints no symmetric Q meets (a proof), or a bound below the clamps."""
+    constraints no symmetric Q meets (a proof), a table that cannot be built
+    (a non-affine system, an undecidable common sector), or a bound below the
+    clamps."""
     opts, trace, steps, upper = opts or SearchOptions(), [], [], math.inf
+    predictor = dict.fromkeys(("accepted", "halvings", "fallbacks"), 0)
     phase_ms = dict.fromkeys(("setup", "centring", "checks", "recheck"), 0.0)
     mark = time.perf_counter()
 
@@ -203,39 +251,43 @@ def search_certificate(system: PwsSystem,
         return SearchResult(metric is not None, metric, report, trace, reason, dict(
             centres=len(steps), newton_steps=sum(steps), newton_steps_per_centre=steps,
             upper_bound=float(upper) if upper < math.inf else None,
-            cond_q=metric and metric.cond(), phase_ms=phase_ms))
+            cond_q=metric and metric.cond(), predictor=predictor, phase_ms=phase_ms))
 
     try:
         table = condition_table(system)
         setup = system._derived(("search",), lambda: _setup(table, system.dimension))
-    except (ValueError, CertificateError) as exc:
+    except (ValueError, CertificateError, TopologyError) as exc:
         setup = str(exc)
     lap("setup")
     if isinstance(setup, str):
         return done(reason=setup)
     P0, D, L0, LD = setup.P0, setup.D, setup.L0, setup.LD
     n, floor, I = system.dimension, 1.0 / _MAX_COND ** 2, np.eye(system.dimension)
-    z, P, t = np.zeros(len(D)), P0, np.linalg.eigvalsh(P0)[0] - 1.0
+    z, P, t, tangent = np.zeros(len(D)), P0, np.linalg.eigvalsh(P0)[0] - 1.0, None
+    path, flow_path = _paths(setup, floor)
     # phase 1, centres of P - t I: every admissible P' has lambda_min <= t + nu/tr Z
     while (w := np.linalg.eigvalsh(P)[0]) <= floor:
         t = _THETA * t + (1.0 - _THETA) * w
-        z, Z, nu = _centre((P0 - t * I)[None], D[None], z, steps)
+        z, Z, nu, tangent = _centre(path, t, z, tangent, steps, predictor)
         P = P0 + np.einsum("k,kab->ab", z, D)
         if t + nu / np.trace(Z[0]) <= floor or len(steps) >= _MAX_CENTRES:
             lap("centring")
             return done(reason="the jump conditions leave no positive definite "
                         f"P = Q^2 with cond(Q) <= {_MAX_COND:g}")
     lap("centring")
-    lo, k, best, lam = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None, None
+    lo, k, best, lam, tangent = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None, None, None
     for _ in range(_MAX_CENTRES):
         Q, Qi, R = _root(P)
         rate = float(np.linalg.eigvalsh(  # c(P)
             R @ (L0 + np.einsum("k,jkab->jab", z, LD)) @ R.T)[:, 0].min())
         c = min(rate, opts.c_hi)
         try:
-            trace.append((c, _table_margin(table, _measures((Q, Qi), table.mats), c)))
+            worsts = table.worsts(_measures((Q, Qi), table.mats))
         except ValueError:  # Q A Q^-1 of a table row is not finite
             trace.append((c, -math.inf))
+        else:  # no more than Q certifies: the rounding of c(P) grows with cond(Q)^2
+            c = min([c] + [-w for cond, w in zip(table.conditions, worsts) if cond.kind == "flow"])
+            trace.append((c, _table_margin(table, worsts, c)))
         if trace[-1][1] >= -PASS_TOL and c > 0.0 and (best is None or c > best[0]):
             best = (c, Q)
         if lam is not None and nu < math.inf:
@@ -248,8 +300,7 @@ def search_certificate(system: PwsSystem,
         if rate >= opts.c_hi or upper < lo or upper - c <= opts.c_tol:
             break
         lam = rate - 1.0 - abs(rate) if lam is None else _THETA * lam + (1.0 - _THETA) * rate
-        z, Z, nu = _centre(np.concatenate([L0 - 2.0 * lam * P0, (P0 - floor * I)[None]]),
-                           np.concatenate([LD - 2.0 * lam * D, D[None]]), z, steps)
+        z, Z, nu, tangent = _centre(flow_path, lam, z, tangent, steps, predictor)
         P = P0 + np.einsum("k,kab->ab", z, D)
         lap("centring")
     if best is None or upper < lo:

@@ -333,6 +333,12 @@ BAD_CROSSES = {
         ("outside", [{"c": [1.0, 0.0], "d": 9.0}, {"c": [0.0, 1.0], "d": 0.0}]))
 }
 BAD_CROSS_ERRORS = {"parallel": "no unique intersection", "outside": "outside the analysis box"}
+# a planar cross that loads, but on which every field vanishes at the
+# intersection (0, 0), so the common-sector test raises TopologyError
+VANISHING_CROSS = {"dimension": 2, "topology": "planar_cross",
+                   "modes": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}] * 4,
+                   "manifolds": [{"c": [0.0, 1.0], "d": 0.0}, {"c": [1.0, 0.0], "d": 0.0}],
+                   "box": {"lower": [-5, -5], "upper": [5, 5]}}
 
 
 @pytest.fixture(scope="session")

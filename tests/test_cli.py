@@ -20,6 +20,7 @@ from conftest import (
     STIFF,
     STIFF_SLIDE,
     STIFF_STEPWISE_SLIDE,
+    VANISHING_CROSS,
     WRONG_TYPES,
     with_entry,
 )
@@ -297,6 +298,18 @@ class TestPairwiseAndSearch:
         assert BAD_CROSS_ERRORS[name] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_search_q_on_an_undecidable_common_sector_says_why(self, tmp_path):
+        # once a numerical refusal (exit 3) with no output: the search now
+        # returns the common-sector test's error as its reason
+        cfg = tmp_path / "cross.json"
+        cfg.write_text(json.dumps(VANISHING_CROSS))
+        out = tmp_path / "s.json"
+        assert main(["search-q", "--config", str(cfg), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert not doc["found"] and doc["trace"] == []
+        assert "Lie derivative vanishes" in doc["reason"]
+        assert json.loads((tmp_path / "s.json.manifest.json").read_text())["results"]["centres"] == 0
+
     def test_search_q_not_found(self, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
@@ -321,6 +334,9 @@ class TestPairwiseAndSearch:
         assert stats["newton_steps"] == sum(stats["newton_steps_per_centre"])
         assert doc["metric"]["c"] <= stats["upper_bound"] <= doc["metric"]["c"] + 1e-3
         assert stats["cond_q"] == pytest.approx(np.linalg.cond(doc["metric"]["Q"]))
+        # every centring but the first starts from its predicted centre
+        assert stats["predictor"] == {"accepted": stats["centres"] - 1, "halvings": 0,
+                                      "fallbacks": 0}
         # wall times go to the manifest only
         phases = stats["phase_ms"]
         assert set(phases) == {"setup", "centring", "checks", "recheck"}

@@ -66,9 +66,9 @@ CASES = {
     "reproduce-2": (["reproduce", "2"],
                     "88af8afe5fb554fd6263fbcb33455e4df76b6e8f8c0f18d8acf84d25d436d514"),
     "search-q-1": (["search-q", "--config", "example1"],
-                   "e2f77cad0a3a284b273fbb6d900344444a3eee1c3b9ae31936fe5bb66492cbc8"),
+                   "dcf9dc7a002fce23ddcf7fea15bdf5f176c9aa69e8034791b92dd0c92516fcf2"),
     "search-q-2": (["search-q", "--config", "example2"],
-                   "54f1e969c116111534eb363f70e142ca4fbe684b4890faed5b49a1af82541a17"),
+                   "86472ad946407e43b7bd8baa1591ab5f3f4c3626034bbf79d1e61ec017fd0a56"),
 }
 
 

@@ -15,7 +15,7 @@ from pwscontract.qsearch import (
     search_certificate,
 )
 
-from conftest import BAD_CROSS_ERRORS, BAD_CROSSES, derived, make_system
+from conftest import BAD_CROSS_ERRORS, BAD_CROSSES, VANISHING_CROSS, derived, make_system
 
 # example1 under x -> T x: Q = T^-1 certifies c = 0.5 there, identity does not
 T = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -143,7 +143,7 @@ class TestSearch:
         assert stats["centres"] == len(stats["newton_steps_per_centre"])
         assert stats["newton_steps"] == sum(stats["newton_steps_per_centre"])
         assert stats["cond_q"] == result.metric.cond()
-        # each centre warm-starts from the last: a handful of Newton steps each
+        # each centre starts from a prediction of it: a few Newton steps each
         assert stats["newton_steps"] <= 8 * stats["centres"] <= 8 * 120
 
     @pytest.mark.parametrize("kwargs, match", [
@@ -311,6 +311,14 @@ class TestSearchMemo:
         assert not second.found and second.reason == first.reason
         assert second.reason.startswith("jump[1]:")
 
+    def test_an_undecidable_common_sector_is_a_reason(self):
+        # the common-sector test of the table raises TopologyError on this
+        # cross; the search once let it through instead of saying why
+        result = search_certificate(make_system(VANISHING_CROSS))
+        assert not result.found and result.metric is None and result.trace == []
+        assert "Lie derivative vanishes" in result.reason
+        assert result.stats["centres"] == 0
+
     @pytest.mark.parametrize("name", sorted(BAD_CROSSES))
     def test_cross_without_intersection_in_the_box_never_reaches_a_search(self, name):
         # such a cross once made the search raise TopologyError from its
@@ -429,3 +437,139 @@ class TestExactSynthesis:
         result = search_certificate(circle)
         assert not result.found
         assert "affine" in result.reason
+
+
+def _z_of(setup, Q):
+    """The coordinates z of Q^2 / tr Q^2 = P0 + sum_k z_k D[k]."""
+    P = Q @ Q / np.trace(Q @ Q)
+    return np.linalg.lstsq(setup.D.reshape(len(setup.D), -1).T, (P - setup.P0).ravel(),
+                           rcond=None)[0]
+
+
+def _predictor_counts():
+    return dict.fromkeys(("accepted", "halvings", "fallbacks"), 0)
+
+
+class TestPathFollowing:
+    def test_flow_path_tangent_matches_central_difference(self, ex1, monkeypatch):
+        # dz/dlam at a centre against (z*(lam + h) - z*(lam - h)) / 2h of two
+        # tightly centred runs: a wrong sign or factor would only cost steps
+        setup = qsearch._setup(condition_table(ex1), 2)
+        path = qsearch._paths(setup, 1.0 / qsearch._MAX_COND ** 2)[1]
+        z0 = _z_of(setup, search_certificate(ex1).metric.Q)  # rate 0.9996
+        monkeypatch.setattr(qsearch, "_CENTRED", 1e-20)
+        counts, h = _predictor_counts(), 1e-4
+        for lam in (0.5, 0.9, 0.99):
+            z, _, _, (at, dzdl) = qsearch._centre(path, lam, z0, None, [], counts)
+            plus = qsearch._centre(path, lam + h, z, None, [], counts)[0]
+            minus = qsearch._centre(path, lam - h, z, None, [], counts)[0]
+            assert at == lam
+            np.testing.assert_allclose(dzdl, (plus - minus) / (2 * h), rtol=1e-4)
+            assert np.abs(dzdl).max() > 1e-2  # the centres do move
+
+    def test_phase_one_tangent_matches_central_difference(self, monkeypatch):
+        # the single block P0 - t I + sum_k z_k D[k] on a 3 x 3 space whose
+        # centre moves with t
+        rng = np.random.default_rng(7)
+        D = rng.normal(size=(2, 3, 3))
+        D = D + D.swapaxes(1, 2)
+        D -= np.trace(D, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+        setup = qsearch._Setup(np.diag([0.6, 0.3, 0.1]), D / 10,
+                               np.zeros((1, 3, 3)), np.zeros((1, 2, 3, 3)))
+        path = qsearch._paths(setup, 1e-12)[0]
+        monkeypatch.setattr(qsearch, "_CENTRED", 1e-20)
+        counts, h = _predictor_counts(), 1e-5
+        z, _, _, (_, dzdt) = qsearch._centre(path, 0.05, np.zeros(2), None, [], counts)
+        plus = qsearch._centre(path, 0.05 + h, z, None, [], counts)[0]
+        minus = qsearch._centre(path, 0.05 - h, z, None, [], counts)[0]
+        np.testing.assert_allclose(dzdt, (plus - minus) / (2 * h), rtol=1e-4)
+        assert np.abs(dzdt).max() > 1e-2
+
+    @pytest.mark.parametrize("name, steps, centres", [("ex1", 100, 82), ("ex2", 12, 14)])
+    def test_newton_steps_stay_few(self, name, steps, centres, request):
+        # a deterministic gate on the work, free of the host's timing noise:
+        # without the predictor the default bracket took 410 steps in 82
+        # centres on example1 and 34 in 14 on example2
+        stats = search_certificate(request.getfixturevalue(name)).stats
+        assert stats["newton_steps"] <= steps
+        assert stats["centres"] <= centres
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_every_prediction_is_accepted(self, name, request):
+        # every centring but the first (no phase 1 runs: P0 = I/2) starts
+        # from its prediction, none halved
+        result = search_certificate(request.getfixturevalue(name))
+        assert result.stats["predictor"] == {
+            "accepted": result.stats["centres"] - 1, "halvings": 0, "fallbacks": 0}
+
+    def test_an_infeasible_prediction_is_halved_or_dropped(self, ex1):
+        setup = qsearch._setup(condition_table(ex1), 2)
+        path = qsearch._paths(setup, 1.0 / qsearch._MAX_COND ** 2)[1]
+        z0 = _z_of(setup, search_certificate(ex1).metric.Q)
+        counts = _predictor_counts()
+        z, _, _, (_, dzdl) = qsearch._centre(path, 0.9, z0, None, [], counts)
+        F0, D = path[0] + 0.909 * path[1], path[2] + 0.909 * path[3]  # c(P(z)) = 0.9117
+
+        def feasible(y):
+            F = F0 + np.einsum("k,kjab->jab", y, D)
+            return np.linalg.eigvalsh(F)[:, 0].min() > 0.0
+
+        assert feasible(z)
+        # the edge of the feasible segment at lam = 0.909 along the tangent
+        inside, outside = 0.0, 1.0
+        while feasible(z + outside * dzdl):
+            inside, outside = outside, 2.0 * outside
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            inside, outside = (mid, outside) if feasible(z + mid * dzdl) else (inside, mid)
+        # a prediction 1.5 times the way to the edge is taken once halved
+        qsearch._centre(path, 0.909, z, (0.909 - 1.5 * outside, dzdl), [], counts)
+        assert counts == {"accepted": 1, "halvings": 1, "fallbacks": 0}
+        # one 1e3 times past it is dropped after three halvings, and the
+        # centring starts from z as without a prediction
+        far = qsearch._centre(path, 0.909, z, (0.909 - 1e3 * outside, dzdl), [], counts)
+        assert counts == {"accepted": 1, "halvings": 4, "fallbacks": 1}
+        plain = qsearch._centre(path, 0.909, z, None, [], counts)
+        assert np.array_equal(far[0], plain[0])
+
+
+def _scanned_optimum(system, points=4001):
+    """max c(P(z)) = -max_j mu_Q(A_j), Q = P(z)^(1/2), over the admissible line
+    P(z) = P0 + z D >= I/_MAX_COND^2, on a grid refined about its best point."""
+    table = condition_table(system)
+    setup = qsearch._setup(table, system.dimension)
+    assert setup.D.shape == (1, 2, 2)
+    P0, (D,) = setup.P0, setup.D
+    M = P0 - np.eye(2) / qsearch._MAX_COND ** 2
+    # det(M + z D) is a quadratic in z; tr D = 0, so it is >= 0 between its roots
+    lo, hi = np.sort(np.roots([np.linalg.det(D),
+                               M[0, 0] * D[1, 1] + M[1, 1] * D[0, 0] - 2.0 * M[0, 1] * D[0, 1],
+                               np.linalg.det(M)]).real)
+    A = np.concatenate([table.mats[c.rows] for c in table.conditions if c.kind == "flow"])
+
+    def rates(z):
+        w, V = np.linalg.eigh(P0 + z[:, None, None] * D)
+        s = np.sqrt(w)[:, None, :]
+        Q, Qi = (V * s) @ V.swapaxes(1, 2), (V / s) @ V.swapaxes(1, 2)
+        S = Q[:, None] @ A @ Qi[:, None]
+        return -np.linalg.eigvalsh(0.5 * (S + S.swapaxes(2, 3)))[..., -1].max(axis=1)
+
+    z = np.linspace(lo, hi, points)
+    c = rates(z)
+    i = int(np.argmax(c))
+    fine = rates(np.linspace(z[max(i - 1, 0)], z[min(i + 1, points - 1)], points))
+    assert np.isfinite(c).all() and np.isfinite(fine).all()
+    return max(c.max(), fine.max())
+
+
+class TestOptimumOracle:
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_search_reaches_the_scanned_optimum(self, name, request):
+        # both examples have a one-dimensional admissible space: the best
+        # rate is a scan over it, independent of the centres and their bound
+        system = request.getfixturevalue(name)
+        best, opts = _scanned_optimum(system), SearchOptions()
+        result = search_certificate(system, opts=opts)
+        assert result.found and result.report.passed
+        assert result.metric.c >= best - opts.c_tol
+        assert result.stats["upper_bound"] >= best - 1e-9
