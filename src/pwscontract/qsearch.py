@@ -6,21 +6,25 @@ System and Control Theory, 1994); kappa >= 0 iff u.g = tr(u g^T) < 0 for PD P.
 The best rate is a generalized-eigenvalue problem (ibid., 5.1), solved by the
 method of centres (Boyd & El Ghaoui, Linear Algebra Appl. 188-189, 1993):
 centre P on the barrier of L_j(P) - 2 lam P, L_j(P) = -(P A_j + A_j^T P), and
-P - I/_MAX_COND^2, read c(P) = min_j lambda_min(L_j(P), 2P), move lam to
-_THETA lam + (1 - _THETA) c(P); stop on the centre's duality bound.
+P - I/_MAX_COND^2, read c(P) = min_j lambda_min(L_j(P), 2P), move lam to a
+target below the best rate; stop on the centre's duality bound.
 
 The centres z*(lam) lie on a smooth path: each centring starts at the
 first-order prediction z + (lam' - lam) dz/dlam, H dz/dlam = -d(grad)/dlam
 with the barrier Hessian H of the last centre (Nesterov & Nemirovskii,
-Interior-Point Polynomial Algorithms in Convex Programming, 1994, ch. 3),
-its step halved while a block is not positive definite there, else at the
-last centre. Each centre pays for one eigh of P: it gives Q = P^(1/2), Q^-1
-and (2P)^(-1/2), through which c(P) is read. Its margin is one evaluation of
-the whole table with that factor, Q not re-validated, at no more than the
-rate the table's flow rows give that Q; only the returned metric is
-validated, by a re-check on the table. What does not depend on the metric
-(the admissible space and the flow blocks) is built once per system and kept
-in its memo.
+Interior-Point Polynomial Algorithms in Convex Programming, 1994, ch. 3).
+That start is feasible well past c(P), so the target takes a long step,
+lam' = lam + omega (c(P) - lam) with omega from 1 - _THETA up to 4 (Nesterov
+& Nemirovskii, ibid.): omega grows after a centring of few Newton steps and
+shrinks while the predicted start is not strictly feasible; below 1 - _THETA
+the target is _THETA lam + (1 - _THETA) c(P), started at the last centre.
+Phase 1, the centres of P - t I, steps t alike. Each centre pays for one eigh
+of P: it gives Q = P^(1/2), Q^-1 and (2P)^(-1/2), through which c(P) is read.
+Its margin is one evaluation of the whole table with that factor, Q not
+re-validated, at no more than the rate the table's flow rows give that Q;
+only the returned metric is validated, by a re-check on the table. What does
+not depend on the metric (the admissible space and the flow blocks) is built
+once per system and kept in its memo.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ _MAX_COND = 1e6  # every centre's Q has cond(Q) <= this; measure refuses > 1e12
 _ROUNDING = 1e-12  # a jump row this small relative to the largest is noise
 _THETA, _CENTRED = 0.2, 1e-2  # target's share of the last gap; centred decrement
 _MAX_CENTRES, _MAX_STEPS = 500, 200  # caps on the centres and on one centring
-_HALVINGS = 3  # halvings of a predicted start before a centring starts at the last centre
+# omega, a long step's share of the gap c(P) - lam, from _THETA's rule up to 4
+# in factors of 1.5 (doubling would skip 1.2, the longest step example2's
+# predictions allow): one up after a centring of at most _EASY Newton steps,
+# one down while the predicted start is infeasible
+_OMEGAS, _EASY = tuple(min((1.0 - _THETA) * 1.5 ** i, 4.0) for i in range(5)), 2
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,8 @@ class SearchResult:
     # c_hi, lowered to the rate the flow rows give Q where that is less
     trace: list = field(default_factory=list)
     reason: str = ""  # why nothing was found; empty when found
-    # centres, Newton steps, bound, cond(Q), predictor outcomes, and the wall
-    # time of each phase
+    # centres, Newton steps and the target of each centring, bound, cond(Q),
+    # predictor outcomes, and the wall time of each phase
     stats: dict = field(default_factory=dict)
 
 
@@ -173,13 +181,38 @@ def _paths(setup: _Setup, floor: float) -> tuple:
              np.concatenate([np.broadcast_to(-2.0 * D, LD.shape), zero], axis=1)))
 
 
-def _centre(path: tuple, lam: float, z: np.ndarray, tangent, steps: list, predictor: dict):
+def _target(path: tuple, lam: float, c: float, z: np.ndarray, tangent, level: int,
+            steps: list, predictor: dict) -> tuple:
+    """(lam', start, level) of the next centring of path = (A0, B0, AD, BD) after
+    its centre z at target lam, of rate c; every F_j(start, lam') = A0[j] +
+    lam' B0[j] + sum_k start_k (AD[k, j] + lam' BD[k, j]) is positive definite.
+    The long step lam' = lam + _OMEGAS[level] (c - lam), its level raised after a
+    centring of at most _EASY Newton steps, starts at the prediction z + (lam' -
+    lam_t) dz/dlam of ``tangent`` = (lam_t, dz/dlam), its level lowered while a
+    block is not positive definite there (one stacked eigvalsh a try). Without a
+    tangent, or below the lowest level, lam' = _THETA lam + (1 - _THETA) c starts
+    at z, where every block is positive definite since lam' < c. ``predictor``
+    counts predictions accepted, cuts of a level and fallbacks to z."""
+    if tangent is not None:
+        A0, B0, AD, BD = path
+        level = min(level + 1, len(_OMEGAS) - 1) if steps[-1] <= _EASY else level
+        while level >= 0:
+            target = lam + _OMEGAS[level] * (c - lam)
+            start = z + (target - tangent[0]) * tangent[1]
+            F = (start @ (AD + target * BD).reshape(len(z), A0.size)).reshape(A0.shape)
+            if np.linalg.eigvalsh(A0 + target * B0 + F)[:, 0].min() > 0.0:
+                predictor["accepted"] += 1
+                return target, start, level
+            level -= 1
+            predictor["cuts"] += 1
+        predictor["fallbacks"] += 1
+    return _THETA * lam + (1.0 - _THETA) * c, z, 0
+
+
+def _centre(path: tuple, lam: float, z: np.ndarray, steps: list):
     """Damped Newton steps on -sum_j log det F_j(z), F_j = F0[j] + sum_k z_k D[k, j],
-    F0 = A0 + lam B0 and D = AD + lam BD for path = (A0, B0, AD, BD), to a squared
-    decrement below _CENTRED. ``tangent``, (lam', dz/dlam) at a centre z of the
-    same path at lam', predicts the start z + (lam - lam') dz/dlam, taken if every
-    F_j is positive definite there, else its step halved up to _HALVINGS times,
-    else z (strictly feasible); ``predictor`` counts these outcomes. Returns z,
+    F0 = A0 + lam B0 and D = AD + lam BD for path = (A0, B0, AD, BD), from a
+    strictly feasible z to a squared decrement below _CENTRED. Returns z,
     Z_j = F_j^-1, nu >= sum_j tr(Z_j F_j(z')) for all feasible z' (the block size
     m, + delta (m + 2 sqrt(m) + 1) / (1 - 2 delta) off centre; Nesterov, 4.2), and
     the tangent (lam, dz/dlam) there, H dz/dlam = -d(grad)/dlam.
@@ -190,17 +223,6 @@ def _centre(path: tuple, lam: float, z: np.ndarray, tangent, steps: list, predic
     A0, B0, AD, BD = path
     F0, D = A0 + lam * B0, AD + lam * BD
     Df, BDf = D.reshape(len(z), F0.size), BD.reshape(len(z), F0.size)
-    if tangent is not None:
-        dz = (lam - tangent[0]) * tangent[1]
-        for half in range(_HALVINGS + 1):
-            if np.linalg.eigvalsh(F0 + ((z + dz) @ Df).reshape(F0.shape))[:, 0].min() > 0.0:
-                z = z + dz
-                predictor["accepted"] += 1
-                break
-            dz = 0.5 * dz
-        else:
-            predictor["fallbacks"] += 1
-        predictor["halvings"] += half
     for k in range(_MAX_STEPS + 1):
         Z = np.linalg.inv(F0 + (z @ Df).reshape(F0.shape))
         grad = -(Df @ Z.reshape(-1))
@@ -236,8 +258,8 @@ def search_certificate(system: PwsSystem,
     constraints no symmetric Q meets (a proof), a table that cannot be built
     (a non-affine system, an undecidable common sector), or a bound below the
     clamps."""
-    opts, trace, steps, upper = opts or SearchOptions(), [], [], math.inf
-    predictor = dict.fromkeys(("accepted", "halvings", "fallbacks"), 0)
+    opts, trace, steps, targets, upper = opts or SearchOptions(), [], [], [], math.inf
+    predictor = dict.fromkeys(("accepted", "cuts", "fallbacks"), 0)
     phase_ms = dict.fromkeys(("setup", "centring", "checks", "recheck"), 0.0)
     mark = time.perf_counter()
 
@@ -250,6 +272,7 @@ def search_certificate(system: PwsSystem,
     def done(metric=None, report=None, reason=""):
         return SearchResult(metric is not None, metric, report, trace, reason, dict(
             centres=len(steps), newton_steps=sum(steps), newton_steps_per_centre=steps,
+            targets=targets,
             upper_bound=float(upper) if upper < math.inf else None,
             cond_q=metric and metric.cond(), predictor=predictor, phase_ms=phase_ms))
 
@@ -264,18 +287,20 @@ def search_certificate(system: PwsSystem,
     P0, D, L0, LD = setup.P0, setup.D, setup.L0, setup.LD
     n, floor, I = system.dimension, 1.0 / _MAX_COND ** 2, np.eye(system.dimension)
     z, P, t, tangent = np.zeros(len(D)), P0, np.linalg.eigvalsh(P0)[0] - 1.0, None
-    path, flow_path = _paths(setup, floor)
+    (path, flow_path), level = _paths(setup, floor), 0
     # phase 1, centres of P - t I: every admissible P' has lambda_min <= t + nu/tr Z
     while (w := np.linalg.eigvalsh(P)[0]) <= floor:
-        t = _THETA * t + (1.0 - _THETA) * w
-        z, Z, nu, tangent = _centre(path, t, z, tangent, steps, predictor)
+        t, z, level = _target(path, t, w, z, tangent, level, steps, predictor)
+        targets.append(float(t))
+        z, Z, nu, tangent = _centre(path, t, z, steps)
         P = P0 + np.einsum("k,kab->ab", z, D)
         if t + nu / np.trace(Z[0]) <= floor or len(steps) >= _MAX_CENTRES:
             lap("centring")
             return done(reason="the jump conditions leave no positive definite "
                         f"P = Q^2 with cond(Q) <= {_MAX_COND:g}")
     lap("centring")
-    lo, k, best, lam, tangent = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None, None, None
+    lo, k, best = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None
+    lam, tangent, level = None, None, 0
     for _ in range(_MAX_CENTRES):
         Q, Qi, R = _root(P)
         rate = float(np.linalg.eigvalsh(  # c(P)
@@ -299,8 +324,12 @@ def search_certificate(system: PwsSystem,
         lap("checks")
         if rate >= opts.c_hi or upper < lo or upper - c <= opts.c_tol:
             break
-        lam = rate - 1.0 - abs(rate) if lam is None else _THETA * lam + (1.0 - _THETA) * rate
-        z, Z, nu, tangent = _centre(flow_path, lam, z, tangent, steps, predictor)
+        if lam is None:
+            lam = rate - 1.0 - abs(rate)
+        else:
+            lam, z, level = _target(flow_path, lam, rate, z, tangent, level, steps, predictor)
+        targets.append(float(lam))
+        z, Z, nu, tangent = _centre(flow_path, lam, z, steps)
         P = P0 + np.einsum("k,kab->ab", z, D)
         lap("centring")
     if best is None or upper < lo:

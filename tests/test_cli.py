@@ -335,8 +335,14 @@ class TestPairwiseAndSearch:
         assert doc["metric"]["c"] <= stats["upper_bound"] <= doc["metric"]["c"] + 1e-3
         assert stats["cond_q"] == pytest.approx(np.linalg.cond(doc["metric"]["Q"]))
         # every centring but the first starts from its predicted centre
-        assert stats["predictor"] == {"accepted": stats["centres"] - 1, "halvings": 0,
+        assert stats["predictor"] == {"accepted": stats["centres"] - 1, "cuts": 5,
                                       "fallbacks": 0}
+        # the target rate of each centring, rising; in the manifest only
+        targets = stats["targets"]
+        assert len(targets) == stats["centres"]
+        assert all(a < b for a, b in zip(targets, targets[1:]))
+        assert targets[-1] < doc["metric"]["c"]
+        assert "targets" not in out.read_text()
         # wall times go to the manifest only
         phases = stats["phase_ms"]
         assert set(phases) == {"setup", "centring", "checks", "recheck"}

@@ -66,9 +66,9 @@ CASES = {
     "reproduce-2": (["reproduce", "2"],
                     "88af8afe5fb554fd6263fbcb33455e4df76b6e8f8c0f18d8acf84d25d436d514"),
     "search-q-1": (["search-q", "--config", "example1"],
-                   "dcf9dc7a002fce23ddcf7fea15bdf5f176c9aa69e8034791b92dd0c92516fcf2"),
+                   "2a1740ccafbff6aad2ddb1e46d81eb2aa40b882f247b277b06f77701157c70a0"),
     "search-q-2": (["search-q", "--config", "example2"],
-                   "86472ad946407e43b7bd8baa1591ab5f3f4c3626034bbf79d1e61ec017fd0a56"),
+                   "b9247a684232aea0b0b8f5c993d1902b47c29c798c3ea9fe693711610a3adc45"),
 }
 
 

@@ -420,6 +420,10 @@ class TestExactSynthesis:
         assert not result.found and result.metric is None
         assert "jump conditions" in result.reason
         assert result.trace == []
+        # phase 1 proves it in as many centres as with _THETA's rule alone:
+        # with no free coordinate no long step stays feasible
+        assert result.stats["centres"] == 18
+        assert result.stats["predictor"] == {"accepted": 17, "cuts": 17, "fallbacks": 0}
 
     def test_jump_term_of_the_wrong_sign(self):
         system = make_system({
@@ -447,7 +451,7 @@ def _z_of(setup, Q):
 
 
 def _predictor_counts():
-    return dict.fromkeys(("accepted", "halvings", "fallbacks"), 0)
+    return dict.fromkeys(("accepted", "cuts", "fallbacks"), 0)
 
 
 class TestPathFollowing:
@@ -456,13 +460,13 @@ class TestPathFollowing:
         # tightly centred runs: a wrong sign or factor would only cost steps
         setup = qsearch._setup(condition_table(ex1), 2)
         path = qsearch._paths(setup, 1.0 / qsearch._MAX_COND ** 2)[1]
-        z0 = _z_of(setup, search_certificate(ex1).metric.Q)  # rate 0.9996
+        z0 = _z_of(setup, search_certificate(ex1).metric.Q)  # rate 0.9997
         monkeypatch.setattr(qsearch, "_CENTRED", 1e-20)
-        counts, h = _predictor_counts(), 1e-4
+        h = 1e-4
         for lam in (0.5, 0.9, 0.99):
-            z, _, _, (at, dzdl) = qsearch._centre(path, lam, z0, None, [], counts)
-            plus = qsearch._centre(path, lam + h, z, None, [], counts)[0]
-            minus = qsearch._centre(path, lam - h, z, None, [], counts)[0]
+            z, _, _, (at, dzdl) = qsearch._centre(path, lam, z0, [])
+            plus = qsearch._centre(path, lam + h, z, [])[0]
+            minus = qsearch._centre(path, lam - h, z, [])[0]
             assert at == lam
             np.testing.assert_allclose(dzdl, (plus - minus) / (2 * h), rtol=1e-4)
             assert np.abs(dzdl).max() > 1e-2  # the centres do move
@@ -478,18 +482,19 @@ class TestPathFollowing:
                                np.zeros((1, 3, 3)), np.zeros((1, 2, 3, 3)))
         path = qsearch._paths(setup, 1e-12)[0]
         monkeypatch.setattr(qsearch, "_CENTRED", 1e-20)
-        counts, h = _predictor_counts(), 1e-5
-        z, _, _, (_, dzdt) = qsearch._centre(path, 0.05, np.zeros(2), None, [], counts)
-        plus = qsearch._centre(path, 0.05 + h, z, None, [], counts)[0]
-        minus = qsearch._centre(path, 0.05 - h, z, None, [], counts)[0]
+        h = 1e-5
+        z, _, _, (_, dzdt) = qsearch._centre(path, 0.05, np.zeros(2), [])
+        plus = qsearch._centre(path, 0.05 + h, z, [])[0]
+        minus = qsearch._centre(path, 0.05 - h, z, [])[0]
         np.testing.assert_allclose(dzdt, (plus - minus) / (2 * h), rtol=1e-4)
         assert np.abs(dzdt).max() > 1e-2
 
-    @pytest.mark.parametrize("name, steps, centres", [("ex1", 100, 82), ("ex2", 12, 14)])
+    @pytest.mark.parametrize("name, steps, centres", [("ex1", 70, 20), ("ex2", 10, 10)])
     def test_newton_steps_stay_few(self, name, steps, centres, request):
         # a deterministic gate on the work, free of the host's timing noise:
-        # without the predictor the default bracket took 410 steps in 82
-        # centres on example1 and 34 in 14 on example2
+        # the default bracket takes 57 steps in 16 centres on example1 and 6
+        # in 8 on example2; targets of _THETA's rule alone took 23 in 73 and
+        # 1 in 14, and without the predictor 410 in 82 and 34 in 14
         stats = search_certificate(request.getfixturevalue(name)).stats
         assert stats["newton_steps"] <= steps
         assert stats["centres"] <= centres
@@ -497,40 +502,54 @@ class TestPathFollowing:
     @pytest.mark.parametrize("name", ["ex1", "ex2"])
     def test_every_prediction_is_accepted(self, name, request):
         # every centring but the first (no phase 1 runs: P0 = I/2) starts
-        # from its prediction, none halved
+        # from its prediction; a long step is cut where the prediction
+        # leaves the feasible set, and no target falls back to its centre
         result = search_certificate(request.getfixturevalue(name))
         assert result.stats["predictor"] == {
-            "accepted": result.stats["centres"] - 1, "halvings": 0, "fallbacks": 0}
+            "accepted": result.stats["centres"] - 1, "cuts": {"ex1": 2, "ex2": 5}[name],
+            "fallbacks": 0}
 
-    def test_an_infeasible_prediction_is_halved_or_dropped(self, ex1):
+    def test_an_infeasible_prediction_is_cut_or_dropped(self, ex1):
         setup = qsearch._setup(condition_table(ex1), 2)
         path = qsearch._paths(setup, 1.0 / qsearch._MAX_COND ** 2)[1]
         z0 = _z_of(setup, search_certificate(ex1).metric.Q)
-        counts = _predictor_counts()
-        z, _, _, (_, dzdl) = qsearch._centre(path, 0.9, z0, None, [], counts)
-        F0, D = path[0] + 0.909 * path[1], path[2] + 0.909 * path[3]  # c(P(z)) = 0.9117
+        lam, A0, B0, AD, BD = 0.9, *path
+        z, _, _, tangent = qsearch._centre(path, lam, z0, [])
 
-        def feasible(y):
-            F = F0 + np.einsum("k,kjab->jab", y, D)
+        def feasible(y, at):
+            F = A0 + at * B0 + np.einsum("k,kjab->jab", y, AD + at * BD)
             return np.linalg.eigvalsh(F)[:, 0].min() > 0.0
 
-        assert feasible(z)
-        # the edge of the feasible segment at lam = 0.909 along the tangent
-        inside, outside = 0.0, 1.0
-        while feasible(z + outside * dzdl):
-            inside, outside = outside, 2.0 * outside
-        for _ in range(60):
-            mid = 0.5 * (inside + outside)
-            inside, outside = (mid, outside) if feasible(z + mid * dzdl) else (inside, mid)
-        # a prediction 1.5 times the way to the edge is taken once halved
-        qsearch._centre(path, 0.909, z, (0.909 - 1.5 * outside, dzdl), [], counts)
-        assert counts == {"accepted": 1, "halvings": 1, "fallbacks": 0}
-        # one 1e3 times past it is dropped after three halvings, and the
-        # centring starts from z as without a prediction
-        far = qsearch._centre(path, 0.909, z, (0.909 - 1e3 * outside, dzdl), [], counts)
-        assert counts == {"accepted": 1, "halvings": 4, "fallbacks": 1}
-        plain = qsearch._centre(path, 0.909, z, None, [], counts)
-        assert np.array_equal(far[0], plain[0])
+        def edge(ok):  # the sup of the targets above lam at which ok holds
+            inside, outside = lam, lam + 1.0
+            assert ok(inside) and not ok(outside)
+            for _ in range(60):
+                mid = 0.5 * (inside + outside)
+                inside, outside = (mid, outside) if ok(mid) else (inside, mid)
+            return inside
+
+        rate = edge(lambda at: feasible(z, at))  # c(P(z)) = 0.9124
+        reach = edge(lambda at: feasible(z + (at - lam) * tangent[1], at))
+        assert qsearch._OMEGAS[0] == 1.0 - qsearch._THETA and qsearch._OMEGAS[-1] == 4.0
+        # after an easy centring level 1 is raised to 2, whose target lies 1.2
+        # times as far as the prediction stays feasible: it is cut once to
+        # level 1, 0.8 times as far, and taken at its prediction
+        c, counts = lam + 1.2 * (reach - lam) / qsearch._OMEGAS[2], _predictor_counts()
+        target, start, level = qsearch._target(path, lam, c, z, tangent, 1,
+                                               [qsearch._EASY], counts)
+        assert counts == {"accepted": 1, "cuts": 1, "fallbacks": 0}
+        assert (target, level) == (lam + qsearch._OMEGAS[1] * (c - lam), 1)
+        np.testing.assert_array_equal(start, z + (target - lam) * tangent[1])
+        assert feasible(start, target)
+        # a prediction a thousand times too long is infeasible at levels 2
+        # (kept after a hard centring), 1 and 0: the target is _THETA's rule
+        # at the last centre, where every block is positive definite
+        far = (lam, 1e3 * tangent[1])
+        target, start, level = qsearch._target(path, lam, rate, z, far, 2,
+                                               [qsearch._EASY + 1], counts)
+        assert counts == {"accepted": 1, "cuts": 4, "fallbacks": 1}
+        assert (target, level) == (qsearch._THETA * lam + (1.0 - qsearch._THETA) * rate, 0)
+        assert start is z and feasible(z, target)
 
 
 def _scanned_optimum(system, points=4001):
@@ -573,3 +592,12 @@ class TestOptimumOracle:
         assert result.found and result.report.passed
         assert result.metric.c >= best - opts.c_tol
         assert result.stats["upper_bound"] >= best - 1e-9
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_no_target_overshoots_the_scanned_optimum(self, name, request):
+        # a target is a rate some P is feasible at, so a long step stays
+        # below the best rate, however far its level reaches
+        system = request.getfixturevalue(name)
+        best, stats = _scanned_optimum(system), search_certificate(system).stats
+        assert len(stats["targets"]) == stats["centres"]
+        assert max(stats["targets"]) < best
