@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _HOMES = {
-    **dict.fromkeys(("Metric", "is_positive_definite", "matrix_measure",
-                     "measure_many"), "measure"),
+    **dict.fromkeys(("Metric", "is_positive_definite", "matrix_measure"), "measure"),
     **dict.fromkeys(("AnalysisBox", "AffineField", "ConfigError", "EscapingRegionError",
                      "IntersectionAssumptionError", "IntersectionCheck", "Manifold",
                      "Mode", "NonFiniteStateError", "PwsSystem", "RegionLocation",

@@ -67,6 +67,12 @@ GRID_MANIFOLD = 41
 GRID_REGION = 21
 
 
+def _zero_bounds() -> dict:
+    """The allowance of each zero-bound condition kind, read at call time, so
+    that the report and the search margin of ``qsearch`` judge them alike."""
+    return {"jump": TOL_ZERO, "equality": TOL_EQ}
+
+
 class CertificateError(RuntimeError):
     pass
 
@@ -208,7 +214,7 @@ class ConditionTable:
 
     def report(self, metric: Metric) -> CertificateReport:
         mu = metric.measures(self.mats)
-        bounds = {"flow": -metric.c, "jump": TOL_ZERO, "equality": TOL_EQ}
+        bounds = {"flow": -metric.c, **_zero_bounds()}
         results = []
         for cond, worst in zip(self.conditions, self.worsts(mu)):
             status = ""

@@ -109,7 +109,6 @@ __all__ = [
 CROSSING = "crossing"
 SLIDING = "sliding"
 ESCAPING = "escaping"
-TANGENTIAL = "tangential"
 
 TOL_LAMBDA = 1e-10  # a slide exits once its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]
 BLOCK = 256  # exact RK4 steps per affine block
@@ -236,13 +235,12 @@ def _lambda_raw(si: float, sj: float) -> float:
     return si / den
 
 
-def classify_boundary(system: PwsSystem, manifold_idx: int, x,
-                      resolve_tangential: bool = True) -> BoundaryClass:
+def classify_boundary(system: PwsSystem, manifold_idx: int, x) -> BoundaryClass:
     """Classify a point on a single manifold as crossing, sliding, or escaping.
 
-    Tangential points (one Lie derivative within ``TOL_LIE`` of zero) resolve to
-    sliding unless ``resolve_tangential`` is False. The point must not lie on
-    any other manifold.
+    Tangential points (one Lie derivative within ``TOL_LIE`` of zero, as the
+    returned ``sigma_i``/``sigma_j`` show) resolve to sliding. The point must
+    not lie on any other manifold.
     """
     x = np.asarray(x, dtype=float)
     i, j = system.adjacent_modes(manifold_idx, x)
@@ -253,7 +251,7 @@ def classify_boundary(system: PwsSystem, manifold_idx: int, x,
             f"both Lie derivatives vanish on {system.manifolds[manifold_idx].label} "
             f"at x={x}; transversality (Assumption on switching data) is violated")
     if zi or zj:
-        kind = SLIDING if resolve_tangential else TANGENTIAL
+        kind = SLIDING
     elif si * sj > 0:
         kind = CROSSING
     elif si > 0:

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Metric", "is_positive_definite", "matrix_measure", "measure_many"]
+__all__ = ["Metric", "is_positive_definite", "matrix_measure"]
 
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e12
@@ -127,12 +127,6 @@ def _measures(factor: tuple, mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(S)[:, -1]
 
 
-def measure_many(Q, mats) -> np.ndarray:
-    """mu_Q of every matrix in a (k, n, n) stack: Q is validated and factored
-    once, and each value equals ``matrix_measure(Q, mats[j])`` exactly."""
-    return _measures(_factor(Q), np.asarray(mats, dtype=float))
-
-
 def matrix_measure(Q, A) -> float:
     """Matrix measure mu_Q(A) = lambda_max((Q A Q^-1 + Q^-1 A^T Q) / 2).
 
@@ -145,7 +139,7 @@ def matrix_measure(Q, A) -> float:
     A = _as_square(A, "A")
     if Q.shape != A.shape:
         raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
-    return float(measure_many(Q, A[None])[0])
+    return float(_measures(_factor(Q), A[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,16 +175,10 @@ class Metric:
         only when it is measured."""
         return _factor(self.Q)
 
-    def measure(self, A) -> float:
-        return float(self.measures(_as_square(A, "A")[None])[0])
-
     def measures(self, mats) -> np.ndarray:
-        """mu_Q of every matrix in a (k, n, n) stack, with the cached factor."""
+        """mu_Q of every matrix in a (k, n, n) stack, with the cached factor;
+        each value equals ``matrix_measure(Q, mats[j])`` exactly."""
         return _measures(self.factor, np.asarray(mats, dtype=float))
-
-    def weighted_norm(self, v) -> float:
-        """||Q v||_2, the distance weight used in the pairwise decay test."""
-        return float(np.linalg.norm(self.Q @ np.asarray(v, dtype=float)))
 
     def cond(self) -> float:
         lam_lo, lam_hi = _eig_range(self.Q)

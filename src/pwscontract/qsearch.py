@@ -19,12 +19,12 @@ lam' = lam + omega (c(P) - lam) with omega from 1 - _THETA up to 4 (Nesterov
 shrinks while the predicted start is not strictly feasible; below 1 - _THETA
 the target is _THETA lam + (1 - _THETA) c(P), started at the last centre.
 Phase 1, the centres of P - t I, steps t alike. Each centre pays for one eigh
-of P: it gives Q = P^(1/2), Q^-1 and (2P)^(-1/2), through which c(P) is read.
-Its margin is one evaluation of the whole table with that factor, Q not
-re-validated, at no more than the rate the table's flow rows give that Q;
-only the returned metric is validated, by a re-check on the table. What does
-not depend on the metric (the admissible space and the flow blocks) is built
-once per system and kept in its memo.
+of P, which gives Q = P^(1/2) and Q^-1, and one evaluation of the whole table
+with that factor, Q not re-validated: c(P) = min_j -mu_Q(A_j) is its flow
+rows, and its margin, acceptance, next target and stop test are reductions of
+it; only the returned metric is validated, by a re-check on the table. What
+does not depend on the metric (the admissible space and the flow blocks) is
+built once per system and kept in its memo.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .measure import Metric, _measures, measure_many
+from .measure import Metric, _measures
 from .model import PwsSystem, TopologyError
 from .certify import (CertificateError, CertificateReport, ConditionTable,
-                      PASS_TOL, TOL_ZERO, condition_table)
+                      PASS_TOL, TOL_ZERO, _zero_bounds, condition_table)
 
 __all__ = ["SearchOptions", "SearchResult", "margin", "search_certificate"]
 
@@ -57,17 +57,15 @@ _OMEGAS, _EASY = tuple(min((1.0 - _THETA) * 1.5 ** i, 4.0) for i in range(5)), 2
 @dataclass(frozen=True)
 class SearchOptions:
     """Finite clamps on the rate (at most c_hi, refused once proved below
-    max(c_lo, c_tol)) and the stopping gap c_tol of the upper bound."""
+    max(c_lo, c_tol)); the stopping gap c_tol of the upper bound is fixed."""
 
     c_lo: float = 0.0
     c_hi: float = 10.0
-    c_tol: float = 1e-3
+    c_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if not 0.0 <= self.c_lo < self.c_hi < math.inf:
             raise ValueError("need finite 0 <= c_lo < c_hi")
-        if not 0.0 < self.c_tol < math.inf:
-            raise ValueError("c_tol must be a finite positive number")
 
 
 @dataclass
@@ -76,8 +74,9 @@ class SearchResult:
     metric: Optional[Metric]
     report: Optional[CertificateReport]
     # (c, margin of its Q) for the start and each centre, every condition of
-    # the table measured with the centre's factor (Q, Q^-1), and c = c(P) or
-    # c_hi, lowered to the rate the flow rows give Q where that is less
+    # the table measured with the centre's factor (Q, Q^-1), c = min(c(P), c_hi)
+    # read from its flow rows; a centre the measure refuses has margin -inf and
+    # c its centring's target (c_lo at the start), a lower bound of c(P)
     trace: list = field(default_factory=list)
     reason: str = ""  # why nothing was found; empty when found
     # centres, Newton steps and the target of each centring, bound, cond(Q),
@@ -87,20 +86,15 @@ class SearchResult:
 
 def _table_margin(table: ConditionTable, worsts: list, c: float) -> float:
     """Aggregate margin at rate c from the ``worsts`` of the table's
-    conditions; see ``margin`` below for the convention."""
-    out = math.inf
+    conditions; see ``margin`` below for the convention. A zero-bound
+    condition is violated exactly where ``ConditionTable.report`` fails it."""
+    out, bounds = math.inf, _zero_bounds()
     for cond, worst in zip(table.conditions, worsts):
         if cond.kind == "flow":
             out = min(out, -c - worst)
-        elif worst > PASS_TOL + 1e-9:
+        elif bounds[cond.kind] - worst < -PASS_TOL:
             out = min(out, -worst)
     return out
-
-
-def _search_margin(table: ConditionTable, Q: np.ndarray, c: float) -> float:
-    """Aggregate margin of a trial Q at rate c, from one batch evaluation of
-    the table, Q validated."""
-    return _table_margin(table, table.worsts(measure_many(Q, table.mats)), c)
 
 
 def margin(system: PwsSystem, metric: Metric) -> float:
@@ -111,7 +105,8 @@ def margin(system: PwsSystem, metric: Metric) -> float:
     since no choice of c improves them; violated, they give their margin."""
     if metric.dimension != system.dimension:
         raise CertificateError("metric dimension does not match the system")
-    return _search_margin(condition_table(system), metric.Q, metric.c)
+    table = condition_table(system)
+    return _table_margin(table, table.worsts(metric.measures(table.mats)), metric.c)
 
 
 def _admissible(table: ConditionTable, n: int):
@@ -190,10 +185,11 @@ def _target(path: tuple, lam: float, c: float, z: np.ndarray, tangent, level: in
     centring of at most _EASY Newton steps, starts at the prediction z + (lam' -
     lam_t) dz/dlam of ``tangent`` = (lam_t, dz/dlam), its level lowered while a
     block is not positive definite there (one stacked eigvalsh a try). Without a
-    tangent, or below the lowest level, lam' = _THETA lam + (1 - _THETA) c starts
-    at z, where every block is positive definite since lam' < c. ``predictor``
-    counts predictions accepted, cuts of a level and fallbacks to z."""
-    if tangent is not None:
+    tangent or a free coordinate, or below the lowest level, lam' = _THETA lam +
+    (1 - _THETA) c starts at z, where every block is positive definite since
+    lam' < c. ``predictor`` counts predictions accepted, cuts of a level and
+    fallbacks to z."""
+    if tangent is not None and len(z):
         A0, B0, AD, BD = path
         level = min(level + 1, len(_OMEGAS) - 1) if steps[-1] <= _EASY else level
         while level >= 0:
@@ -242,13 +238,13 @@ def _centre(path: tuple, lam: float, z: np.ndarray, steps: list):
 
 def _root(P: np.ndarray) -> tuple:
     """Q = P^(1/2) by eigh, eigenvalues floored to cond(Q) <= _MAX_COND, max
-    diagonal 1; with Q^-1 and R = (2P)^(-1/2), R 2P R^T = I, from the same eigh."""
+    diagonal 1; with Q^-1 from the same eigh."""
     w, V = np.linalg.eigh(P)
     s = np.sqrt(np.maximum(w, w[-1] / _MAX_COND ** 2))
     Q = (V * s) @ V.T
     Q = Q + Q.T
     d = Q.diagonal().max()
-    return Q / d, (V * (0.5 * d / s)) @ V.T, (V / np.sqrt(2.0 * w)).T
+    return Q / d, (V * (0.5 * d / s)) @ V.T
 
 
 def search_certificate(system: PwsSystem,
@@ -256,8 +252,10 @@ def search_certificate(system: PwsSystem,
     """The largest centre's rate over P >= I/_MAX_COND^2 of trace 1 meeting the
     jump equalities that the table accepts; else a ``reason``: a jump term or
     constraints no symmetric Q meets (a proof), a table that cannot be built
-    (a non-affine system, an undecidable common sector), or a bound below the
-    clamps."""
+    (a non-affine system, an undecidable common sector), a bound below the
+    clamps, or the measure refusing a centre's table before any centre was
+    accepted (a refusal stops the search; after an accepted centre, the best
+    of those is returned)."""
     opts, trace, steps, targets, upper = opts or SearchOptions(), [], [], [], math.inf
     predictor = dict.fromkeys(("accepted", "cuts", "fallbacks"), 0)
     phase_ms = dict.fromkeys(("setup", "centring", "checks", "recheck"), 0.0)
@@ -284,7 +282,7 @@ def search_certificate(system: PwsSystem,
     lap("setup")
     if isinstance(setup, str):
         return done(reason=setup)
-    P0, D, L0, LD = setup.P0, setup.D, setup.L0, setup.LD
+    P0, D = setup.P0, setup.D
     n, floor, I = system.dimension, 1.0 / _MAX_COND ** 2, np.eye(system.dimension)
     z, P, t, tangent = np.zeros(len(D)), P0, np.linalg.eigvalsh(P0)[0] - 1.0, None
     (path, flow_path), level = _paths(setup, floor), 0
@@ -299,20 +297,22 @@ def search_certificate(system: PwsSystem,
             return done(reason="the jump conditions leave no positive definite "
                         f"P = Q^2 with cond(Q) <= {_MAX_COND:g}")
     lap("centring")
-    lo, k, best = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None
+    lo, k, best, refused = max(opts.c_lo, opts.c_tol), 1.0 - n * floor, None, ""
     lam, tangent, level = None, None, 0
     for _ in range(_MAX_CENTRES):
-        Q, Qi, R = _root(P)
-        rate = float(np.linalg.eigvalsh(  # c(P)
-            R @ (L0 + np.einsum("k,jkab->jab", z, LD)) @ R.T)[:, 0].min())
-        c = min(rate, opts.c_hi)
+        Q, Qi = _root(P)
         try:
             worsts = table.worsts(_measures((Q, Qi), table.mats))
-        except ValueError:  # Q A Q^-1 of a table row is not finite
-            trace.append((c, -math.inf))
-        else:  # no more than Q certifies: the rounding of c(P) grows with cond(Q)^2
-            c = min([c] + [-w for cond, w in zip(table.conditions, worsts) if cond.kind == "flow"])
-            trace.append((c, _table_margin(table, worsts, c)))
+        except ValueError as exc:  # Q A Q^-1 of a table row is not finite
+            # no rate to step from: stop, with the target as a lower bound of c(P)
+            trace.append((opts.c_lo if lam is None else min(lam, opts.c_hi), -math.inf))
+            refused = f"the measure refused the table at point {len(trace)} of the trace: {exc}"
+            lap("checks")
+            break
+        # c(P) = min_j -mu_Q(A_j): mu_Q(A) <= -c is P A + A^T P <= -2cP
+        rate = min(-w for cond, w in zip(table.conditions, worsts) if cond.kind == "flow")
+        c = min(rate, opts.c_hi)
+        trace.append((c, _table_margin(table, worsts, c)))
         if trace[-1][1] >= -PASS_TOL and c > 0.0 and (best is None or c > best[0]):
             best = (c, Q)
         if lam is not None and nu < math.inf:
@@ -333,8 +333,8 @@ def search_certificate(system: PwsSystem,
         P = P0 + np.einsum("k,kab->ab", z, D)
         lap("centring")
     if best is None or upper < lo:
-        c = lo if upper < lo else trace[-1][0]
-        return done(reason=f"no Q with cond(Q) <= {_MAX_COND:g} certifies c = {c:g}")
+        c = lo if upper < lo else trace[-1][0]  # a refused centre has upper >= lo
+        return done(reason=refused or f"no Q with cond(Q) <= {_MAX_COND:g} certifies c = {c:g}")
     report = table.report(metric := Metric(best[1], best[0]))
     lap("recheck")
     if not report.passed:  # soundness guard: never return a failing metric

@@ -18,7 +18,7 @@ from pwscontract.certify import (
     condition_table,
     pairwise_contraction_test,
 )
-from pwscontract.qsearch import SearchOptions, _search_margin, search_certificate
+from pwscontract.qsearch import SearchOptions, margin, search_certificate
 
 from conftest import CHAIN4, OUTSIDE_MANIFOLD, make_system
 
@@ -398,7 +398,7 @@ class TestConditionsWithoutPoints:
 
     def test_search_treats_an_empty_condition_as_non_binding(self):
         system = make_system(OUTSIDE_MANIFOLD)
-        assert _search_margin(condition_table(system), np.eye(2), 0.5) == 0.5
+        assert margin(system, Metric.identity(2, 0.5)) == 0.5
         result = search_certificate(system, opts=SearchOptions(c_lo=0.5, c_hi=1.5))
         assert result.found and result.metric.c >= 0.999
         assert result.report.condition("jump[1]").status == "empty"

@@ -66,9 +66,9 @@ CASES = {
     "reproduce-2": (["reproduce", "2"],
                     "88af8afe5fb554fd6263fbcb33455e4df76b6e8f8c0f18d8acf84d25d436d514"),
     "search-q-1": (["search-q", "--config", "example1"],
-                   "2a1740ccafbff6aad2ddb1e46d81eb2aa40b882f247b277b06f77701157c70a0"),
+                   "fe207ec48195816fc63fb7b248557ed8547693ecefe117efebb35a92387555e8"),
     "search-q-2": (["search-q", "--config", "example2"],
-                   "b9247a684232aea0b0b8f5c993d1902b47c29c798c3ea9fe693711610a3adc45"),
+                   "8fa5c6f7150ddd998b5dbd9888743da526e5ad78658a894a5a465c5eab771927"),
 }
 
 

@@ -4,16 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract.certify import ConditionTable, condition_table
-from pwscontract import qsearch
+from pwscontract.certify import PASS_TOL, TOL_ZERO, ConditionTable, condition_table
+from pwscontract import certify, qsearch
 from pwscontract.measure import Metric
 from pwscontract.model import ConfigError, builtin_config_path, load_system_file
-from pwscontract.qsearch import (
-    SearchOptions,
-    _search_margin,
-    margin,
-    search_certificate,
-)
+from pwscontract.qsearch import SearchOptions, margin, search_certificate
 
 from conftest import BAD_CROSS_ERRORS, BAD_CROSSES, VANISHING_CROSS, derived, make_system
 
@@ -112,7 +107,7 @@ class TestSearch:
     def test_returned_rate_tracks_trace(self, ex1, ex2):
         # one trace entry per point (the start, then each centre): the returned
         # rate is the best accepted one, within c_tol of the duality bound
-        opts = SearchOptions(c_tol=1e-3, c_hi=2.0)
+        opts = SearchOptions(c_hi=2.0)
         for system in (ex1, ex2):
             result = search_certificate(system, opts=opts)
             accepted = [c for c, m in result.trace if m >= -1e-12]
@@ -150,22 +145,43 @@ class TestSearch:
         ({"c_hi": math.inf}, "finite 0 <= c_lo < c_hi"),
         ({"c_hi": math.nan}, "finite 0 <= c_lo < c_hi"),
         ({"c_lo": 2.0, "c_hi": 1.0}, "finite 0 <= c_lo < c_hi"),
-        ({"c_tol": 0.0}, "c_tol"),
-        ({"c_tol": -1e-3}, "c_tol"),
-        ({"c_tol": math.inf}, "c_tol"),
-        ({"c_tol": math.nan}, "c_tol"),
     ])
     def test_options_must_be_finite(self, kwargs, match):
-        # an infinite c_hi, or a c_tol <= 0, once made the search endless
+        # an infinite c_hi once made the search endless
         with pytest.raises(ValueError, match=match):
             SearchOptions(**kwargs)
+
+    def test_stopping_gap_is_fixed(self):
+        # c_tol is a constant of the search, not an option (a c_tol <= 0 once
+        # made the search endless)
+        assert SearchOptions().c_tol == SearchOptions(c_hi=2.0).c_tol == 1e-3
+        with pytest.raises(TypeError):
+            SearchOptions(c_tol=1e-2)
+
+
+def _validated_margin(table, Q, c):
+    """The margin of Q at rate c (which may be negative), Q validated."""
+    return qsearch._table_margin(table, table.worsts(Metric(Q, 0.0).measures(table.mats)), c)
+
+
+def _jump_chain(delta, scale=1.0):
+    """A chain whose one jump term (delta, 0) (scale, 0)^T has measure
+    delta * scale for Q = I: a zero-bound worst wherever delta puts it."""
+    return make_system({
+        "dimension": 2, "topology": "chain",
+        "modes": [{"A": [[-5.0, 0.0], [0.0, -5.0]], "b": [1.0, 0.0]},
+                  {"A": [[-5.0, 0.0], [0.0, -5.0]], "b": [1.0 + delta, 0.0]}],
+        "manifolds": [{"c": [scale, 0.0], "d": 0.0}],
+        "box": {"lower": [-5, -5], "upper": [5, 5]},
+    })
 
 
 class TestSearchMargin:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "chain4", "chain3d"])
     def test_agrees_with_public_margin(self, name, request):
-        # the search reduces one batch evaluation of the condition table; the
-        # public margin reduces the certificate report of the same table
+        # the margin and the certificate report reduce the same evaluation of
+        # the table: the same verdict, and the report's least flow margin
+        # wherever no zero-bound condition fails
         system = request.getfixturevalue(name)
         table = condition_table(system)
         n = system.dimension
@@ -173,14 +189,33 @@ class TestSearchMargin:
         for _ in range(25):
             L = np.tril(rng.uniform(-1.0, 1.0, (n, n)))
             L[np.diag_indices(n)] = rng.uniform(0.2, 1.5, n)
-            Q, c = L @ L.T, float(rng.uniform(0.0, 3.0))
-            expected = margin(system, Metric(Q, c))
-            assert _search_margin(table, Q, c) == pytest.approx(expected,
-                                                                abs=1e-12)
+            metric = Metric(L @ L.T, float(rng.uniform(0.0, 3.0)))
+            m, report = margin(system, metric), table.report(metric)
+            assert (m >= -PASS_TOL) == report.passed
+            flows = min(r.margin for r in report.conditions if r.kind == "flow")
+            gates = [r.margin for r in report.conditions if r.kind != "flow"]
+            if all(g >= -PASS_TOL for g in gates):
+                assert m == flows
+            else:
+                assert m < -PASS_TOL
 
     def test_identity_values(self, ex1, ex2):
-        assert _search_margin(condition_table(ex1), np.eye(2), 0.5) == 0.0
-        assert _search_margin(condition_table(ex2), np.eye(2), 1.87) > 0.0
+        assert margin(ex1, Metric.identity(2, 0.5)) == 0.0
+        assert margin(ex2, Metric.identity(2, 1.87)) > 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_zero_bound_allowance_is_the_report_s(self, scale, monkeypatch):
+        # a jump worst just inside, then just outside, TOL_ZERO: the margin
+        # passes exactly where the report does, also once the allowance moves
+        for delta, inside in ((TOL_ZERO * (1 - 1e-2), True), (TOL_ZERO * (1 + 1e-2), False)):
+            system, metric = _jump_chain(delta / scale, scale), Metric.identity(2, 0.5)
+            report = condition_table(system).report(metric)
+            assert report.condition("jump[1]").worst == pytest.approx(delta, rel=1e-6)
+            assert report.passed == inside == (margin(system, metric) >= -PASS_TOL)
+            monkeypatch.setattr(certify, "TOL_ZERO", 2 * TOL_ZERO)
+            report = condition_table(system).report(metric)
+            assert report.passed and margin(system, metric) >= -PASS_TOL
+            monkeypatch.undo()
 
 
 def _recording_roots(monkeypatch):
@@ -217,7 +252,7 @@ class TestCentreMargin:
             assert len(roots) == len(result.trace) > 0
             table = condition_table(system)
             for (c, m), Q in zip(result.trace, roots):
-                validated = _search_margin(table, Q, c)
+                validated = _validated_margin(table, Q, c)
                 assert m == pytest.approx(validated, abs=1e-12)
                 assert m <= validated + 1e-12
 
@@ -240,8 +275,7 @@ class TestCentreMargin:
         result = search_certificate(system)
         assert result.found and result.report.passed and len(reports) == 1
         assert result.metric.c == max(c for c, m in result.trace if m >= -1e-12)
-        table = condition_table(system)
-        assert _search_margin(table, result.metric.Q, result.metric.c) >= -1e-12
+        assert margin(system, result.metric) >= -1e-12
 
     def test_a_failing_equality_caps_every_centre(self, monkeypatch):
         # the intersection equality does not depend on the metric: violated,
@@ -258,6 +292,41 @@ class TestCentreMargin:
         assert not result.found and result.reason.startswith("no Q with cond(Q) <= ")
         assert result.trace and all(m <= -residual for c, m in result.trace)
         assert reports == []
+
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_a_refused_centre_stops_the_search(self, first, ex1, monkeypatch):
+        # the measure refuses the table from trace point `first` on: the
+        # search has no rate to step from there and stops, its trace entry
+        # the target of that centring (c_lo at the start point), which the
+        # refused centre's rate exceeds; the best earlier centre is
+        # re-checked and returned, or the reason names the refusal
+        calls, measures, opts = [], qsearch._measures, SearchOptions(c_hi=2.0)
+
+        def refusing(factor, mats):
+            calls.append(1)
+            if len(calls) >= first:
+                raise ValueError("A must have finite entries (and Q A Q^-1 must not overflow)")
+            return measures(factor, mats)
+
+        roots = _recording_roots(monkeypatch)
+        monkeypatch.setattr(qsearch, "_measures", refusing)
+        result = search_certificate(ex1, opts=opts)
+        assert len(calls) == len(result.trace) == len(roots) == first
+        assert result.stats["centres"] == first - 1
+        c, m = result.trace[-1]
+        assert m == -math.inf and math.isfinite(c)
+        assert c == (result.stats["targets"][-1] if first > 1 else opts.c_lo)
+        table = condition_table(ex1)
+        flows = Metric(roots[-1], 0.0).measures(table.mats)
+        assert c < -max(flows[cond.rows].max() for cond in table.conditions
+                        if cond.kind == "flow")
+        earlier = [rate for rate, slack in result.trace[:-1] if slack >= -PASS_TOL]
+        if first > 1:
+            assert earlier and result.found and result.report.passed
+            assert result.metric.c == max(earlier)
+        else:
+            assert not result.found and result.trace == [(opts.c_lo, -math.inf)]
+            assert result.reason.startswith("the measure refused the table at point 1 of the trace: ")
 
     def test_phase_times(self, ex1):
         for system, opts in ((ex1, SearchOptions(c_lo=0.99, c_hi=1.01)),
@@ -421,9 +490,10 @@ class TestExactSynthesis:
         assert "jump conditions" in result.reason
         assert result.trace == []
         # phase 1 proves it in as many centres as with _THETA's rule alone:
-        # with no free coordinate no long step stays feasible
+        # with no free coordinate there is nothing to predict, so every
+        # target takes that rule and no long step is tried
         assert result.stats["centres"] == 18
-        assert result.stats["predictor"] == {"accepted": 17, "cuts": 17, "fallbacks": 0}
+        assert result.stats["predictor"] == {"accepted": 0, "cuts": 0, "fallbacks": 0}
 
     def test_jump_term_of_the_wrong_sign(self):
         system = make_system({
