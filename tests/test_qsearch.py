@@ -145,10 +145,16 @@ class TestSearch:
         ({"c_hi": math.inf}, "finite 0 <= c_lo < c_hi"),
         ({"c_hi": math.nan}, "finite 0 <= c_lo < c_hi"),
         ({"c_lo": 2.0, "c_hi": 1.0}, "finite 0 <= c_lo < c_hi"),
+        ({"c_tol": 0.0}, "c_tol"),
+        ({"c_tol": -1e-3}, "c_tol"),
+        ({"c_tol": math.inf}, "c_tol"),
+        ({"c_tol": math.nan}, "c_tol"),
     ])
     def test_options_must_be_finite(self, kwargs, match):
-        # an infinite c_hi once made the search endless
-        with pytest.raises(ValueError, match=match):
+        # an infinite c_hi, or a c_tol <= 0, once made the search endless; the
+        # stopping gap is now a constant, so any c_tol argument is refused
+        error = TypeError if "c_tol" in kwargs else ValueError
+        with pytest.raises(error, match=match):
             SearchOptions(**kwargs)
 
     def test_stopping_gap_is_fixed(self):
