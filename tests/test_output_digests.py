@@ -121,6 +121,9 @@ TRAJECTORY_CASES = {
     "pairwise-pool-example1": (
         "ex1", _pool, lambda s, x: integrate(s, x, 10.0),
         "19f9d78a2dc50d05eb91c91edb4919b6e5c386af13dae9f2bc7571afd681fd90"),
+    "pairwise-pool-example2": (
+        "ex2", _pool, lambda s, x: integrate(s, x, 5.0),
+        "9d23a4e6c173fdccab25bea413f49e8475ed5329df7c39794f04087ae664da25"),
     "regularized-example1-1e-2": (
         "ex1", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
         "b99db9fb0041b75d294f26fb645f23f2cbc5c06daf493a7979779033b46fb679"),
