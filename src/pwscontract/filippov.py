@@ -23,11 +23,21 @@ the system. An event-free stretch advances as a chain of up to ``MAX_CHAIN``
 such blocks, each started from the last row of the one before, with one
 event scan and one commit for the whole chain; the chain doubles from one
 block while no event is flagged, and a chained run has the bits of one
-block at a time. A chain's states are written once, into rows of the
-trajectory's own buffers (``_Builder``), which the trajectory then holds
-slices of. ``_EventSurfaces`` is the one evaluator of a set of
-surfaces: the flow, the slide (for the other manifolds) and the regularized
-blend read their H values from it. The single step of a flow is built in one
+block at a time. A contracting mode ends the scans: when its exact step
+map contracts, ||R(h)||_2 <= 1 - 1e-12, no later state leaves the ball
+about its fixed point x* that a state lies in, so once a chain starts
+within ``_EventSurfaces.clearance`` of x* (closer than every surface of
+the set, less TOL_EVENT and a rounding slack) no event can be flagged
+again, and the rest of the stretch is advanced in chains of ``MAX_CHAIN``
+blocks and committed unscanned. This applies to the modes of an affine
+system, in this solver and the regularized one; single steps, handle
+systems and slides keep their event checks, and every row, time and
+commit is that of the scanned run, so the outputs are unchanged. A
+chain's states are written once, into rows of the trajectory's own
+buffers (``_Builder``), which the trajectory then holds slices of.
+``_EventSurfaces`` is the one evaluator of a set of surfaces: the flow,
+the slide (for the other manifolds) and the regularized blend read their H
+values from it. The single step of a flow is built in one
 place, ``_flow_step``, and that of a slide in one, ``_slide_steps``: the
 engines and the convergence gap of ``regularize`` step through them.
 
@@ -113,6 +123,7 @@ ESCAPING = "escaping"
 TOL_LAMBDA = 1e-10  # a slide exits once its weight leaves [TOL_LAMBDA, 1 - TOL_LAMBDA]
 BLOCK = 256  # exact RK4 steps per affine block
 MAX_CHAIN = 64  # most affine blocks a flow advances between two event scans
+TAIL_SLACK = 1e-9  # a tail's allowance for rounding, relative to 1 + ||x*|| + distance
 TOL_RANK_ONE = 1e-12  # relative residual of a mode jump from u c^T for an affine slide
 MAX_TRANSITIONS = 200_000
 SAMPLE_SLACK = 64  # rows a trajectory reserves past one per grid step
@@ -184,7 +195,8 @@ class Trajectory:
         # keep the first sample at each distinct time
         keep = np.concatenate(([True], np.diff(self.times[idx]) > 1e-12))
         idx = idx[keep]
-        return self.times[idx], self.states[idx]
+        # take gathers the rows several times faster than fancy indexing
+        return self.times[idx], self.states.take(idx, axis=0)
 
     def has_sliding(self) -> bool:
         return any(s.kind == "slide" for s in self.segments)
@@ -301,15 +313,50 @@ class _EventSurfaces:
     """The one evaluator of a set of surfaces H_k(x) = 0 of ``system``. For
     an affine system H_k(x) = C[k].x - d[k], with the normals and offsets
     stacked once; otherwise the values are those of the surfaces' handles,
-    and C and d are None."""
+    and C and d are None. A set lives as long as its system (``_events``,
+    ``RegularizedSystem``), and so do the clearances it keeps."""
 
     def __init__(self, system: PwsSystem, surfaces: list):
         self.surfaces = surfaces
         self.C = self.d = None
+        self._clearances: dict = {}
         if system.is_affine:
             self.C = np.array([s.affine[0] for s in surfaces]).reshape(
                 -1, system.dimension)
             self.d = np.array([s.affine[1] for s in surfaces])
+
+    def clearance(self, field: AffineField, h: float):
+        """(x*, margin) of the exact RK4 flow of ``field`` at step h, or None:
+        x* is the fixed point of its contracting step map
+        (``AffineField.centre``), and every state within margin of x* starts
+        an orbit on which no surface of this set is ever flagged. Built once
+        per (field, h) of this set; None when the step map does not contract
+        or the margin is not positive, +inf for a set with no surface.
+
+        Surface k is no nearer than D_k = |H_k(x*)| / |C[k]|, and a state
+        flags it only within TOL_EVENT / |C[k]| of it, so margin = min_k
+        D_k - TOL_EVENT / |C[k]| - TAIL_SLACK (1 + ||x*|| + D_k). The slack
+        covers the error of x* (at most TOL_CENTRE (1 + ||x*||), counted
+        twice) and the rounding of the stacks, of a chain's rows and of their
+        surface values: a few ulps of ||x*|| + D_k per step, under
+        1e-11 (1 + 3 ||x*|| + D_k) over the MAX_CHAIN * BLOCK steps of a
+        chain."""
+        key = (field, h)
+        memo = self._clearances
+        if key not in memo:
+            # two threads may both build an entry; both get the first stored
+            memo.setdefault(key, self._clearance(field, h))
+        return memo[key]
+
+    def _clearance(self, field, h):
+        xs = field.centre(h)
+        if xs is None:
+            return None
+        norms = np.linalg.norm(self.C, axis=1)
+        dist = np.abs(self.C @ xs - self.d) / norms
+        slack = TAIL_SLACK * (1.0 + float(np.linalg.norm(xs)) + dist)
+        margin = float(np.min(dist - TOL_EVENT / norms - slack, initial=math.inf))
+        return (xs, margin) if margin > 0.0 else None
 
     def values(self, x) -> np.ndarray:
         """H_k(x) of every surface."""
@@ -327,6 +374,12 @@ class _EventSurfaces:
         # columns costs several times more per row, for the same values
         Hs[1:] = (self.C @ X.T).T - self.d
         return Hs, _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
+
+
+def _events(system: PwsSystem) -> _EventSurfaces:
+    """The ``_EventSurfaces`` of the system's manifolds, built once per
+    system."""
+    return system._derived(("events",), lambda: _EventSurfaces(system, system.manifolds))
 
 
 def _first_row(flags) -> int:
@@ -569,6 +622,12 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
     located on the quartic in tau of its exact RK4 step (``_step_quartics``),
     equal to the step map's surface values up to rounding, and its state is
     built once, through the step map at the located theta.
+    A chain that starts within the ``clearance`` margin of the fixed point
+    x* of a contracting step map is the start of an event-free tail: no row
+    from there on leaves the ball about x* that the start lies in, and that
+    ball meets no surface, so the chain is advanced ``MAX_CHAIN`` blocks at
+    a time and committed unscanned, with the rows, times and commits of the
+    scanned chains. Single steps keep their event check.
     The modes of any other system (one with a handle mode or surface) take
     one RK4 step of their field up to each grid time, locate a hit on the
     surface values of that step's state, and raise StiffStepError when the
@@ -579,10 +638,13 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
     field = None if events.C is None else mode.affine
     what = f"mode {mode.index}"
     if field is None:
+        tail = None
         try:
             _check_rk4_step(np.linalg.eigvals(mode.jac(x)), h)
         except StiffStepError as exc:
             raise StiffStepError(f"{what}: {exc}") from None
+    else:
+        tail = events.clearance(field, h)
     step_fn = _flow_step(mode, field is not None)
 
     def hit(x0, t0, delta, h0, flags):
@@ -595,8 +657,9 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
     h0 = None  # the event values at x, carried from step to step
     chain = 1  # blocks in the next chain: doubles while no event is flagged
     while t < t_stop - 1e-14:
+        free = tail is not None and float(np.linalg.norm(x - tail[0])) < tail[1]
         block = None if field is None else _advance_blocks(
-            field, what, x, t, h, t_stop, chain, builder)
+            field, what, x, t, h, t_stop, MAX_CHAIN if free else chain, builder)
         if block is None:
             tn = _next_grid(t, h, t_stop)
             x1 = step_fn(x, tn - t)
@@ -610,19 +673,20 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
             builder.add_point(t, x, seg_id)
             continue
         ts, X = block
-        Hs, ev = events.scan_block(x, X)
-        idx = _first_row(ev)
-        if idx < len(ev):
-            builder.commit(ts[:idx], seg_id)
-            # the hit's time counts from the start of its own block, as a
-            # lone block would
-            row = idx - idx % BLOCK
-            t0 = t if row == 0 else ts[row - 1]
-            return hit(x if idx == 0 else X[idx - 1], t0 + (idx - row) * h, h,
-                       Hs[idx], ev[idx])
+        if not free:
+            Hs, ev = events.scan_block(x, X)
+            idx = _first_row(ev)
+            if idx < len(ev):
+                builder.commit(ts[:idx], seg_id)
+                # the hit's time counts from the start of its own block, as a
+                # lone block would
+                row = idx - idx % BLOCK
+                t0 = t if row == 0 else ts[row - 1]
+                return hit(x if idx == 0 else X[idx - 1], t0 + (idx - row) * h, h,
+                           Hs[idx], ev[idx])
+            chain = min(2 * chain, MAX_CHAIN)
         builder.commit(ts, seg_id)
         x, t, h0 = X[-1], ts[-1], None
-        chain = min(2 * chain, MAX_CHAIN)
     return "t_stop", None, t, x
 
 
@@ -852,7 +916,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
     x0 = _check_start(system, x0, t_f)
 
     builder = _Builder(system.box, t_f / opts.step + SAMPLE_SLACK)
-    events = _EventSurfaces(system, system.manifolds)
+    events = _events(system)
 
     def certified_sector() -> int:
         chk = _intersection_check(system)

@@ -49,6 +49,8 @@ TOL_BOUNDARY = 1e-9
 TOL_LIE = 1e-10
 TOL_EVENT = 1e-10  # |H| at which a bisected root of a surface is accepted
 MAX_BISECT = 80
+TOL_CONTRACT = 1e-12  # an RK4 step map contracts when ||R(h)||_2 <= 1 - TOL_CONTRACT
+TOL_CENTRE = 1e-10  # most error of a step map's fixed point, relative to 1 + its norm
 
 # planar cross sign table: mode index -> (sign of H1, sign of H2)
 _CROSS_SIGNS = {1: (1, -1), 2: (1, 1), 3: (-1, 1), 4: (-1, -1)}
@@ -159,9 +161,10 @@ class AffineField:
 
     One RK4 step of x' = Ax + b with step h is exactly x -> R(h) x + r(h),
     R the degree-4 truncated exponential of hA. The powers of A behind it are
-    formed at construction; the block stacks of ``stacks`` are built on first
-    use, one entry per (step, block) for the life of the field, and shared,
-    read-only, by every integration that uses it.
+    formed at construction; the block stacks of ``stacks`` and the fixed
+    point of ``centre`` are built on first use, one entry per (step, block)
+    and per step for the life of the field, and shared, read-only, by every
+    integration that uses it.
     """
 
     A: np.ndarray
@@ -190,6 +193,7 @@ class AffineField:
                                              (b, A @ b, A2 @ b, A3 @ b)))
         object.__setattr__(self, "_taylor", np.concatenate((eye, A / 2.0, A2 / 6.0, A3 / 24.0)))
         object.__setattr__(self, "_stacks", {})
+        object.__setattr__(self, "_centres", {})
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b
@@ -220,6 +224,36 @@ class AffineField:
             # two threads may both build an entry; both get the first stored
             entry = self._stacks.setdefault(key, self._build_stacks(h, block))
         return entry
+
+    def centre(self, h: float):
+        """The read-only fixed point x* of one RK4 step of size h,
+        (I - R) x* = r, when that step is a Euclidean contraction,
+        ||R(h)||_2 <= 1 - TOL_CONTRACT: every orbit of the step map then stays
+        in the ball about x* that it starts in. None when the step does not
+        contract, or when x* is not known to within TOL_CENTRE (1 + ||x*||).
+        Built once per h (None included) and kept, as ``stacks``."""
+        centres = self._centres
+        if h not in centres:
+            # two threads may both build an entry; both get the first stored
+            centres.setdefault(h, self._build_centre(h))
+        return centres[h]
+
+    def _build_centre(self, h: float):
+        R, r = self.step_map(h)
+        norm = float(np.linalg.norm(R, 2))
+        if not norm <= 1.0 - TOL_CONTRACT:
+            return None
+        E = np.eye(len(r)) - R  # invertible: ||E v|| >= (1 - ||R||) ||v||
+        xs = np.linalg.solve(E, r)
+        size = float(np.linalg.norm(xs))
+        # the exact fixed point lies within residual / (1 - ||R||) of xs; the
+        # residual counts its own rounding (||E|| <= 2)
+        residual = float(np.linalg.norm(E @ xs - r)) + 4 * len(r) * np.finfo(float).eps * (
+            2.0 * size + float(np.linalg.norm(r)))
+        if not residual <= TOL_CENTRE * (1.0 + size) * (1.0 - norm):
+            return None
+        xs.flags.writeable = False
+        return xs
 
     def _build_stacks(self, h: float, block: int):
         _check_rk4_step(np.linalg.eigvals(self.A), h)
@@ -428,8 +462,9 @@ class PwsSystem:
     ``manifolds`` are tuples, and what is derived from them is built once
     and kept, read-only, in one memo on the system (``_derived``): each
     ``ConditionTable`` of ``certify.condition_table``, each sliding field of
-    the slide engine, the common-sector check, each ``RegularizedSystem``
-    and the set-up of the metric search (``qsearch``).
+    the slide engine, the event surfaces of the manifolds, the common-sector
+    check, each ``RegularizedSystem`` and the set-up of the metric search
+    (``qsearch``).
     """
 
     def __init__(self, dimension: int, topology: str, modes: Sequence[Mode],

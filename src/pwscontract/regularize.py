@@ -62,6 +62,7 @@ from .filippov import (
     _EventSurfaces,
     _check_start,
     _event_flags,
+    _events,
     _first_hit,
     _flow_step,
     _next_grid,
@@ -201,8 +202,11 @@ class RegularizedSystem:
         # engine never flags a surface it starts on, so a stretch started
         # there would cross the band with the plain mode's field
         self._edge = self.eps + TOL_EVENT
-        # the manifold values H(x) and the stacked mode fields f_i(x)
-        self._surfaces = _EventSurfaces(base, base.manifolds)
+        # the manifold values H(x) and the stacked mode fields f_i(x); the
+        # band edges, which a flow between the bands watches
+        self._surfaces = _events(base)
+        self._edges = _EventSurfaces(base, [e for m in base.manifolds
+                                            for e in _band_edges(m, self.eps)])
         self._H = self._surfaces.values
         self._bands = {}
         self._affine = base.is_affine
@@ -452,8 +456,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     if t_f == 0.0:
         return builder.finish()
 
-    events = _EventSurfaces(system, [e for m in system.manifolds
-                                     for e in _band_edges(m, eps)])
+    events = reg._edges
     t, x = 0.0, x0.copy()
     in_band = reg.in_band(x)
     guard = 0

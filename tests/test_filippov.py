@@ -46,6 +46,7 @@ from conftest import (
     SLIDE_TO_INTERSECTION,
     derived,
     handle_copy,
+    handle_manifold_copy,
     make_system,
 )
 
@@ -697,24 +698,35 @@ class TestAffineSlide:
 class TestChainedBlocks:
     """A flow advances its event-free stretches in chains of up to
     ``MAX_CHAIN`` blocks with one event scan per chain; a chain has the bits
-    of its blocks advanced one at a time (``MAX_CHAIN`` = 1)."""
+    of its blocks advanced one at a time (``MAX_CHAIN`` = 1). The chains of
+    an event-free tail are advanced but not scanned, so the chain lengths
+    are read from ``_advance_blocks`` and the flagged rows from the scans."""
 
     @staticmethod
     def both(monkeypatch, run):
         """(chained, one-block) runs of ``run()`` and, for the chained run,
-        the length of every scanned chain with its first flagged row (None
-        when no event was flagged)."""
-        scans = []
+        the rows of every chain that ``_advance_blocks`` returned and the
+        length of every scanned chain with its first flagged row (None when
+        no event was flagged)."""
+        chains, scans = [], []
+        advance = filippov._advance_blocks
         scan = filippov._EventSurfaces.scan_block
 
-        def spy(self, x, X):
+        def advance_spy(*args):
+            block = advance(*args)
+            if block is not None:
+                chains.append(len(block[1]))
+            return block
+
+        def scan_spy(self, x, X):
             Hs, ev = scan(self, x, X)
             rows = np.flatnonzero(ev.any(axis=1))
             scans.append((len(X), int(rows[0]) if rows.size else None))
             return Hs, ev
 
         with monkeypatch.context() as m:
-            m.setattr(filippov._EventSurfaces, "scan_block", spy)
+            m.setattr(filippov, "_advance_blocks", advance_spy)
+            m.setattr(filippov._EventSurfaces, "scan_block", scan_spy)
             chained = run()
         with monkeypatch.context() as m:
             m.setattr(filippov, "MAX_CHAIN", 1)
@@ -724,25 +736,26 @@ class TestChainedBlocks:
                                   equal_nan=True), k
         assert ([(s.kind, s.t_start, s.t_end) for s in chained.segments]
                 == [(s.kind, s.t_start, s.t_end) for s in single.segments])
-        assert max(n for n, _ in scans) > filippov.BLOCK  # it did chain
-        assert max(n for n, _ in scans) <= filippov.MAX_CHAIN * filippov.BLOCK
-        return chained, scans
+        assert max(chains) > filippov.BLOCK  # it did chain
+        assert max(chains) <= filippov.MAX_CHAIN * filippov.BLOCK
+        return chained, chains, scans
 
     def test_stop_inside_a_chain(self, ex1, monkeypatch):
-        traj, scans = self.both(
-            monkeypatch, lambda: integrate(ex1, (-5.0, -5.0), 20.0))
-        n, row = scans[-1]
-        assert row is None and n > filippov.BLOCK and n % filippov.BLOCK
-        assert traj.times[-1] == 20.0
+        # the last chain, a tail chain from t = 19.884, stops 617 rows in
+        traj, chains, _ = self.both(
+            monkeypatch, lambda: integrate(ex1, (-5.0, -5.0), 20.5))
+        n = chains[-1]
+        assert n > filippov.BLOCK and n % filippov.BLOCK
+        assert traj.times[-1] == 20.5
 
     @pytest.mark.parametrize("x0", [(5.0, -5.0), (-3.0, -4.0)])
     def test_hit_in_a_later_block(self, ex1, monkeypatch, x0):
-        _, scans = self.both(monkeypatch, lambda: integrate(ex1, x0, 20.0))
+        _, _, scans = self.both(monkeypatch, lambda: integrate(ex1, x0, 20.0))
         assert any(row is not None and row >= filippov.BLOCK for _, row in scans)
 
     def test_off_grid_restart_after_crossing(self, ex2, monkeypatch):
         h = SolverOptions().step
-        traj, scans = self.both(
+        traj, _, scans = self.both(
             monkeypatch, lambda: integrate(ex2, (-3.0, -4.0), 20.0))
         crossings = [s.t_end for s in traj.segments if s.kind == "cross"]
         assert len(crossings) == 2
@@ -751,16 +764,157 @@ class TestChainedBlocks:
 
     def test_step_not_dividing_the_horizon(self, ex1, monkeypatch):
         opts = SolverOptions(step=7.3e-3)
-        traj, _ = self.both(
+        traj, _, _ = self.both(
             monkeypatch, lambda: integrate(ex1, (-5.0, 5.0), 20.0, opts))
         assert 20.0 / opts.step % 1.0 > 0.5
         assert traj.times[-1] == 20.0
 
     @pytest.mark.parametrize("x0", [(-5.0, 5.0), (-3.0, -4.0)])
     def test_regularized_band_edge_flows(self, ex1, monkeypatch, x0):
-        _, scans = self.both(
+        _, _, scans = self.both(
             monkeypatch, lambda: integrate_regularized(ex1, 1e-2, x0, 5.0))
         assert any(row is not None and row >= filippov.BLOCK for _, row in scans)
+
+
+def _one_surface_system(A, b):
+    """A two-mode chain split by x1 = 0: mode 1 is x' = A x + b, mode 2
+    contracts to (1, 0)."""
+    return make_system({
+        "dimension": 2, "topology": "chain",
+        "modes": [{"A": A, "b": b},
+                  {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [1.0, 0.0]}],
+        "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
+        "box": {"lower": [-5, -5], "upper": [5, 5]},
+    })
+
+
+class TestEventFreeTail:
+    """A flow that starts a chain within the ``clearance`` margin of its
+    step map's fixed point is advanced unscanned: the outputs keep their
+    bits, and the tail engages only where the contraction proves that no
+    surface can be flagged."""
+
+    @staticmethod
+    def rows(monkeypatch, run):
+        """(result of run(), rows advanced in blocks, rows scanned)."""
+        counts = {"advanced": 0, "scanned": 0}
+        advance = filippov._advance_blocks
+        scan = filippov._EventSurfaces.scan_block
+
+        def advance_spy(*args):
+            block = advance(*args)
+            if block is not None:
+                counts["advanced"] += len(block[1])
+            return block
+
+        def scan_spy(self, x, X):
+            counts["scanned"] += len(X)
+            return scan(self, x, X)
+
+        with monkeypatch.context() as m:
+            m.setattr(filippov, "_advance_blocks", advance_spy)
+            m.setattr(filippov._EventSurfaces, "scan_block", scan_spy)
+            out = run()
+        return out, counts["advanced"], counts["scanned"]
+
+    # name -> (system fixture, starts, runner, whether the tail engages)
+    CASES = {
+        "ex1": ("ex1", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0), True),
+        "ex2": ("ex2", GOLDEN_STARTS, lambda s, x: integrate(s, x, 20.0), True),
+        "chain4": ("chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0), False),
+        "chain3d": ("chain3d", STARTS_3D, lambda s, x: integrate(s, x, 3.0), False),
+        "regularized-ex1": ("ex1", GOLDEN_STARTS,
+                            lambda s, x: integrate_regularized(s, 1e-2, x, 20.0), True),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_bits_without_the_tail(self, request, monkeypatch, name):
+        fixture, starts, run, engages = self.CASES[name]
+        system = request.getfixturevalue(fixture)
+        for x0 in starts:
+            x0 = np.array(x0, dtype=float)
+            tail, _, scanned = self.rows(monkeypatch, lambda: run(system, x0))
+            with monkeypatch.context() as m:
+                m.setattr(filippov._EventSurfaces, "clearance", lambda self, field, h: None)
+                scanned_all, advanced, full = self.rows(monkeypatch, lambda: run(system, x0))
+            assert same_trajectory(tail, scanned_all), x0
+            assert ([(s.kind, s.t_start, s.t_end, s.mode, s.pair) for s in tail.segments]
+                    == [(s.kind, s.t_start, s.t_end, s.mode, s.pair)
+                        for s in scanned_all.segments])
+            assert full == advanced and scanned <= full
+            if engages:
+                assert scanned < full, x0
+
+    def test_engages_on_the_pairwise_pool(self, ex1, monkeypatch):
+        starts = np.random.default_rng(2024).uniform(ex1.box.lower, ex1.box.upper, (20, 2))
+        trajs, _, scanned = self.rows(
+            monkeypatch, lambda: [integrate(ex1, x0, 10.0) for x0 in starts])
+        assert scanned <= 0.3 * sum(len(t.times) for t in trajs)
+
+    def test_clearance_is_kept_for_the_life_of_the_system(self, monkeypatch):
+        ex1 = fresh("example1")
+        builds = []
+        build = filippov._EventSurfaces._clearance
+
+        def counting(self, field, h):
+            builds.append((self, field, h))
+            return build(self, field, h)
+
+        monkeypatch.setattr(filippov._EventSurfaces, "_clearance", counting)
+        for _ in range(2):
+            for x0 in GOLDEN_STARTS:
+                integrate(ex1, x0, 20.0)
+                integrate_regularized(ex1, 1e-2, x0, 5.0)
+        assert len(builds) == len(set((id(e), id(f), h) for e, f, h in builds))
+        assert {e for e, _, _ in builds} == {filippov._events(ex1),
+                                             derived(ex1, "regularized")[0]._edges}
+
+    def test_non_normal_mode_is_scanned(self, monkeypatch):
+        # stable (both eigenvalues -1) but mu_2(A) = 4 > 0, so one exact RK4
+        # step stretches some direction: ||R(h)||_2 > 1
+        A = [[-1.0, 10.0], [0.0, -1.0]]
+        system = _one_surface_system(A, [-2.0, 0.0])
+        field = system.mode(1).affine
+        assert np.linalg.norm(field.step_map(1e-3)[0], 2) > 1.0
+        assert field.centre(1e-3) is None
+        traj, advanced, scanned = self.rows(
+            monkeypatch, lambda: integrate(system, (-3.0, 0.1), 10.0))
+        assert traj.segments[-1].mode == 1 and advanced > 9000
+        assert scanned == advanced
+
+    @pytest.mark.parametrize("slack, engages", [(0.5, False), (2.0, True)])
+    def test_equilibrium_near_a_surface(self, monkeypatch, slack, engages):
+        # mode 1 contracts to (-delta, 0), delta = TOL_EVENT + slack
+        # TAIL_SLACK off x1 = 0: inside the allowance no tail is proved
+        delta = filippov.TOL_EVENT + slack * filippov.TAIL_SLACK
+        system = _one_surface_system([[-1.0, 0.0], [0.0, -1.0]], [-delta, 0.0])
+        field = system.mode(1).affine
+        assert np.allclose(field.centre(1e-3), (-delta, 0.0), rtol=0.0, atol=1e-15)
+        clearance = filippov._events(system).clearance(field, 1e-3)
+        assert (clearance is not None) == engages
+        traj, advanced, scanned = self.rows(
+            monkeypatch, lambda: integrate(system, (-1.0, 0.5), 60.0))
+        assert [s.kind for s in traj.segments] == ["flow"]
+        assert (scanned < advanced) == engages
+
+    @pytest.mark.parametrize("copy", [handle_copy, handle_manifold_copy])
+    def test_handle_system_has_no_tail(self, ex1, monkeypatch, copy):
+        system = copy(ex1)
+
+        def refuse(self, field, h):
+            raise AssertionError("a handle system asked for a clearance")
+
+        monkeypatch.setattr(filippov._EventSurfaces, "clearance", refuse)
+        for x0 in GOLDEN_STARTS:
+            integrate(system, x0, 1.5)
+            integrate_regularized(system, 1e-2, x0, 1.5)
+
+    def test_no_surface(self, single_mode, monkeypatch):
+        field = single_mode.mode(1).affine
+        assert filippov._events(single_mode).clearance(field, 1e-3)[1] == math.inf
+        traj, advanced, scanned = self.rows(
+            monkeypatch, lambda: integrate(single_mode, (3.0, -4.0), 5.0))
+        assert traj.times[-1] == 5.0 and advanced == 5000 and scanned == 0
 
 
 def step_map_bisection(field, surfaces, flagged, x0, delta, h0):
