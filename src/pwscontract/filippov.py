@@ -58,8 +58,11 @@ onto the manifold; the step at which lambda leaves its bounds or another
 surface is flagged is retaken as a single step, with its event location
 and persistence probe, through the field's exact step map and the same
 projection and affine weight. Every other pair (a handle mode or manifold,
-a jump that is not rank-one in the normal, c.w = 0) steps RK4 on the
-sliding field of ``_pair``.
+a jump that is not rank-one in the normal, c.w = 0) steps RK4 on its
+sliding field: on Python floats for two affine modes on an affine manifold
+in the plane (every slide of a planar cross; ``_planar_slide``, cached on
+the system), in the order of operations of the numpy field of ``_pair``,
+which steps every other pair.
 
 Two numerical refusals guard the output: a step at which RK4 grows a
 decaying direction of a mode or of a sliding field raises ``StiffStepError``
@@ -376,10 +379,11 @@ class _EventSurfaces:
         return Hs, _event_flags(Hs[:-1], Hs[1:], TOL_EVENT)
 
 
-def _events(system: PwsSystem) -> _EventSurfaces:
-    """The ``_EventSurfaces`` of the system's manifolds, built once per
-    system."""
-    return system._derived(("events",), lambda: _EventSurfaces(system, system.manifolds))
+def _events(system: PwsSystem, skip: Optional[int] = None) -> _EventSurfaces:
+    """The ``_EventSurfaces`` of the system's manifolds but ``skip`` (those
+    a slide on it watches), built once per (system, skip)."""
+    return system._derived(("events", skip), lambda: _EventSurfaces(
+        system, [m for k, m in enumerate(system.manifolds) if k != skip]))
 
 
 def _first_row(flags) -> int:
@@ -474,11 +478,12 @@ class _Builder:
         self.segments: list = []
 
     def open_segment(self, kind, t, mode=None, manifold=None, pair=None) -> int:
+        t = float(t)  # an engine may hand over a time read from an array
         self.segments.append(Segment(kind, t, t, mode=mode, manifold=manifold, pair=pair))
         return len(self.segments) - 1
 
     def close_segment(self, seg_id: int, t_end: float):
-        self.segments[seg_id].t_end = t_end
+        self.segments[seg_id].t_end = float(t_end)
 
     def add_point(self, t, x, seg_id, lam=math.nan):
         self._room(1)
@@ -737,13 +742,64 @@ def _build_slide_field(system, man_idx, i, j):
                         -(fi.A.T @ c) / cw, -float(c @ fi.b) / cw)
 
 
+def _planar_slide(system: PwsSystem, man_idx: int, i: int, j: int):
+    """``_slide_steps`` on Python floats of two affine modes on an affine
+    manifold in the plane, built once and cached on the system, or None.
+    Each value follows the numpy path's order: f = A x + b, sigma = c.f,
+    ``_lambda_raw``, f_i + lambda (f_j - f_i), the RK4 combination and
+    x - c (c.x - d) / c.c."""
+    return system._derived(("planar slide", man_idx, i, j),
+                           lambda: _build_planar_slide(system, man_idx, i, j))
+
+
+def _build_planar_slide(system, man_idx, i, j):
+    man, mi, mj = system.manifolds[man_idx], system.mode(i), system.mode(j)
+    if system.dimension != 2 or not (man.is_affine and mi.is_affine and mj.is_affine):
+        return None
+    (ai11, ai12), (ai21, ai22) = mi.affine.A.tolist()
+    (aj11, aj12), (aj21, aj22) = mj.affine.A.tolist()
+    (bi1, bi2), (bj1, bj2) = mi.affine.b.tolist(), mj.affine.b.tolist()
+    c, d = man.affine
+    (c1, c2), cc = c.tolist(), float(c @ c)
+
+    def weighed(x1, x2):
+        fi1, fi2 = ai11 * x1 + ai12 * x2 + bi1, ai21 * x1 + ai22 * x2 + bi2
+        fj1, fj2 = aj11 * x1 + aj12 * x2 + bj1, aj21 * x1 + aj22 * x2 + bj2
+        lam = _lambda_raw(c1 * fi1 + c2 * fi2, c1 * fj1 + c2 * fj2)
+        return fi1, fi2, fj1, fj2, lam
+
+    def field(x1, x2):
+        fi1, fi2, fj1, fj2, lam = weighed(x1, x2)
+        return fi1 + lam * (fj1 - fi1), fi2 + lam * (fj2 - fi2)
+
+    def step(x0, dt):
+        x1, x2 = x0.tolist()
+        half = 0.5 * dt
+        k11, k12 = field(x1, x2)
+        k21, k22 = field(x1 + half * k11, x2 + half * k12)
+        k31, k32 = field(x1 + half * k21, x2 + half * k22)
+        k41, k42 = field(x1 + dt * k31, x2 + dt * k32)
+        y1 = x1 + (dt / 6.0) * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        y2 = x2 + (dt / 6.0) * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+        s = (c1 * y1 + c2 * y2 - d) / cc
+        return np.array((y1 - c1 * s, y2 - c2 * s))
+
+    def lam_at(xq):
+        return weighed(*xq.tolist())[4]
+
+    def fs(xq):
+        return np.array(field(*xq.tolist()))
+    return step, lam_at, None, fs
+
+
 def _slide_steps(system: PwsSystem, man_idx: int, i: int, j: int):
     """(step, lam_at, affine, fs) of a slide of the pair (i, j) on manifold
     ``man_idx``: its single step (x0, dt) -> x1 onto the manifold, its
     weight x -> lambda, its ``_AffineSlide`` and, for a stepwise slide, its
     sliding field. An affine slide steps by the exact RK4 map of its field
     and weighs by lam_x . x + lam_0 (affine set, fs None); any other steps
-    RK4 on the sliding field of ``_pair`` (affine None)."""
+    RK4 on its sliding field (affine None), on floats where
+    ``_planar_slide`` applies, else that of ``_pair``."""
     project = system.manifolds[man_idx].project
     affine = _slide_field(system, man_idx, i, j)
     if affine is not None:
@@ -761,6 +817,9 @@ def _slide_steps(system: PwsSystem, man_idx: int, i: int, j: int):
             R, r = step_map(dt)
             return project(R @ x0 + r)
         return step, lam_at, affine, None
+    planar = _planar_slide(system, man_idx, i, j)
+    if planar is not None:
+        return planar
     pair = _pair(system, man_idx, i, j)
 
     def lam_at(xq):
@@ -795,7 +854,7 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
     """
     man = system.manifolds[man_idx]
     others = [k for k in range(len(system.manifolds)) if k != man_idx]
-    events = _EventSurfaces(system, [system.manifolds[k] for k in others])
+    events = _events(system, man_idx)
     surfaces = events.surfaces
     slide_step, lam_at, affine, fs = _slide_steps(system, man_idx, i, j)
     what = f"sliding field on {man.label}, pair ({i}, {j})"

@@ -36,6 +36,7 @@ from pwscontract import filippov
 from pwscontract.regularize import integrate_regularized
 
 from conftest import (
+    CHAIN3D,
     CHAIN_STARTS,
     GOLDEN_STARTS,
     LEAVES_BOX,
@@ -693,6 +694,113 @@ class TestAffineSlide:
         traj = integrate(system, [0.0, 1.0], 0.05, SolverOptions(step=1e-4))
         assert [s.kind for s in traj.segments] == ["slide"]
         assert np.abs(traj.final_state).max() <= 1e-12
+
+
+def oblique_chain(seed):
+    """A seeded planar chain of two affine modes on an oblique line c.x = d:
+    A_k = -I plus a random 0.3-scaled perturbation, so the jump is not
+    rank-one in the normal, and b_k = +-8 c plus a random tangential part,
+    so each mode drives onto the line from its side over most of the box."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=2)
+    c /= np.linalg.norm(c)
+    tangent = np.array([-c[1], c[0]])
+    modes = [{"A": (-np.eye(2) + 0.3 * rng.normal(size=(2, 2))).tolist(),
+              "b": (sign * 8.0 * c + rng.normal() * tangent).tolist()}
+             for sign in (1.0, -1.0)]
+    return make_system({
+        "dimension": 2, "topology": "chain", "modes": modes,
+        "manifolds": [{"c": c.tolist(), "d": float(rng.uniform(-1.0, 1.0))}],
+        "box": {"lower": [-5, -5], "upper": [5, 5]}})
+
+
+class TestPlanarSlide:
+    """A stepwise slide of two affine modes on an affine manifold in the
+    plane steps on Python floats (``_planar_slide``); the handle copies of
+    the same system step the numpy sliding field of ``_pair``."""
+
+    @staticmethod
+    def on_floats(system, k, i, j):
+        """Whether the slide of (i, j) on manifold k steps on the float kernel."""
+        return filippov._slide_steps(system, k, i, j) is filippov._planar_slide(system, k, i, j)
+
+    def test_kernel_selection(self, ex1, ex2, chain4, chain3d, oblique):
+        for k, pair in ((0, (4, 1)), (0, (3, 2)), (1, (1, 2)), (1, (4, 3))):
+            assert self.on_floats(ex2, k, *pair)
+            for copy in (handle_copy, handle_manifold_copy):
+                assert not self.on_floats(copy(ex2), k, *pair)
+        chain = oblique_chain(0)
+        assert _slide_field(chain, 0, 1, 2) is None and self.on_floats(chain, 0, 1, 2)
+        for system in (ex1, chain4, chain3d, oblique):  # the block slides
+            for k in range(len(system.manifolds)):
+                assert not self.on_floats(system, k, k + 1, k + 2)
+        doc = json.loads(json.dumps(CHAIN3D))
+        doc["modes"][1]["A"][1][1] += 0.5
+        skew3d = make_system(doc)
+        assert _slide_field(skew3d, 0, 1, 2) is None
+        assert filippov._planar_slide(skew3d, 0, 1, 2) is None
+        traj = integrate(skew3d, STARTS_3D[0], 2.0)
+        assert traj.has_sliding()
+
+    @pytest.mark.parametrize("step", [1e-3, 7.3e-3])
+    @pytest.mark.parametrize("case", ["example2", 0, 1, 2])
+    def test_matches_the_numpy_slide(self, ex2, case, step):
+        # example2 from its golden starts to T = 2 (its slides end by
+        # t = 0.33), or a seeded oblique chain from the box's corners to T = 3
+        system, starts, t_f = ((ex2, GOLDEN_STARTS, 2.0) if case == "example2"
+                               else (oblique_chain(case), GOLDEN_STARTS[:4], 3.0))
+        stepwise = handle_copy(system)
+        opts = SolverOptions(step=step)
+
+        def close(u, v):
+            return np.all(np.abs(u - v) <= 1e-12 * np.maximum(1.0, np.abs(v)))
+        slid = 0
+        for x0 in starts:
+            a = integrate(system, x0, t_f, opts)
+            b = integrate(stepwise, x0, t_f, opts)
+            slid += a.has_sliding()
+            assert ([(s.kind, s.pair, s.manifold) for s in a.segments]
+                    == [(s.kind, s.pair, s.manifold) for s in b.segments])
+            assert len(a.times) == len(b.times)
+            assert np.array_equal(a.seg_index, b.seg_index)
+            assert close(a.times, b.times) and close(a.states, b.states)
+            on = ~np.isnan(a.lambdas)
+            assert np.array_equal(on, ~np.isnan(b.lambdas))
+            assert close(a.lambdas[on], b.lambdas[on])
+            assert close(np.array([(s.t_start, s.t_end) for s in a.segments]),
+                         np.array([(s.t_start, s.t_end) for s in b.segments]))
+        assert slid >= 2
+
+    def test_slides_on_one_manifold_share_their_surfaces(self, monkeypatch):
+        system = fresh("example2")
+        sets = []
+        events = filippov._events
+
+        def spy(system, skip=None):
+            surfaces = events(system, skip)
+            if skip is not None:
+                sets.append((skip, surfaces))
+            return surfaces
+
+        monkeypatch.setattr(filippov, "_events", spy)
+        for x0 in GOLDEN_STARTS:
+            integrate(system, x0, 20.0)
+        # the golden runs slide twice on sigma_2, never on sigma_1
+        assert [skip for skip, _ in sets] == [1, 1]
+        assert sets[0][1] is sets[1][1]
+        assert sets[0][1].surfaces == [system.manifolds[0]]
+
+
+class TestSegmentTimes:
+    @pytest.mark.parametrize("step", [1e-3, 7.3e-3])
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_golden_runs_hold_python_floats(self, name, step):
+        # the engines read a time from an array of times; such a time was an
+        # np.float64 on the segment, e.g. the end of example2 from (0, 5)
+        system = fresh(name)
+        for x0 in [*GOLDEN_STARTS, (0.0, 5.0)]:
+            for s in integrate(system, x0, 20.0, SolverOptions(step=step)).segments:
+                assert type(s.t_start) is float and type(s.t_end) is float
 
 
 class TestChainedBlocks:
