@@ -137,7 +137,7 @@ def _parse_start(system: PwsSystem, text: str, t_final: float) -> np.ndarray:
 
     x0 = _parse_vector(text, system.dimension)
     try:
-        return _check_start(system, x0, t_final)
+        return _check_start(system, x0, t_final)[0]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -177,14 +177,12 @@ def _write_manifest(out_path: Path, args, command: str, config: str,
     }
     if results is not None:
         manifest["results"] = results
-    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    _write_json(out_path.with_suffix(out_path.suffix + ".manifest.json"), manifest)
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write a data output; a non-finite number is refused, not written as the
-    invalid JSON tokens NaN or Infinity."""
+    """Write a data output or a manifest; a non-finite number is refused, not
+    written as the invalid JSON tokens NaN or Infinity."""
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 

@@ -51,8 +51,7 @@ matrix, costs several times more per row for the same values.
 When two affine modes i | j on an affine manifold c.x = d have a jump that
 is rank-one in the normal, A_j - A_i = u c^T (equal matrices included), the
 field jump is a constant w on the manifold, so the weight lambda is affine
-and so is the sliding field Pi (A_i x + b_i), Pi = I - w c^T / c.w. That
-field is built once per (manifold, pair), cached on the system, and its
+and so is the sliding field Pi (A_i x + b_i), Pi = I - w c^T / c.w. Its
 slides advance in the same exact RK4 blocks as a flow, each row projected
 onto the manifold; the step at which lambda leaves its bounds or another
 surface is flagged is retaken as a single step, with its event location
@@ -60,9 +59,11 @@ and persistence probe, through the field's exact step map and the same
 projection and affine weight. Every other pair (a handle mode or manifold,
 a jump that is not rank-one in the normal, c.w = 0) steps RK4 on its
 sliding field: on Python floats for two affine modes on an affine manifold
-in the plane (every slide of a planar cross; ``_planar_slide``, cached on
-the system), in the order of operations of the numpy field of ``_pair``,
-which steps every other pair.
+in the plane (every slide of a planar cross; ``_planar_slide``), in the
+order of operations of the numpy field of ``_pair``, which steps every
+other pair. Each slide's kernel, its step, weight and sliding field, is
+built once per (manifold, pair) and kept in the system's memo
+(``_slide_steps``).
 
 Two numerical refusals guard the output: a step at which RK4 grows a
 decaying direction of a mode or of a sliding field raises ``StiffStepError``
@@ -100,6 +101,7 @@ from .model import (
     _check_rk4_step,
     _fd_jacobian,
     _intersection_check,
+    _memo,
     locate,
 )
 
@@ -135,13 +137,15 @@ MAX_RESERVE = 1 << 20  # most rows a trajectory reserves before its samples need
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The fixed RK4 base step; the default reproduces all shipped results."""
+    """The fixed RK4 base step, kept as a Python float; the default
+    reproduces all shipped results."""
 
     step: float = 1e-3
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
             raise ValueError("step must be a finite positive number")
+        object.__setattr__(self, "step", float(self.step))
 
 
 @dataclass(frozen=True)
@@ -208,34 +212,21 @@ class Trajectory:
 def _pair(system: PwsSystem, man_idx: int, i: int, j: int):
     """x -> (f_i, f_j, sigma_i, sigma_j): the fields of modes i and j and
     their Lie derivatives grad H . f along manifold ``man_idx``, the pair
-    behind every Filippov classification, weight and sliding vector. Two
-    affine modes are evaluated as one product of their stacked (A, b), a
-    lone affine mode through its ``AffineField`` and an affine manifold
-    through its constant normal, the values of ``Mode.f`` and
+    behind every Filippov classification, weight and sliding vector. An
+    affine mode is evaluated through its ``AffineField`` and an affine
+    manifold through its constant normal, the values of ``Mode.f`` and
     ``Manifold.grad`` without their array coercions."""
-    mi, mj = system.mode(i), system.mode(j)
+    fi_fn, fj_fn = (m.affine if m.is_affine else m.f
+                    for m in (system.mode(i), system.mode(j)))
     man = system.manifolds[man_idx]
     if man.is_affine:
         normal = man.affine[0]
         grad = lambda x: normal
     else:
         grad = man.grad
-    if mi.is_affine and mj.is_affine:
-        n = system.dimension
-        A = np.concatenate((mi.affine.A, mj.affine.A))
-        b = np.concatenate((mi.affine.b, mj.affine.b))
-
-        def fields(x):
-            F = A @ x + b
-            return F[:n], F[n:]
-    else:
-        fi_fn, fj_fn = (m.affine if m.is_affine else m.f for m in (mi, mj))
-
-        def fields(x):
-            return fi_fn(x), fj_fn(x)
 
     def pair(x):
-        fi, fj = fields(x)
+        fi, fj = fi_fn(x), fj_fn(x)
         g = grad(x)
         return fi, fj, float(np.dot(g, fi)), float(np.dot(g, fj))
     return pair
@@ -344,12 +335,7 @@ class _EventSurfaces:
         surface values: a few ulps of ||x*|| + D_k per step, under
         1e-11 (1 + 3 ||x*|| + D_k) over the MAX_CHAIN * BLOCK steps of a
         chain."""
-        key = (field, h)
-        memo = self._clearances
-        if key not in memo:
-            # two threads may both build an entry; both get the first stored
-            memo.setdefault(key, self._clearance(field, h))
-        return memo[key]
+        return _memo(self._clearances, (field, h), lambda: self._clearance(field, h))
 
     def _clearance(self, field, h):
         xs = field.centre(h)
@@ -478,12 +464,11 @@ class _Builder:
         self.segments: list = []
 
     def open_segment(self, kind, t, mode=None, manifold=None, pair=None) -> int:
-        t = float(t)  # an engine may hand over a time read from an array
         self.segments.append(Segment(kind, t, t, mode=mode, manifold=manifold, pair=pair))
         return len(self.segments) - 1
 
     def close_segment(self, seg_id: int, t_end: float):
-        self.segments[seg_id].t_end = float(t_end)
+        self.segments[seg_id].t_end = t_end
 
     def add_point(self, t, x, seg_id, lam=math.nan):
         self._room(1)
@@ -686,12 +671,12 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
                 # the hit's time counts from the start of its own block, as a
                 # lone block would
                 row = idx - idx % BLOCK
-                t0 = t if row == 0 else ts[row - 1]
+                t0 = t if row == 0 else float(ts[row - 1])
                 return hit(x if idx == 0 else X[idx - 1], t0 + (idx - row) * h, h,
                            Hs[idx], ev[idx])
             chain = min(2 * chain, MAX_CHAIN)
         builder.commit(ts, seg_id)
-        x, t, h0 = X[-1], ts[-1], None
+        x, t, h0 = X[-1], float(ts[-1]), None
     return "t_stop", None, t, x
 
 
@@ -709,8 +694,8 @@ class _AffineSlide(NamedTuple):
 
 
 def _slide_field(system: PwsSystem, man_idx: int, i: int, j: int):
-    """The ``_AffineSlide`` of the pair (i, j) on manifold ``man_idx``, built
-    once and cached on the system, or None when the slide is not affine.
+    """The ``_AffineSlide`` of the pair (i, j) on manifold ``man_idx``, or
+    None when the slide is not affine.
 
     For affine modes on an affine manifold c.x = d whose jump is rank-one in
     the normal, A_j - A_i = u c^T, the jump f_j - f_i = u d + b_j - b_i = w
@@ -720,11 +705,6 @@ def _slide_field(system: PwsSystem, man_idx: int, i: int, j: int):
     largest entry off u c^T exceeds ``TOL_RANK_ONE`` max(1, max |A_j - A_i|),
     or for c.w = 0.
     """
-    return system._derived(("slide", man_idx, i, j),
-                           lambda: _build_slide_field(system, man_idx, i, j))
-
-
-def _build_slide_field(system, man_idx, i, j):
     if not system.is_affine:
         return None
     c, d = system.manifolds[man_idx].affine
@@ -744,15 +724,9 @@ def _build_slide_field(system, man_idx, i, j):
 
 def _planar_slide(system: PwsSystem, man_idx: int, i: int, j: int):
     """``_slide_steps`` on Python floats of two affine modes on an affine
-    manifold in the plane, built once and cached on the system, or None.
-    Each value follows the numpy path's order: f = A x + b, sigma = c.f,
-    ``_lambda_raw``, f_i + lambda (f_j - f_i), the RK4 combination and
-    x - c (c.x - d) / c.c."""
-    return system._derived(("planar slide", man_idx, i, j),
-                           lambda: _build_planar_slide(system, man_idx, i, j))
-
-
-def _build_planar_slide(system, man_idx, i, j):
+    manifold in the plane, or None. Each value follows the numpy path's
+    order: f = A x + b, sigma = c.f, ``_lambda_raw``, f_i + lambda (f_j -
+    f_i), the RK4 combination and x - c (c.x - d) / c.c."""
     man, mi, mj = system.manifolds[man_idx], system.mode(i), system.mode(j)
     if system.dimension != 2 or not (man.is_affine and mi.is_affine and mj.is_affine):
         return None
@@ -794,41 +768,40 @@ def _build_planar_slide(system, man_idx, i, j):
 
 def _slide_steps(system: PwsSystem, man_idx: int, i: int, j: int):
     """(step, lam_at, affine, fs) of a slide of the pair (i, j) on manifold
-    ``man_idx``: its single step (x0, dt) -> x1 onto the manifold, its
-    weight x -> lambda, its ``_AffineSlide`` and, for a stepwise slide, its
-    sliding field. An affine slide steps by the exact RK4 map of its field
-    and weighs by lam_x . x + lam_0 (affine set, fs None); any other steps
-    RK4 on its sliding field (affine None), on floats where
-    ``_planar_slide`` applies, else that of ``_pair``."""
-    project = system.manifolds[man_idx].project
-    affine = _slide_field(system, man_idx, i, j)
-    if affine is not None:
-        step_map = affine.field.step_map
-        lam_0 = affine.lam_0
-        # a product of one row runs numpy's dot kernel, which rounds
-        # differently from the matrix-vector product of the block rows; two
-        # equal rows give each state the bits of its block row's weight
-        lam_rows = np.array((affine.lam_x, affine.lam_x))
+    ``man_idx``, built once and kept in the system's memo: its single step
+    (x0, dt) -> x1 onto the manifold, its weight x -> lambda, its
+    ``_AffineSlide`` and, for a stepwise slide, its sliding field. An affine
+    slide (``_slide_field``) steps by the exact RK4 map of its field and
+    weighs by lam_x . x + lam_0 (affine set, fs None); any other steps RK4
+    on its sliding field (affine None), on floats where ``_planar_slide``
+    applies, else on that of ``_pair``."""
 
-        def lam_at(xq):
-            return float((lam_rows @ xq)[0]) + lam_0
+    def build():
+        project = system.manifolds[man_idx].project
+        affine = _slide_field(system, man_idx, i, j)
+        if affine is not None:
+            step_map = affine.field.step_map
+            lam_0 = affine.lam_0
+            # a product of one row runs numpy's dot kernel, which rounds
+            # differently from the matrix-vector product of the block rows;
+            # two equal rows give each state the bits of its block row's weight
+            lam_rows = np.array((affine.lam_x, affine.lam_x))
 
-        def step(x0, dt):
-            R, r = step_map(dt)
-            return project(R @ x0 + r)
-        return step, lam_at, affine, None
-    planar = _planar_slide(system, man_idx, i, j)
-    if planar is not None:
-        return planar
-    pair = _pair(system, man_idx, i, j)
+            def step(x0, dt):
+                R, r = step_map(dt)
+                return project(R @ x0 + r)
+            return step, lambda xq: float((lam_rows @ xq)[0]) + lam_0, affine, None
+        planar = _planar_slide(system, man_idx, i, j)
+        if planar is not None:
+            return planar
+        pair = _pair(system, man_idx, i, j)
 
-    def lam_at(xq):
-        return _lambda_raw(*pair(xq)[2:])
-
-    def fs(xq):
-        fi, fj, si, sj = pair(xq)
-        return fi + _lambda_raw(si, sj) * (fj - fi)
-    return (lambda x0, dt: project(_rk4(fs, x0, dt))), lam_at, None, fs
+        def fs(xq):
+            fi, fj, si, sj = pair(xq)
+            return fi + _lambda_raw(si, sj) * (fj - fi)
+        return ((lambda x0, dt: project(_rk4(fs, x0, dt))),
+                lambda xq: _lambda_raw(*pair(xq)[2:]), None, fs)
+    return system._derived(("slide", man_idx, i, j), build)
 
 
 def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
@@ -940,9 +913,10 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
 # orchestration
 
 
-def _check_start(system: PwsSystem, x0, t_f: float) -> np.ndarray:
-    """x0 as a float array; raises ValueError unless x0 is a finite state of
-    the system inside its box (within 1e-9) and t_f is finite and >= 0."""
+def _check_start(system: PwsSystem, x0, t_f: float) -> tuple:
+    """(x0, t_f) as a float array and a Python float; raises ValueError
+    unless x0 is a finite state of the system inside its box (within 1e-9)
+    and t_f is finite and >= 0."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dimension,):
         raise ValueError(f"x0 must have shape ({system.dimension},)")
@@ -952,7 +926,7 @@ def _check_start(system: PwsSystem, x0, t_f: float) -> np.ndarray:
         raise ValueError("x0 lies outside the analysis box")
     if not 0.0 <= t_f < math.inf:
         raise ValueError("t_f must be finite and nonnegative")
-    return x0
+    return x0, float(t_f)
 
 
 def integrate(system: PwsSystem, x0, t_f: float,
@@ -972,7 +946,7 @@ def integrate(system: PwsSystem, x0, t_f: float,
     common-sector assumption fails.
     """
     opts = opts or SolverOptions()
-    x0 = _check_start(system, x0, t_f)
+    x0, t_f = _check_start(system, x0, t_f)
 
     builder = _Builder(system.box, t_f / opts.step + SAMPLE_SLACK)
     events = _events(system)

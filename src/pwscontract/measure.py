@@ -103,9 +103,9 @@ def _factor(Q) -> tuple:
 def _measures(factor: tuple, mats: np.ndarray) -> np.ndarray:
     """mu_Q of every matrix of a (k, n, n) stack, for a validated factor.
 
-    The 2x2 closed form takes math.hypot per entry and larger matrices go
-    through one batched eigvalsh, so each value equals the one-matrix
-    evaluation bit for bit."""
+    The 2x2 closed form takes math.hypot per entry and every other size goes
+    through one batched eigvalsh (of a 1x1 matrix, its entry), so each value
+    equals the one-matrix evaluation bit for bit."""
     Qs, Qinv = factor
     n = Qs.shape[0]
     if mats.ndim != 3 or mats.shape[1:] != (n, n):
@@ -116,8 +116,6 @@ def _measures(factor: tuple, mats: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(S)):
         # a non-finite entry of A always reaches S: Q and Q^-1 have positive diagonals
         raise ValueError("A must have finite entries (and Q A Q^-1 must not overflow)")
-    if n == 1:
-        return S[:, 0, 0].copy()
     if n == 2:
         a, c = S[:, 0, 0], S[:, 1, 1]
         b = 0.5 * (S[:, 0, 1] + S[:, 1, 0])

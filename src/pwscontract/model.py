@@ -137,6 +137,16 @@ class NonFiniteStateError(RuntimeError):
     """An integration produced a NaN or infinite state."""
 
 
+def _memo(store: dict, key, build: Callable):
+    """``store[key]``: ``build()`` on the first call, kept and returned by
+    every later one (None included). A build that raises stores nothing and
+    raises again on the next call. Two threads may both build; both get the
+    first value stored."""
+    if key in store:
+        return store[key]
+    return store.setdefault(key, build())
+
+
 def _check_rk4_step(eigenvalues, h: float) -> None:
     """Raise StiffStepError when an RK4 step of size h grows a decaying
     direction: some eigenvalue lam with Re lam < 0 has |p(h lam)| >= 1."""
@@ -218,12 +228,7 @@ class AffineField:
         Raises StiffStepError when building them for a step h at which a
         decaying eigenvalue of A has an RK4 growth factor of at least 1.
         """
-        key = (h, block)
-        entry = self._stacks.get(key)
-        if entry is None:
-            # two threads may both build an entry; both get the first stored
-            entry = self._stacks.setdefault(key, self._build_stacks(h, block))
-        return entry
+        return _memo(self._stacks, (h, block), lambda: self._build_stacks(h, block))
 
     def centre(self, h: float):
         """The read-only fixed point x* of one RK4 step of size h,
@@ -232,11 +237,7 @@ class AffineField:
         in the ball about x* that it starts in. None when the step does not
         contract, or when x* is not known to within TOL_CENTRE (1 + ||x*||).
         Built once per h (None included) and kept, as ``stacks``."""
-        centres = self._centres
-        if h not in centres:
-            # two threads may both build an entry; both get the first stored
-            centres.setdefault(h, self._build_centre(h))
-        return centres[h]
+        return _memo(self._centres, h, lambda: self._build_centre(h))
 
     def _build_centre(self, h: float):
         R, r = self.step_map(h)
@@ -461,10 +462,10 @@ class PwsSystem:
     A system is not changed after construction: its ``modes`` and
     ``manifolds`` are tuples, and what is derived from them is built once
     and kept, read-only, in one memo on the system (``_derived``): each
-    ``ConditionTable`` of ``certify.condition_table``, each sliding field of
-    the slide engine, the event surfaces of the manifolds, the common-sector
-    check, each ``RegularizedSystem`` and the set-up of the metric search
-    (``qsearch``).
+    ``ConditionTable`` of ``certify.condition_table``, the kernel of each
+    slide (``filippov._slide_steps``), the event surfaces of the manifolds,
+    the common-sector check, each ``RegularizedSystem`` and the set-up of
+    the metric search (``qsearch``).
     """
 
     def __init__(self, dimension: int, topology: str, modes: Sequence[Mode],
@@ -506,14 +507,9 @@ class PwsSystem:
             _cross_point(self)
 
     def _derived(self, key, build):
-        """The object derived from this system under ``key``: ``build()`` on
-        the first call, kept and returned by every later one (it may be
-        None). A build that raises stores nothing and raises again."""
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        # two threads may both build; both get the first stored
-        return memo.setdefault(key, build())
+        """The object derived from this system under ``key``, kept in its
+        memo by ``_memo``."""
+        return _memo(self._memo, key, build)
 
     @property
     def n_modes(self) -> int:

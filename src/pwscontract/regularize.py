@@ -50,6 +50,7 @@ from .model import (
     StiffStepError,
     _chain_bands_disjoint,
     _check_rk4_step,
+    _memo,
     locate,
 )
 from .filippov import (
@@ -274,13 +275,12 @@ class RegularizedSystem:
             return None
         k = active[0]
         key = (k, *(v > 0.0 for j, v in enumerate(np.asarray(H).tolist()) if j != k))
-        band = self._bands.get(key)
-        if band is None:
+
+        def build():
             above, below = self._edge_weights(np.where(np.asarray(H) > 0.0, 1.0, -1.0), k)
-            band = self._bands[key] = _Band(k, 0.5 * (above + below), 0.5 * (above - below),
-                                            self._As, self._bs, self._surfaces.C,
-                                            self._surfaces.d, self.eps)
-        return band
+            return _Band(k, 0.5 * (above + below), 0.5 * (above - below), self._As,
+                         self._bs, self._surfaces.C, self._surfaces.d, self.eps)
+        return _memo(self._bands, key, build)
 
     def _field_at(self, x):
         """The field that the regularized run steps from x: the ``_Band``
@@ -446,7 +446,7 @@ def integrate_regularized(system: PwsSystem, eps: float, x0, t_f: float,
     """
     opts = opts or SolverOptions()
     reg = _regularized(system, eps)
-    x0 = _check_start(system, x0, t_f)
+    x0, t_f = _check_start(system, x0, t_f)
 
     # a sample per grid step, a few for the band cuts and edge hits; a run
     # whose band steps are shorter than the grid step grows the buffers
@@ -577,6 +577,7 @@ def _states_at(traj: Trajectory, idx, times, step_of):
     X = traj.states.take(idx, axis=0)
     dt = times - traj.times.take(idx)
     off = np.flatnonzero(dt > 0.0)
+    dt = dt.tolist()  # a step on Python floats: numpy scalars cost more
     if off.size:
         starts = np.array([s.t_start for s in traj.segments])
         segs = np.searchsorted(starts, times[off], side="right") - 1

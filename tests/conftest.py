@@ -38,6 +38,11 @@ GOLDEN_STARTS = [(-5.0, -5.0), (-5.0, 5.0), (5.0, -5.0), (5.0, 5.0),
 # most of their run, so they run briefly from few starts
 CHAIN_STARTS = [(-5.0, -5.0), (4.0, -3.0), (2.0, 4.0)]
 STARTS_3D = [(-4.0, 3.0, -2.0), (0.5, 1.0, -1.0)]
+# starts inside example2's central square |x1|, |x2| <= 1e-2, where both
+# bands of the cross meet: a regularized run at eps 1e-2 from there steps the
+# stacked corner blend into one band's closure, and cuts from one band into
+# the other
+CORNER_STARTS = [(0.005, 0.005), (-0.005, 0.004), (0.004, -0.005), (-0.004, -0.004)]
 
 
 def make_system(doc: dict):
@@ -384,6 +389,7 @@ def table_builds(monkeypatch):
 
 
 def derived(system, kind):
-    """The objects of one kind ("table", "slide", "intersection",
-    "regularized" or "search") that the system keeps in its memo."""
+    """The objects of one kind ("table", "slide", "events", "intersection",
+    "regularized" or "search") that the system keeps in its memo; a "slide"
+    entry is the (step, lam_at, affine, fs) kernel of ``_slide_steps``."""
     return [v for key, v in system._memo.items() if key[0] == kind]

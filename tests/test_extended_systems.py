@@ -1,17 +1,20 @@
 """Wider-topology coverage: longer chains, a three-dimensional chain with a
-sliding-mode equilibrium, and trajectories started on a switching manifold."""
+sliding-mode equilibrium, a one-dimensional chain, and trajectories started
+on a switching manifold."""
+
+import math
 
 import numpy as np
 import pytest
 
-from pwscontract.measure import Metric
+from pwscontract.measure import Metric, matrix_measure
 from pwscontract.model import locate
 from pwscontract.filippov import integrate
 from pwscontract.regularize import convergence_study
 from pwscontract.certify import check_chain_certificate, check_regularized_chain
-from pwscontract.qsearch import margin
+from pwscontract.qsearch import margin, search_certificate
 
-from conftest import reduced_sliding_field
+from conftest import make_system, reduced_sliding_field
 
 
 class TestFourModeChain:
@@ -73,6 +76,44 @@ class TestThreeDimensionalChain:
         table = convergence_study(chain3d, [-2.0, 1.0, 0.0], 3.0,
                                   [1e-1, 1e-2, 1e-3])
         assert table.is_monotone_decreasing()
+
+
+class TestOneDimensionalChain:
+    """x' = -x + 2 for x < 0 and x' = -2x - 1 for x > 0: both fields push
+    onto x = 0, where the sliding weight is 2/3 and the sliding field 0."""
+
+    @pytest.fixture(scope="class")
+    def line(self):
+        return make_system({
+            "dimension": 1, "topology": "chain",
+            "modes": [{"A": [[-1.0]], "b": [2.0]}, {"A": [[-2.0]], "b": [-1.0]}],
+            "manifolds": [{"c": [1.0], "d": 0.0}],
+            "box": {"lower": [-5.0], "upper": [5.0]}})
+
+    def test_slides_onto_the_point_and_stays(self, line):
+        # x(t) = 2 - 5 exp(-t) reaches 0 at t = ln 2.5
+        traj = integrate(line, [-3.0], 5.0)
+        assert [(s.kind, s.pair) for s in traj.segments] == [("flow", None),
+                                                             ("slide", (1, 2))]
+        assert traj.segments[1].t_start == pytest.approx(math.log(2.5), abs=1e-6)
+        on = traj.seg_index == 1
+        assert np.all(np.abs(traj.states[on]) <= 1e-12)
+        assert np.allclose(traj.lambdas[on], 2.0 / 3.0, rtol=0, atol=1e-12)
+
+    def test_vertex_certificate_binds_at_rate_one(self, line):
+        report = check_chain_certificate(line, Metric.identity(1, 1.0))
+        assert report.passed
+        assert [(c.cond_id, c.worst) for c in report.conditions] == [
+            ("flow[1]", -1.0), ("flow[2]", -2.0), ("jump[1]", -3.0)]
+        assert not check_chain_certificate(line, Metric.identity(1, 1.01)).passed
+
+    def test_search_finds_rate_one(self, line):
+        result = search_certificate(line)
+        assert result.found and result.metric.c == 1.0
+
+    @pytest.mark.parametrize("a", [-3.0, 0.1, 1e-300, -7e300, 2.0 / 3.0])
+    def test_measure_of_a_scalar_is_the_scalar(self, a):
+        assert matrix_measure(np.eye(1), [[a]]) == a
 
 
 class TestOnManifoldStarts:

@@ -32,8 +32,8 @@ from pwscontract.filippov import (
     _lambda_raw,
     _slide_field,
 )
-from pwscontract import filippov
-from pwscontract.regularize import integrate_regularized
+from pwscontract import filippov, regularize
+from pwscontract.regularize import convergence_study, integrate_regularized
 
 from conftest import (
     CHAIN3D,
@@ -600,7 +600,7 @@ class TestAffineSlide:
         assert slid >= min(len(starts), 3)
         # the affine runs took the block path: a sliding field's block maps
         # were built
-        slides = [f.field for f in derived(system, "slide")]
+        slides = [affine.field for _, _, affine, _ in derived(system, "slide")]
         assert slides and all(f is not None for f in slides)
         assert {id(f) for f in slides} & {key[0] for key in stack_builds}
 
@@ -722,7 +722,8 @@ class TestPlanarSlide:
     @staticmethod
     def on_floats(system, k, i, j):
         """Whether the slide of (i, j) on manifold k steps on the float kernel."""
-        return filippov._slide_steps(system, k, i, j) is filippov._planar_slide(system, k, i, j)
+        step = filippov._slide_steps(system, k, i, j)[0]
+        return step.__qualname__.startswith(filippov._planar_slide.__name__ + ".")
 
     def test_kernel_selection(self, ex1, ex2, chain4, chain3d, oblique):
         for k, pair in ((0, (4, 1)), (0, (3, 2)), (1, (1, 2)), (1, (4, 3))):
@@ -801,6 +802,95 @@ class TestSegmentTimes:
         for x0 in [*GOLDEN_STARTS, (0.0, 5.0)]:
             for s in integrate(system, x0, 20.0, SolverOptions(step=step)).segments:
                 assert type(s.t_start) is float and type(s.t_end) is float
+
+    def test_engines_and_gap_steps_take_python_floats(self, monkeypatch):
+        # a time read from an array reached 3 of the 6 slides of the golden
+        # runs (each entered after a block flow) as an np.float64, and every
+        # partial step of a convergence gap took its dt as one, so the float
+        # slide kernel ran numpy scalar arithmetic
+        seen = []
+
+        def spy(module, name, t_arg):
+            engine = getattr(module, name)
+
+            def spying(*args):
+                result = engine(*args)
+                seen.append((name, type(args[t_arg]), type(result[2])))
+                return result
+            monkeypatch.setattr(module, name, spying)
+
+        spy(filippov, "_run_flow", 3)
+        spy(filippov, "_run_slide", 5)
+        spy(regularize, "_run_flow", 3)
+        states_at = regularize._states_at
+
+        def gap_steps(traj, idx, times, step_of):
+            def spied(seg):
+                step = step_of(seg)
+
+                def spying(x, dt):
+                    seen.append(("gap", type(dt), float))
+                    return step(x, dt)
+                return spying
+            return states_at(traj, idx, times, spied)
+
+        monkeypatch.setattr(regularize, "_states_at", gap_steps)
+        for name, x0 in (("example1", (-3.0, -4.0)), ("example2", (-0.3, 2.0))):
+            system = fresh(name)
+            for start in GOLDEN_STARTS:
+                integrate(system, start, 20.0)
+            convergence_study(system, x0, 2.0, [1e-1, 1e-2])
+            # a step and a final time given as numpy numbers
+            traj = integrate(system, x0, np.float64(2.0),
+                             SolverOptions(step=np.float64(1e-3)))
+            assert {(type(s.t_start), type(s.t_end)) for s in traj.segments} == {
+                (float, float)}
+        kinds = {kind for kind, _, _ in seen}
+        assert kinds == {"_run_flow", "_run_slide", "gap"}
+        assert sum(kind == "_run_slide" for kind, _, _ in seen) >= 6
+        assert all(t_in is float and t_out is float for _, t_in, t_out in seen)
+
+
+class TestPersistenceProbe:
+    """A slide step that ends with its weight outside the bounds is located
+    and finished by the persistence probe; when the probe ends inside, the
+    excursion was transient and the slide goes on from the probe's state."""
+
+    def test_transient_excursion_does_not_exit(self):
+        # x2 moves by sqrt(dt / h) / 2 a step, which no flow does, so the
+        # probe from the located exit ends past the dip of the weight, on
+        # 0.4 < x2 < 0.6, that the whole step ended in
+        system = make_system({
+            "dimension": 2, "topology": "chain",
+            "modes": [{"A": [[-1.0, 0.0], [0.0, 0.0]], "b": [1.0, 0.0]},
+                      {"A": [[-1.0, 0.0], [0.0, 0.0]], "b": [-1.0, 0.0]}],
+            "manifolds": [{"c": [1.0, 0.0], "d": 0.0}],
+            "box": {"lower": [-5, -5], "upper": [5, 5]}})
+        h = SolverOptions().step
+
+        def step(x0, dt):
+            return np.array((x0[0], x0[1] + 0.5 * math.sqrt(dt / h)))
+
+        def lam_at(x):
+            return min(0.9, 5.0 * abs(x[1] - 0.5) - 0.5)
+
+        system._memo[("slide", 0, 1, 2)] = (step, lam_at, None, lambda x: np.zeros(2))
+        builder = filippov._Builder(system.box, 10)
+        sid = builder.open_segment("slide", 0.0)
+        kind, _, t, x = filippov._run_slide(system, 0, 1, 2, np.zeros(2), 0.0, 3 * h,
+                                            SolverOptions(), builder, sid)
+        traj = builder.finish()
+        assert (kind, t) == ("t_stop", 3 * h)
+        assert np.array_equal(traj.times, [0.0, h, 2 * h, 3 * h])
+        # the first step ends at x2 = 0.5, weight -0.5; its exit is located
+        # at x2 = 0.4 (theta = 0.64) and the probe over the rest of the step
+        # ends near x2 = 0.7, inside the bounds: one sample at the grid time
+        # with the probe's weight, and the slide goes on
+        probe = traj.states[1]
+        assert probe[1] == pytest.approx(0.7, abs=1e-6)
+        assert traj.lambdas[1] == lam_at(probe) == pytest.approx(0.5, abs=1e-5)
+        assert np.array_equal(traj.states[2], step(probe, h))
+        assert np.allclose(traj.lambdas[2:], 0.9)
 
 
 class TestChainedBlocks:
@@ -1216,7 +1306,7 @@ class TestSlideExit:
         # in the step fraction. The slide is affine, so each of its single
         # steps is one evaluation of its field's step map
         system = rebuilt(ex1)
-        field = _slide_field(system, 0, 1, 2).field
+        field = filippov._slide_steps(system, 0, 1, 2)[2].field
         calls = []
         step_map = AffineField.step_map
 

@@ -33,6 +33,7 @@ from conftest import (
     CHAIN3D,
     CHAIN4,
     CHAIN_STARTS,
+    CORNER_STARTS,
     GOLDEN_STARTS,
     STARTS_3D,
     handle_copy,
@@ -130,6 +131,9 @@ TRAJECTORY_CASES = {
     "regularized-example2-1e-2": (
         "ex2", GOLDEN_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 20.0),
         "f2fdf658b3d50406451995450832f38f8ffe4bf7f777dff494ec80448f4fd239"),
+    "regularized-example2-corner-1e-2": (
+        "ex2", CORNER_STARTS, lambda s, x: integrate_regularized(s, 1e-2, x, 3.0),
+        "2a719cb9d2d78a48e24442fd06365563306c5da80d06500d09b10a6d62d18d5d"),
     "integrate-chain4": (
         "chain4", CHAIN_STARTS, lambda s, x: integrate(s, x, 3.0),
         "310f2d8de3edc51b397b8ff4d5f3fc91b71116938e5a0c820b0572b725bd2e00"),

@@ -28,6 +28,7 @@ from pwscontract.regularize import (
 
 from conftest import (
     CHAIN4,
+    CORNER_STARTS,
     derived,
     handle_copy,
     handle_manifold_copy,
@@ -858,10 +859,19 @@ class TestConvergenceStudy:
         system = make_system(json.loads(builtin_config_path("example1").read_text()))
         convergence_study(system, [-3.0, -4.0], 5.0, [1e-1, 1e-2, 1e-3])
         assert stack_builds and set(stack_builds.values()) == {1}
-        slides = {id(s.field) for s in derived(system, "slide") if s is not None}
+        slides = {id(affine.field) for _, _, affine, _ in derived(system, "slide")
+                  if affine is not None}
         assert slides
         assert {key[0] for key in stack_builds} <= (
             {id(m.affine) for m in system.modes} | slides)
+
+    @pytest.mark.parametrize("x0", CORNER_STARTS)
+    def test_gaps_from_the_cross_corner(self, ex2, x0):
+        # from the square where both bands meet, each gap stays below its
+        # band width and falls with it (about 0.0045 and 0.0007)
+        table = convergence_study(ex2, x0, 3.0, [1e-2, 1e-3])
+        assert np.all(table.gaps < table.eps)
+        assert table.is_monotone_decreasing()
 
     def test_rejects_nonpositive(self, ex1):
         with pytest.raises(ValueError, match="positive"):
