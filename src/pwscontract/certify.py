@@ -106,6 +106,12 @@ class CertificateReport:
     def passed(self) -> bool:
         return self.min_margin >= -PASS_TOL
 
+    @cached_property
+    def binding(self) -> Optional[ConditionResult]:
+        """The condition with the least margin, the first in table order on a
+        tie; None when the report has no condition."""
+        return min(self.conditions, key=lambda c: c.margin, default=None)
+
     def condition(self, cond_id: str) -> ConditionResult:
         for c in self.conditions:
             if c.cond_id == cond_id:
@@ -159,12 +165,16 @@ class ConditionTable:
     """Every condition of one certificate over the system's box, built once
     per (system, strategy, band width) by ``condition_table``, with all quantified
     matrices stacked as (k, n, n) so that a metric is evaluated on the whole
-    table in one batch. ``report`` and the search margin of ``qsearch`` are
-    reductions of that evaluation.
+    table in one batch. ``report``, ``worsts`` and the search margin of
+    ``qsearch`` are reductions of that evaluation, segmented by the first
+    stack row and the row count of each condition that has rows.
 
     Forming the stack ``mats`` builds the table: from then on the stack and
     the point arrays are read-only, ``conditions`` is a tuple, and ``add``
-    refuses, so that a table can be shared by every caller."""
+    refuses, so that a table can be shared by every caller. What the
+    reductions read besides the measures (the segments' starts and row
+    counts, and each condition's points as tuples of Python floats) is
+    derived from the built table on first use and kept."""
 
     def __init__(self, dimension: int, strategy: str, notes: str = ""):
         self.dimension = dimension
@@ -198,11 +208,26 @@ class ConditionTable:
         return np.array([c.rows.start for c in self.conditions
                          if c.rows.stop > c.rows.start], dtype=np.intp)
 
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        # stack rows of every condition that quantifies a matrix, as _starts
+        return np.array([c.rows.stop - c.rows.start for c in self.conditions
+                         if c.rows.stop > c.rows.start], dtype=np.intp)
+
+    @cached_property
+    def _points(self) -> tuple:
+        # every condition's points as tuples of Python floats, None kept
+        return tuple(tuple(None if p is None else tuple(np.asarray(p, dtype=float).tolist())
+                           for p in c.points) for c in self.conditions)
+
+    def _peaks(self, mu: np.ndarray) -> np.ndarray:
+        # the worst measure of every condition that quantifies a matrix
+        return np.maximum.reduceat(mu, self._starts) if mu.size else mu
+
     def worsts(self, mu: np.ndarray) -> list:
         """Worst value of every condition, given the measures ``mu`` of the
         stack; a condition without points gives -inf (never binding)."""
-        peaks = iter(np.maximum.reduceat(mu, self._starts).tolist()
-                     if mu.size else ())
+        peaks = iter(self._peaks(mu).tolist())
         out = []
         for cond in self.conditions:
             if cond.kind == "equality":
@@ -213,23 +238,31 @@ class ConditionTable:
         return out
 
     def report(self, metric: Metric) -> CertificateReport:
+        """Every condition's worst case, margin and binding point under
+        ``metric``, from one evaluation of the stack: the worst of a
+        condition is its peak measure (as in ``worsts``), and its point is
+        the first of its rows that attains that peak, np.argmax's rule, found
+        for all conditions at once."""
         mu = metric.measures(self.mats)
+        peaks = self._peaks(mu)
+        hits = np.flatnonzero(mu == np.repeat(peaks, self._counts))
+        firsts = iter((hits[np.searchsorted(hits, self._starts)] - self._starts).tolist())
+        peaks = iter(peaks.tolist())
         bounds = {"flow": -metric.c, **_zero_bounds()}
         results = []
-        for cond, worst in zip(self.conditions, self.worsts(mu)):
+        for cond, points in zip(self.conditions, self._points):
             status = ""
             if cond.kind == "equality":
-                point = cond.points[0]
+                worst, point = cond.residual, points[0]
             elif cond.rows.stop > cond.rows.start:
-                point = cond.points[int(np.argmax(mu[cond.rows]))]
+                worst, point = next(peaks), points[next(firsts)]
             else:  # a vertex enumeration proves the domain empty; a mesh, nothing
                 point, status = None, "empty" if self.strategy == "vertex" else "unsampled"
                 worst = -math.inf if status == "empty" else math.inf
             bound = bounds[cond.kind]
             results.append(ConditionResult(
                 cond.cond_id, cond.kind, cond.domain, worst, bound, bound - worst,
-                None if point is None else tuple(np.asarray(point, dtype=float)),
-                cond.method, status))
+                point, cond.method, status))
         return CertificateReport(metric, results, self.strategy, metric.c,
                                  notes=self.notes)
 

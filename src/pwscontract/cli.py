@@ -9,8 +9,11 @@ Each output gets a ``*.manifest.json`` with the options, the import time
 ``import_s`` and the wall time ``wall_time_s``; the ``simulate`` and
 ``reproduce`` manifests record under ``results`` the first sample of a
 trajectory outside the box (``box_exit``, ``box_exits`` per golden start),
-which changes no exit code and no data output. A run from the shell counts
-both from the first statement of the package import: ``import_s`` ends where
+which changes no exit code and no data output, and the ``certify``
+manifest records under ``results.binding`` the condition with the least
+margin (id, margin, point, status; null for a non-finite margin) and
+cond(Q). A run from the shell counts both from the first statement of the
+package import: ``import_s`` ends where
 this module's own imports end (numpy, ``measure`` and ``model``), and
 ``wall_time_s`` when the manifest is written. The modules that only some
 commands use (``filippov``, ``regularize``, ``certify``, ``qsearch``) are
@@ -233,9 +236,15 @@ def cmd_certify(args) -> int:
         return EXIT_FAIL
     out = Path(args.out)
     _write_json(out, report.to_dict())
+    binding = report.binding
     _write_manifest(out, args, "certify", config,
                     {"Q": args.Q, "c": metric.c, "strategy": args.strategy},
-                    [out])
+                    [out], {"binding": {
+                        "id": binding.cond_id,
+                        "margin": binding.margin if math.isfinite(binding.margin) else None,
+                        "point": binding.point,
+                        "status": binding.status,
+                        "cond_q": metric.cond()}})
     for cond in report.conditions:
         print(f"{cond.cond_id:<18} worst={cond.worst: .12g} "
               f"margin={cond.margin: .12g} {cond.status}".rstrip())

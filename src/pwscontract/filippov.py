@@ -194,9 +194,17 @@ class Trajectory:
         return float(self.times[-1])
 
     def grid_samples(self, h: float):
-        """Samples lying on the aligned time grid k*h (plus the final time)."""
-        k = np.round(self.times / h)
-        on_grid = np.abs(self.times - k * h) <= 1e-9 * max(h, 1.0)
+        """Samples lying on the aligned time grid k*h (plus the final time).
+        Raises ValueError unless h is finite and positive."""
+        if not 0.0 < h < math.inf:
+            raise ValueError("grid step h must be finite and positive")
+        # |t - round(t / h) h|, formed in one buffer
+        off = np.divide(self.times, h)
+        np.rint(off, out=off)
+        np.multiply(off, h, out=off)
+        np.subtract(self.times, off, out=off)
+        np.abs(off, out=off)
+        on_grid = off <= 1e-9 * max(h, 1.0)
         on_grid[-1] = True
         idx = np.flatnonzero(on_grid)
         # keep the first sample at each distinct time
@@ -388,6 +396,16 @@ def _event_flags(h0, h1, tol):
     From |h0| > tol both cases read h1 * sign(h0) <= tol, written as four
     comparisons: a product with sign(h0) costs several times more."""
     return ((h0 > tol) & (h1 <= tol)) | ((h0 < -tol) & (h1 >= -tol))
+
+
+def _any_event(h0, h1) -> bool:
+    """Whether ``_event_flags`` flags any surface over one step from the H
+    values h0 to h1: its four comparisons on Python floats, cheaper than the
+    array form on the few surfaces of a single step."""
+    for a, b in zip(h0.tolist(), h1.tolist()):
+        if (a > TOL_EVENT and b <= TOL_EVENT) or (a < -TOL_EVENT and b >= -TOL_EVENT):
+            return True
+    return False
 
 
 def _first_hit(along, flagged, h0):
@@ -656,9 +674,8 @@ def _run_flow(events, mode, x, t, t_stop, opts, builder, seg_id):
             if h0 is None:
                 h0 = events.values(x)
             h1 = events.values(x1)
-            flags = _event_flags(h0, h1, TOL_EVENT)
-            if flags.any():
-                return hit(x, t, tn - t, h0, flags)
+            if _any_event(h0, h1):
+                return hit(x, t, tn - t, h0, _event_flags(h0, h1, TOL_EVENT))
             t, x, h0 = tn, x1, h1
             builder.add_point(t, x, seg_id)
             continue
@@ -882,12 +899,12 @@ def _run_slide(system, man_idx, i, j, x, t, t_stop, opts, builder, seg_id):
         lam1 = lam_at(x1)
         h1 = events.values(x1)
         exits = not lo_bound <= lam1 <= hi_bound
-        flags = _event_flags(h0, h1, TOL_EVENT)
-        if not (exits or flags.any()):
+        if not (exits or _any_event(h0, h1)):
             t, x, h0 = tn, x1, h1
             builder.add_point(t, x, seg_id, lam=lam1)
             continue
-        theta, k = _first_hit(along(x, delta), np.concatenate(([exits], flags)),
+        theta, k = _first_hit(along(x, delta),
+                              np.concatenate(([exits], _event_flags(h0, h1, TOL_EVENT))),
                               np.concatenate(([1.0], h0)))
         te = t + theta * delta
         xe = slide_step(x, theta * delta)

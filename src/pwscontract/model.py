@@ -199,8 +199,8 @@ class AffineField:
         A3 = A2 @ A
         A4 = A3 @ A
         eye = np.eye(A.shape[0])
-        object.__setattr__(self, "_powers", ((eye, A, A2, A3, A4),
-                                             (b, A @ b, A2 @ b, A3 @ b)))
+        object.__setattr__(self, "_powers", (np.stack((eye, A, A2, A3, A4)),
+                                             np.stack((b, A @ b, A2 @ b, A3 @ b))))
         object.__setattr__(self, "_taylor", np.concatenate((eye, A / 2.0, A2 / 6.0, A3 / 24.0)))
         object.__setattr__(self, "_stacks", {})
         object.__setattr__(self, "_centres", {})
@@ -209,10 +209,14 @@ class AffineField:
         return self.A @ x + self.b
 
     def step_map(self, h: float):
-        """(R, r) of one RK4 step of size h."""
-        (eye, A, A2, A3, A4), (b, Ab, A2b, A3b) = self._powers
-        R = eye + h * A + (h * h / 2.0) * A2 + (h ** 3 / 6.0) * A3 + (h ** 4 / 24.0) * A4
-        r = h * b + (h * h / 2.0) * Ab + (h ** 3 / 6.0) * A2b + (h ** 4 / 24.0) * A3b
+        """(R, r) of one RK4 step of size h: R = sum_m h^m A^m / m!, m = 0..4,
+        and r = sum_m h^m A^(m-1) b / m!, m = 1..4, each a weighted sum of
+        the stacked powers reduced along the stack in order, term by term
+        as the written sum. (A BLAS product would fuse and round otherwise.)"""
+        powers, offsets = self._powers
+        coefs = np.array((1.0, h, h * h / 2.0, h ** 3 / 6.0, h ** 4 / 24.0))
+        R = np.add.reduce(coefs[:, None, None] * powers)
+        r = np.add.reduce(coefs[1:, None] * offsets)
         return R, r
 
     def step_taylor(self, x: np.ndarray) -> np.ndarray:

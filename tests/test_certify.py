@@ -404,6 +404,43 @@ class TestConditionsWithoutPoints:
         assert result.report.condition("jump[1]").status == "empty"
 
 
+class TestBinding:
+    def test_first_of_tied_conditions_binds(self, ex2):
+        # at c = 1.87 the six jump conditions and the equality all hold with
+        # margin 1e-9, and every flow condition with more
+        report = check_cross_certificate(ex2, Metric.identity(2, 1.87))
+        binding = report.binding
+        assert (binding.cond_id, binding.margin, binding.point, binding.status) == (
+            "manifold[1]", 1e-9, (-5.0, 0.0), "")
+        assert [c.cond_id for c in report.conditions if c.margin == binding.margin][0] == \
+            "manifold[1]"
+        assert report.binding is binding  # computed once
+
+    def test_failing_flow_binds(self, ex2):
+        report = check_cross_certificate(ex2, Metric.identity(2, 1.88))
+        binding = report.binding
+        assert (binding.cond_id, binding.point, binding.status) == ("flow[3]", None, "")
+        assert binding.margin == report.min_margin < 0.0
+        assert not report.passed
+
+    def test_unsampled_grid_condition_binds(self):
+        report = check_chain_certificate(make_system(OUTSIDE_MANIFOLD),
+                                         Metric.identity(2, 0.5), strategy="grid")
+        binding = report.binding
+        assert (binding.cond_id, binding.margin, binding.point, binding.status) == (
+            "jump[1]", -math.inf, None, "unsampled")
+
+    def test_empty_condition_never_binds(self):
+        report = check_chain_certificate(make_system(OUTSIDE_MANIFOLD),
+                                         Metric.identity(2, 0.5))
+        assert report.binding.cond_id == "flow[1]"
+        assert report.condition("jump[1]").status == "empty"
+
+    def test_report_without_conditions(self):
+        report = certify.CertificateReport(Metric.identity(2, 0.5), [], "vertex", 0.5)
+        assert report.binding is None and report.min_margin == math.inf
+
+
 class TestReportShape:
     def test_to_dict_fields(self, ex1):
         report = check_chain_certificate(ex1, Metric.identity(2, 0.5))

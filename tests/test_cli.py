@@ -181,6 +181,28 @@ class TestCertify:
         assert (jump["worst"], jump["margin"], jump["status"]) == (None, None, status)
         assert all("status" not in c for c in doc["conditions"][:-1])
         assert capsys.readouterr().out.splitlines()[2].endswith(status)
+        # the manifest names the binding condition; a non-finite margin is null
+        binding = json.loads((tmp_path / "c.json.manifest.json").read_text(),
+                             parse_constant=lambda name: pytest.fail(name))["results"]["binding"]
+        assert binding == ({"id": "flow[1]", "margin": 0.5, "point": None, "status": "",
+                            "cond_q": 1.0} if strategy == "vertex" else
+                           {"id": "jump[1]", "margin": None, "point": None,
+                            "status": "unsampled", "cond_q": 1.0})
+
+    @pytest.mark.parametrize("c, binding", [
+        # seven conditions tie at the jump allowance: the first in table order binds
+        ("1.87", {"id": "manifold[1]", "margin": 1e-9, "point": [-5.0, 0.0], "status": ""}),
+        ("1.88", {"id": "flow[3]", "margin": -0.003105625617660479, "point": None,
+                  "status": ""})])
+    def test_manifest_names_the_binding_condition(self, tmp_path, c, binding):
+        out = tmp_path / "c.json"
+        main(["certify", "--config", "example2", "--Q", "identity", "--c", c,
+              "--out", str(out)])
+        results = json.loads((tmp_path / "c.json.manifest.json").read_text())["results"]
+        assert results == {"binding": {**binding, "cond_q": 1.0}}
+        # the report itself holds no binding entry
+        assert set(json.loads(out.read_text())) == {"verdict", "rate", "strategy", "metric",
+                                                    "notes", "conditions"}
 
 
 class TestRegularize:

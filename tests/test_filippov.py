@@ -532,6 +532,24 @@ class TestBlockMapCache:
             Rs[0, 0, 0] = 0.0
         assert ex1.modes[0].affine.stacks(1e-3, 256)[0] is Rs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_step_map_is_the_written_sum(self, n):
+        # the stacked powers are reduced term by term, in order, as the sum
+        # I + h A + h^2/2 A^2 + ... is written: no fused BLAS product
+        rng = np.random.default_rng(40 + n)
+        for _ in range(40):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2.0, 2.0)
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
+            field = AffineField(A, b)
+            A2, A3 = A @ A, A @ A @ A
+            hs = 10.0 ** rng.uniform(-6.0, 0.0, 25)
+            for h in [*hs, *hs.tolist()]:  # np.float64 and Python float steps
+                R, r = field.step_map(h)
+                assert np.array_equal(R, np.eye(n) + h * A + (h * h / 2.0) * A2 +
+                                      (h ** 3 / 6.0) * A3 + (h ** 4 / 24.0) * (A3 @ A))
+                assert np.array_equal(r, h * b + (h * h / 2.0) * (A @ b) +
+                                      (h ** 3 / 6.0) * (A2 @ b) + (h ** 4 / 24.0) * (A3 @ b))
+
     def test_stacks_are_sequential_powers(self, ex1):
         field = ex1.modes[0].affine
         R, r = field.step_map(1e-3)
@@ -1458,6 +1476,46 @@ class TestLongAxisScan:
             h1 = np.concatenate((h1, H[1:].ravel()))
         assert np.array_equal(filippov._event_flags(h0, h1, tol),
                               (np.abs(h0) > tol) & (np.copysign(1.0, h0) * h1 <= tol))
+
+    def test_any_event_is_the_flag_rule(self):
+        tol = filippov.TOL_EVENT
+        edge = [0.0, -0.0, tol, -tol, 2 * tol, -2 * tol, tol / 2, -tol / 2,
+                math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300]
+        pairs = [(np.array([a]), np.array([b])) for a in edge for b in edge]
+        rng = np.random.default_rng(22)
+        for m in (0, 1, 2, 3):
+            for _ in range(500):
+                h0, h1 = rng.standard_normal((2, m)) * 10.0 ** rng.integers(-12, 2, (2, m))
+                pairs.append((h0, h1))
+                pairs.append((h0, np.where(rng.random(m) < 0.5, h0, -h1)))
+        flagged = 0
+        for h0, h1 in pairs:
+            expected = bool(filippov._event_flags(h0, h1, tol).any())
+            assert filippov._any_event(h0, h1) == expected
+            flagged += expected
+        assert 0 < flagged < len(pairs)
+
+    @pytest.mark.parametrize("name, x0, step", [("example1", (-3.0, -4.0), 1e-3),
+                                                ("example2", (-5.0, 5.0), 7.3e-3),
+                                                ("example2", (5.0, -5.0), 1e-3)])
+    def test_grid_samples_select_the_on_grid_times(self, name, x0, step):
+        traj = integrate(fresh(name), x0, 5.0, SolverOptions(step=step))
+        for h in (step, 2 * step, 1e-2, 0.3):
+            # the selection as first written, in fresh arrays
+            k = np.round(traj.times / h)
+            on_grid = np.abs(traj.times - k * h) <= 1e-9 * max(h, 1.0)
+            on_grid[-1] = True
+            idx = np.flatnonzero(on_grid)
+            idx = idx[np.concatenate(([True], np.diff(traj.times[idx]) > 1e-12))]
+            ts, xs = traj.grid_samples(h)
+            assert np.array_equal(ts, traj.times[idx]) and np.array_equal(xs, traj.states[idx])
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_grid_samples_refuse_a_bad_step(self, ex1, h):
+        # nan once gave one sample, 0 one sample with RuntimeWarnings
+        traj = integrate(ex1, (-3.0, -4.0), 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            traj.grid_samples(h)
 
     def test_first_row_rule(self):
         rng = np.random.default_rng(20)

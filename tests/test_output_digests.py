@@ -9,9 +9,10 @@ behaviour keeps these bytes. The digests were taken with numpy 2.4 on
 x86-64; another BLAS or CPU may round a matrix product differently and
 change them.
 
-Run as a script, with the package importable (installed, or with
-PYTHONPATH=src), the file prints the current digest of every case, marks
-the ones that differ from the recorded digest, and exits 1 when any does:
+Run as a script, the file prints the current digest of every case, marks
+the ones that differ from the recorded digest, and exits 1 when any does.
+It then imports the package from the ``src`` directory beside ``tests/``,
+so it needs no PYTHONPATH:
 
     python tests/test_output_digests.py
 """
@@ -20,9 +21,13 @@ import contextlib
 import hashlib
 import io
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pwscontract.cli import main
 from pwscontract.filippov import SolverOptions, integrate
@@ -192,7 +197,6 @@ def print_digests() -> int:
     """Print every case's current digest, "changed" where it differs from
     the recorded one; the number of changed cases."""
     import tempfile
-    from pathlib import Path
 
     ex1, ex2 = (load_system_file(builtin_config_path(f"example{k}")) for k in (1, 2))
     systems = {"ex1": ex1, "ex2": ex2, "chain4": make_system(CHAIN4),

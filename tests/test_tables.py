@@ -6,13 +6,19 @@ unless it repeats an earlier one, each mesh point tested with
 ``AnalysisBox.contains`` and ``Manifold.h``, and each jump matrix formed as
 ``np.outer`` of the field jump at the point with the manifold gradient. The
 batched ``condition_table`` must give the same bits: the matrices, the points
-and their order, the row slices, the residuals, and every report."""
+and their order, the row slices, the residuals, and every report.
+
+``argmax_report`` is the report as first written, one ``np.argmax`` per
+condition; ``ConditionTable.report`` finds every worst case and binding point
+in one segmented pass and must agree with it on every shipped table."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from pwscontract import certify
 from pwscontract.certify import (
     GRID_MANIFOLD,
     GRID_REGION,
@@ -189,3 +195,108 @@ def test_batched_table_matches_the_per_point_reference(systems, name, build):
         got, want = table.report(metric), twin.report(metric)
         assert [(c.cond_id, c.worst, c.margin, c.point, c.status) for c in got.conditions] == \
             [(c.cond_id, c.worst, c.margin, c.point, c.status) for c in want.conditions]
+
+
+def argmax_report(table, metric):
+    """[(cond_id, worst, point, margin, status)] of every condition, its worst
+    and binding point from one np.argmax over its own rows."""
+    mu = metric.measures(table.mats)
+    bounds = {"flow": -metric.c, "jump": certify.TOL_ZERO, "equality": certify.TOL_EQ}
+    out = []
+    for cond in table.conditions:
+        status, point = "", None
+        if cond.kind == "equality":
+            worst, point = cond.residual, cond.points[0]
+        elif cond.rows.stop > cond.rows.start:
+            k = int(np.argmax(mu[cond.rows]))
+            worst, point = float(mu[cond.rows][k]), cond.points[k]
+        else:
+            status = "empty" if table.strategy == "vertex" else "unsampled"
+            worst = -math.inf if status == "empty" else math.inf
+        out.append((cond.cond_id, worst,
+                    None if point is None else tuple(np.asarray(point, dtype=float)),
+                    bounds[cond.kind] - worst, status))
+    return out
+
+
+def report_rows(report):
+    return [(c.cond_id, c.worst, c.point, c.margin, c.status) for c in report.conditions]
+
+
+def seeded_metrics(n, seed, count=25):
+    """Identity at c = 1.87 (where jump conditions tie at several points),
+    then random positive definite Q with random c."""
+    rng = np.random.default_rng(seed)
+    out = [Metric(np.eye(n), 1.87)]
+    while len(out) < count:
+        L = np.tril(rng.uniform(-0.5, 0.5, (n, n)))
+        L[np.diag_indices(n)] = rng.uniform(0.5, 1.5, n)
+        out.append(Metric(L @ L.T, rng.uniform(0.0, 2.5)))
+    return out
+
+
+# every shipped table: both examples by vertices, by grid and regularized, the
+# extended chains, and the grid tables of handle copies
+SHIPPED_TABLES = ([(name, build) for name in ("ex1", "ex2")
+                   for build in ("vertex", "grid", 1e-1, 1e-2, 1e-3)] +
+                  [(name, build) for name in ("chain4", "chain3d")
+                   for build in ("vertex", "grid", 1e-2)] +
+                  [("ex1-handle_copy", "grid"), ("ex2-handle_copy", "grid"), ("circle", "grid")])
+
+
+@pytest.mark.parametrize("name, build", SHIPPED_TABLES, ids=str)
+def test_one_pass_report_matches_per_condition_argmax(systems, name, build):
+    system = systems[name]
+    strategy, eps = (build, None) if isinstance(build, str) else ("vertex", build)
+    table = condition_table(system, strategy=strategy, eps=eps)
+    for metric in seeded_metrics(system.dimension, SHIPPED_TABLES.index((name, build))):
+        report = table.report(metric)
+        assert report_rows(report) == argmax_report(table, metric)
+        assert [c.worst for c in report.conditions if not c.status] == \
+            [w for c, w in zip(table.conditions, table.worsts(metric.measures(table.mats)))
+             if c.kind == "equality" or c.rows.stop > c.rows.start]
+        assert all(type(v) is float for c in report.conditions if c.point for v in c.point)
+
+
+def constructed_table(strategy):
+    """A flow row, a jump whose largest matrix repeats at rows 1 and 3, a
+    jump without points, an equality, and a jump whose two rows tie."""
+    big, small = np.diag([1.0, -1.0]), np.diag([0.5, -1.0])
+    table = ConditionTable(2, strategy)
+    table.add("flow[1]", "flow", "", "vertex (constant)", -np.eye(2), [None])
+    table.add("jump[1]", "jump", "", strategy, [small, big, small, big],
+              np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    table.add("jump[2]", "jump", "", strategy, np.empty((0, 2, 2)), np.empty((0, 2)))
+    table.add("eq", "equality", "", "point", [], [np.array([0.5, 0.25])], residual=3e-10)
+    table.add("jump[3]", "jump", "", strategy, [big, big], np.array([[4.0, 0.0], [5.0, 0.0]]))
+    table.mats
+    return table
+
+
+@pytest.mark.parametrize("strategy, status, worst", [("vertex", "empty", -math.inf),
+                                                     ("grid", "unsampled", math.inf)])
+def test_constructed_ties_and_conditions_without_rows(strategy, status, worst):
+    table = constructed_table(strategy)
+    metric = Metric(np.eye(2), 0.5)
+    report = table.report(metric)
+    # the first row that attains a tied worst case binds
+    assert report_rows(report) == [
+        ("flow[1]", -1.0, None, 0.5, ""),
+        ("jump[1]", 1.0, (1.0, 0.0), certify.TOL_ZERO - 1.0, ""),
+        ("jump[2]", worst, None, certify.TOL_ZERO - worst, status),
+        ("eq", 3e-10, (0.5, 0.25), certify.TOL_EQ - 3e-10, ""),
+        ("jump[3]", 1.0, (4.0, 0.0), certify.TOL_ZERO - 1.0, ""),
+    ] == argmax_report(table, metric)
+    assert all(type(v) is float for c in report.conditions if c.point for v in c.point)
+    assert report.binding.cond_id == ("jump[2]" if status == "unsampled" else "jump[1]")
+
+
+def test_report_of_a_table_without_rows():
+    table = ConditionTable(2, "grid")
+    table.add("jump[1]", "jump", "", "grid", np.empty((0, 2, 2)), np.empty((0, 2)))
+    table.add("eq", "equality", "", "point", [], [np.array([1.0, 2.0])], residual=0.0)
+    table.mats
+    metric = Metric(np.eye(2), 0.5)
+    assert report_rows(table.report(metric)) == argmax_report(table, metric) == [
+        ("jump[1]", math.inf, None, -math.inf, "unsampled"),
+        ("eq", 0.0, (1.0, 2.0), certify.TOL_EQ, "")]
