@@ -11,7 +11,9 @@ evaluates only there, at the points of ``model.polytope_vertices``. The grid
 strategy meshes each domain instead.
 
 One table builder per topology serves both forms: ``_band(man, w)`` gives a
-manifold's equality (w = 0) or its closed slab (w = eps). Each condition is
+manifold's equality (w = 0) or its closed slab (w = eps). It returns one
+entry per condition, in table order, and ``ConditionTable`` is built whole
+from them, read-only, with every reduction as a method. Each condition is
 built by one batched evaluation over its point set: every mode field on the
 stacked points (``Mode.f_many``; handle data is stacked point by point), the
 jump rows F g^T in one broadcast, and the arm and box cuts of a mesh as array
@@ -69,7 +71,7 @@ GRID_REGION = 21
 
 def _zero_bounds() -> dict:
     """The allowance of each zero-bound condition kind, read at call time, so
-    that the report and the search margin of ``qsearch`` judge them alike."""
+    that ``report`` and ``margin`` of ``ConditionTable`` judge them alike."""
     return {"jump": TOL_ZERO, "equality": TOL_EQ}
 
 
@@ -95,7 +97,6 @@ class CertificateReport:
     metric: Metric
     conditions: list
     strategy: str
-    rate: float
     notes: str = ""
 
     @property
@@ -121,7 +122,7 @@ class CertificateReport:
     def to_dict(self) -> dict:
         return {
             "verdict": "pass" if self.passed else "fail",
-            "rate": self.rate,
+            "rate": self.metric.c,
             "strategy": self.strategy,
             "metric": {"Q": self.metric.Q.tolist(), "c": self.metric.c},
             "notes": self.notes,
@@ -147,78 +148,53 @@ class CertificateReport:
 @dataclass(frozen=True)
 class Condition:
     """One certificate condition. Its quantified matrices are the rows
-    ``rows`` of the table's stack, taken at the rows of the array ``points``
-    ([None] where the matrix is constant over the domain). An equality
-    quantifies no matrix: its worst case is the metric-independent
-    ``residual``, attained at ``points[0]``."""
+    ``rows`` of the table's stack, taken at the matching ``points``: one
+    tuple of Python floats per row, or None for the one row of a matrix that
+    is constant over the domain. An equality quantifies no matrix: its worst
+    case is the metric-independent ``residual``, attained at ``points[0]``."""
 
     cond_id: str
     kind: str  # "flow" | "jump" | "equality"
     domain: str
     method: str
     rows: slice
-    points: object
+    points: tuple
     residual: float = 0.0
 
 
 class ConditionTable:
     """Every condition of one certificate over the system's box, built once
-    per (system, strategy, band width) by ``condition_table``, with all quantified
-    matrices stacked as (k, n, n) so that a metric is evaluated on the whole
-    table in one batch. ``report``, ``worsts`` and the search margin of
-    ``qsearch`` are reductions of that evaluation, segmented by the first
-    stack row and the row count of each condition that has rows.
+    per (system, strategy, band width) by ``condition_table``, with all
+    quantified matrices stacked as (k, n, n) so that a metric is evaluated on
+    the whole table in one batch. ``report``, ``worsts`` and ``margin`` are
+    reductions of that evaluation, segmented by the first stack row and the
+    row count of each condition that has rows.
 
-    Forming the stack ``mats`` builds the table: from then on the stack and
-    the point arrays are read-only, ``conditions`` is a tuple, and ``add``
-    refuses, so that a table can be shared by every caller. What the
-    reductions read besides the measures (the segments' starts and row
-    counts, and each condition's points as tuples of Python floats) is
-    derived from the built table on first use and kept."""
+    The table is built whole from ``entries``, one (cond_id, kind, domain,
+    method, mats, points, residual) per condition in table order, and is
+    read-only from then on: the stack ``mats`` cannot be written and
+    ``conditions`` is a tuple of frozen ``Condition``s, so that a table can
+    be shared by every caller."""
 
-    def __init__(self, dimension: int, strategy: str, notes: str = ""):
+    def __init__(self, dimension: int, strategy: str, entries, notes: str = ""):
         self.dimension = dimension
         self.strategy = strategy
         self.notes = notes
-        self.conditions: list = []
-        self._blocks: list = []  # the (k, n, n) matrices of each condition
-
-    def add(self, cond_id, kind, domain, method, mats, points, residual=0.0):
-        if "mats" in self.__dict__:
-            raise CertificateError("the table is built: it takes no more conditions")
-        start = self.conditions[-1].rows.stop if self.conditions else 0
-        self._blocks.append(np.reshape(mats, (-1, self.dimension, self.dimension)))
-        self.conditions.append(Condition(cond_id, kind, domain, method,
-                                         slice(start, start + len(self._blocks[-1])),
-                                         points, residual))
-
-    @cached_property
-    def mats(self) -> np.ndarray:
-        mats = np.concatenate(self._blocks)
-        self._blocks = None
-        self.conditions = tuple(self.conditions)
-        for arr in [mats] + [c.points for c in self.conditions]:
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-        return mats
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        # first stack row of every condition that quantifies a matrix
-        return np.array([c.rows.start for c in self.conditions
-                         if c.rows.stop > c.rows.start], dtype=np.intp)
-
-    @cached_property
-    def _counts(self) -> np.ndarray:
-        # stack rows of every condition that quantifies a matrix, as _starts
-        return np.array([c.rows.stop - c.rows.start for c in self.conditions
-                         if c.rows.stop > c.rows.start], dtype=np.intp)
-
-    @cached_property
-    def _points(self) -> tuple:
-        # every condition's points as tuples of Python floats, None kept
-        return tuple(tuple(None if p is None else tuple(np.asarray(p, dtype=float).tolist())
-                           for p in c.points) for c in self.conditions)
+        blocks, conditions = [], []
+        for cond_id, kind, domain, method, mats, points, residual in entries:
+            start = conditions[-1].rows.stop if conditions else 0
+            blocks.append(np.reshape(mats, (-1, dimension, dimension)))
+            points = points.tolist() if isinstance(points, np.ndarray) else points
+            conditions.append(Condition(
+                cond_id, kind, domain, method, slice(start, start + len(blocks[-1])),
+                tuple(None if p is None else tuple(map(float, p)) for p in points), residual))
+        self.mats = np.concatenate(blocks)
+        self.mats.flags.writeable = False
+        self.conditions = tuple(conditions)
+        # the first stack row and the row count of every condition with rows
+        rows = [c.rows for c in conditions if c.rows.stop > c.rows.start]
+        self._starts = np.array([r.start for r in rows], dtype=np.intp)
+        self._counts = np.array([r.stop - r.start for r in rows], dtype=np.intp)
 
     def _peaks(self, mu: np.ndarray) -> np.ndarray:
         # the worst measure of every condition that quantifies a matrix
@@ -237,6 +213,19 @@ class ConditionTable:
                            else -math.inf)
         return out
 
+    def margin(self, worsts: list, c: float) -> float:
+        """Aggregate margin at rate c from the ``worsts`` of the conditions,
+        as ``qsearch.margin`` defines it: the least -c - worst of the flow
+        conditions, capped by -worst of every zero-bound condition that
+        ``report`` fails (and by no other)."""
+        out, bounds = math.inf, _zero_bounds()
+        for cond, worst in zip(self.conditions, worsts):
+            if cond.kind == "flow":
+                out = min(out, -c - worst)
+            elif bounds[cond.kind] - worst < -PASS_TOL:
+                out = min(out, -worst)
+        return out
+
     def report(self, metric: Metric) -> CertificateReport:
         """Every condition's worst case, margin and binding point under
         ``metric``, from one evaluation of the stack: the worst of a
@@ -250,12 +239,12 @@ class ConditionTable:
         peaks = iter(peaks.tolist())
         bounds = {"flow": -metric.c, **_zero_bounds()}
         results = []
-        for cond, points in zip(self.conditions, self._points):
+        for cond in self.conditions:
             status = ""
             if cond.kind == "equality":
-                worst, point = cond.residual, points[0]
+                worst, point = cond.residual, cond.points[0]
             elif cond.rows.stop > cond.rows.start:
-                worst, point = next(peaks), points[next(firsts)]
+                worst, point = next(peaks), cond.points[next(firsts)]
             else:  # a vertex enumeration proves the domain empty; a mesh, nothing
                 point, status = None, "empty" if self.strategy == "vertex" else "unsampled"
                 worst = -math.inf if status == "empty" else math.inf
@@ -263,8 +252,7 @@ class ConditionTable:
             results.append(ConditionResult(
                 cond.cond_id, cond.kind, cond.domain, worst, bound, bound - worst,
                 point, cond.method, status))
-        return CertificateReport(metric, results, self.strategy, metric.c,
-                                 notes=self.notes)
+        return CertificateReport(metric, results, self.strategy, notes=self.notes)
 
 
 def condition_table(system: PwsSystem, strategy: str = "vertex",
@@ -289,23 +277,19 @@ def condition_table(system: PwsSystem, strategy: str = "vertex",
 
 
 def _build_table(system, strategy, eps):
-    table = (_chain_table if system.topology == "chain" else _cross_table)(
-        system, strategy, eps)
-    table.mats  # builds the table: read-only from here on
-    return table
+    build = _chain_table if system.topology == "chain" else _cross_table
+    return ConditionTable(system.dimension, strategy, *build(system, strategy, eps))
 
 
-def _add_flow(table, system, i, domain):
+def _flow(system, strategy, i, domain):
     mode = system.modes[i - 1]
     if mode.is_affine:
-        table.add(f"flow[{i}]", "flow", domain, "vertex (constant)",
-                  mode.affine.A, [None])
-        return
-    if table.strategy == "vertex":
+        return f"flow[{i}]", "flow", domain, "vertex (constant)", mode.affine.A, [None], 0.0
+    if strategy == "vertex":
         raise CertificateError("vertex strategy requires affine data")
     pts = _region_mesh(system, i)
-    table.add(f"flow[{i}]", "flow", domain, f"grid({GRID_REGION})",
-              [mode.jac(x) for x in pts], pts)
+    return (f"flow[{i}]", "flow", domain, f"grid({GRID_REGION})",
+            [mode.jac(x) for x in pts], pts, 0.0)
 
 
 def _region_mesh(system, i):
@@ -318,13 +302,13 @@ def _region_mesh(system, i):
     return pts[~out]
 
 
-def _jump_points(table, system, man, w, arm=None):
+def _jump_points(system, strategy, man, w, arm=None):
     """(method, points) of a jump condition across ``man``, over its closed
     w-band (w = 0: the manifold) cut by an ``arm`` (other, side) to
     side * H_other >= w: the vertices of that polytope (vertex strategy), or
     a mesh of the band's level sets H = -w, 0, +w masked by the arm (grid)."""
     box = system.box
-    if table.strategy == "vertex":
+    if strategy == "vertex":
         if not system.is_affine:
             raise CertificateError("vertex strategy requires affine data")
         eqs, ineqs = _band(man, w)
@@ -343,11 +327,11 @@ def _jump_points(table, system, man, w, arm=None):
     return f"grid({GRID_MANIFOLD})", pts
 
 
-def _add_jump(table, cond_id, domain, man, method, pts, jump):
-    """Add a jump condition whose field jump at the rows of ``pts`` is the
-    matching row of ``jump``: its matrices jump g^T, in one broadcast."""
-    table.add(cond_id, "jump", domain, method,
-              jump[:, :, None] * man.grad_many(pts)[:, None, :], pts)
+def _jump(cond_id, domain, man, method, pts, jump):
+    """The entry of a jump condition whose field jump at the rows of ``pts``
+    is the matching row of ``jump``: its matrices jump g^T, in one broadcast."""
+    return (cond_id, "jump", domain, method,
+            jump[:, :, None] * man.grad_many(pts)[:, None, :], pts, 0.0)
 
 
 def _require(system: PwsSystem, metric: Metric, topology: str):
@@ -364,27 +348,25 @@ def _require(system: PwsSystem, metric: Metric, topology: str):
 
 
 def _chain_table(system, strategy, eps):
+    """(entries, notes) of the chain's limit or band-inflated conditions."""
     if eps is None:
-        table = ConditionTable(system.dimension, strategy)
-        region = "closure(S_{i}) in box"
-        band = "{label} in box"
+        notes, region, band = "", "closure(S_{i}) in box", "{label} in box"
     else:
         if not system.is_affine:
             raise CertificateError("band disjointness check requires affine manifolds")
         if not _chain_bands_disjoint(system, eps):
             raise CertificateError("bands intersect - chain regularization invalid")
-        table = ConditionTable(system.dimension, strategy,
-                               notes=f"band half-width eps={eps}")
+        notes = f"band half-width eps={eps}"
         region = f"closure(S_{{i}}) + adjacent {eps}-bands in box"
         band = f"closed {eps}-band of {{label}} in box"
-    for i in range(1, system.n_modes + 1):
-        _add_flow(table, system, i, region.format(i=i))
+    entries = [_flow(system, strategy, i, region.format(i=i))
+               for i in range(1, system.n_modes + 1)]
     for k, man in enumerate(system.manifolds):
-        method, pts = _jump_points(table, system, man, eps or 0.0)
-        _add_jump(table, f"jump[{k + 1}]", band.format(label=man.label), man,
-                  method, pts,
-                  system.modes[k + 1].f_many(pts) - system.modes[k].f_many(pts))
-    return table
+        method, pts = _jump_points(system, strategy, man, eps or 0.0)
+        entries.append(_jump(
+            f"jump[{k + 1}]", band.format(label=man.label), man, method, pts,
+            system.modes[k + 1].f_many(pts) - system.modes[k].f_many(pts)))
+    return entries, notes
 
 
 def check_chain_certificate(system: PwsSystem, metric: Metric,
@@ -433,9 +415,10 @@ def _band(man, w):
 
 
 def _cross_table(system, strategy, eps=None):
-    """The limit cross conditions (eps None), or the band-inflated ones: the
-    manifolds become closed eps-bands, the half-manifolds the band arms
-    outside the central square, and the intersection point that square."""
+    """(entries, notes) of the limit cross conditions (eps None) or the
+    band-inflated ones: the manifolds become closed eps-bands, the
+    half-manifolds the band arms outside the central square, the
+    intersection point that square."""
     lim = eps is None
     if not lim and (strategy != "vertex" or not system.is_affine):
         raise CertificateError(
@@ -446,11 +429,9 @@ def _cross_table(system, strategy, eps=None):
             f"common-sector assumption fails at the intersection: {chk.detail}")
     m1, m2 = system.manifolds
     w = 0.0 if lim else eps
-    table = ConditionTable(2, strategy, notes=f"certified crossing sector S_{chk.sector}"
-                           if lim else f"band half-width eps={eps}")
-    for i in (1, 2, 3, 4):
-        _add_flow(table, system, i, f"closure(S_{i}) in box" if lim else
-                  f"{eps}-inflated quadrant of S_{i} in box")
+    notes = f"certified crossing sector S_{chk.sector}" if lim else f"band half-width eps={eps}"
+    entries = [_flow(system, strategy, i, f"closure(S_{i}) in box" if lim else
+                     f"{eps}-inflated quadrant of S_{i} in box") for i in (1, 2, 3, 4)]
     # (id, domain, manifold, field combination, (other manifold, side) of an arm)
     specs = [(f"manifold[{k}]" if lim else f"band[{k}]",
               f"{man.label} in box" if lim else f"closed {eps}-band of {man.label}",
@@ -467,23 +448,22 @@ def _cross_table(system, strategy, eps=None):
             (arm_id, f"{man.label}-band arm with {other.label}{rel}= {side * eps}"))
         specs.append((cond_id, domain, man, signs, (other, side)))
     for cond_id, domain, man, signs, arm in specs:
-        method, pts = _jump_points(table, system, man, w, arm)
-        _add_jump(table, cond_id, domain, man, method, pts, _combo(system, signs, pts))
+        method, pts = _jump_points(system, strategy, man, w, arm)
+        entries.append(_jump(cond_id, domain, man, method, pts, _combo(system, signs, pts)))
     if lim:
         x_tilde = chk.x_tilde
-        table.add("intersection-eq", "equality", f"x_tilde={tuple(x_tilde.tolist())}",
-                  "point", [], [x_tilde], residual=float(np.linalg.norm(
-                      _combo(system, _COMBO_DIAG, x_tilde[None])[0])))
-        return table
+        entries.append(("intersection-eq", "equality", f"x_tilde={tuple(x_tilde.tolist())}",
+                        "point", [], [x_tilde], float(np.linalg.norm(
+                            _combo(system, _COMBO_DIAG, x_tilde[None])[0]))))
+        return entries, notes
     square = np.array(polytope_vertices([], _band(m1, w)[1] + _band(m2, w)[1], system.box))
     diag = _combo(system, _COMBO_DIAG, square)
     # the stacked dot products give the bits of np.linalg.norm row by row
     norms = np.sqrt((diag[:, None] @ diag[..., None])[:, 0, 0])
     k = int(np.argmax(norms))
-    table.add("square-eq", "equality",
-              f"closed central square, half-width {eps}", "vertex", [],
-              [square[k]], residual=float(norms[k]))
-    return table
+    entries.append(("square-eq", "equality", f"closed central square, half-width {eps}",
+                    "vertex", [], [square[k]], float(norms[k])))
+    return entries, notes
 
 
 def check_cross_certificate(system: PwsSystem, metric: Metric,

@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", default="identity")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--pairs", type=_PAIRS, default=10)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_bounded(int, 0, False, "seed must be an integer >= 0"),
+                   default=12345)
     p.add_argument("--t-final", type=_POSITIVE, default=10.0, dest="t_final")
     p.add_argument("--tol-decay", type=_TOL_DECAY, default=1e-2, dest="tol_decay")
     p.add_argument("--step", type=_POSITIVE, default=1e-3)

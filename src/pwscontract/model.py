@@ -171,10 +171,10 @@ class AffineField:
 
     One RK4 step of x' = Ax + b with step h is exactly x -> R(h) x + r(h),
     R the degree-4 truncated exponential of hA. The powers of A behind it are
-    formed at construction; the block stacks of ``stacks`` and the fixed
-    point of ``centre`` are built on first use, one entry per (step, block)
-    and per step for the life of the field, and shared, read-only, by every
-    integration that uses it.
+    formed at construction (ConfigError if one overflows); the block stacks of
+    ``stacks`` and the fixed point of ``centre`` are built on first use, one
+    entry per (step, block) and per step for the life of the field, and
+    shared, read-only, by every integration that uses it.
     """
 
     A: np.ndarray
@@ -195,12 +195,15 @@ class AffineField:
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        A2 = A @ A
-        A3 = A2 @ A
-        A4 = A3 @ A
         eye = np.eye(A.shape[0])
-        object.__setattr__(self, "_powers", (np.stack((eye, A, A2, A3, A4)),
-                                             np.stack((b, A @ b, A2 @ b, A3 @ b))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            A2 = A @ A
+            A3 = A2 @ A
+            powers = np.stack((eye, A, A2, A3, A3 @ A))
+            offsets = np.stack((b, A @ b, A2 @ b, A3 @ b))
+        if not (np.isfinite(powers).all() and np.isfinite(offsets).all()):
+            raise ConfigError("the RK4 powers A^k or products A^k b overflow")
+        object.__setattr__(self, "_powers", (powers, offsets))
         object.__setattr__(self, "_taylor", np.concatenate((eye, A / 2.0, A2 / 6.0, A3 / 24.0)))
         object.__setattr__(self, "_stacks", {})
         object.__setattr__(self, "_centres", {})
@@ -293,7 +296,10 @@ class Mode:
 
     @classmethod
     def from_affine(cls, index: int, A, b) -> "Mode":
-        aff = AffineField(A, b)
+        try:
+            aff = AffineField(A, b)
+        except ConfigError as exc:
+            raise ConfigError(f"mode {index}: {exc}") from None
         return cls(index, aff, lambda x, A=aff.A: A, affine=aff)
 
     @classmethod

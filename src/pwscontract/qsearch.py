@@ -39,7 +39,7 @@ import numpy as np
 from .measure import Metric, _measures
 from .model import PwsSystem, TopologyError
 from .certify import (CertificateError, CertificateReport, ConditionTable,
-                      PASS_TOL, TOL_ZERO, _zero_bounds, condition_table)
+                      PASS_TOL, TOL_ZERO, condition_table)
 
 __all__ = ["SearchOptions", "SearchResult", "margin", "search_certificate"]
 
@@ -84,19 +84,6 @@ class SearchResult:
     stats: dict = field(default_factory=dict)
 
 
-def _table_margin(table: ConditionTable, worsts: list, c: float) -> float:
-    """Aggregate margin at rate c from the ``worsts`` of the table's
-    conditions; see ``margin`` below for the convention. A zero-bound
-    condition is violated exactly where ``ConditionTable.report`` fails it."""
-    out, bounds = math.inf, _zero_bounds()
-    for cond, worst in zip(table.conditions, worsts):
-        if cond.kind == "flow":
-            out = min(out, -c - worst)
-        elif bounds[cond.kind] - worst < -PASS_TOL:
-            out = min(out, -worst)
-    return out
-
-
 def margin(system: PwsSystem, metric: Metric) -> float:
     """Smallest (required bound - worst case) over the certificate conditions,
     against the exact bounds; positive iff the certificate passes with slack.
@@ -106,7 +93,7 @@ def margin(system: PwsSystem, metric: Metric) -> float:
     if metric.dimension != system.dimension:
         raise CertificateError("metric dimension does not match the system")
     table = condition_table(system)
-    return _table_margin(table, table.worsts(metric.measures(table.mats)), metric.c)
+    return table.margin(table.worsts(metric.measures(table.mats)), metric.c)
 
 
 def _admissible(table: ConditionTable, n: int):
@@ -312,7 +299,7 @@ def search_certificate(system: PwsSystem,
         # c(P) = min_j -mu_Q(A_j): mu_Q(A) <= -c is P A + A^T P <= -2cP
         rate = min(-w for cond, w in zip(table.conditions, worsts) if cond.kind == "flow")
         c = min(rate, opts.c_hi)
-        trace.append((c, _table_margin(table, worsts, c)))
+        trace.append((c, table.margin(worsts, c)))
         if trace[-1][1] >= -PASS_TOL and c > 0.0 and (best is None or c > best[0]):
             best = (c, Q)
         if lam is not None and nu < math.inf:

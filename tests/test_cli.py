@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,24 @@ class TestUsageErrors:
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--x0", "-3,-4", "--t-final", "2"],
+        ["certify", "--c", "0.5"],
+    ])
+    def test_overflowing_mode_data(self, tmp_path, capsys, command):
+        # the RK4 powers of -1e200 I overflow: a usage error at load, with no
+        # RuntimeWarning, not a run that fails on non-finite step maps
+        doc = json.loads(builtin_config_path("example1").read_text())
+        doc["modes"][0]["A"] = [[-1e200, 0.0], [0.0, -1e200]]
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
+        assert not out.exists()
+        assert "usage error: mode 1: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("Q, c", [(np.eye(3).tolist(), 0.5),
                                       ([[1.0, 0.0], [0.0, -1.0]], 0.5),
                                       ([[1.0, 0.0], [0.0, 1.0]], -0.5)])
@@ -523,6 +542,17 @@ class TestUsageErrors:
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == 64
         assert not out.exists()
         assert "usage error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_seed_must_be_a_nonnegative_integer(self, tmp_path, capsys, seed):
+        # numpy's default_rng refuses a negative seed: a usage error, not a
+        # failed run
+        out = tmp_path / "pw.json"
+        rc = main(["pairwise", "--config", "example1", "--c", "0.5", "--pairs", "1",
+                   "--t-final", "1", "--seed", seed, "--out", str(out)])
+        assert rc == 64
+        assert not out.exists()
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-5"])
     def test_tol_decay_must_be_finite(self, tmp_path, tol):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,16 @@ class TestNonFiniteData:
             AffineField([[-1.0, 0.0], [0.0, bad]], [0.0, 0.0])
         with pytest.raises(ConfigError, match="mode offset"):
             AffineField(-np.eye(2), [bad, 0.0])
+
+    @pytest.mark.parametrize("scale", [-1e200, 1e100])
+    def test_overflowing_rk4_powers(self, scale):
+        # A^2 of -1e200 I overflows (A^4 of 1e100 I), and 0 * inf is NaN off
+        # the diagonal: refused at load, naming the mode, with no warning
+        doc = with_entry(self.EX1, ("modes", 0, "A"), (scale * np.eye(2)).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="mode 1: .*overflow"):
+                make_system(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_affine_manifold(self, bad):

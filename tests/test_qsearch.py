@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pwscontract.certify import PASS_TOL, TOL_ZERO, ConditionTable, condition_table
+from pwscontract.certify import PASS_TOL, TOL_EQ, TOL_ZERO, ConditionTable, condition_table
 from pwscontract import certify, qsearch
 from pwscontract.measure import Metric
 from pwscontract.model import ConfigError, builtin_config_path, load_system_file
@@ -167,7 +167,7 @@ class TestSearch:
 
 def _validated_margin(table, Q, c):
     """The margin of Q at rate c (which may be negative), Q validated."""
-    return qsearch._table_margin(table, table.worsts(Metric(Q, 0.0).measures(table.mats)), c)
+    return table.margin(table.worsts(Metric(Q, 0.0).measures(table.mats)), c)
 
 
 def _jump_chain(delta, scale=1.0):
@@ -221,6 +221,31 @@ class TestSearchMargin:
             monkeypatch.setattr(certify, "TOL_ZERO", 2 * TOL_ZERO)
             report = condition_table(system).report(metric)
             assert report.passed and margin(system, metric) >= -PASS_TOL
+            monkeypatch.undo()
+
+    def test_equality_allowance_is_the_report_s(self, monkeypatch):
+        # example2 with mode 4's offset moved by delta along x1: the
+        # intersection residual is delta, just inside, then just outside,
+        # TOL_EQ; the report and the margin pass alike, also once the
+        # allowance moves (normals of length 1e-2 keep the jump rows, which
+        # move by delta too, far inside TOL_ZERO)
+        def verdicts(system, metric):
+            table = condition_table(system)
+            worsts = table.worsts(metric.measures(table.mats))
+            return (table.report(metric).passed, table.margin(worsts, metric.c) >= -PASS_TOL,
+                    margin(system, metric) >= -PASS_TOL)
+
+        for delta, inside in ((TOL_EQ * (1 - 1e-2), True), (TOL_EQ * (1 + 1e-2), False)):
+            doc = json.loads(builtin_config_path("example2").read_text())
+            doc["modes"][3]["b"][0] += delta
+            for man in doc["manifolds"]:
+                man["c"] = [1e-2 * v for v in man["c"]]
+            system, metric = make_system(doc), Metric.identity(2, 0.5)
+            report = condition_table(system).report(metric)
+            assert report.condition("intersection-eq").worst == pytest.approx(delta, rel=1e-6)
+            assert verdicts(system, metric) == (inside,) * 3
+            monkeypatch.setattr(certify, "TOL_EQ", 2 * TOL_EQ)
+            assert verdicts(system, metric) == (True,) * 3
             monkeypatch.undo()
 
 
@@ -287,11 +312,11 @@ class TestCentreMargin:
         # the intersection equality does not depend on the metric: violated,
         # it caps the margin of every centre, and no centre is re-checked
         system = load_system_file(builtin_config_path("example2"))
-        table, residual = ConditionTable(2, "vertex"), 1e-6
-        for cond in condition_table(system).conditions:
-            table.add(cond.cond_id, cond.kind, cond.domain, cond.method,
-                      condition_table(system).mats[cond.rows], cond.points,
-                      residual if cond.kind == "equality" else cond.residual)
+        built, residual = condition_table(system), 1e-6
+        table = ConditionTable(2, "vertex", [
+            (cond.cond_id, cond.kind, cond.domain, cond.method, built.mats[cond.rows],
+             cond.points, residual if cond.kind == "equality" else cond.residual)
+            for cond in built.conditions])
         monkeypatch.setattr(qsearch, "condition_table", lambda system: table)
         reports = _counting(monkeypatch, ConditionTable, "report")
         result = search_certificate(system)

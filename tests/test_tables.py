@@ -185,9 +185,9 @@ def test_batched_table_matches_the_per_point_reference(systems, name, build):
         assert bits(cond.points) == bits(points)
     assert len(table.mats) == start
     # the same reports as a table assembled from the reference rows
-    twin = ConditionTable(n, table.strategy, table.notes)
-    for cond_id, kind, method, mats, points, residual in ref:
-        twin.add(cond_id, kind, "", method, mats, points, residual)
+    twin = ConditionTable(n, table.strategy, [
+        (cond_id, kind, "", method, mats, points, residual)
+        for cond_id, kind, method, mats, points, residual in ref], table.notes)
     rng = np.random.default_rng(7)
     for _ in range(3):
         L = rng.normal(size=(n, n))
@@ -262,15 +262,13 @@ def constructed_table(strategy):
     """A flow row, a jump whose largest matrix repeats at rows 1 and 3, a
     jump without points, an equality, and a jump whose two rows tie."""
     big, small = np.diag([1.0, -1.0]), np.diag([0.5, -1.0])
-    table = ConditionTable(2, strategy)
-    table.add("flow[1]", "flow", "", "vertex (constant)", -np.eye(2), [None])
-    table.add("jump[1]", "jump", "", strategy, [small, big, small, big],
-              np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    table.add("jump[2]", "jump", "", strategy, np.empty((0, 2, 2)), np.empty((0, 2)))
-    table.add("eq", "equality", "", "point", [], [np.array([0.5, 0.25])], residual=3e-10)
-    table.add("jump[3]", "jump", "", strategy, [big, big], np.array([[4.0, 0.0], [5.0, 0.0]]))
-    table.mats
-    return table
+    return ConditionTable(2, strategy, [
+        ("flow[1]", "flow", "", "vertex (constant)", -np.eye(2), [None], 0.0),
+        ("jump[1]", "jump", "", strategy, [small, big, small, big],
+         np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), 0.0),
+        ("jump[2]", "jump", "", strategy, np.empty((0, 2, 2)), np.empty((0, 2)), 0.0),
+        ("eq", "equality", "", "point", [], [np.array([0.5, 0.25])], 3e-10),
+        ("jump[3]", "jump", "", strategy, [big, big], np.array([[4.0, 0.0], [5.0, 0.0]]), 0.0)])
 
 
 @pytest.mark.parametrize("strategy, status, worst", [("vertex", "empty", -math.inf),
@@ -292,10 +290,9 @@ def test_constructed_ties_and_conditions_without_rows(strategy, status, worst):
 
 
 def test_report_of_a_table_without_rows():
-    table = ConditionTable(2, "grid")
-    table.add("jump[1]", "jump", "", "grid", np.empty((0, 2, 2)), np.empty((0, 2)))
-    table.add("eq", "equality", "", "point", [], [np.array([1.0, 2.0])], residual=0.0)
-    table.mats
+    table = ConditionTable(2, "grid", [
+        ("jump[1]", "jump", "", "grid", np.empty((0, 2, 2)), np.empty((0, 2)), 0.0),
+        ("eq", "equality", "", "point", [], [np.array([1.0, 2.0])], 0.0)])
     metric = Metric(np.eye(2), 0.5)
     assert report_rows(table.report(metric)) == argmax_report(table, metric) == [
         ("jump[1]", math.inf, None, -math.inf, "unsampled"),
